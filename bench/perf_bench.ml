@@ -11,33 +11,20 @@
    counter readings) that bench/check_perf.sh folds into
    BENCH_perf.json. *)
 
-let jobs = ref (Fd_util.Pool.default_jobs ())
-let repeat = ref 5
-let json_out = ref None
+open Cmdliner
+module Cli = Fd_cli.Cli
 
-let usage () =
-  prerr_endline "usage: perf_bench [--jobs N] [--repeat N] [--json FILE]";
-  exit 1
+let repeat =
+  Arg.(
+    value
+    & opt (Cli.int_at_least 1) 5
+    & info [ "repeat" ] ~docv:"N" ~doc:"Timed iterations after the warm-up.")
 
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--jobs" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n >= 1 -> jobs := n
-        | _ -> usage ());
-        parse rest
-    | "--repeat" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n >= 1 -> repeat := n
-        | _ -> usage ());
-        parse rest
-    | "--json" :: v :: rest ->
-        json_out := Some v;
-        parse rest
-    | _ -> usage ()
-  in
-  parse (List.tl (Array.to_list Sys.argv))
+let json_out =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE" ~doc:"Write the JSON report to $(docv).")
 
 (* one iteration of the gate workload; returns the rendered output *)
 let iteration ~jobs () =
@@ -51,8 +38,7 @@ let iteration ~jobs () =
   ^ Fd_eval.Droidbench_table.render_outcomes db
   ^ Fd_eval.Securibench_table.render sb
 
-let () =
-  let jobs = !jobs and repeat = !repeat in
+let run jobs repeat json_out =
   (* warm-up iteration: fills the lazy framework/rules templates and
      faults in the code paths, so timed iterations measure the steady
      state the solver runs in *)
@@ -80,7 +66,7 @@ let () =
     repeat best mean digest;
   let dedup = Fd_obs.Metrics.counter_value "ifds.worklist_dedup_hits" in
   Printf.printf "worklist dedup hits (cumulative): %d\n" dedup;
-  match !json_out with
+  match json_out with
   | None -> ()
   | Some path ->
       let j =
@@ -100,3 +86,10 @@ let () =
         (fun () ->
           output_string oc (Fd_obs.Json.to_string ~indent:1 j ^ "\n"));
       Printf.eprintf "wrote %s\n" path
+
+let () =
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "perf_bench" ~doc:"The performance gate workload.")
+          Term.(const run $ Cli.jobs $ repeat $ json_out)))

@@ -12,45 +12,26 @@
    --jobs), and optionally writes a flat JSON report that
    bench/check_store.sh folds into BENCH_store.json. *)
 
-let fleet = ref 8
-let depth = ref 300
-let jobs = ref (Fd_util.Pool.default_jobs ())
-let store_dir = ref (Sys.getenv_opt "FLOWDROID_SUMMARY_STORE")
-let json_out = ref None
+open Cmdliner
+module Cli = Fd_cli.Cli
 
-let usage () =
-  prerr_endline
-    "usage: store_bench [--fleet N] [--depth D] [--jobs N] [--summary-store \
-     DIR] [--json FILE]";
-  exit 1
+let fleet =
+  Arg.(
+    value
+    & opt (Cli.int_at_least 1) 8
+    & info [ "fleet" ] ~docv:"N" ~doc:"Apps in the fleet.")
 
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--fleet" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n >= 1 -> fleet := n
-        | _ -> usage ());
-        parse rest
-    | "--depth" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n >= 2 -> depth := n
-        | _ -> usage ());
-        parse rest
-    | "--jobs" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n >= 1 -> jobs := n
-        | _ -> usage ());
-        parse rest
-    | "--summary-store" :: v :: rest ->
-        store_dir := Some v;
-        parse rest
-    | "--json" :: v :: rest ->
-        json_out := Some v;
-        parse rest
-    | _ -> usage ()
-  in
-  parse (List.tl (Array.to_list Sys.argv))
+let depth =
+  Arg.(
+    value
+    & opt (Cli.int_at_least 2) 300
+    & info [ "depth" ] ~docv:"D" ~doc:"Step methods in the shared library chain.")
+
+let json_out =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE" ~doc:"Write the JSON report to $(docv).")
 
 (* ------------------------------------------------------------------ *)
 (* the shared library: lib.Box + a lib.Chain of [depth] step methods   *)
@@ -172,12 +153,8 @@ let render_findings (r : Fd_core.Infoflow.result) =
     r.Fd_core.Infoflow.r_findings
   |> List.sort_uniq compare |> String.concat "\n"
 
-let () =
-  let fleet = !fleet and depth = !depth and jobs = !jobs in
-  if !store_dir <> None then Fd_store.Store.install ();
-  let config =
-    { Fd_core.Config.default with Fd_core.Config.summary_store = !store_dir }
-  in
+let run fleet depth jobs config json_out =
+  let store_on = config.Fd_core.Config.summary_store <> None in
   let apks = List.init fleet (make_apk ~depth) in
   (* timing covers only the analysis loop: app construction and
      process startup are identical in every configuration *)
@@ -200,15 +177,12 @@ let () =
   Printf.printf
     "fleet=%d depth=%d jobs=%d store=%s: %.4f s, %d/%d apps leak, digest=%s\n"
     fleet depth jobs
-    (match !store_dir with Some _ -> "on" | None -> "off")
+    (if store_on then "on" else "off")
     dt leaks fleet digest;
-  if !store_dir <> None then
+  if store_on then
     Printf.printf "store.hits=%d store.misses=%d\n" hits misses;
-  List.iter
-    (fun (d : Fd_resilience.Diag.t) ->
-      Printf.eprintf "summary-store: %s\n" d.Fd_resilience.Diag.d_msg)
-    (Fd_store.Store.drain_diags ());
-  (match !json_out with
+  Cli.drain_store_diags ();
+  (match json_out with
   | None -> ()
   | Some path ->
       let oc = open_out path in
@@ -225,3 +199,13 @@ let () =
       leaks fleet;
     exit 1
   end
+
+let () =
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "store_bench" ~doc:"The summary-store gate workload.")
+          Term.(
+            const run $ fleet $ depth $ Cli.jobs
+            $ Cli.config [ Cli.summary_store ]
+            $ json_out)))

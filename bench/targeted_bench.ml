@@ -19,58 +19,41 @@
    which bench/check_targeted.sh asserts before folding the timings
    into BENCH_targeted.json. *)
 
-let fleet = ref 8
-let depth = ref 300
-let jobs = ref (Fd_util.Pool.default_jobs ())
-let mode = ref `Full
-let patterns = ref []
-let json_out = ref None
+open Cmdliner
+module Cli = Fd_cli.Cli
 
-let usage () =
-  prerr_endline
-    "usage: targeted_bench [--fleet N] [--depth D] [--jobs N] [--mode \
-     full|targeted] [--targeted SIG] [--json FILE]";
-  exit 1
+let fleet =
+  Arg.(
+    value
+    & opt (Cli.int_at_least 1) 8
+    & info [ "fleet" ] ~docv:"N" ~doc:"Apps in the fleet.")
 
-let split_targeted v =
-  String.split_on_char ',' v
-  |> List.map String.trim
-  |> List.filter (fun s -> s <> "")
+let depth =
+  Arg.(
+    value
+    & opt (Cli.int_at_least 2) 300
+    & info [ "depth" ] ~docv:"D" ~doc:"Step methods in each app's library chain.")
 
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--fleet" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n >= 1 -> fleet := n
-        | _ -> usage ());
-        parse rest
-    | "--depth" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n >= 2 -> depth := n
-        | _ -> usage ());
-        parse rest
-    | "--jobs" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n >= 1 -> jobs := n
-        | _ -> usage ());
-        parse rest
-    | "--mode" :: "full" :: rest ->
-        mode := `Full;
-        parse rest
-    | "--mode" :: "targeted" :: rest ->
-        mode := `Targeted;
-        parse rest
-    | "--targeted" :: v :: rest ->
-        patterns := !patterns @ split_targeted v;
-        parse rest
-    | "--json" :: v :: rest ->
-        json_out := Some v;
-        parse rest
-    | _ -> usage ()
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  if !patterns = [] then patterns := [ "SmsManager.sendTextMessage" ]
+let mode =
+  Arg.(
+    value
+    & opt (enum [ ("full", `Full); ("targeted", `Targeted) ]) `Full
+    & info [ "mode" ] ~doc:"$(b,full) or $(b,targeted) analysis.")
+
+let json_out =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE" ~doc:"Write the JSON report to $(docv).")
+
+(* the --targeted patterns, defaulting to the SMS sink *)
+let patterns =
+  Term.(
+    const (fun (c : Fd_core.Config.t) ->
+        match c.Fd_core.Config.targeted with
+        | [] -> [ "SmsManager.sendTextMessage" ]
+        | ps -> ps)
+    $ Cli.config [ Cli.targeted_no_env ])
 
 (* ------------------------------------------------------------------ *)
 (* per-app deep library: lib.BoxN + lib.ChainN of [depth] steps        *)
@@ -202,11 +185,9 @@ let render_findings findings =
     findings
   |> List.sort_uniq compare |> String.concat "\n"
 
-let () =
-  let fleet = !fleet and depth = !depth and jobs = !jobs in
-  let patterns = !patterns in
+let run fleet depth jobs mode patterns json_out =
   let config =
-    match !mode with
+    match mode with
     | `Full -> Fd_core.Config.default
     | `Targeted -> { Fd_core.Config.default with Fd_core.Config.targeted = patterns }
   in
@@ -219,7 +200,7 @@ let () =
       (fun apk ->
         let r = Fd_core.Infoflow.analyze_apk ~config apk in
         let findings =
-          match !mode with
+          match mode with
           | `Targeted -> r.Fd_core.Infoflow.r_findings
           | `Full ->
               (* restrict to the queried sinks so digests compare *)
@@ -242,13 +223,13 @@ let () =
     "fleet=%d depth=%d jobs=%d mode=%s: %.4f s, %d/%d apps leak into %s, \
      digest=%s\n"
     fleet depth jobs
-    (match !mode with `Full -> "full" | `Targeted -> "targeted")
+    (match mode with `Full -> "full" | `Targeted -> "targeted")
     dt leaks fleet
     (String.concat "," patterns)
     digest;
-  if !mode = `Targeted then
+  if mode = `Targeted then
     Printf.printf "targeted.index_probes=%d\n" probes;
-  (match !json_out with
+  (match json_out with
   | None -> ()
   | Some path ->
       let oc = open_out path in
@@ -257,7 +238,7 @@ let () =
          \"%s\",\n \"seconds\": %.4f,\n \"leaking_apps\": %d,\n \"digest\": \
          \"%s\",\n \"index_probes\": %d\n}\n"
         fleet depth jobs
-        (match !mode with `Full -> "full" | `Targeted -> "targeted")
+        (match mode with `Full -> "full" | `Targeted -> "targeted")
         dt leaks digest probes;
       close_out oc);
   (* exactly the one offender app must leak into the targeted sink,
@@ -268,3 +249,11 @@ let () =
       leaks fleet;
     exit 1
   end
+
+let () =
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "targeted_bench" ~doc:"The targeted-mode gate workload.")
+          Term.(
+            const run $ fleet $ depth $ Cli.jobs $ mode $ patterns $ json_out)))

@@ -1,187 +1,54 @@
 (* Regenerates Table 1: DROIDBENCH results for FlowDroid and the two
-   simulated commercial comparators.
-
-   Observability options:
-     --app NAME         run FlowDroid on one benchmark case only
-     --stats-json FILE  write the metrics snapshot (+ phase durations);
-                        "-" writes to stdout
-     --trace-out FILE   write a Chrome trace_event file; "-" = stdout
-     --provenance       record provenance edges (witness paths) while
-                        solving
-     --profile-out FILE write a collapsed-stack per-method solver
-                        profile to FILE ("-" = stdout)
-     --dump DIR         write the selected app (or every app) to DIR as
-                        an on-disk app directory usable with
-                        flowdroid_cli
-
-   Precision options:
-     --precision SPEC   opt-in precision passes (all, none, or a
-                        comma-separated subset of must-alias,
-                        array-index, reflection, clinit; default:
-                        $FLOWDROID_PRECISION, else none); reported in
-                        the output only when a pass is enabled
-     --icc              enable the ICC link-resolution tier: resolve
-                        intent sends against the manifest, stitch
-                        cross-component flows, drop deliverable sends,
-                        synthesise setResult leaks (closes the
-                        IntentSink1 row); default off, table unchanged
-
-   Performance options:
-     --jobs N           fan the per-app loop out over N domains
-                        (default: $FLOWDROID_JOBS, else 1); the table
-                        is bit-identical at any job count
-     --summary-store DIR
-                        reuse (and extend) the persistent cross-app
-                        summary store at DIR (default:
-                        $FLOWDROID_SUMMARY_STORE, else off); the table
-                        is bit-identical with the store hot or cold
-
-   Resilience options:
-     --deadline SECS    wall-clock deadline per analysis run
-     --outcomes         print per-app termination states after the table
-     --chaos-rate P     fault-injection smoke run: corrupt each app's
-                        µJimple at rate P, inject solver faults at rate
-                        P, analyse leniently under the degradation
-                        ladder, and report per-app outcomes (exit 1 if
-                        any exception escapes the barrier)
-     --chaos-seed N     PRNG seed for --chaos-rate (default 20140609)
+   simulated comparators.  [--help] lists the options.
 
    SIGINT/SIGTERM cancel the campaign cooperatively: in-flight solves
    stop with outcome cancelled, the partial table still prints, and
    the process exits 4. *)
 
-let usage () =
-  prerr_endline
-    "usage: droidbench_runner [--app NAME] [--precision SPEC] [--stats-json \
-     FILE] [--trace-out FILE] [--provenance] [--profile-out FILE] [--dump \
-     DIR] [--jobs N] [--deadline SECS] [--outcomes] [--chaos-rate P] \
-     [--chaos-seed N] [--summary-store DIR] [--targeted SIG] [--icc]";
-  exit 1
+open Cmdliner
+module Cli = Fd_cli.Cli
 
-let app_name = ref None
-let stats_json = ref None
-let trace_out = ref None
-let provenance = ref false
-let profile_out = ref None
-let dump_dir = ref None
-let deadline = ref None
-let show_outcomes = ref false
+let app_name =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "app" ] ~docv:"NAME"
+        ~doc:"Run FlowDroid on the benchmark case $(docv) only.")
 
-let summary_store =
-  ref
-    (match Sys.getenv_opt "FLOWDROID_SUMMARY_STORE" with
-    | Some s when s <> "" -> Some s
-    | _ -> None)
+let dump_dir =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "dump" ] ~docv:"DIR"
+        ~doc:
+          "Write the selected app (or every app) to $(docv) as an on-disk \
+           app directory usable with flowdroid_cli, and exit.")
 
-let chaos_rate = ref None
-let chaos_seed = ref 20140609
-let jobs = ref (Fd_util.Pool.default_jobs ())
+let show_outcomes =
+  Arg.(
+    value & flag
+    & info [ "outcomes" ]
+        ~doc:"Print per-app termination states after the table.")
 
-(* --targeted SIG (repeatable, or comma-separated in the env var) *)
-let split_targeted s =
-  List.filter_map
-    (fun p ->
-      let p = String.trim p in
-      if p = "" then None else Some p)
-    (String.split_on_char ',' s)
+let chaos_rate =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "chaos-rate" ] ~docv:"P"
+        ~doc:
+          "Fault-injection smoke run: corrupt each app's µJimple at rate \
+           $(docv), inject solver faults at rate $(docv), analyse \
+           leniently under the degradation ladder, and report per-app \
+           outcomes (exit 1 if any exception escapes the barrier).")
 
-let targeted =
-  ref
-    (match Sys.getenv_opt "FLOWDROID_TARGETED" with
-    | Some s when s <> "" -> split_targeted s
-    | _ -> [])
-
-let precision =
-  ref
-    (match Sys.getenv_opt "FLOWDROID_PRECISION" with
-    | Some s when s <> "" -> s
-    | _ -> "none")
-
-let icc = ref (Sys.getenv_opt "FLOWDROID_ICC" = Some "1")
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--app" :: v :: rest ->
-        app_name := Some v;
-        parse rest
-    | "--stats-json" :: v :: rest ->
-        stats_json := Some v;
-        parse rest
-    | "--trace-out" :: v :: rest ->
-        trace_out := Some v;
-        parse rest
-    | "--provenance" :: rest ->
-        provenance := true;
-        parse rest
-    | "--profile-out" :: v :: rest ->
-        profile_out := Some v;
-        parse rest
-    | "--dump" :: v :: rest ->
-        dump_dir := Some v;
-        parse rest
-    | "--deadline" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some s -> deadline := Some s
-        | None -> usage ());
-        parse rest
-    | "--jobs" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n >= 1 -> jobs := n
-        | _ -> usage ());
-        parse rest
-    | "--outcomes" :: rest ->
-        show_outcomes := true;
-        parse rest
-    | "--chaos-rate" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some p -> chaos_rate := Some p
-        | None -> usage ());
-        parse rest
-    | "--chaos-seed" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some s -> chaos_seed := s
-        | None -> usage ());
-        parse rest
-    | "--precision" :: v :: rest ->
-        precision := v;
-        parse rest
-    | "--summary-store" :: v :: rest ->
-        summary_store := Some v;
-        parse rest
-    | "--targeted" :: v :: rest ->
-        targeted := !targeted @ split_targeted v;
-        parse rest
-    | "--icc" :: rest ->
-        icc := true;
-        parse rest
-    | _ -> usage ()
-  in
-  parse (List.tl (Array.to_list Sys.argv))
-
-let precision_passes () =
-  match Fd_core.Config.precision_of_string !precision with
-  | Ok p -> p
-  | Error msg ->
-      Printf.eprintf "error: --precision: %s\n" msg;
-      exit 1
-
-let base_config () =
-  if !summary_store <> None then Fd_store.Store.install ();
-  {
-    Fd_core.Config.default with
-    Fd_core.Config.deadline_s = !deadline;
-    Fd_core.Config.precision = precision_passes ();
-    Fd_core.Config.provenance = !provenance;
-    Fd_core.Config.profile = !profile_out <> None;
-    Fd_core.Config.summary_store = !summary_store;
-    Fd_core.Config.targeted = !targeted;
-    Fd_core.Config.icc = !icc;
-  }
+let chaos_seed =
+  Arg.(
+    value & opt int 20140609
+    & info [ "chaos-seed" ] ~docv:"N" ~doc:"PRNG seed for --chaos-rate.")
 
 (* mention precision only when a pass is on: default output unchanged *)
-let precision_note () =
-  let p = precision_passes () in
+let precision_note (config : Fd_core.Config.t) =
+  let p = config.Fd_core.Config.precision in
   if Fd_core.Config.precision_enabled p then
     Printf.sprintf ", precision: %s" (Fd_core.Config.string_of_precision p)
   else ""
@@ -234,7 +101,7 @@ let find_app name =
       Printf.eprintf "error: no DroidBench case named %S\n" name;
       exit 1
 
-let run_one (app : Fd_droidbench.Bench_app.t) =
+let run_one ~config (app : Fd_droidbench.Bench_app.t) =
   (* fresh observability state per app: without this, metrics and
      phase durations from a previous app bleed into this app's
      --stats-json / --trace-out snapshot *)
@@ -242,14 +109,14 @@ let run_one (app : Fd_droidbench.Bench_app.t) =
   Fd_obs.Trace.reset ();
   Fd_obs.Profile.reset ();
   let result =
-    Fd_core.Infoflow.analyze_apk ~config:(base_config ())
+    Fd_core.Infoflow.analyze_apk ~config
       app.Fd_droidbench.Bench_app.app_apk
   in
   Printf.printf "%s: %d flow(s), %d propagations%s\n"
     app.Fd_droidbench.Bench_app.app_name
     (List.length result.Fd_core.Infoflow.r_findings)
     result.Fd_core.Infoflow.r_stats.Fd_core.Infoflow.st_propagations
-    (precision_note ());
+    (precision_note config);
   let o = result.Fd_core.Infoflow.r_stats.Fd_core.Infoflow.st_outcome in
   if not (Fd_resilience.Outcome.is_complete o) then
     Printf.printf "outcome: %s\n" (Fd_resilience.Outcome.to_string o)
@@ -259,9 +126,8 @@ let run_one (app : Fd_droidbench.Bench_app.t) =
    leniently, and analysed under the degradation ladder with
    solver-step faults injected at rate P.  Everything runs under the
    crash barrier: an escaped exception is the only failure mode. *)
-let run_chaos rate =
-  let chaos = Fd_resilience.Chaos.create ~seed:!chaos_seed ~rate in
-  let config = base_config () in
+let run_chaos ~config ~seed rate =
+  let chaos = Fd_resilience.Chaos.create ~seed ~rate in
   let escaped = ref 0 in
   let dist = Hashtbl.create 7 in
   let bump key =
@@ -332,7 +198,7 @@ let run_chaos rate =
           Printf.printf "%-28s ESCAPED: %s\n" label (Printexc.to_string e))
     Fd_droidbench.Suite.all;
   Printf.printf "\nchaos run: seed=%d rate=%.2f, %d app(s), %d fault(s) injected\n"
-    !chaos_seed rate
+    seed rate
     (List.length Fd_droidbench.Suite.all)
     (Fd_resilience.Chaos.faults_injected chaos);
   Printf.printf "outcomes: %s\n"
@@ -346,31 +212,15 @@ let run_chaos rate =
     exit 1
   end
 
-(* SIGINT/SIGTERM become a cooperative [Budget.cancel_all]: in-flight
-   solves stop at their next tick with a [Cancelled] outcome, the
-   remaining apps' budgets are born cancelled, and the partial table
-   still prints.  Exit code 4 distinguishes an interrupted campaign
-   from clean (0), error (1) and escaped-chaos (1) exits. *)
-let exit_interrupted = 4
-
-let install_interrupt () =
-  let h = Sys.Signal_handle (fun _ -> Fd_resilience.Budget.cancel_all ()) in
-  Sys.set_signal Sys.sigint h;
-  Sys.set_signal Sys.sigterm h
-
-let finish_interrupted () =
-  if Fd_resilience.Budget.cancelling_all () then begin
-    prerr_endline
-      "droidbench_runner: interrupted — partial results above (cancelled \
-       runs report outcome: cancelled)";
-    exit exit_interrupted
-  end
-
-let () =
-  install_interrupt ();
-  (match !dump_dir with
+(* Exit code 4 distinguishes an interrupted campaign from clean (0),
+   error (1) and escaped-chaos (1) exits. *)
+let run app_name dump_dir show_outcomes chaos_rate chaos_seed config jobs
+    sinks =
+  Cli.cancel_on_signals ();
+  let config = Cli.profile sinks config in
+  (match dump_dir with
   | Some dir ->
-      (match !app_name with
+      (match app_name with
       | Some name -> dump_app dir (find_app name).Fd_droidbench.Bench_app.app_apk
       | None ->
           List.iter
@@ -379,22 +229,22 @@ let () =
             Fd_droidbench.Suite.all);
       exit 0
   | None -> ());
-  (match (!chaos_rate, !app_name) with
-  | Some rate, _ -> run_chaos rate
-  | None, Some name -> run_one (find_app name)
+  (match (chaos_rate, app_name) with
+  | Some rate, _ -> run_chaos ~config ~seed:chaos_seed rate
+  | None, Some name -> run_one ~config (find_app name)
   | None, None ->
       let engines =
         [ Fd_eval.Engines.appscan; Fd_eval.Engines.fortify;
-          Fd_eval.Engines.flowdroid ~config:(base_config ()) () ]
+          Fd_eval.Engines.flowdroid ~config () ]
       in
-      let t = Fd_eval.Droidbench_table.run ~jobs:!jobs engines in
-      (match precision_note () with
+      let t = Fd_eval.Droidbench_table.run ~jobs engines in
+      (match precision_note config with
       | "" -> ()
       | note ->
           Printf.printf "FlowDroid configuration%s\n"
             note);
       print_string (Fd_eval.Droidbench_table.render t);
-      if !show_outcomes then begin
+      if show_outcomes then begin
         print_newline ();
         print_endline "Per-app termination states (non-complete only):";
         (match Fd_eval.Droidbench_table.render_outcomes t with
@@ -406,33 +256,28 @@ let () =
                 (fun (k, n) -> Printf.sprintf "%s: %d" k n)
                 (Fd_eval.Droidbench_table.outcome_distribution t)))
       end);
-  let write_out what path =
-    try
-      what ~path;
-      if path <> "-" then Printf.eprintf "wrote %s\n" path
-    with Sys_error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
-  in
-  (match !stats_json with
-  | Some path ->
-      let extra =
-        if !profile_out <> None then
-          [ ("profile", Fd_obs.Profile.to_json ()) ]
-        else []
-      in
-      write_out
-        (fun ~path -> Fd_obs.Export.write_stats_json ~extra ~path ())
-        path
-  | None -> ());
-  (match !profile_out with
-  | Some path -> write_out Fd_obs.Profile.write_collapsed path
-  | None -> ());
-  (match !trace_out with
-  | Some path -> write_out Fd_obs.Export.write_chrome_trace path
-  | None -> ());
-  List.iter
-    (fun (d : Fd_resilience.Diag.t) ->
-      Printf.eprintf "summary-store: %s\n" d.Fd_resilience.Diag.d_msg)
-    (Fd_store.Store.drain_diags ());
-  finish_interrupted ()
+  let written = Cli.write_sinks sinks in
+  Cli.drain_store_diags ();
+  if Fd_resilience.Budget.cancelling_all () then begin
+    prerr_endline
+      "droidbench_runner: interrupted — partial results above (cancelled \
+       runs report outcome: cancelled)";
+    exit 4
+  end;
+  if not written then exit 1
+
+let () =
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "droidbench_runner"
+             ~doc:
+               "Table 1: DroidBench results for FlowDroid and the two \
+                simulated comparators.")
+          Term.(
+            const run $ app_name $ dump_dir $ show_outcomes $ chaos_rate
+            $ chaos_seed
+            $ Cli.config
+                [ Cli.deadline; Cli.precision; Cli.provenance;
+                  Cli.summary_store; Cli.targeted; Cli.icc ]
+            $ Cli.jobs $ Cli.sinks)))

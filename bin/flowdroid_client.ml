@@ -7,6 +7,7 @@
     failed, bad request…), 2 on usage or connection errors. *)
 
 open Cmdliner
+module Cli = Fd_cli.Cli
 module Json = Fd_obs.Json
 module Client = Fd_serve.Client
 module Protocol = Fd_serve.Protocol
@@ -68,32 +69,6 @@ let id_arg =
 let strict_arg =
   Arg.(value & flag & info [ "strict" ] ~doc:"Strict frontend parsing.")
 
-let icc_arg =
-  Arg.(
-    value & flag
-    & info [ "icc" ]
-        ~env:(Cmd.Env.info "FLOWDROID_ICC")
-        ~doc:"Enable the inter-component taint tier for this request.")
-
-let targeted_arg =
-  Arg.(
-    value & opt_all string []
-    & info [ "targeted" ] ~docv:"SIG"
-        ~env:(Cmd.Env.info "FLOWDROID_TARGETED")
-        ~doc:"Demand-driven targeted mode for this request: only \
-              analyse flows into sinks matching $(docv) (repeatable, \
-              or comma-separated in the env var).")
-
-let split_targeted specs =
-  List.concat_map
-    (fun s ->
-      List.filter_map
-        (fun p ->
-          let p = String.trim p in
-          if p = "" then None else Some p)
-        (String.split_on_char ',' s))
-    specs
-
 let parse_gen s =
   match String.split_on_char ':' s with
   | [ profile; seed; index ] -> (
@@ -120,7 +95,8 @@ let parse_gen s =
       | _ -> Error ("bad --gen spec: " ^ s))
   | _ -> Error ("bad --gen spec: " ^ s)
 
-let run socket verb dir apks gens deadline_ms k id strict icc targeted =
+let run socket verb dir apks gens deadline_ms k id strict
+    { Fd_core.Config.icc; targeted; _ } =
   let with_client f =
     match Client.connect socket with
     | exception Unix.Unix_error (e, _, _) ->
@@ -189,7 +165,7 @@ let run socket verb dir apks gens deadline_ms k id strict icc targeted =
                      rq_strict = strict;
                      rq_fresh_metrics = false;
                      rq_icc = icc;
-                     rq_targeted = split_targeted targeted;
+                     rq_targeted = targeted;
                    })))
 
 let cmd =
@@ -197,6 +173,7 @@ let cmd =
     (Cmd.info "flowdroid_client" ~doc:"Client for the flowdroid_serve daemon")
     Term.(
       const run $ socket_arg $ verb_arg $ dir_arg $ apk_arg $ gen_arg
-      $ deadline_arg $ k_arg $ id_arg $ strict_arg $ icc_arg $ targeted_arg)
+      $ deadline_arg $ k_arg $ id_arg $ strict_arg
+      $ Cli.config [ Cli.icc; Cli.targeted ])
 
 let () = exit (Cmd.eval' cmd)

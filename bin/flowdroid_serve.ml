@@ -13,6 +13,7 @@
     the degradation ladder). *)
 
 open Cmdliner
+module Cli = Fd_cli.Cli
 module Server = Fd_serve.Server
 
 let socket_arg =
@@ -59,37 +60,6 @@ let chaos_rate_arg =
 let chaos_seed_arg =
   Arg.(value & opt int 42 & info [ "chaos-seed" ] ~doc:"Fault-injection seed.")
 
-let summary_store_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "summary-store" ] ~docv:"DIR"
-        ~env:(Cmd.Env.info "FLOWDROID_SUMMARY_STORE")
-        ~doc:"Reuse (and extend) the persistent cross-app summary store \
-              at $(docv); replies are bit-identical with the store hot \
-              or cold.")
-
-let targeted_arg =
-  Arg.(
-    value & opt_all string []
-    & info [ "targeted" ] ~docv:"SIG"
-        ~env:(Cmd.Env.info "FLOWDROID_TARGETED")
-        ~doc:"Default demand-driven targeted mode for every request: \
-              only analyse flows into sinks matching $(docv) \
-              (substring of \"Class.method\", supertypes included; \
-              repeatable, or comma-separated in the env var).  A \
-              request's own \"targeted\" field overrides this.")
-
-let split_targeted specs =
-  List.concat_map
-    (fun s ->
-      List.filter_map
-        (fun p ->
-          let p = String.trim p in
-          if p = "" then None else Some p)
-        (String.split_on_char ',' s))
-    specs
-
 let stats_out_arg =
   Arg.(
     value
@@ -102,8 +72,7 @@ let quiet_arg =
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No startup banner.")
 
 let run socket workers queue deadline max_frame grace chaos_rate chaos_seed
-    summary_store targeted stats_out quiet =
-  if summary_store <> None then Fd_store.Store.install ();
+    base_config stats_out quiet =
   let cfg =
     {
       (Server.default_config ~socket) with
@@ -114,12 +83,7 @@ let run socket workers queue deadline max_frame grace chaos_rate chaos_seed
       sv_drain_grace_s = grace;
       sv_chaos_rate = chaos_rate;
       sv_chaos_seed = chaos_seed;
-      sv_base_config =
-        {
-          Fd_core.Config.default with
-          Fd_core.Config.summary_store = summary_store;
-          Fd_core.Config.targeted = split_targeted targeted;
-        };
+      sv_base_config = base_config;
     }
   in
   let server =
@@ -158,10 +122,19 @@ let run socket workers queue deadline max_frame grace chaos_rate chaos_seed
 let cmd =
   Cmd.v
     (Cmd.info "flowdroid_serve"
-       ~doc:"Fault-tolerant taint-analysis daemon over a Unix socket")
+       ~doc:"Fault-tolerant taint-analysis daemon over a Unix socket"
+       ~man:
+         [
+           `S Manpage.s_description;
+           `P
+             "$(b,--summary-store) and $(b,--targeted) set the base \
+              configuration of every request; a request's own \
+              \"targeted\" field overrides $(b,--targeted).";
+         ])
     Term.(
       const run $ socket_arg $ workers_arg $ queue_arg $ deadline_arg
       $ max_frame_arg $ grace_arg $ chaos_rate_arg $ chaos_seed_arg
-      $ summary_store_arg $ targeted_arg $ stats_out_arg $ quiet_arg)
+      $ Cli.config [ Cli.summary_store; Cli.targeted ]
+      $ stats_out_arg $ quiet_arg)
 
 let () = exit (Cmd.eval' cmd)

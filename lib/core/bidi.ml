@@ -250,16 +250,9 @@ type t = {
   store : Summary.hooks option;
   cx_reports : Summary.sink_report list ref Int_tbl.t;
   injected_cxs : unit Int_tbl.t;
-  (* targeted-mode slice membership: both worklist loops refuse to
-     descend into methods outside it.  The default (const true) takes
-     no new code path; the targeted driver passes restricted-call-graph
-     reachability, which the graph built from the sliced entry set
-     already satisfies for every callee it resolves. *)
-  in_slice : Mkey.t -> bool;
 }
 
-let create ?budget ?store ?(in_slice = fun _ -> true) ~config ~icfg ~scene
-    ~mgr ~wrappers ~natives () =
+let create ?budget ?store ~config ~icfg ~scene ~mgr ~wrappers ~natives () =
   let budget =
     match budget with
     | Some b -> b
@@ -307,7 +300,6 @@ let create ?budget ?store ?(in_slice = fun _ -> true) ~config ~icfg ~scene
     store;
     cx_reports = Int_tbl.create 64;
     injected_cxs = Int_tbl.create 64;
-    in_slice;
   }
 
 let k t = t.cfg.Config.max_access_path
@@ -411,9 +403,8 @@ let callees t (ni : ninfo) =
   | None ->
       let cs =
         List.map (minfo_of t)
-          (List.filter t.in_slice
-             (Callgraph.callees t.icfg.Icfg.cg ni.ni_node.Icfg.n_method
-                ni.ni_node.Icfg.n_idx))
+          (Callgraph.callees t.icfg.Icfg.cg ni.ni_node.Icfg.n_method
+             ni.ni_node.Icfg.n_idx)
       in
       ni.ni_callees <- Some cs;
       cs
@@ -1346,10 +1337,7 @@ let process_call_fw t cx (ni : ninfo) (fact : Taint.fact) inv =
          match transform_reflective inv with
          | None -> ()
          | Some rinv ->
-             List.iter
-               (fun mk ->
-                 if t.in_slice mk then descend rinv (minfo_of t mk))
-               refl_keys));
+             List.iter (fun mk -> descend rinv (minfo_of t mk)) refl_keys));
   (* call-to-return: sources, library models, pass-through *)
   M.incr m_flow_c2r;
   let derived =
@@ -1460,14 +1448,12 @@ let process_clinit_fw t (ni : ninfo) (fact : Taint.fact) =
       in
       List.iter
         (fun mk ->
-          if t.in_slice mk then begin
-            let callee = minfo_of t mk in
-            match (callee.mi_body, entry) with
-            | Some _, Some d ->
-                propagate_fw ~kind:Prov.Call t (cctx t callee d)
-                  (start_ni t callee) d
-            | _ -> ()
-          end)
+          let callee = minfo_of t mk in
+          match (callee.mi_body, entry) with
+          | Some _, Some d ->
+              propagate_fw ~kind:Prov.Call t (cctx t callee d)
+                (start_ni t callee) d
+          | _ -> ())
         keys
 
 let process_fw t cx (ni : ninfo) fact =
@@ -1854,9 +1840,3 @@ let outcome t = Fd_resilience.Budget.outcome t.budget
 (** [budget t] is the engine's budget handle (e.g. for cooperative
     cancellation from a signal handler). *)
 let budget t = t.budget
-
-(** [budget_exhausted t] reports whether the propagation budget was
-    hit (results may then be incomplete); see {!outcome} for the full
-    taxonomy. *)
-let budget_exhausted t =
-  Fd_resilience.Outcome.equal (outcome t) Fd_resilience.Outcome.Budget_exhausted

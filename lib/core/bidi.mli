@@ -44,7 +44,6 @@ type t
 val create :
   ?budget:Fd_resilience.Budget.t ->
   ?store:Summary.hooks ->
-  ?in_slice:(Fd_callgraph.Mkey.t -> bool) ->
   config:Config.t ->
   icfg:Icfg.t ->
   scene:Scene.t ->
@@ -61,10 +60,7 @@ val create :
     stored callee summaries are injected in place of descents, and
     freshly solved contexts are persisted write-behind after a
     complete solve.  Absent hooks ⇒ behaviour and output are
-    byte-identical to a store-free build.  [?in_slice] is the targeted
-    mode's membership predicate: both worklist loops (and the clinit /
-    reflection descents) skip callees outside it; the default accepts
-    everything and takes no new code path. *)
+    byte-identical to a store-free build. *)
 
 val run : t -> entries:Mkey.t list -> unit
 (** [run t ~entries] seeds the zero fact at each entry method's start
@@ -92,8 +88,3 @@ val outcome : t -> Fd_resilience.Outcome.t
 
 val budget : t -> Fd_resilience.Budget.t
 (** the engine's budget handle (for cooperative cancellation) *)
-
-val budget_exhausted : t -> bool
-(** [budget_exhausted t] reports whether
-    {!Config.t.max_propagations} was hit; results may then be
-    incomplete.  See {!outcome} for the full taxonomy. *)

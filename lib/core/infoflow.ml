@@ -136,18 +136,8 @@ let run_engine ?(config = Config.default) ?(phase = no_hook) ?budget
     Summary.make_hooks ~icfg ~config ~sources:(Srcsink_mgr.defs mgr) ~wrappers
       ~natives
   in
-  (* the slice membership predicate handed to the worklist loops is
-     restricted-call-graph reachability — every callee the restricted
-     graph resolves already satisfies it, so within the kept entries
-     the solve is bit-identical to full mode, while structurally
-     guaranteeing no descent outside the slice *)
-  let in_slice =
-    match slice with
-    | None -> None
-    | Some _ -> Some (fun k -> Callgraph.is_reachable cg k)
-  in
   let engine =
-    Bidi.create ?budget ?store ?in_slice ~config ~icfg ~scene ~mgr ~wrappers
+    Bidi.create ?budget ?store ~config ~icfg ~scene ~mgr ~wrappers
       ~natives ()
   in
   Fd_obs.Trace.with_span "taint.solve" (fun () ->

@@ -260,32 +260,60 @@ let string_of_algorithm = function Callgraph.Cha -> "cha" | Callgraph.Rta -> "rt
 (** [config_digest ~config ~sources ~wrappers ~natives] keys every
     analysis input that changes what a summary {e means}: the encoding
     format version, the k-limit, the precision passes, the call-graph
-    algorithm, the flow-sensitivity switches and the digests of the
-    three rule sets.  Budget knobs (deadline, max propagations) are
-    excluded — only [Complete] runs persist, and a complete summary's
-    content does not depend on how much budget was left. *)
+    algorithm, the flow-sensitivity switches, the targeted sink set,
+    the ICC tier and the digests of the three rule sets.  [config] is
+    destructured without a wildcard, so a new {!Config.t} field does
+    not compile here until it is either keyed or excluded with a
+    reason. *)
 let config_digest ~(config : Config.t) ~sources ~wrappers ~natives =
+  let {
+    Config.max_access_path;
+    precision;
+    cg_algorithm;
+    activation_statements;
+    context_injection;
+    alias_search;
+    targeted;
+    icc;
+    (* entry-point switches: they choose which methods the dummy main
+       calls, not what a callee's summary says; the method digest keys
+       the code a summary covers *)
+    lifecycle = _;
+    callbacks = _;
+    per_component_callbacks = _;
+    (* budget knobs: only [Complete] runs persist, and a complete
+       summary does not depend on how much budget was left *)
+    max_propagations = _;
+    deadline_s = _;
+    (* [config_allows] keeps the store off under provenance *)
+    provenance = _;
+    (* the profiler observes the solve without changing it *)
+    profile = _;
+    (* the store's location, not its contents' meaning *)
+    summary_store = _;
+  } =
+    config
+  in
   let b v = if v then "1" else "0" in
   let parts =
     [
       Printf.sprintf "v%d" format_version;
-      Printf.sprintf "k=%d" config.Config.max_access_path;
-      "prec=" ^ Config.string_of_precision config.Config.precision;
-      "cg=" ^ string_of_algorithm config.Config.cg_algorithm;
-      "act=" ^ b config.Config.activation_statements;
-      "cxi=" ^ b config.Config.context_injection;
-      "alias=" ^ b config.Config.alias_search;
+      Printf.sprintf "k=%d" max_access_path;
+      "prec=" ^ Config.string_of_precision precision;
+      "cg=" ^ string_of_algorithm cg_algorithm;
+      "act=" ^ b activation_statements;
+      "cxi=" ^ b context_injection;
+      "alias=" ^ b alias_search;
       "srcs=" ^ SS.digest sources;
       "wrap=" ^ Fd_frontend.Rules.digest wrappers;
       "nat=" ^ Fd_frontend.Rules.digest natives;
       (* targeted mode restricts which sinks are even considered, so
          hot entries must never cross between modes (or between
          different targeted sink sets) *)
-      "targeted="
-      ^ String.concat "," (List.sort_uniq compare config.Config.targeted);
+      "targeted=" ^ String.concat "," (List.sort_uniq compare targeted);
       (* the ICC tier adds/drops findings post-solve; digests must not
          cross between tiers even though the solver is unchanged *)
-      "icc=" ^ b config.Config.icc;
+      "icc=" ^ b icc;
     ]
   in
   Digest.to_hex (Digest.string (String.concat ";" parts))

@@ -81,7 +81,9 @@ val config_digest :
   string
 (** MD5 hex over every input that changes what a summary means:
     format version, k-limit, precision passes, call-graph algorithm,
-    flow-sensitivity switches, rule-set digests *)
+    flow-sensitivity switches, targeted sink set, ICC tier, rule-set
+    digests.  Every other {!Config.t} field is excluded by name, with
+    its reason, in the implementation. *)
 
 type method_entry = {
   me_digest : string;

@@ -203,15 +203,16 @@ let install scene =
 
 (** [fresh_scene ()] is a new scene with the skeleton installed.  The
     skeleton is built once into a template and copied per call — the
-    install itself is pure, and every analysis run starts from one. *)
+    install itself is pure, and every analysis run starts from one.
+    The first force is serialised (see {!Rules.default_wrappers}). *)
 let fresh_scene =
   let template =
     lazy
       (let sc = Scene.create () in
        install sc;
        sc)
-  in
-  fun () -> Scene.copy (Lazy.force template)
+  and lock = Mutex.create () in
+  fun () -> Scene.copy (Mutex.protect lock (fun () -> Lazy.force template))
 
 (** [warm ()] forces the framework-skeleton template eagerly, so a
     long-lived process (the serve daemon) pays the one-time install

@@ -236,13 +236,16 @@ java.lang.String getChars : arg2<-recv
 
 (** [default_wrappers ()] parses {!default_wrapper_config}.  The parse
     is shared: rule sets are read-only after construction, and the
-    defaults are requested once per analysed app. *)
+    defaults are requested once per analysed app.  The lock serialises
+    the first force: apps analysed on several domains request the
+    defaults concurrently, and a [Lazy.force] racing another domain's
+    raises [CamlinternalLazy.Undefined]. *)
 let default_wrappers =
-  let memo = lazy (of_string default_wrapper_config) in
-  fun () -> Lazy.force memo
+  let memo = lazy (of_string default_wrapper_config) and lock = Mutex.create () in
+  fun () -> Mutex.protect lock (fun () -> Lazy.force memo)
 
 (** [default_natives ()] parses {!default_native_config} (shared, see
     {!default_wrappers}). *)
 let default_natives =
-  let memo = lazy (of_string default_native_config) in
-  fun () -> Lazy.force memo
+  let memo = lazy (of_string default_native_config) and lock = Mutex.create () in
+  fun () -> Mutex.protect lock (fun () -> Lazy.force memo)

@@ -298,7 +298,8 @@ let default_config =
 
 (** [default ()] is the parsed default configuration.  The parse is
     shared: definitions are read-only after construction and requested
-    once per analysed app. *)
+    once per analysed app, possibly from several domains at once, so the
+    first force is serialised (see {!Rules.default_wrappers}). *)
 let default =
-  let memo = lazy (of_string default_config) in
-  fun () -> Lazy.force memo
+  let memo = lazy (of_string default_config) and lock = Mutex.create () in
+  fun () -> Mutex.protect lock (fun () -> Lazy.force memo)

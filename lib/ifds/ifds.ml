@@ -160,18 +160,6 @@ module Make (P : PROBLEM) = struct
     it_d2_id : int;
   }
 
-  (** external summary provider — the persistent-store integration
-      point of the generic solver: [sh_lookup callee entry] returns the
-      already-known end summaries of a (callee, entry-fact) context, in
-      which case the tabulation installs them and skips seeding the
-      callee; [sh_persist] observes every freshly discovered end
-      summary (write-behind).  [None] everywhere ⇒ the classic
-      tabulation, bit for bit. *)
-  type summary_hooks = {
-    sh_lookup : P.proc -> P.fact -> (P.node * P.fact) list option;
-    sh_persist : P.proc -> P.fact -> exit:P.node -> P.fact -> unit;
-  }
-
   type t = {
     nodes : Node_pool.pool;
     procs : Proc_pool.pool;
@@ -200,18 +188,9 @@ module Make (P : PROBLEM) = struct
     worklist : item Queue.t;
     mutable edge_count : int;
     budget : Fd_resilience.Budget.t;
-    (* external summaries: the hooks and the (callee, entry fact)
-       contexts whose summaries were injected — skipped when seeding
-       and never handed back to [sh_persist] *)
-    hooks : summary_hooks option;
-    injected : unit I2_tbl.t;
-    (* targeted-mode slice membership: calls whose callee falls
-       outside it are treated like unanalysable calls (call-to-return
-       only).  [None] — the default — takes no new code path. *)
-    in_slice : (P.proc -> bool) option;
   }
 
-  let create ?(budget = Fd_resilience.Budget.unlimited ()) ?hooks ?in_slice () =
+  let create ?(budget = Fd_resilience.Budget.unlimited ()) () =
     {
       nodes = Node_pool.create ~size:512 ();
       procs = Proc_pool.create ~size:64 ();
@@ -228,9 +207,6 @@ module Make (P : PROBLEM) = struct
       worklist = Queue.create ();
       edge_count = 0;
       budget;
-      hooks;
-      injected = I2_tbl.create 16;
-      in_slice;
     }
 
   let int_cell tbl key =
@@ -319,11 +295,7 @@ module Make (P : PROBLEM) = struct
     and d1_id = it.it_d1_id in
     let n = it.it_n and d2 = it.it_d2 in
     let propagate_src = propagate t ~sp ~sp_id ~d1 ~d1_id in
-    let callees =
-      match t.in_slice with
-      | None -> P.callees n
-      | Some keep -> List.filter keep (P.callees n)
-    in
+    let callees = P.callees n in
     if callees <> [] then begin
       (* a call node with analysable targets *)
       List.iter
@@ -340,36 +312,11 @@ module Make (P : PROBLEM) = struct
               (* remember the caller context for later summaries *)
               add_incoming t callee_key (n, it.it_n_id, d2, it.it_d2_id);
               add_ctx t (it.it_n_id, it.it_d2_id) (sp, sp_id, d1, d1_id);
-              (* seed the callee — unless an external provider already
-                 knows this context's end summaries, which are then
-                 installed in place of the descent *)
-              let injected =
-                match t.hooks with
-                | None -> false
-                | Some h -> (
-                    if I2_tbl.mem t.injected callee_key then true
-                    else
-                      match h.sh_lookup callee d3 with
-                      | None -> false
-                      | Some sums ->
-                          I2_tbl.replace t.injected callee_key ();
-                          List.iter
-                            (fun (e, d4) ->
-                              let e_id = Node_pool.id t.nodes e in
-                              let e = Node_pool.value t.nodes e_id in
-                              let d4_id = Fact_pool.id t.facts d4 in
-                              let d4 = Fact_pool.value t.facts d4_id in
-                              ignore
-                                (add_summary t callee_key (e, e_id, d4, d4_id)))
-                            sums;
-                          true)
-              in
-              if not injected then begin
-                let sc_id = Node_pool.id t.nodes s_callee in
-                let s_callee = Node_pool.value t.nodes sc_id in
-                propagate t ~sp:s_callee ~sp_id:sc_id ~d1:d3 ~d1_id:d3_id
-                  s_callee d3
-              end;
+              (* seed the callee *)
+              let sc_id = Node_pool.id t.nodes s_callee in
+              let s_callee = Node_pool.value t.nodes sc_id in
+              propagate t ~sp:s_callee ~sp_id:sc_id ~d1:d3 ~d1_id:d3_id
+                s_callee d3;
               (* apply already-known summaries *)
               match I2_tbl.find_opt t.end_summaries callee_key with
               | None -> ()
@@ -401,11 +348,7 @@ module Make (P : PROBLEM) = struct
       let callee = P.proc_of n in
       let callee_id = Proc_pool.id t.procs callee in
       let callee_key = (callee_id, d1_id) in
-      if add_summary t callee_key (n, it.it_n_id, d2, it.it_d2_id) then begin
-        (match t.hooks with
-        | Some h when not (I2_tbl.mem t.injected callee_key) ->
-            h.sh_persist callee d1 ~exit:n d2
-        | _ -> ());
+      if add_summary t callee_key (n, it.it_n_id, d2, it.it_d2_id) then
         match I2_tbl.find_opt t.incoming callee_key with
         | None -> ()
         | Some inc ->
@@ -431,7 +374,6 @@ module Make (P : PROBLEM) = struct
                       (P.return_flow ~call:c ~callee ~exit:n ~return_site:r d2))
                   (P.succs c))
               !inc
-      end
     end
     else begin
       (* plain intra-procedural node (includes calls with no analysable
@@ -456,16 +398,12 @@ module Make (P : PROBLEM) = struct
     + lists t.end_summaries + lists t.incoming + lists t.incoming_ctx)
     * (Sys.word_size / 8)
 
-  (** [solve ?budget ?proc_name ~seeds ()] runs the tabulation to a
-      fixed point (or until [budget] trips — check {!outcome}
-      afterwards).  Each seed [(n, d)] asserts that [d] holds just
-      before [n] (typically [(entry, zero)]).  When [proc_name] is
-      given, every pop's processing time is attributed to its
-      procedure in the {!Fd_obs.Profile} registry.  [?in_slice]
-      restricts descent to procedures inside the targeted slice; calls
-      outside it degrade to call-to-return flow only. *)
-  let solve ?budget ?proc_name ?summaries ?in_slice ~seeds () =
-    let t = create ?budget ?hooks:summaries ?in_slice () in
+  (** [solve ?budget ~seeds ()] runs the tabulation to a fixed point
+      (or until [budget] trips — check {!outcome} afterwards).  Each
+      seed [(n, d)] asserts that [d] holds just before [n] (typically
+      [(entry, zero)]). *)
+  let solve ?budget ~seeds () =
+    let t = create ?budget () in
     Flight.clear ();
     Flight.mark (Printf.sprintf "ifds.solve.start seeds=%d" (List.length seeds));
     List.iter
@@ -481,17 +419,6 @@ module Make (P : PROBLEM) = struct
         if not (P.fact_equal d P.zero) then
           propagate t ~sp ~sp_id ~d1:z ~d1_id:z_id n P.zero)
       seeds;
-    (* profiler cells per interned procedure id, resolved lazily *)
-    let prof_cells = Int_tbl.create 64 in
-    let prof_cell name proc =
-      let pid = Proc_pool.id t.procs proc in
-      match Int_tbl.find_opt prof_cells pid with
-      | Some c -> c
-      | None ->
-          let c = Fd_obs.Profile.cell (name proc) in
-          Int_tbl.replace prof_cells pid c;
-          c
-    in
     while
       (not (Queue.is_empty t.worklist))
       && not (Fd_resilience.Budget.stopped t.budget)
@@ -500,14 +427,7 @@ module Make (P : PROBLEM) = struct
       M.incr m_worklist_pops;
       Flight.record (fun () ->
           Printf.sprintf "ifds.pop n%d d%d" it.it_n_id it.it_d2_id);
-      match proc_name with
-      | None -> process t it
-      | Some name ->
-          let t0 = Fd_obs.Profile.now () in
-          process t it;
-          Fd_obs.Profile.add_pop
-            (prof_cell name (P.proc_of it.it_n))
-            ~seconds:(Fd_obs.Profile.now () -. t0)
+      process t it
     done;
     M.set_int g_intern_nodes (Node_pool.size t.nodes);
     M.set_int g_intern_procs (Proc_pool.size t.procs);

@@ -10,11 +10,6 @@ let m_batches = M.counter "pool.batches"
 let m_tasks = M.counter "pool.tasks"
 let g_jobs = M.gauge "pool.jobs"
 
-let default_jobs () =
-  match Sys.getenv_opt "FLOWDROID_JOBS" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 1)
-  | None -> 1
-
 exception Worker_failed of exn
 
 let map ?(jobs = 1) f xs =

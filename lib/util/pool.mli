@@ -27,9 +27,6 @@ exception Worker_failed of exn
     app under [Fd_resilience.Barrier]), so this escaping indicates a
     harness bug, not an app failure. *)
 
-val default_jobs : unit -> int
-(** [FLOWDROID_JOBS] from the environment, else 1 *)
-
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs], computed by [jobs] domains.
     [jobs <= 1] runs inline with zero overhead. *)

@@ -1,0 +1,189 @@
+(* The shared command-line flags (lib/cli):
+
+   - every executable that takes a shared flag still accepts exactly
+     the options and environment variables in flag_inventory.txt;
+   - --jobs (and FLOWDROID_JOBS) reject zero, negative and non-integer
+     values;
+   - --targeted repeats, splits comma lists and drops blanks; its
+     environment variable applies only when the flag is absent;
+   - --precision rejects unknown passes; FLOWDROID_ICC takes cmdliner's
+     boolean spellings; an empty FLOWDROID_SUMMARY_STORE means off. *)
+
+open Cmdliner
+module Cli = Fd_cli.Cli
+module Config = Fd_core.Config
+
+(* ---------------- flag inventory ---------------------------------- *)
+
+let input_lines ic =
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  go []
+
+let words s = String.split_on_char ' ' s |> List.filter (( <> ) "")
+
+let help_of exe =
+  let ic = Unix.open_process_args_in exe [| exe; "--help=plain" |] in
+  let lines = input_lines ic in
+  ignore (Unix.close_process_in ic);
+  lines
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+(* option names from the OPTIONS sections ("       -k VAL, --long=VAL
+   (absent=5)") and variable names from ENVIRONMENT, cmdliner's
+   --help excluded *)
+let accepted exe =
+  let section = ref "" in
+  let opts = ref [] and envs = ref [] in
+  List.iter
+    (fun line ->
+      if line <> "" && line.[0] <> ' ' then section := line
+      else if
+        (!section = "OPTIONS" || !section = "COMMON OPTIONS")
+        && starts_with ~prefix:"       -" line
+      then begin
+        let head =
+          match String.index_opt line '(' with
+          | Some i -> String.sub line 0 i
+          | None -> line
+        in
+        List.iter
+          (fun piece ->
+            match words piece with
+            | name :: _ ->
+                let name =
+                  List.hd (String.split_on_char '=' name)
+                  |> String.split_on_char '[' |> List.hd
+                in
+                if name <> "--help" then opts := name :: !opts
+            | [] -> ())
+          (String.split_on_char ',' head)
+      end
+      else if !section = "ENVIRONMENT" && starts_with ~prefix:"       " line
+      then
+        match words line with
+        | [ v ] when String.for_all (fun c -> c = '_' || c = Char.uppercase_ascii c) v
+          ->
+            envs := v :: !envs
+        | _ -> ())
+    (help_of exe);
+  (List.sort_uniq compare !opts, List.sort_uniq compare !envs)
+
+let test_inventory () =
+  let rows =
+    List.filter
+      (fun l -> l <> "" && l.[0] <> '#')
+      (In_channel.with_open_text "flag_inventory.txt" input_lines)
+  in
+  Alcotest.(check int) "ten executables" 10 (List.length rows);
+  List.iter
+    (fun row ->
+      match String.split_on_char ':' row with
+      | [ exe; rest ] -> (
+          match String.split_on_char '|' rest with
+          | [ opts; envs ] ->
+              let got_opts, got_envs = accepted ("../" ^ exe ^ ".exe") in
+              Alcotest.(check (list string)) (exe ^ " options") (words opts)
+                got_opts;
+              Alcotest.(check (list string))
+                (exe ^ " environment") (words envs) got_envs
+          | _ -> Alcotest.failf "malformed inventory row %S" row)
+      | _ -> Alcotest.failf "malformed inventory row %S" row)
+    rows
+
+(* ---------------- evaluating the shared terms --------------------- *)
+
+let eval ?(env = []) term argv =
+  match
+    Cmd.eval_value ~err:Format.str_formatter
+      ~env:(fun v -> List.assoc_opt v env)
+      ~argv:(Array.of_list ("test" :: argv))
+      (Cmd.v (Cmd.info "test") term)
+  with
+  | Ok (`Ok v) -> Some v
+  | Ok (`Help | `Version) | Error _ ->
+      ignore (Format.flush_str_formatter ());
+      None
+
+let test_jobs () =
+  let jobs ?env argv = eval ?env Cli.jobs argv in
+  Alcotest.(check (option int)) "default" (Some 1) (jobs []);
+  Alcotest.(check (option int)) "--jobs 3" (Some 3) (jobs [ "--jobs"; "3" ]);
+  List.iter
+    (fun v ->
+      Alcotest.(check (option int)) ("--jobs " ^ v) None (jobs [ "--jobs"; v ]))
+    [ "0"; "-1"; "-8"; "two"; "" ];
+  Alcotest.(check (option int)) "FLOWDROID_JOBS=4" (Some 4)
+    (jobs ~env:[ ("FLOWDROID_JOBS", "4") ] []);
+  Alcotest.(check (option int)) "FLOWDROID_JOBS=0" None
+    (jobs ~env:[ ("FLOWDROID_JOBS", "0") ] [])
+
+let config ?env edits argv = eval ?env (Cli.config edits) argv
+
+let targeted ?env edit argv =
+  Option.map (fun c -> c.Config.targeted) (config ?env [ edit ] argv)
+
+let test_targeted () =
+  let sl = Alcotest.(option (list string)) in
+  Alcotest.check sl "repeatable, comma lists, blanks dropped"
+    (Some [ "a"; "b"; "c" ])
+    (targeted Cli.targeted [ "--targeted"; "a, b"; "--targeted"; " c ,," ]);
+  let env = [ ("FLOWDROID_TARGETED", "x,y") ] in
+  Alcotest.check sl "env when the flag is absent" (Some [ "x"; "y" ])
+    (targeted ~env Cli.targeted []);
+  Alcotest.check sl "the flag replaces the env" (Some [ "z" ])
+    (targeted ~env Cli.targeted [ "--targeted"; "z" ]);
+  Alcotest.check sl "no env without it" (Some [])
+    (targeted ~env Cli.targeted_no_env [])
+
+let test_other_flags () =
+  let get f ?env edit argv = Option.map f (config ?env [ edit ] argv) in
+  Alcotest.(check (option string)) "--precision parses"
+    (Some "must-alias,clinit")
+    (get
+       (fun c -> Config.string_of_precision c.Config.precision)
+       Cli.precision
+       [ "--precision"; "must-alias,clinit" ]);
+  Alcotest.(check bool) "--precision rejects unknown passes" true
+    (config [ Cli.precision ] [ "--precision"; "bogus" ] = None);
+  List.iter
+    (fun (v, want) ->
+      Alcotest.(check (option bool)) ("FLOWDROID_ICC=" ^ v) want
+        (get
+           (fun c -> c.Config.icc)
+           ~env:[ ("FLOWDROID_ICC", v) ]
+           Cli.icc []))
+    [ ("1", Some true); ("true", Some true); ("yes", Some true);
+      ("0", Some false); ("false", Some false); ("maybe", None) ];
+  Alcotest.(check (option (option string))) "empty store env is off"
+    (Some None)
+    (get
+       (fun c -> c.Config.summary_store)
+       ~env:[ ("FLOWDROID_SUMMARY_STORE", "") ]
+       Cli.summary_store []);
+  Alcotest.(check (option (option (float 0.)))) "--deadline" (Some (Some 2.5))
+    (get (fun c -> c.Config.deadline_s) Cli.deadline [ "--deadline"; "2.5" ]);
+  Alcotest.(check bool) "edits compose over Config.default" true
+    (config [ Cli.provenance; Cli.icc ] [ "--provenance"; "--icc" ]
+    = Some { Config.default with Config.provenance = true; icc = true })
+
+let () =
+  Alcotest.run "fd_cli"
+    [
+      ( "cli",
+        [
+          Alcotest.test_case "flag inventory unchanged" `Quick test_inventory;
+          Alcotest.test_case "--jobs rejects non-positive values" `Quick
+            test_jobs;
+          Alcotest.test_case "--targeted repeats and splits" `Quick
+            test_targeted;
+          Alcotest.test_case "precision, icc, store, deadline" `Quick
+            test_other_flags;
+        ] );
+    ]

@@ -112,6 +112,27 @@ let test_deep_hash_no_truncation () =
 
 (* ---------------- domain pool ---------------- *)
 
+(* the shared default rule sets and the framework template are built
+   on first use, which several domains reach at once when a runner
+   fans apps out; a racing [Lazy.force] raised
+   [CamlinternalLazy.Undefined] and crashed the app.  This test must
+   run before anything else in the process forces them. *)
+let test_defaults_first_use_concurrent () =
+  let n = 8 in
+  let ready = Atomic.make 0 in
+  List.init n (fun _ ->
+      Domain.spawn (fun () ->
+          (* start together, so the first forces overlap *)
+          Atomic.incr ready;
+          while Atomic.get ready < n do
+            Domain.cpu_relax ()
+          done;
+          ignore (Fd_frontend.Sourcesink.default ());
+          ignore (Fd_frontend.Rules.default_wrappers ());
+          ignore (Fd_frontend.Rules.default_natives ());
+          ignore (Fd_frontend.Framework.fresh_scene ())))
+  |> List.iter Domain.join
+
 let prop_pool_map_ordered =
   QCheck.Test.make ~name:"Pool.map: ordered, complete, any job count"
     ~count:50
@@ -196,6 +217,12 @@ let test_securibench_jobs_deterministic () =
 let () =
   Alcotest.run "fd_perf"
     [
+      (* first: it needs the defaults not yet forced *)
+      ( "shared-defaults",
+        [
+          Alcotest.test_case "first use from several domains" `Quick
+            test_defaults_first_use_concurrent;
+        ] );
       ( "intern",
         List.map QCheck_alcotest.to_alcotest
           [ prop_intern_id_iff_equal; prop_intern_value_roundtrip ]

@@ -11,6 +11,7 @@
    - corrupt / truncated / alien entries degrade to misses with
      diagnostics, never to crashes or wrong verdicts;
    - an unwritable store directory degrades to read-only;
+   - the config digest changes with exactly the keyed Config.t fields;
    - concurrent writers under [Pool.map] leave only valid entries. *)
 
 module Json = Fd_obs.Json
@@ -363,6 +364,62 @@ let test_concurrent_writers () =
     (sequential = hot)
 
 (* ------------------------------------------------------------------ *)
+(* config digest: one row per Config.t field                           *)
+(* ------------------------------------------------------------------ *)
+
+(* every field of [Config.t], flipped away from the default, with
+   whether the store's config digest must change.  The record literal
+   in [config_digest] has no wildcard, so a new field cannot compile
+   there; this table makes its keyed-or-excluded decision tested. *)
+let digest_rows =
+  let d = Config.default in
+  [
+    ("max_access_path", { d with Config.max_access_path = 3 }, true);
+    ("lifecycle", { d with Config.lifecycle = false }, false);
+    ("callbacks", { d with Config.callbacks = false }, false);
+    ( "per_component_callbacks",
+      { d with Config.per_component_callbacks = false },
+      false );
+    ("context_injection", { d with Config.context_injection = false }, true);
+    ( "activation_statements",
+      { d with Config.activation_statements = false },
+      true );
+    ("alias_search", { d with Config.alias_search = false }, true);
+    ( "cg_algorithm",
+      { d with Config.cg_algorithm = Fd_callgraph.Callgraph.Rta },
+      true );
+    ("max_propagations", { d with Config.max_propagations = 7 }, false);
+    ("deadline_s", { d with Config.deadline_s = Some 1. }, false);
+    ("precision", { d with Config.precision = Config.all_precision }, true);
+    ("provenance", { d with Config.provenance = true }, false);
+    ("profile", { d with Config.profile = true }, false);
+    ("summary_store", { d with Config.summary_store = Some "dir" }, false);
+    ( "targeted",
+      { d with Config.targeted = [ "SmsManager.sendTextMessage" ] },
+      true );
+    ("icc", { d with Config.icc = true }, true);
+  ]
+
+let test_config_digest_fields () =
+  let sources = Fd_frontend.Sourcesink.default () in
+  let wrappers = Fd_frontend.Rules.default_wrappers () in
+  let natives = Fd_frontend.Rules.default_natives () in
+  let digest config =
+    Summary.config_digest ~config ~sources ~wrappers ~natives
+  in
+  let base = digest Config.default in
+  List.iter
+    (fun (field, config, keyed) ->
+      Alcotest.(check bool) field keyed (digest config <> base))
+    digest_rows;
+  let targeted ts = digest { Config.default with Config.targeted = ts } in
+  Alcotest.(check bool) "different sink sets differ" true
+    (targeted [ "SmsManager.sendTextMessage" ] <> targeted [ "Log.i" ]);
+  Alcotest.(check string) "sink-set order is canonicalised"
+    (targeted [ "SmsManager.sendTextMessage"; "Log.i" ])
+    (targeted [ "Log.i"; "SmsManager.sendTextMessage" ])
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "fd_store"
@@ -386,5 +443,7 @@ let () =
             test_gc_deterministic;
           Alcotest.test_case "concurrent writers under Pool.map" `Slow
             test_concurrent_writers;
+          Alcotest.test_case "config digest keys every non-excluded field"
+            `Quick test_config_digest_fields;
         ] );
     ]
