@@ -5,7 +5,10 @@
 #
 # Each gate writes its own BENCH_*.json at the repo root; this wrapper
 # exits non-zero if ANY gate fails (but always runs them all, so one
-# CI invocation reports every broken gate at once).
+# CI invocation reports every broken gate at once).  A last step,
+# bench/consistency.py, recomputes every BENCH_*.json's pass verdicts,
+# gate booleans and ratios from the file's own fields and fails on any
+# contradiction.
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -27,6 +30,15 @@ for gate in bench/check_*.sh; do
     fail=1
   fi
 done
+
+echo ""
+echo "######## consistency of BENCH_*.json"
+if python3 bench/consistency.py; then
+  echo "######## consistency: PASS"
+else
+  echo "######## consistency: FAIL"
+  fail=1
+fi
 
 echo ""
 if [ "$fail" = 0 ]; then

@@ -86,13 +86,15 @@ type finding = {
 (* ---------------- interned solver state ----------------
 
    Facts, contexts and program points are interned into dense integer
-   ids at the propagation boundary; every solver table is then keyed
-   on small int tuples (O(1) compares, no repeated deep structural
-   hashing), and the per-node / per-method views the flow functions
-   consume — statement, successors, predecessors, callees, parameter
-   locals, source/sink classifications — are resolved once and cached
-   against the id.  All pools live inside the engine value, so
-   engines on different domains never share mutable state. *)
+   ids (all below [Intern.id_bound] = 2^31) at the propagation
+   boundary.  The "seen" tables are flat pair sets keyed
+   [(id, id lsl 31 lor id)], the worklist is a FIFO of unboxed id
+   triples mapped back through id-indexed arrays, and the per-node /
+   per-method views the flow functions consume — statement,
+   successors, predecessors, callees, parameter locals, source/sink
+   classifications — are resolved once and cached against the id.
+   All of it lives inside the engine value, so engines on different
+   domains never share mutable state. *)
 
 let m_dedup_hits = M.counter "ifds.worklist_dedup_hits"
 let g_intern_facts = M.gauge "intern.facts.size"
@@ -102,8 +104,8 @@ let g_intern_nodes = M.gauge "intern.nodes.size"
 let g_intern_methods = M.gauge "intern.methods.size"
 let g_intern_ctxs = M.gauge "intern.ctxs.size"
 
-(* live byte-size accounting for the solver tables (estimates: entry
-   counts times per-entry footprint; see [publish_memory_gauges]) *)
+(* live byte-size accounting for the solver tables (see
+   [solver_bytes]) *)
 let g_bytes_fw = M.gauge "mem.fw_tables.bytes"
 let g_bytes_bw = M.gauge "mem.bw_tables.bytes"
 let g_bytes_facts = M.gauge "mem.fact_pool.bytes"
@@ -118,12 +120,8 @@ module I2_tbl = Hashtbl.Make (struct
   let hash (a, b) = Fd_util.Intern.combine a b
 end)
 
-module I3_tbl = Hashtbl.Make (struct
-  type t = int * int * int
-
-  let equal (a, b, c) (d, e, f) = a = d && b = e && c = f
-  let hash (a, b, c) = Fd_util.Intern.combine (Fd_util.Intern.combine a b) c
-end)
+module Pair_set = Fd_util.Intern.Pair_set
+module Int_fifo = Fd_util.Intern.Int_fifo
 
 module Fact_pool = Fd_util.Intern.Make (struct
   type t = Taint.fact
@@ -182,25 +180,30 @@ type cctx = { cc_id : int; cc_proc : minfo; cc_fact : Taint.fact }
 (** an IFDS context [⟨sp, d1⟩], interned: equal contexts are the same
     value and carry the same id *)
 
+(* two ids below 2^31 packed into one pair-set component *)
+let pack hi lo = (hi lsl 31) lor lo
+
 type solver = {
-  s_edges : unit I3_tbl.t;  (** path edges, keyed (ctx, node, fact) ids *)
+  s_edges : Pair_set.t;  (** path edges: (ctx, pack node fact) ids *)
   s_summaries : (ninfo * Taint.fact) list ref Int_tbl.t;
       (** (proc entry context id) -> exit facts *)
-  s_sum_seen : unit I3_tbl.t;  (** (ctx, exit node, fact) ids *)
+  s_sum_seen : Pair_set.t;  (** (ctx, pack exit-node fact) ids *)
   s_incoming : (ninfo * cctx) list ref Int_tbl.t;
       (** (callee entry context id) -> call sites with caller contexts *)
-  s_inc_seen : unit I3_tbl.t;  (** (ctx, call node, caller ctx) ids *)
-  s_work : (cctx * ninfo * Taint.fact) Queue.t;
+  s_inc_seen : Pair_set.t;  (** (ctx, pack call-node caller-ctx) ids *)
+  s_work : Int_fifo.t;  (** (ctx, node, fact) id triples, FIFO *)
 }
 
+(* small initial capacities: fleets run thousands of tiny solves, and
+   the sets double as they fill *)
 let mk_solver () =
   {
-    s_edges = I3_tbl.create 512;
+    s_edges = Pair_set.create ();
     s_summaries = Int_tbl.create 256;
-    s_sum_seen = I3_tbl.create 256;
+    s_sum_seen = Pair_set.create ();
     s_incoming = Int_tbl.create 256;
-    s_inc_seen = I3_tbl.create 256;
-    s_work = Queue.create ();
+    s_inc_seen = Pair_set.create ();
+    s_work = Int_fifo.create ();
   }
 
 type t = {
@@ -215,8 +218,10 @@ type t = {
   minfos : minfo Mkey.Tbl.t;
   mutable n_minfos : int;
   ninfos : ninfo Node_tbl.t;
+  mutable ninfo_by_id : ninfo array;  (** ni_id -> node view, dense *)
   mutable n_ninfos : int;
   cctxs : cctx I2_tbl.t;  (** (method id, fact id) -> context *)
+  mutable cctx_by_id : cctx array;  (** cc_id -> context, dense *)
   mutable n_cctxs : int;
   fw : solver;
   bw : solver;
@@ -228,20 +233,18 @@ type t = {
   act_methods : unit Mkey.Tbl.t Node_tbl.t;
   (* forward results per node id, for inspection and tests *)
   results_list : Taint.t list ref Int_tbl.t;
-  results_seen : unit I2_tbl.t;  (** (node id, fact id) *)
+  results_seen : Pair_set.t;  (** (node id, fact id) *)
   budget : Fd_resilience.Budget.t;
   (* per-method must-alias results, computed lazily when the
      strong-update precision pass is on *)
   ma_cache : Fd_precision.Must_alias.t Mkey.Tbl.t;
   (* provenance: the edge store ([None] = off), the interned id of the
-     zero fact, the node/fact ids of the worklist item currently being
-     processed (every propagation's predecessor), and an id-indexed
-     node view for witness reconstruction *)
+     zero fact, and the node/fact ids of the worklist item currently
+     being processed (every propagation's predecessor) *)
   prov : Prov.t option;
   zero_fid : int;
   mutable cur_node : int;
   mutable cur_fact : int;
-  ninfos_by_id : ninfo Int_tbl.t;
   (* persistent summary store ([None] = off, the default): the solver
      hooks, the sink reports recorded per context (captured before
      global dedup so a stored context is self-contained), and the
@@ -279,8 +282,10 @@ let create ?budget ?store ~config ~icfg ~scene ~mgr ~wrappers ~natives () =
     minfos = Mkey.Tbl.create 256;
     n_minfos = 0;
     ninfos = Node_tbl.create 512;
+    ninfo_by_id = [||];
     n_ninfos = 0;
     cctxs = I2_tbl.create 256;
+    cctx_by_id = [||];
     n_cctxs = 0;
     fw = mk_solver ();
     bw = mk_solver ();
@@ -289,14 +294,13 @@ let create ?budget ?store ~config ~icfg ~scene ~mgr ~wrappers ~natives () =
     act_sites = Node_tbl.create 16;
     act_methods = Node_tbl.create 16;
     results_list = Int_tbl.create 256;
-    results_seen = I2_tbl.create 256;
+    results_seen = Pair_set.create ();
     budget;
     ma_cache = Mkey.Tbl.create 16;
     prov;
     zero_fid;
     cur_node = -1;
     cur_fact = -1;
-    ninfos_by_id = Int_tbl.create 512;
     store;
     cx_reports = Int_tbl.create 64;
     injected_cxs = Int_tbl.create 64;
@@ -306,6 +310,17 @@ let k t = t.cfg.Config.max_access_path
 let prec t = t.cfg.Config.precision
 
 (* ---------------- program-view resolution ---------------- *)
+
+(* [append arr n v] stores [v] under the fresh id [n] (the current
+   count) of a dense id-indexed array, doubling the array when full *)
+let append arr n v =
+  Fd_util.Intern.check_id "solver" n;
+  let arr =
+    if n < Array.length arr then arr
+    else Array.append arr (Array.make (max 16 n) v)
+  in
+  arr.(n) <- v;
+  arr
 
 let minfo_of t mk =
   match Mkey.Tbl.find_opt t.minfos mk with
@@ -364,9 +379,9 @@ let ninfo_of t (n : Icfg.node) =
           ni_zero_gen = None;
         }
       in
+      t.ninfo_by_id <- append t.ninfo_by_id t.n_ninfos ni;
       t.n_ninfos <- t.n_ninfos + 1;
       Node_tbl.replace t.ninfos n ni;
-      Int_tbl.replace t.ninfos_by_id ni.ni_id ni;
       ni
 
 let node_at mi idx = Icfg.{ n_method = mi.mi_key; n_idx = idx }
@@ -425,33 +440,31 @@ let exit_nis t (mi : minfo) =
       mi.mi_exit_nis <- Some nis;
       nis
 
-(* intern a fact: id plus the canonical (first-seen) representative,
-   so downstream equality checks hit the physical-equality fast
-   path *)
-let intern_fact t fact =
-  let fid = Fact_pool.id t.facts fact in
-  (fid, Fact_pool.value t.facts fid)
+(* a fact's pool id; [fact_of] is the canonical (first-seen)
+   representative, which is what the solver stores, so downstream
+   equality checks hit the physical-equality fast path *)
+let intern_fact t fact = Fact_pool.id t.facts fact
+let fact_of t fid = Fact_pool.value t.facts fid
 
 let cctx t (mi : minfo) fact =
-  let fid, fact = intern_fact t fact in
+  let fid = intern_fact t fact in
   let key = (mi.mi_id, fid) in
   match I2_tbl.find_opt t.cctxs key with
   | Some c -> c
   | None ->
-      let c = { cc_id = t.n_cctxs; cc_proc = mi; cc_fact = fact } in
+      let c = { cc_id = t.n_cctxs; cc_proc = mi; cc_fact = fact_of t fid } in
+      t.cctx_by_id <- append t.cctx_by_id t.n_cctxs c;
       t.n_cctxs <- t.n_cctxs + 1;
       I2_tbl.replace t.cctxs key c;
       c
 
 (* ---------------- propagation ---------------- *)
 
-let record_result t (ni : ninfo) fid fact =
-  match fact with
+let record_result t (ni : ninfo) fid =
+  match fact_of t fid with
   | Taint.Zero -> ()
   | Taint.T taint ->
-      let key = (ni.ni_id, fid) in
-      if not (I2_tbl.mem t.results_seen key) then begin
-        I2_tbl.replace t.results_seen key ();
+      if Pair_set.add t.results_seen ni.ni_id fid then begin
         let cell =
           match Int_tbl.find_opt t.results_list ni.ni_id with
           | Some c -> c
@@ -472,16 +485,18 @@ let prof_cell (mi : minfo) =
       mi.mi_prof <- Some c;
       c
 
+(* probe, then [Budget.tick], then insert: a budget-stopped run
+   records exactly the edges it ticked for *)
 let propagate ?(kind = Prov.Normal) t solver cx (ni : ninfo) fact =
-  let fid, fact = intern_fact t fact in
-  let key = (cx.cc_id, ni.ni_id, fid) in
-  if I3_tbl.mem solver.s_edges key then M.incr m_dedup_hits
+  let fid = intern_fact t fact in
+  let key = pack ni.ni_id fid in
+  if Pair_set.mem solver.s_edges cx.cc_id key then M.incr m_dedup_hits
   else if Fd_resilience.Budget.tick t.budget then begin
     M.incr m_path_edges;
     M.incr m_worklist_pushes;
     if solver == t.fw then begin
       M.incr m_fw_props;
-      record_result t ni fid fact
+      record_result t ni fid
     end
     else M.incr m_bw_props;
     (match t.prov with
@@ -500,8 +515,10 @@ let propagate ?(kind = Prov.Normal) t solver cx (ni : ninfo) fact =
           ~pred_fact:t.cur_fact ~kind
     | None -> ());
     if t.cfg.Config.profile then Fd_obs.Profile.add_fact (prof_cell ni.ni_minfo);
-    I3_tbl.replace solver.s_edges key ();
-    Queue.add (cx, ni, fact) solver.s_work
+    ignore (Pair_set.add solver.s_edges cx.cc_id key);
+    Int_fifo.push solver.s_work cx.cc_id;
+    Int_fifo.push solver.s_work ni.ni_id;
+    Int_fifo.push solver.s_work fid
   end
 
 let propagate_fw ?kind t cx ni fact = propagate ?kind t t.fw cx ni fact
@@ -515,11 +532,11 @@ let int_cell tbl id =
       Int_tbl.replace tbl id c;
       c
 
-let add_incoming t solver cx_callee ((ni : ninfo), (caller_cx : cctx)) =
-  ignore t;
-  let key = (cx_callee.cc_id, ni.ni_id, caller_cx.cc_id) in
-  if not (I3_tbl.mem solver.s_inc_seen key) then begin
-    I3_tbl.replace solver.s_inc_seen key ();
+let add_incoming solver cx_callee ((ni : ninfo), (caller_cx : cctx)) =
+  if
+    Pair_set.add solver.s_inc_seen cx_callee.cc_id
+      (pack ni.ni_id caller_cx.cc_id)
+  then begin
     Flight.record (fun () ->
         Printf.sprintf "call-edge %s -> %s"
           (Icfg.string_of_node ni.ni_node)
@@ -534,11 +551,11 @@ let incoming_of solver cx_callee =
   | None -> []
 
 let add_summary t solver cx_callee ((ni : ninfo), fact) =
-  let fid, fact = intern_fact t fact in
-  let key = (cx_callee.cc_id, ni.ni_id, fid) in
-  if I3_tbl.mem solver.s_sum_seen key then false
+  let fid = intern_fact t fact in
+  if not (Pair_set.add solver.s_sum_seen cx_callee.cc_id (pack ni.ni_id fid))
+  then false
   else begin
-    I3_tbl.replace solver.s_sum_seen key ();
+    let fact = fact_of t fid in
     Flight.record (fun () ->
         Printf.sprintf "return-edge %s %s"
           (Icfg.string_of_node ni.ni_node)
@@ -572,18 +589,15 @@ let witness_of_current t =
         | a :: (b :: _ as rest) when is_zero a && is_zero b -> trim rest
         | l -> l
       in
-      List.filter_map
+      List.map
         (fun (nid, fid, kind) ->
-          match Int_tbl.find_opt t.ninfos_by_id nid with
-          | None -> None
-          | Some ni ->
-              Some
-                {
-                  ws_node = ni.ni_node;
-                  ws_stmt = Stmt.to_string ni.ni_stmt;
-                  ws_fact = Taint.fact_to_string (Fact_pool.value t.facts fid);
-                  ws_kind = Prov.string_of_kind kind;
-                })
+          let ni = t.ninfo_by_id.(nid) in
+          {
+            ws_node = ni.ni_node;
+            ws_stmt = Stmt.to_string ni.ni_stmt;
+            ws_fact = Taint.fact_to_string (fact_of t fid);
+            ws_kind = Prov.string_of_kind kind;
+          })
         (trim chain)
 
 let report t ~cx ?taint ~(source : Taint.source_info) ~sink_node ~sink_tag
@@ -847,19 +861,13 @@ let assign_gen t n lv e (taint : Taint.t) =
     | Some ap ->
         let ap = if nonconst_read then widen_cell_suffix ~lap ap else ap in
         [ Taint.derive taint ~ap ~at:n ]
-    | None -> (
+    | None ->
         (* a tainted value reachable *below* the read path also flows:
-           reading x.f when x is tainted yields a tainted value *)
-        match e with
-        | Stmt.Ebinop _ | Stmt.Elength _ ->
-            (* operators collapse to a whole-value taint *)
-            if AP.has_prefix ~prefix:taint.Taint.ap src_ap then
-              [ Taint.derive taint ~ap:lap ~at:n ]
-            else []
-        | _ ->
-            if AP.has_prefix ~prefix:taint.Taint.ap src_ap then
-              [ Taint.derive taint ~ap:lap ~at:n ]
-            else [])
+           reading x.f when x is tainted yields a tainted value (and
+           operators collapse to a whole-value taint) *)
+        if AP.has_prefix ~prefix:taint.Taint.ap src_ap then
+          [ Taint.derive taint ~ap:lap ~at:n ]
+        else []
   in
   List.concat_map gen_from (aps_of_expr ~arr e)
 
@@ -956,12 +964,11 @@ let normal_flow t cx (ni : ninfo) (fact : Taint.fact) : Taint.fact list =
             gens;
           let survivors = if killed then [] else [ Taint.T taint ] in
           survivors @ List.map (fun g -> Taint.T g) gens
-      | Stmt.Identity (l, _) ->
+      | Stmt.Identity _ ->
           (* identity statements bind parameters; call_flow already
              rebased taints onto the parameter locals, so facts pass
-             through (nothing can be rooted at [l] before its
-             definition) *)
-          ignore l;
+             through (nothing can be rooted at the bound local before
+             its definition) *)
           [ Taint.T taint ]
       | Stmt.If _ | Stmt.Goto _ | Stmt.Nop | Stmt.Return _ | Stmt.Throw _ ->
           [ Taint.T taint ]
@@ -1037,15 +1044,7 @@ let return_flow t ~call:(cni : ninfo) ~(callee : minfo) ~exit_ni:(eni : ninfo)
           | _ -> ());
           let this_l = callee.mi_this and params = callee.mi_params in
           let out = ref [] in
-          let add taint' =
-            out := taint' :: !out;
-            (* a heap taint arriving in the caller may have caller-side
-               aliases: spawn a new search at the call site *)
-            if
-              (not (AP.is_static taint'.Taint.ap))
-              && AP.length taint'.Taint.ap > 0
-            then ()
-          in
+          let add taint' = out := taint' :: !out in
           if AP.is_static taint.Taint.ap then
             add (Taint.derive taint ~ap:taint.Taint.ap ~at:c);
           (* @this -> receiver: only heap mutations travel back *)
@@ -1184,11 +1183,7 @@ let library_effects t (ni : ninfo) ret_local (inv : Stmt.invoke) effects
         (fun (eff : Fd_frontend.Rules.effect) ->
           if origin_matches eff.Fd_frontend.Rules.eff_from then
             match target_local eff.Fd_frontend.Rules.eff_to with
-            | Some l ->
-                let g = Taint.derive taint ~ap:(AP.of_local l) ~at:n in
-                (* writing taint into the receiver/argument heap object
-                   may create aliases worth searching for *)
-                Some g
+            | Some l -> Some (Taint.derive taint ~ap:(AP.of_local l) ~at:n)
             | None -> None
           else None)
         effects
@@ -1301,7 +1296,7 @@ let process_call_fw t cx (ni : ninfo) (fact : Taint.fact) inv =
       List.iter
         (fun d3 ->
           let cx_callee = cctx t callee d3 in
-          add_incoming t t.fw cx_callee (ni, cx);
+          add_incoming t.fw cx_callee (ni, cx);
           if not (inject_stored_summaries t cx_callee) then
             propagate_fw ~kind:Prov.Call t cx_callee s_callee d3;
           List.iter
@@ -1498,7 +1493,7 @@ let backward_descend_args t cx (mni : ninfo) (inv : Stmt.invoke)
             | Some ap ->
                 let d = Taint.derive taint ~ap ~at:m in
                 let cx_callee = cctx t callee (Taint.T d) in
-                add_incoming t t.fw cx_callee (mni, cx);
+                add_incoming t.fw cx_callee (mni, cx);
                 List.iter
                   (fun e_ni ->
                     propagate_bw ~kind:Prov.Backward t cx_callee e_ni
@@ -1531,15 +1526,11 @@ let backward_step t cx (mni : ninfo) (taint : Taint.t) =
   match stmt.Stmt.s_kind with
   | Stmt.Assign (lv, e) -> (
       let lap = ap_of_lvalue ~arr lv in
-      let strong_def =
-        (* only a whole-local definition removes the path upstream *)
-        match lv with Stmt.Llocal _ -> true | _ -> false
-      in
       if AP.has_prefix ~prefix:lap taint.Taint.ap then begin
         (* the written location is (a prefix of) our alias: rewrite
            through the assignment *)
         match e with
-        | Stmt.Einvoke inv ->
+        | Stmt.Einvoke _ ->
             (* value came from a callee's return: descend (Algorithm 2,
                call-statement case) *)
             List.iter
@@ -1558,14 +1549,13 @@ let backward_step t cx (mni : ninfo) (taint : Taint.t) =
                             | Some ap ->
                                 let d = Taint.derive taint ~ap ~at:m in
                                 let cx_callee = cctx t callee (Taint.T d) in
-                                add_incoming t t.fw cx_callee (mni, cx);
+                                add_incoming t.fw cx_callee (mni, cx);
                                 propagate_bw ~kind:Prov.Backward t cx_callee
                                   e_ni (Taint.T d)
                             | None -> ())
                         | _ -> ())
                       (exit_nis t callee))
-              (callees t mni);
-            ignore inv
+              (callees t mni)
         | Stmt.Enew _ | Stmt.Enewarray _ ->
             (* freshly allocated: nothing aliases it upstream *)
             ()
@@ -1596,7 +1586,6 @@ let backward_step t cx (mni : ninfo) (taint : Taint.t) =
            injection lands on [m]'s successors; and the new alias is
            itself searched backward so chains of heap assignments
            (o.a = c1; c1.a = c2; ...) compose. *)
-        ignore strong_def;
         (match alias_ap_of_expr ~arr e with
         | Some rap -> (
             match AP.rebase ~k:(k t) ~from:rap ~to_:lap taint.Taint.ap with
@@ -1647,21 +1636,22 @@ let process_bw t cx (ni : ninfo) (fact : Taint.fact) =
 
 (* ---------------- driver ---------------- *)
 
-(** [run t ~entries] seeds the zero fact at each entry method and runs
-    both solvers to exhaustion (or to the propagation budget). *)
-(* rough live byte estimates for the gauges: hash-table entries are
-   costed at key tuple + bucket overhead (8 words for the I3 tables),
-   association-list cells at ~6 words, interned facts at ~16 words *)
+(* live byte sizes for the gauges.  The flat pair sets and the
+   worklist report their exact allocated words; the summary and
+   incoming lists are estimated per binding (ref + bucket cell, 6
+   words) and per entry (cons cell + pair, 6 words), without the
+   tables' bucket arrays or the shared node/fact/context values.
+   Interned facts are estimated at ~16 words each. *)
 let bytes_of_words w = w * (Sys.word_size / 8)
 
 let solver_bytes s =
-  let i3 tbl = I3_tbl.length tbl * 8 in
   let lists tbl =
-    Int_tbl.fold (fun _ cell acc -> acc + 2 + (6 * List.length !cell)) tbl 0
+    Int_tbl.fold (fun _ cell acc -> acc + 6 + (6 * List.length !cell)) tbl 0
   in
   bytes_of_words
-    (i3 s.s_edges + i3 s.s_sum_seen + i3 s.s_inc_seen + lists s.s_summaries
-   + lists s.s_incoming)
+    (Pair_set.words s.s_edges + Pair_set.words s.s_sum_seen
+   + Pair_set.words s.s_inc_seen + Int_fifo.words s.s_work
+   + lists s.s_summaries + lists s.s_incoming)
 
 let publish_memory_gauges t =
   M.set_int g_bytes_fw (solver_bytes t.fw);
@@ -1749,6 +1739,8 @@ let persist_summaries t (h : Summary.hooks) =
     t.cctxs;
   Mkey.Tbl.iter (fun mk cell -> h.Summary.h_persist ~callee:mk !cell) per_method
 
+(** [run t ~entries] seeds the zero fact at each entry method and runs
+    both solvers to exhaustion (or to the propagation budget). *)
 let run t ~entries =
   (* arm the flight recorder for this solve: a later dump must never
      mix events from a previous run, and even a first-tick chaos fault
@@ -1764,13 +1756,16 @@ let run t ~entries =
   let profiling = t.cfg.Config.profile in
   let track = t.prov <> None in
   let pop_item solver process =
-    let cx, ni, fact = Queue.pop solver.s_work in
+    let cx = t.cctx_by_id.(Int_fifo.pop solver.s_work) in
+    let ni = t.ninfo_by_id.(Int_fifo.pop solver.s_work) in
+    let fid = Int_fifo.pop solver.s_work in
+    let fact = fact_of t fid in
     M.incr m_worklist_pops;
     (* remember the popped pair: every propagation performed while
        processing it records this pair as its provenance predecessor *)
     if track then begin
       t.cur_node <- ni.ni_id;
-      t.cur_fact <- fst (intern_fact t fact)
+      t.cur_fact <- fid
     end;
     Flight.record (fun () ->
         Printf.sprintf "%s %s %s"
@@ -1790,11 +1785,11 @@ let run t ~entries =
        cancellation) the remaining worklist is abandoned — results so
        far stay valid as a partial under-approximation *)
     if Fd_resilience.Budget.stopped t.budget then ()
-    else if not (Queue.is_empty t.fw.s_work) then begin
+    else if not (Int_fifo.is_empty t.fw.s_work) then begin
       pop_item t.fw process_fw;
       loop ()
     end
-    else if not (Queue.is_empty t.bw.s_work) then begin
+    else if not (Int_fifo.is_empty t.bw.s_work) then begin
       pop_item t.bw process_bw;
       loop ()
     end

@@ -35,6 +35,17 @@ module type HASHED = sig
   val hash : t -> int
 end
 
+val id_bound : int
+(** [2^31]: every pool id, and every dense id a solver allocates
+    itself, is below it, so two ids pack into one non-negative int
+    ([hi lsl 31 lor lo]) — the key shape {!Pair_set} is used with.
+    Pools enforce it when they grow; solvers call {!check_id} where
+    they create ids, never per lookup. *)
+
+val check_id : string -> int -> unit
+(** [check_id what i] fails when the fresh id [i] reaches {!id_bound};
+    [what] names the id kind in the message. *)
+
 module Make (T : HASHED) : sig
   type pool
 
@@ -43,8 +54,11 @@ module Make (T : HASHED) : sig
   val id : pool -> T.t -> int
   (** [id p v] is the unique dense id of [v] in [p], interning it on
       first sight.  [id p a = id p b] iff [T.equal a b].  A one-slot
-      cache makes re-interning the same physical value O(1) without
-      re-hashing. *)
+      cache makes re-interning the last id's representative (the value
+      {!value} returns) O(1) without re-hashing or allocating; every
+      lookup of an already-interned value counts as a hit, every new
+      value as a miss.
+      @raise Failure when the pool would exceed {!id_bound} ids *)
 
   val find_id : pool -> T.t -> int option
   (** like {!id} but never interns *)
@@ -61,3 +75,53 @@ module Make (T : HASHED) : sig
 
   val iter : pool -> (int -> T.t -> unit) -> unit
 end
+
+(** {1 Flat id-keyed structures}
+
+    Solver state keyed on dense ids, in flat [int array]s: no boxed
+    key, no bucket and no allocation per entry.  Like the pools they
+    are not thread-safe. *)
+
+module Pair_set : sig
+  type t
+
+  val create : ?capacity:int -> unit -> t
+  (** an empty set of [capacity] slots (default 16, rounded up to a
+      power of 2), room for [3/4 * capacity] pairs before it first
+      grows *)
+
+  val add : t -> int -> int -> bool
+  (** [add s a b] inserts the pair [(a, b)] and is [true] iff it was
+      absent.  [a] must be non-negative; [b] is any int.
+      @raise Invalid_argument when [a < 0] *)
+
+  val mem : t -> int -> int -> bool
+  val length : t -> int
+
+  val words : t -> int
+  (** heap words the set holds: its record and its slot array, exact *)
+end
+(** A set of int pairs, stored by open addressing with linear probing
+    in one flat array that doubles when three quarters full. *)
+
+module Int_fifo : sig
+  type t
+
+  val create : ?capacity:int -> unit -> t
+  (** an empty queue with room for [capacity] ints (default 32) *)
+
+  val push : t -> int -> unit
+  val pop : t -> int
+  (** the oldest int; @raise Invalid_argument when empty *)
+
+  val is_empty : t -> bool
+  val length : t -> int
+
+  val words : t -> int
+  (** heap words the queue holds: its record and its array, exact *)
+end
+(** A first-in first-out queue of unboxed ints in one growable array.
+    When the array is full, the live items slide to its front if at
+    least half of it has been popped, and it doubles otherwise.
+    Callers push fixed-width records (e.g. id triples) as consecutive
+    ints and pop them in the same order. *)

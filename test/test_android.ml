@@ -375,6 +375,182 @@ let test_budget_exhaustion_static () =
   Alcotest.(check string) "budget flagged" "budget-exhausted"
     (Fd_resilience.Outcome.to_string r.Infoflow.r_stats.Infoflow.st_outcome)
 
+(* ---------------- budget-truncated solves ---------------- *)
+
+(* a depth-[depth] static chain: each step stores the taint in a heap
+   cell and reads it back (alias work for the backward solver) before
+   forwarding it to the next step *)
+let chain_apk ~depth =
+  let step i =
+    Printf.sprintf
+      "  static method java.lang.String step%d(java.lang.String) {\n\
+      \    local p : java.lang.Object;\n\
+      \    local b : chain.Box;\n\
+      \    local t : java.lang.Object;\n\
+      \    p := @parameter0;\n\
+      \    b = new chain.Box;\n\
+      \    specialinvoke b.chain.Box#<init>();\n\
+      \    b.chain.Box#val = p;\n\
+      \    t = b.chain.Box#val;\n\
+       %s\
+      \    return t;\n\
+      \  }\n"
+      i
+      (if i = depth - 1 then ""
+       else Printf.sprintf "    t = staticinvoke chain.Chain#step%d(t);\n" (i + 1))
+  in
+  let box =
+    "class chain.Box {\n\
+    \  field val : java.lang.String;\n\
+    \  method void <init>() {\n\
+    \    this := @this: chain.Box;\n\
+    \    return;\n\
+    \  }\n\
+     }\n"
+  in
+  let activity =
+    "class chain.App extends android.app.Activity {\n\
+    \  method void onCreate(android.os.Bundle) {\n\
+    \    local s : java.lang.Object;\n\
+    \    local tm : android.telephony.TelephonyManager;\n\
+    \    local imei : java.lang.Object;\n\
+    \    local out : java.lang.Object;\n\
+    \    local sms : android.telephony.SmsManager;\n\
+    \    this := @this: chain.App;\n\
+    \    s := @parameter0;\n\
+    \    tm = new android.telephony.TelephonyManager;\n\
+    \    imei = virtualinvoke \
+     tm.android.telephony.TelephonyManager#getDeviceId() @\"src-imei\";\n\
+    \    out = staticinvoke chain.Chain#step0(imei);\n\
+    \    sms = staticinvoke android.telephony.SmsManager#getDefault();\n\
+    \    virtualinvoke \
+     sms.android.telephony.SmsManager#sendTextMessage(\"+1\", null, out, \
+     null, null) @\"sink-sms\";\n\
+    \    return;\n\
+    \  }\n\
+     }\n"
+  in
+  let manifest =
+    "<?xml version=\"1.0\" encoding=\"utf-8\"?>\n\
+     <manifest package=\"chain\"><application>\n\
+     <activity android:name=\"chain.App\"><intent-filter>\n\
+     <action android:name=\"android.intent.action.MAIN\"/>\n\
+     <category android:name=\"android.intent.category.LAUNCHER\"/>\n\
+     </intent-filter></activity>\n\
+     </application></manifest>\n"
+  in
+  Apk.make_text "ChainApp" ~manifest ~layouts:[]
+    [ box;
+      "class chain.Chain {\n" ^ String.concat "" (List.init depth step) ^ "}\n";
+      activity ]
+
+(* what a budget-stopped solve leaves behind: the outcome, the
+   propagations ticked, the dedup hits, the sorted findings and the
+   taints recorded at the sink node (as a digest of their sorted
+   renderings, with their count) *)
+type truncated = {
+  tr_outcome : string;
+  tr_props : int;
+  tr_dedup : int;
+  tr_findings : string list;
+  tr_sink_taints : int * string;
+}
+
+let observe_truncated apk budget =
+  let sink =
+    match (Infoflow.analyze_apk apk).Infoflow.r_findings with
+    | fd :: _ -> fd.Bidi.f_sink_node
+    | [] -> Alcotest.fail "the unbudgeted solve must find the leak"
+  in
+  let config = { Config.default with Config.max_propagations = budget } in
+  let dedup () = Fd_obs.Metrics.counter_value "ifds.worklist_dedup_hits" in
+  let dedup0 = dedup () in
+  let r = Infoflow.analyze_apk ~config apk in
+  let taints =
+    List.sort compare
+      (List.map Taint.to_string (Bidi.results_at r.Infoflow.r_engine sink))
+  in
+  {
+    tr_outcome =
+      Fd_resilience.Outcome.to_string (Bidi.outcome r.Infoflow.r_engine);
+    tr_props = Bidi.propagation_count r.Infoflow.r_engine;
+    tr_dedup = dedup () - dedup0;
+    tr_findings =
+      List.sort compare
+        (List.map
+           (fun (fd : Bidi.finding) ->
+             let node = Fd_callgraph.Icfg.string_of_node in
+             Printf.sprintf "%s -> %s"
+               (node fd.Bidi.f_source.Taint.si_node)
+               (node fd.Bidi.f_sink_node))
+           r.Infoflow.r_findings);
+    tr_sink_taints =
+      ( List.length taints,
+        Digest.to_hex (Digest.string (String.concat "\n" taints)) );
+  }
+
+(* reference values: the solver's probe -> tick -> insert order and
+   its FIFO worklist order decide exactly what a stopped solve has
+   seen, so a change to the solver's tables must reproduce them *)
+let expected_truncated =
+  [
+    ( "leakage", 50,
+      { tr_outcome = "budget-exhausted"; tr_props = 51; tr_dedup = 4;
+        tr_findings = [];
+        tr_sink_taints = (0, "d41d8cd98f00b204e9800998ecf8427e") } );
+    ( "leakage", 1000,
+      { tr_outcome = "budget-exhausted"; tr_props = 1001; tr_dedup = 162;
+        tr_findings =
+          [ "de.ecspride.LeakageApp.onRestart/0@2 -> \
+             de.ecspride.LeakageApp.sendMessage/1@13" ];
+        tr_sink_taints = (25, "3c08f2211e5fa39169ebee7f199cf2a1") } );
+    ( "leakage", 5000,
+      { tr_outcome = "budget-exhausted"; tr_props = 5001; tr_dedup = 1019;
+        tr_findings =
+          [ "de.ecspride.LeakageApp.onRestart/0@2 -> \
+             de.ecspride.LeakageApp.sendMessage/1@13" ];
+        tr_sink_taints = (115, "b2c242098e0cc2c4258b1d5e4ad76324") } );
+    (* the one budget of 240 probed (20, 73, ..., 6327) where a
+       propagation re-derives an edge after the budget stopped: an
+       insert before the tick would count it as a dedup hit *)
+    ( "leakage", 3200,
+      { tr_outcome = "budget-exhausted"; tr_props = 3201; tr_dedup = 660;
+        tr_findings =
+          [ "de.ecspride.LeakageApp.onRestart/0@2 -> \
+             de.ecspride.LeakageApp.sendMessage/1@13" ];
+        tr_sink_taints = (75, "8b5806587223da02a58897cdb4e763ba") } );
+    ( "chain-100", 50,
+      { tr_outcome = "budget-exhausted"; tr_props = 51; tr_dedup = 4;
+        tr_findings = [];
+        tr_sink_taints = (1, "6fbbfd045ce44f13874ecb499d218455") } );
+    ( "chain-100", 1000,
+      { tr_outcome = "budget-exhausted"; tr_props = 1001; tr_dedup = 54;
+        tr_findings = [];
+        tr_sink_taints = (1, "6fbbfd045ce44f13874ecb499d218455") } );
+    ( "chain-100", 5000,
+      { tr_outcome = "budget-exhausted"; tr_props = 5001; tr_dedup = 102;
+        tr_findings = [ "chain.App.onCreate/1@3 -> chain.App.onCreate/1@6" ];
+        tr_sink_taints = (4, "e68016d5eccb6f8820725a077811caf7") } );
+  ]
+
+let test_truncated_solves () =
+  let apps =
+    [ ("leakage", fun () -> leakage_apk ());
+      ("chain-100", fun () -> chain_apk ~depth:100) ]
+  in
+  List.iter
+    (fun (name, budget, want) ->
+      let got = observe_truncated ((List.assoc name apps) ()) budget in
+      let what field = Printf.sprintf "%s at %d: %s" name budget field in
+      Alcotest.(check string) (what "outcome") want.tr_outcome got.tr_outcome;
+      Alcotest.(check int) (what "propagations") want.tr_props got.tr_props;
+      Alcotest.(check int) (what "dedup hits") want.tr_dedup got.tr_dedup;
+      Alcotest.(check (list string))
+        (what "findings") want.tr_findings got.tr_findings;
+      Alcotest.(check (pair int string))
+        (what "taints at the sink") want.tr_sink_taints got.tr_sink_taints)
+    expected_truncated
+
 let () =
   Alcotest.run "fd_android"
     [
@@ -405,5 +581,7 @@ let () =
             test_indirect_resource_id;
           Alcotest.test_case "propagation budget" `Quick
             test_budget_exhaustion_static;
+          Alcotest.test_case "budget-truncated solves are pinned" `Quick
+            test_truncated_solves;
         ] );
     ]

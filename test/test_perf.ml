@@ -3,6 +3,9 @@
    - the interning pools: equal values get equal ids (and nothing
      else does), ids round-trip through [value], the one-slot cache
      keeps counters honest;
+   - the flat solver structures: [Pair_set] agrees with a [Hashtbl]
+     model across many growths, ids near 2^31 - 1 included, and
+     [Int_fifo] keeps push order across growth and compaction;
    - the explicit hash functions: consistent with [equal], and — the
      regression the fold-based hashes exist for — sensitive to
      differences arbitrarily deep in an access path, where the
@@ -86,6 +89,125 @@ let test_intern_counters () =
   Alcotest.(check (option int)) "find_id never interns" None
     (Ap_pool.find_id p (ap "z" []));
   Alcotest.(check int) "find_id did not grow the pool" 2 (Ap_pool.size p)
+
+(* ---------------- flat solver structures ---------------- *)
+
+let near_bound = Intern.id_bound - 1
+
+(* components shaped like the solver's keys: small dense ids (many
+   collisions), ids near 2^31 - 1, and two ids packed as
+   [hi lsl 31 lor lo] *)
+let gen_id =
+  QCheck.Gen.(
+    frequency
+      [ (3, int_bound 40); (1, map (fun d -> near_bound - d) (int_bound 40)) ])
+
+let gen_component =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, gen_id); (1, map2 (fun hi lo -> (hi lsl 31) lor lo) gen_id gen_id);
+      ])
+
+let prop_pair_set_model =
+  QCheck.Test.make ~name:"Pair_set: add/mem agree with a Hashtbl model"
+    ~count:200
+    QCheck.(
+      make
+        ~print:Print.(list (triple bool int int))
+        Gen.(
+          list_size (int_range 0 3000)
+            (triple (frequencyl [ (3, true); (1, false) ]) gen_component
+               gen_component)))
+    (fun ops ->
+      let s = Intern.Pair_set.create () and model = Hashtbl.create 16 in
+      List.for_all
+        (fun (is_add, a, b) ->
+          let expected = Hashtbl.mem model (a, b) in
+          if is_add then begin
+            Hashtbl.replace model (a, b) ();
+            Bool.equal (Intern.Pair_set.add s a b) (not expected)
+          end
+          else Bool.equal (Intern.Pair_set.mem s a b) expected)
+        ops
+      && Intern.Pair_set.length s = Hashtbl.length model
+      && Hashtbl.fold (fun (a, b) () ok -> ok && Intern.Pair_set.mem s a b)
+           model true)
+
+let test_pair_set_bounds () =
+  let s = Intern.Pair_set.create ~capacity:1 () in
+  let hi = (near_bound lsl 31) lor near_bound in
+  Alcotest.(check bool) "packed max-id pair is new" true
+    (Intern.Pair_set.add s near_bound hi);
+  Alcotest.(check bool) "and then present" false
+    (Intern.Pair_set.add s near_bound hi);
+  Alcotest.(check bool) "neighbour absent" false
+    (Intern.Pair_set.mem s near_bound (hi - 1));
+  (match Intern.Pair_set.add s (-1) 0 with
+  | _ -> Alcotest.fail "a negative first component must be rejected"
+  | exception Invalid_argument _ -> ());
+  for i = 0 to 999 do
+    ignore (Intern.Pair_set.add s i (near_bound - i))
+  done;
+  Alcotest.(check int) "1001 pairs after growing from one slot" 1001
+    (Intern.Pair_set.length s);
+  Alcotest.(check bool) "words cover two ints per pair" true
+    (Intern.Pair_set.words s > 2 * 1001)
+
+let prop_int_fifo_model =
+  QCheck.Test.make
+    ~name:"Int_fifo: interleaved pushes and pops keep Queue order" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(pair int (list (option int)))
+        Gen.(
+          pair (int_range 1 8)
+            (list_size (int_range 0 2000)
+               (frequency
+                  [ (3, map Option.some gen_component); (2, return None) ]))))
+    (fun (capacity, ops) ->
+      (* [None] pops, [Some x] pushes x; a small start capacity makes
+         the queue both grow and slide its live items down *)
+      let q = Intern.Int_fifo.create ~capacity () and model = Queue.create () in
+      List.for_all
+        (function
+          | Some x ->
+              Intern.Int_fifo.push q x;
+              Queue.push x model;
+              true
+          | None -> (
+              match Queue.take_opt model with
+              | None -> Intern.Int_fifo.is_empty q
+              | Some x -> Intern.Int_fifo.pop q = x))
+        ops
+      && Intern.Int_fifo.length q = Queue.length model
+      && List.for_all (fun x -> Intern.Int_fifo.pop q = x)
+           (List.of_seq (Queue.to_seq model))
+      && Intern.Int_fifo.is_empty q)
+
+(* the compaction path on its own: a full array with its first half
+   popped slides the live items down instead of growing *)
+let test_int_fifo_compaction () =
+  let q = Intern.Int_fifo.create ~capacity:8 () in
+  for i = 0 to 7 do
+    Intern.Int_fifo.push q i
+  done;
+  for i = 0 to 4 do
+    Alcotest.(check int) "oldest first" i (Intern.Int_fifo.pop q)
+  done;
+  let words = Intern.Int_fifo.words q in
+  for i = 8 to 12 do
+    Intern.Int_fifo.push q i
+  done;
+  Alcotest.(check int) "compacted in place, no growth" words
+    (Intern.Int_fifo.words q);
+  Alcotest.(check (list int)) "order kept across the slide"
+    [ 5; 6; 7; 8; 9; 10; 11; 12 ]
+    (List.init 8 (fun _ -> Intern.Int_fifo.pop q));
+  Alcotest.(check bool) "drained" true (Intern.Int_fifo.is_empty q);
+  match Intern.Int_fifo.pop q with
+  | _ -> Alcotest.fail "pop on an empty queue must raise"
+  | exception Invalid_argument _ -> ()
 
 (* ---------------- explicit hashes ---------------- *)
 
@@ -231,6 +353,15 @@ let () =
               test_intern_counters;
             Alcotest.test_case "value bound-checks unallocated ids" `Quick
               test_intern_value_bounds;
+          ] );
+      ( "flat-structures",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_pair_set_model; prop_int_fifo_model ]
+        @ [
+            Alcotest.test_case "pair set at the id bound" `Quick
+              test_pair_set_bounds;
+            Alcotest.test_case "fifo compaction" `Quick
+              test_int_fifo_compaction;
           ] );
       ( "hash",
         List.map QCheck_alcotest.to_alcotest
