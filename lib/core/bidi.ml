@@ -87,14 +87,17 @@ type finding = {
 
    Facts, contexts and program points are interned into dense integer
    ids (all below [Intern.id_bound] = 2^31) at the propagation
-   boundary.  The "seen" tables are flat pair sets keyed
+   boundary.  Each solver's three "seen" tables (path edges, end
+   summaries, incoming calls) are flat pair sets keyed
    [(id, id lsl 31 lor id)], the worklist is a FIFO of unboxed id
    triples mapped back through id-indexed arrays, and the per-node /
    per-method views the flow functions consume — statement,
    successors, predecessors, callees, parameter locals, source/sink
    classifications — are resolved once and cached against the id.
-   All of it lives inside the engine value, so engines on different
-   domains never share mutable state. *)
+   The forward results live on the node view too: one fact id per
+   forward path edge, deduplicated only when {!results_at} reads
+   them.  All of it lives inside the engine value, so engines on
+   different domains never share mutable state. *)
 
 let m_dedup_hits = M.counter "ifds.worklist_dedup_hits"
 let g_intern_facts = M.gauge "intern.facts.size"
@@ -163,6 +166,9 @@ and ninfo = {
   mutable ni_call : callinfo option;  (** cached call-site data *)
   mutable ni_zero_gen : Taint.t list option;
       (** parameter-source taints generated under the zero fact *)
+  mutable ni_results : int list;
+      (** the fact id of every non-zero forward path edge at this
+          node, newest first; an id repeats once per context *)
 }
 
 (* node-constant call-site classifications (sink category, wrapper /
@@ -231,9 +237,6 @@ type t = {
      activation has executed, and the methods those call sites live in *)
   act_sites : unit Node_tbl.t Node_tbl.t;
   act_methods : unit Mkey.Tbl.t Node_tbl.t;
-  (* forward results per node id, for inspection and tests *)
-  results_list : Taint.t list ref Int_tbl.t;
-  results_seen : Pair_set.t;  (** (node id, fact id) *)
   budget : Fd_resilience.Budget.t;
   (* per-method must-alias results, computed lazily when the
      strong-update precision pass is on *)
@@ -293,8 +296,6 @@ let create ?budget ?store ~config ~icfg ~scene ~mgr ~wrappers ~natives () =
     finding_keys = Hashtbl.create 64;
     act_sites = Node_tbl.create 16;
     act_methods = Node_tbl.create 16;
-    results_list = Int_tbl.create 256;
-    results_seen = Pair_set.create ();
     budget;
     ma_cache = Mkey.Tbl.create 16;
     prov;
@@ -377,6 +378,7 @@ let ninfo_of t (n : Icfg.node) =
           ni_callees = None;
           ni_call = None;
           ni_zero_gen = None;
+          ni_results = [];
         }
       in
       t.ninfo_by_id <- append t.ninfo_by_id t.n_ninfos ni;
@@ -460,22 +462,6 @@ let cctx t (mi : minfo) fact =
 
 (* ---------------- propagation ---------------- *)
 
-let record_result t (ni : ninfo) fid =
-  match fact_of t fid with
-  | Taint.Zero -> ()
-  | Taint.T taint ->
-      if Pair_set.add t.results_seen ni.ni_id fid then begin
-        let cell =
-          match Int_tbl.find_opt t.results_list ni.ni_id with
-          | Some c -> c
-          | None ->
-              let c = ref [] in
-              Int_tbl.replace t.results_list ni.ni_id c;
-              c
-        in
-        cell := taint :: !cell
-      end
-
 (* profiler cell for a method, resolved once and cached on the minfo *)
 let prof_cell (mi : minfo) =
   match mi.mi_prof with
@@ -485,18 +471,21 @@ let prof_cell (mi : minfo) =
       mi.mi_prof <- Some c;
       c
 
-(* probe, then [Budget.tick], then insert: a budget-stopped run
-   records exactly the edges it ticked for *)
+(* probe, then [Budget.tick], then insert at the probed slot: a
+   budget-stopped run records exactly the edges it ticked for *)
 let propagate ?(kind = Prov.Normal) t solver cx (ni : ninfo) fact =
   let fid = intern_fact t fact in
   let key = pack ni.ni_id fid in
-  if Pair_set.mem solver.s_edges cx.cc_id key then M.incr m_dedup_hits
+  let slot = Pair_set.slot solver.s_edges cx.cc_id key in
+  if Pair_set.occupied solver.s_edges slot then M.incr m_dedup_hits
   else if Fd_resilience.Budget.tick t.budget then begin
     M.incr m_path_edges;
     M.incr m_worklist_pushes;
     if solver == t.fw then begin
       M.incr m_fw_props;
-      record_result t ni fid
+      match fact with
+      | Taint.T _ -> ni.ni_results <- fid :: ni.ni_results
+      | Taint.Zero -> ()
     end
     else M.incr m_bw_props;
     (match t.prov with
@@ -515,7 +504,7 @@ let propagate ?(kind = Prov.Normal) t solver cx (ni : ninfo) fact =
           ~pred_fact:t.cur_fact ~kind
     | None -> ());
     if t.cfg.Config.profile then Fd_obs.Profile.add_fact (prof_cell ni.ni_minfo);
-    ignore (Pair_set.add solver.s_edges cx.cc_id key);
+    Pair_set.insert_at solver.s_edges slot cx.cc_id key;
     Int_fifo.push solver.s_work cx.cc_id;
     Int_fifo.push solver.s_work ni.ni_id;
     Int_fifo.push solver.s_work fid
@@ -1814,15 +1803,23 @@ let run t ~entries =
 (** [findings t] is the reported source-to-sink flows. *)
 let findings t = t.findings
 
-(** [results_at t n] is the taints that may hold just before [n]
-    (forward solver facts, for tests and inspection). *)
+(* the node's fact ids, walked oldest first keeping each id's first
+   occurrence, give its taints newest first by first propagation *)
 let results_at t n =
   match Node_tbl.find_opt t.ninfos n with
   | None -> []
-  | Some ni -> (
-      match Int_tbl.find_opt t.results_list ni.ni_id with
-      | Some c -> !c
-      | None -> [])
+  | Some ni ->
+      let seen = Int_tbl.create 16 in
+      List.fold_left
+        (fun acc fid ->
+          if Int_tbl.mem seen fid then acc
+          else begin
+            Int_tbl.replace seen fid ();
+            match fact_of t fid with
+            | Taint.T taint -> taint :: acc
+            | Taint.Zero -> acc
+          end)
+        [] (List.rev ni.ni_results)
 
 (** [propagation_count t] is the number of path-edge propagations
     performed (the work metric reported by the benchmarks). *)

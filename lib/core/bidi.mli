@@ -73,7 +73,10 @@ val findings : t -> finding list
 
 val results_at : t -> Icfg.node -> Taint.t list
 (** [results_at t n] is the taints that may hold just before [n]
-    (forward-solver facts; for tests and inspection). *)
+    (forward-solver facts), each once, newest first by its first
+    forward propagation at [n]; [[]] where the solver never reached.
+    The ICC tier keeps the first taint it meets per source, so this
+    order is part of the contract. *)
 
 val propagation_count : t -> int
 (** [propagation_count t] is the number of path-edge propagations

@@ -153,9 +153,9 @@ module Pair_set = struct
     if x = empty || (x = a && Array.unsafe_get slots ((2 * i) + 1) = b) then i
     else find slots mask a b ((i + 1) land mask)
 
-  let mem s a b =
-    let i = find s.slots s.mask a b (hash a b land s.mask) in
-    Array.unsafe_get s.slots (2 * i) <> empty
+  let slot s a b = find s.slots s.mask a b (hash a b land s.mask)
+  let occupied s i = s.slots.(2 * i) <> empty
+  let mem s a b = occupied s (slot s a b)
 
   let grow s =
     let old = s.slots in
@@ -173,15 +173,19 @@ module Pair_set = struct
     s.slots <- slots;
     s.mask <- mask
 
+  let insert_at s i a b =
+    if a < 0 then invalid_arg "Intern.Pair_set: negative first component";
+    if occupied s i then invalid_arg "Intern.Pair_set.insert_at: occupied slot";
+    s.slots.(2 * i) <- a;
+    s.slots.((2 * i) + 1) <- b;
+    s.count <- s.count + 1;
+    if 4 * s.count > 3 * (s.mask + 1) then grow s
+
   let add s a b =
-    if a < 0 then invalid_arg "Intern.Pair_set.add: negative first component";
-    let i = find s.slots s.mask a b (hash a b land s.mask) in
-    if s.slots.(2 * i) <> empty then false
+    let i = slot s a b in
+    if occupied s i then false
     else begin
-      s.slots.(2 * i) <- a;
-      s.slots.((2 * i) + 1) <- b;
-      s.count <- s.count + 1;
-      if 4 * s.count > 3 * (s.mask + 1) then grow s;
+      insert_at s i a b;
       true
     end
 

@@ -96,6 +96,27 @@ module Pair_set : sig
       @raise Invalid_argument when [a < 0] *)
 
   val mem : t -> int -> int -> bool
+
+  (** {2 Single-probe insertion}
+
+      [add] and [mem] each probe once; a caller that must test, do
+      something, then insert uses the slot API to probe only once. *)
+
+  val slot : t -> int -> int -> int
+  (** [slot s a b] is the slot holding [(a, b)], or the free slot
+      where it would be inserted.  It stays valid until the set is
+      next changed. *)
+
+  val occupied : t -> int -> bool
+  (** [occupied s i] is [true] iff slot [i] holds a pair: for
+      [i = slot s a b], iff [mem s a b]. *)
+
+  val insert_at : t -> int -> int -> int -> unit
+  (** [insert_at s i a b] inserts [(a, b)] at [i = slot s a b],
+      growing the set when it is three quarters full; the set must not
+      have changed since [slot] was called.
+      @raise Invalid_argument when [a < 0] or slot [i] is occupied *)
+
   val length : t -> int
 
   val words : t -> int

@@ -551,6 +551,89 @@ let test_truncated_solves () =
         (what "taints at the sink") want.tr_sink_taints got.tr_sink_taints)
     expected_truncated
 
+(* ---------------- results_at order ---------------- *)
+
+(* every statement of every reachable method, in node order, with the
+   taints [results_at] gives there, unsorted: the ICC tier keeps the
+   first taint it meets per source, so the order is part of the
+   contract.  Also the nodes where a taint is repeated. *)
+let results_listing (r : Infoflow.result) =
+  let cg = r.Infoflow.r_icfg.Fd_callgraph.Icfg.cg in
+  let nodes =
+    List.concat_map
+      (fun m ->
+        match Fd_callgraph.Callgraph.body_of cg m with
+        | body ->
+            List.init (Body.length body) (fun i ->
+                Fd_callgraph.Icfg.{ n_method = m; n_idx = i })
+        | exception Not_found -> [])
+      (Fd_callgraph.Callgraph.reachable_methods cg)
+    |> List.sort Fd_callgraph.Icfg.compare_node
+  in
+  let repeated = ref [] and count = ref 0 in
+  let lines =
+    List.concat_map
+      (fun n ->
+        let where = Fd_callgraph.Icfg.string_of_node n in
+        let taints =
+          List.map Taint.to_string (Bidi.results_at r.Infoflow.r_engine n)
+        in
+        if List.length (List.sort_uniq compare taints) <> List.length taints
+        then repeated := where :: !repeated;
+        count := !count + List.length taints;
+        where :: taints)
+      nodes
+  in
+  (lines, !count, !repeated)
+
+(* reference values: (taint count, digest of the listing) *)
+let expected_results_order =
+  [
+    ("leakage", (3155, "5857d92dfb8d7323f2bc62531aeb0e34"));
+    ("chain-10", (790, "4bbe79d615c3948b57d71c91feb502c5"));
+    ("icc-pair", (12, "30b2770d0eb12445b74345caf836ae82"));
+  ]
+
+let test_results_order () =
+  let icc = { Config.default with Config.icc = true } in
+  let runs =
+    [
+      ("leakage", fun () -> Infoflow.analyze_apk (leakage_apk ()));
+      ("chain-10", fun () -> Infoflow.analyze_apk (chain_apk ~depth:10));
+      ( "icc-pair",
+        fun () ->
+          let gp = Fd_appgen.Generator.collusion_pair ~seed:7 0 in
+          Infoflow.analyze_pair ~config:icc
+            gp.Fd_appgen.Generator.gp_sender.Fd_appgen.Generator.ga_apk
+            gp.Fd_appgen.Generator.gp_receiver.Fd_appgen.Generator.ga_apk );
+    ]
+  in
+  let unreached =
+    Fd_callgraph.Icfg.
+      {
+        n_method =
+          { Fd_callgraph.Mkey.mk_class = "no.Such"; mk_name = "m"; mk_arity = 0 };
+        n_idx = 0;
+      }
+  in
+  List.iter
+    (fun (name, run) ->
+      let r = run () in
+      let lines, count, repeated = results_listing r in
+      Alcotest.(check (pair int string))
+        (name ^ ": taints per node, in results_at order")
+        (List.assoc name expected_results_order)
+        (count, Digest.to_hex (Digest.string (String.concat "\n" lines)));
+      Alcotest.(check (list string)) (name ^ ": nodes with a repeated taint")
+        [] repeated;
+      Alcotest.(check (list string))
+        (name ^ ": no zero fact") []
+        (List.filter (fun l -> l = Taint.fact_to_string Taint.Zero) lines);
+      Alcotest.(check int)
+        (name ^ ": unreached node") 0
+        (List.length (Bidi.results_at r.Infoflow.r_engine unreached)))
+    runs
+
 let () =
   Alcotest.run "fd_android"
     [
@@ -583,5 +666,7 @@ let () =
             test_budget_exhaustion_static;
           Alcotest.test_case "budget-truncated solves are pinned" `Quick
             test_truncated_solves;
+          Alcotest.test_case "results_at order is pinned" `Quick
+            test_results_order;
         ] );
     ]

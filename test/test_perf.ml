@@ -4,7 +4,8 @@
      else does), ids round-trip through [value], the one-slot cache
      keeps counters honest;
    - the flat solver structures: [Pair_set] agrees with a [Hashtbl]
-     model across many growths, ids near 2^31 - 1 included, and
+     model across many growths, ids near 2^31 - 1 included, through
+     [add]/[mem] and through the single-probe slot API alike, and
      [Int_fifo] keeps push order across growth and compaction;
    - the explicit hash functions: consistent with [equal], and — the
      regression the fold-based hashes exist for — sensitive to
@@ -134,6 +135,63 @@ let prop_pair_set_model =
       && Hashtbl.fold (fun (a, b) () ok -> ok && Intern.Pair_set.mem s a b)
            model true)
 
+(* the single-probe path [propagate] uses (slot, occupied, insert_at)
+   interleaved with [add] and [mem]; starting at one to eight slots,
+   the inserts at a slot grow the set many times *)
+type pair_op = Add | Mem | Probe_insert | Probe
+
+let prop_pair_set_slots =
+  QCheck.Test.make
+    ~name:"Pair_set: slot/occupied/insert_at agree with a Hashtbl model"
+    ~count:200
+    QCheck.(
+      make
+        ~print:
+          Print.(
+            pair int
+              (list
+                 (triple
+                    (function
+                      | Add -> "add"
+                      | Mem -> "mem"
+                      | Probe_insert -> "probe+insert"
+                      | Probe -> "probe")
+                    int int)))
+        Gen.(
+          pair (int_range 1 8)
+            (list_size (int_range 0 3000)
+               (triple
+                  (frequencyl [ (2, Add); (1, Mem); (3, Probe_insert); (1, Probe) ])
+                  gen_component gen_component))))
+    (fun (capacity, ops) ->
+      let s = Intern.Pair_set.create ~capacity () and model = Hashtbl.create 16 in
+      List.for_all
+        (fun (op, a, b) ->
+          let expected = Hashtbl.mem model (a, b) in
+          match op with
+          | Add ->
+              Hashtbl.replace model (a, b) ();
+              Bool.equal (Intern.Pair_set.add s a b) (not expected)
+          | Mem -> Bool.equal (Intern.Pair_set.mem s a b) expected
+          | Probe ->
+              Bool.equal
+                (Intern.Pair_set.occupied s (Intern.Pair_set.slot s a b))
+                expected
+          | Probe_insert ->
+              let i = Intern.Pair_set.slot s a b in
+              Bool.equal (Intern.Pair_set.occupied s i) expected
+              && begin
+                   if not expected then begin
+                     Intern.Pair_set.insert_at s i a b;
+                     Hashtbl.replace model (a, b) ()
+                   end;
+                   Intern.Pair_set.mem s a b
+                 end)
+        ops
+      && Intern.Pair_set.length s = Hashtbl.length model
+      && Hashtbl.fold (fun (a, b) () ok -> ok && Intern.Pair_set.mem s a b)
+           model true)
+
 let test_pair_set_bounds () =
   let s = Intern.Pair_set.create ~capacity:1 () in
   let hi = (near_bound lsl 31) lor near_bound in
@@ -145,6 +203,19 @@ let test_pair_set_bounds () =
     (Intern.Pair_set.mem s near_bound (hi - 1));
   (match Intern.Pair_set.add s (-1) 0 with
   | _ -> Alcotest.fail "a negative first component must be rejected"
+  | exception Invalid_argument _ -> ());
+  List.iter
+    (fun a ->
+      match Intern.Pair_set.insert_at s (Intern.Pair_set.slot s a 0) a 0 with
+      | () -> Alcotest.failf "insert_at must reject first component %d" a
+      | exception Invalid_argument _ -> ())
+    [ -1; -7; min_int ];
+  (match
+     Intern.Pair_set.insert_at s
+       (Intern.Pair_set.slot s near_bound hi)
+       near_bound hi
+   with
+  | () -> Alcotest.fail "insert_at must reject an occupied slot"
   | exception Invalid_argument _ -> ());
   for i = 0 to 999 do
     ignore (Intern.Pair_set.add s i (near_bound - i))
@@ -356,7 +427,7 @@ let () =
           ] );
       ( "flat-structures",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_pair_set_model; prop_int_fifo_model ]
+          [ prop_pair_set_model; prop_int_fifo_model; prop_pair_set_slots ]
         @ [
             Alcotest.test_case "pair set at the id bound" `Quick
               test_pair_set_bounds;
