@@ -16,10 +16,14 @@ For each metric it prints both sides' median with quartiles, the
 change/parent ratio of the medians, the pairs the change won (ties
 count for neither) and `gain` when the change won at least nine tenths
 of the pairs and the medians differ by more than the parent's
-interquartile range.  It reports BENCHMARK.json's end-to-end metrics
-and, with `--trace 1`, its per-layer metrics, wherever the runs give
-them (a traced run gives only the per-layer ones).  It also prints each
-side's failed units and failed runs and its set of pass digests.
+interquartile range, and `worse` when the change's median is worse
+than the parent's by more than the metric's BENCHMARK.json bound (a
+relative margin; per-layer metrics have none).  It reports
+BENCHMARK.json's end-to-end metrics and, with `--trace 1`, its
+per-layer metrics, wherever the runs give them (a traced run gives only
+the per-layer ones).  It also prints each side's failed units and
+failed runs and its set of pass digests, and ends with one line that
+lists every `worse` row of every workload.
 
 Exit status: 0 when every run produced a result and both sides gave
 the same digests on every workload, 1 otherwise, 2 on a usage or git
@@ -97,7 +101,8 @@ def metric_specs(trace):
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
     specs = bench["end_to_end"] + (bench["per_layer"] if trace else [])
-    return bench["workloads"], [(m["name"], m["better"]) for m in specs]
+    return bench["workloads"], [(m["name"], m["better"], m.get("bound"))
+                                for m in specs]
 
 
 def value(run, name):
@@ -106,11 +111,19 @@ def value(run, name):
     return None
 
 
-def report(workload, runs, specs):
+def worse_than_bound(mp, mc, better, bound):
+    if bound is None:
+        return False
+    if better == "lower":
+        return mc > mp * (1 + bound)
+    return mc < mp * (1 - bound)
+
+
+def report(workload, runs, specs, worse):
     print(f"\n== {workload}: {len(runs['parent'])} pairs")
     print(f"  {'metric':<26} {'parent median [q1, q3]':<40} "
           f"{'change median [q1, q3]':<40} {'ratio':>6} {'won':>6}")
-    for name, better in specs:
+    for name, better, bound in specs:
         # only pairs where both sides gave the metric
         pairs = [(value(p, name), value(c, name))
                  for p, c in zip(runs["parent"], runs["change"])]
@@ -126,10 +139,14 @@ def report(workload, runs, specs):
         gain = (10 * won >= 9 * len(pairs)
                 and abs(mc - mp) > p3 - p1
                 and (mc < mp if better == "lower" else mc > mp))
+        bad = worse_than_bound(mp, mc, better, bound)
+        if bad:
+            worse.append(f"{workload} {name} {ratio} (bound {bound})")
         cell = {s: f"{m:.6g} [{q1:.6g}, {q3:.6g}]"
                 for s, m, q1, q3 in (("parent", mp, p1, p3), ("change", mc, c1, c3))}
         print(f"  {name:<26} {cell['parent']:<40} {cell['change']:<40} "
-              f"{ratio:>6} {won:>3}/{len(pairs)}{'  gain' if gain else ''}")
+              f"{ratio:>6} {won:>3}/{len(pairs)}{'  gain' if gain else ''}"
+              f"{'  worse' if bad else ''}")
     same = True
     digests = {}
     for s in ("parent", "change"):
@@ -177,6 +194,7 @@ def main():
             return 2
         copy_worktree(trees["change"])
         ok = True
+        worse = []
         for w in names:
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):
@@ -184,7 +202,8 @@ def main():
                 for s in order:
                     sys.stderr.write(f"ab_pairs: {w} pair {i + 1}/{args.pairs} {s}\n")
                     runs[s].append(run_once(trees[s], w, args))
-            ok = report(w, runs, specs) and ok
+            ok = report(w, runs, specs, worse) and ok
+        print(f"\nworse beyond bound: {'; '.join(worse) or 'none'}")
         return 0 if ok else 1
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -153,15 +153,19 @@ let resolve_reflective scene cp (s : Stmt.t) (inv : Stmt.invoke) :
 let build scene ~entry ?(algorithm = Cha) ?(clinit_first_use = false)
     ?(reflection = false) () =
   Fd_obs.Trace.with_span "callgraph.build" @@ fun () ->
+  (* tables start small and double as they fill: an app's graph
+     reaches a handful of methods, and callback discovery builds one per
+     fixpoint round, so 256-bucket tables were most of each build's
+     allocation *)
   let cg =
     {
       cg_scene = scene;
       cg_algorithm = algorithm;
       cg_entry = entry;
-      cg_out = Hashtbl.create 256;
-      cg_in = Hashtbl.create 256;
-      cg_reachable = Mkey.Tbl.create 256;
-      cg_bodies = Mkey.Tbl.create 256;
+      cg_out = Hashtbl.create 16;
+      cg_in = Hashtbl.create 16;
+      cg_reachable = Mkey.Tbl.create 16;
+      cg_bodies = Mkey.Tbl.create 16;
       cg_clinit = Hashtbl.create (if clinit_first_use then 64 else 1);
       cg_refl = Hashtbl.create (if reflection then 64 else 1);
     }

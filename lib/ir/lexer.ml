@@ -127,26 +127,49 @@ let read_string t =
     A dot is included only when followed by an identifier start, so
     [x.foo#f] lexes the base as part of the dotted name — the parser
     splits on context.  We instead stop the dotted read before a
-    segment if the char after the dot is not an ident start. *)
+    segment if the char after the dot is not an ident start.
+
+    The name is scanned in place and copied out once: identifiers are
+    most of the tokens, so no intermediate buffer and no local closure
+    (each would be allocated per call).  Identifiers hold no newline,
+    so the line count is untouched. *)
 let read_ident t =
-  let buf = Buffer.create 16 in
-  let read_seg () =
-    while (not (eof t)) && is_ident_char (peek t) do
-      Buffer.add_char buf (peek t);
-      advance t
+  let src = t.src in
+  let len = String.length src in
+  let start = t.pos in
+  let pos = ref start in
+  while !pos < len && is_ident_char (String.unsafe_get src !pos) do
+    incr pos
+  done;
+  while
+    !pos + 1 < len
+    && String.unsafe_get src !pos = '.'
+    && is_ident_start (String.unsafe_get src (!pos + 1))
+  do
+    pos := !pos + 2;
+    while !pos < len && is_ident_char (String.unsafe_get src !pos) do
+      incr pos
     done
-  in
-  read_seg ();
-  let rec dots () =
-    if peek t = '.' && is_ident_start (peek2 t) then begin
-      Buffer.add_char buf '.';
-      advance t;
-      read_seg ();
-      dots ()
-    end
-  in
-  dots ();
-  Buffer.contents buf
+  done;
+  t.pos <- !pos;
+  String.sub src start (!pos - start)
+
+(* a run of decimal digits, accumulated without copying it out *)
+let read_digits t =
+  let src = t.src in
+  let len = String.length src in
+  let pos = ref t.pos and n = ref 0 in
+  while
+    !pos < len
+    && match String.unsafe_get src !pos with '0' .. '9' -> true | _ -> false
+  do
+    let d = Char.code (String.unsafe_get src !pos) - Char.code '0' in
+    if !n > (max_int - d) / 10 then fail t "integer literal out of range";
+    n := (!n * 10) + d;
+    incr pos
+  done;
+  t.pos <- !pos;
+  !n
 
 let next t =
   skip_ws t;
@@ -215,19 +238,9 @@ let next t =
     | '-' ->
         advance t;
         (match peek t with
-        | '0' .. '9' ->
-            let start = t.pos in
-            while (not (eof t)) && (match peek t with '0' .. '9' -> true | _ -> false) do
-              advance t
-            done;
-            INT (-int_of_string (String.sub t.src start (t.pos - start)))
+        | '0' .. '9' -> INT (-read_digits t)
         | _ -> OP "-")
-    | '0' .. '9' ->
-        let start = t.pos in
-        while (not (eof t)) && (match peek t with '0' .. '9' -> true | _ -> false) do
-          advance t
-        done;
-        INT (int_of_string (String.sub t.src start (t.pos - start)))
+    | '0' .. '9' -> INT (read_digits t)
     | c when is_ident_start c -> IDENT (read_ident t)
     | c -> fail t (Printf.sprintf "unexpected character %C" c)
 

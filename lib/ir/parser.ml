@@ -87,9 +87,18 @@ let parse_type st =
   arrays ();
   !ty
 
+(* one shared [Object] type for untyped locals and call-site returns;
+   call sites carry no parameter types either (dispatch matches by
+   name and arity, see DESIGN.md), so every invoke of one arity shares
+   one immutable parameter list *)
+let object_ref = Ref Types.object_class
+
+let object_params =
+  Array.init 16 (fun n -> List.init n (fun _ -> object_ref))
+
 (* ---------------- locals ---------------- *)
 
-let get_local st ?(ty = Ref Types.object_class) name =
+let get_local st ?(ty = object_ref) name =
   match Hashtbl.find_opt st.locals name with
   | Some l -> l
   | None ->
@@ -153,12 +162,15 @@ let parse_args st =
     go []
   end
 
-let mk_sig cls name args ret =
+let mk_sig cls name args =
+  let arity = List.length args in
   {
     m_class = cls;
     m_name = name;
-    m_params = List.map (fun _ -> Ref Types.object_class) args;
-    m_ret = ret;
+    m_params =
+      (if arity < Array.length object_params then object_params.(arity)
+       else List.map (fun _ -> object_ref) args);
+    m_ret = object_ref;
   }
 
 (* after the invoke keyword *)
@@ -169,7 +181,7 @@ let parse_invoke st kind =
       expect st HASH;
       let name = ident st in
       let args = parse_args st in
-      { i_kind = Static; i_sig = mk_sig cls name args (Ref Types.object_class);
+      { i_kind = Static; i_sig = mk_sig cls name args;
         i_recv = None; i_args = args }
   | Virtual | Special ->
       let dotted = ident st in
@@ -185,7 +197,7 @@ let parse_invoke st kind =
       expect st HASH;
       let name = ident st in
       let args = parse_args st in
-      { i_kind = kind; i_sig = mk_sig cls name args (Ref Types.object_class);
+      { i_kind = kind; i_sig = mk_sig cls name args;
         i_recv = Some recv; i_args = args }
 
 let invoke_kw = function

@@ -13,8 +13,8 @@ type t = {
   (* memoised hierarchy queries — call graphs are rebuilt several
      times per app (callback discovery iterates), and every virtual
      site asks for its dispatch cone each build, so these dominate
-     construction time when recomputed; any class-table mutation
-     clears them *)
+     construction time when recomputed; [insert] drops the entries a
+     class-table mutation can change *)
   sc_supertypes : (string, string list) Hashtbl.t;
   sc_subtypes : (string, Jclass.t list) Hashtbl.t;
   sc_dispatch :
@@ -56,36 +56,11 @@ let invalidate t =
   Hashtbl.reset t.sc_dispatch;
   Hashtbl.reset t.sc_concrete
 
-(** [add_class t c] registers [c].
-    @raise Duplicate_class if a class of the same name exists. *)
-let add_class t (c : Jclass.t) =
-  if Hashtbl.mem t.classes c.c_name then raise (Duplicate_class c.c_name);
-  invalidate t;
-  Hashtbl.replace t.classes c.c_name c
-
-(** [add_or_replace t c] registers [c], replacing any previous
-    definition — used to upgrade a phantom skeleton entry to a real
-    class. *)
-let add_or_replace t (c : Jclass.t) =
-  invalidate t;
-  Hashtbl.replace t.classes c.c_name c
-
 (** [find_class t name] is the registered class, if any. *)
 let find_class t name = Hashtbl.find_opt t.classes name
 
 (** [mem t name] holds when [name] is registered. *)
 let mem t name = Hashtbl.mem t.classes name
-
-(** [resolve t name] is like {!find_class} but materialises a phantom
-    class (extending [java.lang.Object]) on a miss. *)
-let resolve t name =
-  match Hashtbl.find_opt t.classes name with
-  | Some c -> c
-  | None ->
-      let c = Jclass.mk ~phantom:true name in
-      invalidate t;
-      Hashtbl.replace t.classes name c;
-      c
 
 (** [all_classes t] lists every registered class (unspecified order). *)
 let all_classes t = Hashtbl.fold (fun _ c acc -> c :: acc) t.classes []
@@ -140,6 +115,79 @@ let supertypes t name =
       Hashtbl.replace t.sc_supertypes name sups;
       sups
 
+(* [insert t c] registers [c], dropping only the memo entries the
+   insertion can change:
+   - with every cache empty (the bulk load of an app) there is nothing
+     to drop;
+   - a fresh class that no registered class names as its super or
+     interface changes only the queries about itself (its supertypes
+     and concrete resolutions) and the cones of its own supertypes (the
+     subtypes and dispatch targets keyed on one of them); every other
+     entry was computed without ever looking the name up;
+   - anything else (a replacement, a phantom upgrade, a class some
+     registered class names) invalidates every cache.
+   The kept entries hold [all_classes] order, which one more binding
+   leaves alone unless the class table grows its bucket array — it
+   does so when its size passes twice its (power-of-two) bucket count,
+   so an insertion into a table whose size is a power of two takes the
+   full invalidation too. *)
+let insert t (c : Jclass.t) =
+  let name = c.c_name in
+  let caches_empty =
+    Hashtbl.length t.sc_supertypes = 0
+    && Hashtbl.length t.sc_subtypes = 0
+    && Hashtbl.length t.sc_dispatch = 0
+    && Hashtbl.length t.sc_concrete = 0
+  in
+  let size = Hashtbl.length t.classes in
+  let fresh_unnamed () =
+    (not (Hashtbl.mem t.classes name))
+    && size land (size - 1) <> 0
+    && not
+         (Hashtbl.fold
+            (fun _ (d : Jclass.t) named ->
+              named || d.c_super = Some name || List.mem name d.c_interfaces)
+            t.classes false)
+  in
+  if caches_empty then Hashtbl.replace t.classes name c
+  else if fresh_unnamed () then begin
+    Hashtbl.replace t.classes name c;
+    Hashtbl.remove t.sc_supertypes name;
+    let sups = supertypes t name in
+    List.iter (Hashtbl.remove t.sc_subtypes) sups;
+    let stale keep tbl =
+      Hashtbl.fold (fun k _ acc -> if keep k then acc else k :: acc) tbl []
+      |> List.iter (Hashtbl.remove tbl)
+    in
+    stale (fun (st, _, _) -> not (List.mem st sups)) t.sc_dispatch;
+    stale (fun (cls, _, _) -> cls <> name) t.sc_concrete
+  end
+  else begin
+    invalidate t;
+    Hashtbl.replace t.classes name c
+  end
+
+(** [add_class t c] registers [c].
+    @raise Duplicate_class if a class of the same name exists. *)
+let add_class t (c : Jclass.t) =
+  if Hashtbl.mem t.classes c.c_name then raise (Duplicate_class c.c_name);
+  insert t c
+
+(** [add_or_replace t c] registers [c], replacing any previous
+    definition — used to upgrade a phantom skeleton entry to a real
+    class. *)
+let add_or_replace = insert
+
+(** [resolve t name] is like {!find_class} but materialises a phantom
+    class (extending [java.lang.Object]) on a miss. *)
+let resolve t name =
+  match Hashtbl.find_opt t.classes name with
+  | Some c -> c
+  | None ->
+      let c = Jclass.mk ~phantom:true name in
+      insert t c;
+      c
+
 (** [is_subtype t sub sup] decides the subtype relation, treating every
     class as a subtype of [java.lang.Object] and of itself. *)
 let is_subtype t sub sup =
@@ -160,24 +208,29 @@ let subtypes t name =
       Hashtbl.replace t.sc_subtypes name subs;
       subs
 
-(** [resolve_concrete t cls subsig] walks the superclass chain starting
-    at [cls] looking for a concrete (non-abstract) declaration of
-    [subsig]; this is runtime virtual dispatch for an exact receiver
-    class. *)
-let resolve_concrete t cls (name, params) =
+(** [resolve_concrete_uncached t cls subsig] walks the superclass chain
+    starting at [cls] looking for a concrete (non-abstract) declaration
+    of [subsig]; this is runtime virtual dispatch for an exact receiver
+    class.  The answer is not memoised. *)
+let rec resolve_concrete_uncached t cls ((name, params) as subsig) =
+  match find_class t cls with
+  | None -> None
+  | Some c -> (
+      match Jclass.find_method c name params with
+      | Some m when not m.jm_abstract -> Some (c, m)
+      | _ -> (
+          match c.c_super with
+          | Some s -> resolve_concrete_uncached t s subsig
+          | None -> None))
+
+(** [resolve_concrete t cls subsig] is {!resolve_concrete_uncached},
+    memoised. *)
+let resolve_concrete t cls ((name, params) as subsig) =
   let key = (cls, name, params) in
   match Hashtbl.find_opt t.sc_concrete key with
   | Some r -> r
   | None ->
-      let rec go cls =
-        match find_class t cls with
-        | None -> None
-        | Some c -> (
-            match Jclass.find_method c name params with
-            | Some m when not m.jm_abstract -> Some (c, m)
-            | _ -> ( match c.c_super with Some s -> go s | None -> None))
-      in
-      let r = go cls in
+      let r = resolve_concrete_uncached t cls subsig in
       Hashtbl.replace t.sc_concrete key r;
       r
 

@@ -60,6 +60,12 @@ val resolve_concrete :
     dispatch for an exact receiver class.  Matching is by name and
     arity (see DESIGN.md). *)
 
+val resolve_concrete_uncached :
+  t -> string -> string * Types.typ list -> (Jclass.t * Jclass.jmethod) option
+(** {!resolve_concrete} without memoising the answer, for one-off
+    probes that nothing asks again: a memoised answer stays in the
+    scene for the rest of the analysis *)
+
 val resolve_concrete_named :
   t -> string -> string -> (Jclass.t * Jclass.jmethod) option
 (** {!resolve_concrete} matching on the method name only *)

@@ -73,10 +73,12 @@ let methods_of = function
 
 (** [implemented scene cls lc] resolves the lifecycle method [lc] to a
     concrete body-bearing implementation on [cls], if the app
-    overrides it. *)
+    overrides it.  Most probes find nothing and no call site asks them
+    again, so they bypass the scene's memo rather than stay in it
+    through the solve. *)
 let implemented scene cls lc =
   match
-    Scene.resolve_concrete scene cls (lc.lc_name, lc.lc_params)
+    Scene.resolve_concrete_uncached scene cls (lc.lc_name, lc.lc_params)
   with
   | Some (decl, meth) when Jclass.has_body meth && not decl.Jclass.c_phantom ->
       Some (decl, meth)

@@ -162,6 +162,16 @@ let reset () =
   Atomic.set epoch nan;
   Mutex.unlock stores_lock
 
+(* only the owning domain writes its count; the lock orders the write
+   against a concurrent merge *)
+let reset_domain () =
+  let ds = my () in
+  if ds.ds_stack = [] then begin
+    Mutex.lock stores_lock;
+    ds.ds_count <- 0;
+    Mutex.unlock stores_lock
+  end
+
 let to_chrome_json () =
   let events =
     Array.to_list

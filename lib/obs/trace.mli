@@ -47,6 +47,12 @@ val reset : unit -> unit
 (** drop all recorded spans and re-arm the epoch; open spans are
     discarded *)
 
+val reset_domain : unit -> unit
+(** drop the spans the calling domain has recorded, leaving other
+    domains' spans and the epoch alone; a no-op while a span is open
+    on this domain.  A long-lived worker domain calls it between jobs
+    so that its store does not grow with every job it runs. *)
+
 val to_chrome_json : unit -> Json.t
 (** the ["traceEvents"] document: one complete ("ph":"X") event per
     span, timestamps in microseconds *)

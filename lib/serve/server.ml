@@ -673,6 +673,9 @@ let rec worker_loop t slot =
          worker domain and exercises the supervisor *)
       Chaos.fail_point req.q_chaos_kill "serve.worker";
       process t req;
+      (* nothing reads a worker's spans; without this its trace store
+         would keep every span of every request it has served *)
+      Fd_obs.Trace.reset_domain ();
       Atomic.set t.t_inflight.(slot) None;
       publish_gauges t;
       worker_loop t slot

@@ -240,6 +240,218 @@ let test_superclasses_chain () =
     [ "t.Mid"; "t.Base"; "java.lang.Object" ]
     (Scene.superclasses sc "t.Leaf")
 
+(* ---------------- scene cache maintenance ---------------- *)
+
+(* Inserting a class keeps the memoised hierarchy answers it cannot
+   change.  The property: warm a random scene's caches, insert a class
+   through one of the insertion paths, and every query must answer
+   exactly as on a scene that replayed the same mutations cold, list
+   order included. *)
+
+let universe = 14
+let hname i = Printf.sprintf "h.C%d" i
+let fresh_name = "h.Fresh"
+
+(* a class of the universe: a superclass of lower index (so superclass
+   chains are acyclic), interfaces of any index, some of [m]/[n] at
+   arity 0 or 1, abstract or not *)
+type hdef = {
+  h_super : int option;
+  h_ifaces : int list;
+  h_iface : bool;
+  h_meths : (string * int * bool) list;
+}
+
+let gen_hdef i =
+  let open QCheck.Gen in
+  let* h_super =
+    if i = 0 then return None else opt ~ratio:0.7 (int_bound (i - 1))
+  in
+  let* h_ifaces = list_size (int_bound 2) (int_bound (universe - 1)) in
+  let* h_iface = frequency [ (4, return false); (1, return true) ] in
+  let* h_meths =
+    list_size (int_bound 3)
+      (triple (oneofl [ "m"; "n" ]) (int_bound 1)
+         (frequency [ (3, return false); (1, return true) ]))
+  in
+  return { h_super; h_ifaces; h_iface; h_meths }
+
+let class_of name d =
+  let meth (n, arity, abstract) =
+    let params = List.init arity (fun _ -> T.Ref T.object_class) in
+    if abstract then B.abstract_meth n ~params name
+    else B.meth n ~params (fun m -> B.ret m) name
+  in
+  let super =
+    match d.h_super with Some j -> hname j | None -> T.object_class
+  in
+  Jclass.mk name ~super:(Some super) ~interfaces:(List.map hname d.h_ifaces)
+    ~is_interface:d.h_iface ~methods:(List.map meth d.h_meths)
+
+type query =
+  | Q_super of string
+  | Q_sub of string
+  | Q_dispatch of string * int  (** static type, index into [subsigs] *)
+  | Q_concrete of string * int
+
+let subsigs =
+  let obj = [ T.Ref T.object_class ] in
+  [| ("m", []); ("m", obj); ("n", []); ("n", obj) |]
+
+let query_names =
+  fresh_name :: T.object_class :: "h.Nowhere" :: List.init universe hname
+
+let answer sc = function
+  | Q_super x -> Scene.supertypes sc x
+  | Q_sub x ->
+      List.map (fun (c : Jclass.t) -> c.Jclass.c_name) (Scene.subtypes sc x)
+  | Q_dispatch (x, k) ->
+      List.map
+        (fun ((c : Jclass.t), (m : Jclass.jmethod)) ->
+          c.Jclass.c_name ^ "#" ^ m.Jclass.jm_sig.T.m_name)
+        (Scene.dispatch_targets sc ~static_type:x subsigs.(k))
+  | Q_concrete (x, k) -> (
+      match Scene.resolve_concrete sc x subsigs.(k) with
+      | Some (c, _) -> [ c.Jclass.c_name ]
+      | None -> [])
+
+let all_queries =
+  List.concat_map
+    (fun x ->
+      [ Q_super x; Q_sub x ]
+      @ List.concat_map
+          (fun k -> [ Q_dispatch (x, k); Q_concrete (x, k) ])
+          [ 0; 1; 2; 3 ])
+    query_names
+
+(* the insertion under test *)
+type insertion =
+  | Ins_cold of int  (** an unregistered class into a scene never queried *)
+  | Ins_fresh of hdef  (** [h.Fresh], which no class names *)
+  | Ins_unregistered of int  (** an unregistered class of the universe *)
+  | Ins_replace of int * hdef  (** a registered class, redefined *)
+  | Ins_phantom of int  (** materialised as a phantom, then upgraded *)
+
+type scenario = {
+  defs : hdef array;
+  registered : bool array;
+  warm : query list;
+  ins : insertion;
+}
+
+let gen_scenario =
+  let open QCheck.Gen in
+  let* defs = flatten_a (Array.init universe gen_hdef) in
+  (* 10 to 13 registered classes: no power of two, so the table never
+     grows on this insertion and each path is taken as chosen *)
+  let* missing = int_range 1 4 in
+  let* perm = shuffle_l (List.init universe Fun.id) in
+  let registered = Array.make universe true in
+  List.iteri (fun k i -> if k < missing then registered.(i) <- false) perm;
+  let indices = List.init universe Fun.id in
+  let unregistered = List.filter (fun i -> not registered.(i)) indices in
+  let registered_l = List.filter (fun i -> registered.(i)) indices in
+  let* warm =
+    list_size (int_range 1 40)
+      (let* x = oneofl query_names and* k = int_bound 3 and* q = int_bound 3 in
+       return
+         (match q with
+         | 0 -> Q_super x
+         | 1 -> Q_sub x
+         | 2 -> Q_dispatch (x, k)
+         | _ -> Q_concrete (x, k)))
+  in
+  let* ins =
+    let* u = oneofl unregistered and* r = oneofl registered_l in
+    let* fresh = gen_hdef universe and* redef = gen_hdef r in
+    oneofl
+      [
+        Ins_cold u;
+        Ins_fresh fresh;
+        Ins_unregistered u;
+        Ins_replace (r, redef);
+        Ins_phantom u;
+      ]
+  in
+  return { defs; registered; warm; ins }
+
+let print_scenario sc =
+  Printf.sprintf "registered=[%s] warm=%d insertion=%s"
+    (String.concat ";"
+       (List.filter_map
+          (fun i -> if sc.registered.(i) then Some (string_of_int i) else None)
+          (List.init universe Fun.id)))
+    (List.length sc.warm)
+    (match sc.ins with
+    | Ins_cold i -> "cold " ^ hname i
+    | Ins_fresh _ -> "fresh"
+    | Ins_unregistered i -> "unregistered " ^ hname i
+    | Ins_replace (i, _) -> "replace " ^ hname i
+    | Ins_phantom i -> "phantom " ^ hname i)
+
+(* replay a scenario: register, optionally warm, insert *)
+let play ~warm s =
+  let sc = Scene.create () in
+  Array.iteri
+    (fun i d ->
+      if s.registered.(i) then Scene.add_class sc (class_of (hname i) d))
+    s.defs;
+  let warm_up () =
+    if warm then List.iter (fun q -> ignore (answer sc q)) s.warm
+  in
+  (match s.ins with
+  | Ins_cold i -> Scene.add_class sc (class_of (hname i) s.defs.(i))
+  | Ins_fresh d ->
+      warm_up ();
+      Scene.add_class sc (class_of fresh_name d)
+  | Ins_unregistered i ->
+      warm_up ();
+      Scene.add_class sc (class_of (hname i) s.defs.(i))
+  | Ins_replace (i, d) ->
+      warm_up ();
+      Scene.add_or_replace sc (class_of (hname i) d)
+  | Ins_phantom i ->
+      warm_up ();
+      ignore (Scene.resolve sc (hname i));
+      warm_up ();
+      Scene.add_or_replace sc (class_of (hname i) s.defs.(i)));
+  List.map (answer sc) all_queries
+
+let prop_scene_insert_keeps_caches_exact =
+  QCheck.Test.make ~name:"scene insertion: warm caches answer as a cold rebuild"
+    ~count:300
+    (QCheck.make ~print:print_scenario gen_scenario)
+    (fun s -> play ~warm:true s = play ~warm:false s)
+
+(* a fresh, unnamed class that makes the class table grow its bucket
+   array reorders [all_classes]: cached cones must not keep the old
+   order *)
+let test_insert_growing_table () =
+  let build () =
+    let sc = Scene.create () in
+    Scene.add_class sc (B.cls "g.Base" [ B.meth "m" (fun m -> B.ret m) ]);
+    for i = 1 to 255 do
+      Scene.add_class sc
+        (B.cls (Printf.sprintf "g.S%d" i) ~super:"g.Base"
+           [ B.meth "m" (fun m -> B.ret m) ])
+    done;
+    sc
+  in
+  let cone sc =
+    ( List.map
+        (fun (c : Jclass.t) -> c.Jclass.c_name)
+        (Scene.subtypes sc "g.Base"),
+      List.map
+        (fun ((c : Jclass.t), _) -> c.Jclass.c_name)
+        (Scene.dispatch_targets sc ~static_type:"g.Base" ("m", [])) )
+  in
+  let warm = build () and cold = build () in
+  ignore (cone warm);
+  Scene.add_class warm (B.cls "g.Other" []);
+  Scene.add_class cold (B.cls "g.Other" []);
+  Alcotest.(check (pair (list string) (list string)))
+    "cone order" (cone cold) (cone warm)
+
 (* ---------------- pretty / parser round-trip ---------------- *)
 
 let leakage_like () =
@@ -397,6 +609,49 @@ class t.Ops {
       | _ -> Alcotest.fail "re-parse failed")
   | _ -> Alcotest.fail "parse failed"
 
+let lex src =
+  let lx = Lexer.create src in
+  let rec go acc =
+    match Lexer.next lx with
+    | Lexer.EOF -> List.rev acc
+    | tok -> go (Lexer.string_of_token tok :: acc)
+  in
+  go []
+
+let test_lexer_identifiers () =
+  let id = Printf.sprintf "identifier %S" and op = Printf.sprintf "operator %S" in
+  let dot = "'.'" in
+  let cases =
+    [
+      ("x.foo#f", [ id "x.foo"; "'#'"; id "f" ]);
+      ("a.", [ id "a"; dot ]);
+      ("a..b", [ id "a"; dot; dot; id "b" ]);
+      ("a.1", [ id "a"; dot; "integer 1" ]);
+      ("<init>", [ id "<init>" ]);
+      ("p.Q.<clinit>", [ id "p.Q"; dot; id "<clinit>" ]);
+      ("a < b", [ id "a"; op "<"; id "b" ]);
+      (* '<' then an identifier but no '>': backtrack to the operator *)
+      ("a <b;", [ id "a"; op "<"; id "b"; "';'" ]);
+      ("a <b.c <= d", [ id "a"; op "<"; id "b.c"; op "<="; id "d" ]);
+      ("$x_1.y$ _a", [ id "$x_1.y$"; id "_a" ]);
+      ("abc", [ id "abc" ]);
+      ("a.b9", [ id "a.b9" ]);
+      ("x-12 007", [ id "x"; "integer -12"; "integer 7" ]);
+      (string_of_int max_int, [ Printf.sprintf "integer %d" max_int ]);
+    ]
+  in
+  List.iter
+    (fun (src, want) -> Alcotest.(check (list string)) src want (lex src))
+    cases;
+  (match lex (string_of_int max_int ^ "0") with
+  | exception Lexer.Lex_error (1, _) -> ()
+  | _ -> Alcotest.fail "an integer literal beyond max_int must not lex");
+  (* the line count survives identifiers next to newlines *)
+  let lx = Lexer.create "a.b\nc" in
+  ignore (Lexer.next lx);
+  ignore (Lexer.next lx);
+  Alcotest.(check int) "line" 2 lx.Lexer.line
+
 (* property: every DSL-built random straight-line body round-trips *)
 
 let gen_prog : Jclass.t QCheck.Gen.t =
@@ -512,6 +767,8 @@ let () =
             test_resolve_concrete_inherited;
           Alcotest.test_case "duplicate class" `Quick test_duplicate_class;
           Alcotest.test_case "superclass chain" `Quick test_superclasses_chain;
+          Alcotest.test_case "insertion growing the class table" `Quick
+            test_insert_growing_table;
         ] );
       ( "text",
         [
@@ -520,9 +777,12 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "comments and operators" `Quick
             test_parse_comments_and_ops;
+          Alcotest.test_case "lexer identifier boundaries" `Quick
+            test_lexer_identifiers;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_print_parse_roundtrip; prop_body_succs_in_range;
-            prop_parser_total; prop_parser_mutation ] );
+            prop_parser_total; prop_parser_mutation;
+            prop_scene_insert_keeps_caches_exact ] );
     ]

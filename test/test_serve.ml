@@ -418,6 +418,28 @@ let test_chaos_exactly_one_reply () =
           | _ -> Alcotest.fail (label ^ ": reply without ok field"))
         got)
 
+(* ---------------- bounded trace growth ---------------- *)
+
+(* tracing is always on, and each worker domain records its spans into
+   a store of its own: a daemon that kept them all would grow with
+   every request it served.  Workers drop their spans between
+   requests, so 200 analyses leave no more spans than one does. *)
+let test_spans_bounded () =
+  let socket = fresh_socket () in
+  let spans () = List.length (Fd_obs.Trace.spans ()) in
+  let before = spans () in
+  let replies = ref 0 in
+  with_server (base_cfg socket) (fun _server ->
+      with_client socket (fun c ->
+          for i = 0 to 199 do
+            if is_ok (Client.analyze c (analyze_req (gen_app (i mod 8)))) then
+              incr replies
+          done));
+  Alcotest.(check int) "every request answered" 200 !replies;
+  let grown = spans () - before in
+  if grown > 50 then
+    Alcotest.failf "200 requests left %d more spans than before" grown
+
 let () =
   Alcotest.run "serve"
     [
@@ -450,5 +472,7 @@ let () =
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
           Alcotest.test_case "chaos: exactly one reply" `Quick
             test_chaos_exactly_one_reply;
+          Alcotest.test_case "spans bounded over 200 requests" `Quick
+            test_spans_bounded;
         ] );
     ]
