@@ -2,11 +2,13 @@
 # Smoke test for the observability layer: run one DroidBench case
 # end-to-end through flowdroid_cli with --stats-json/--trace-out and
 # fail unless the emitted JSON carries the required keys.  Then gate
-# the provenance layer:
+# the provenance layer and the profiler the same way:
 #
-#   - the DroidBench table with --provenance is byte-identical to the
-#     default run (recording witnesses must not change any result);
-#   - provenance-on solver time stays under 1.3x the default run;
+#   - the DroidBench table with --provenance, and with --profile-out,
+#     is byte-identical to the default run (recording witnesses or
+#     profiling must not change any result);
+#   - provenance-on and profile-on solver time each stay under 1.3x
+#     the default run;
 #   - --provenance/--profile-out stats carry the new keys (witnesses,
 #     p50/p90/p99, profile) and the collapsed-stack file is well
 #     formed.
@@ -94,7 +96,20 @@ else
   fail=1
 fi
 
-echo "== check_obs: provenance overhead on the perf workload"
+echo "== check_obs: profiler off/on byte-identity (DroidBench table)"
+dune exec --display=quiet bin/droidbench_runner.exe -- \
+  --profile-out "$work/table.folded" > "$work/table_prof.txt" 2>/dev/null
+if cmp -s "$work/table_off.txt" "$work/table_prof.txt"; then
+  echo "ok: table identical with profiling on"
+  prof_identical=true
+else
+  echo "FAIL: --profile-out changed the DroidBench table"
+  diff "$work/table_off.txt" "$work/table_prof.txt" | head -20
+  prof_identical=false
+  fail=1
+fi
+
+echo "== check_obs: provenance and profiler overhead on the perf workload"
 # solver seconds = the core.analysis_seconds histogram sum across the
 # whole table run; take the best of two runs per config to damp noise
 solve_sum () {
@@ -104,10 +119,15 @@ solve_sum () {
 }
 t_off_1=$(solve_sum "");            t_off_2=$(solve_sum "")
 t_on_1=$(solve_sum "--provenance"); t_on_2=$(solve_sum "--provenance")
+t_prof_1=$(solve_sum "--profile-out $work/ov.folded")
+t_prof_2=$(solve_sum "--profile-out $work/ov.folded")
 off_s=$(python3 -c "print(repr(min($t_off_1, $t_off_2)))")
 on_s=$(python3 -c "print(repr(min($t_on_1, $t_on_2)))")
+profile_on_s=$(python3 -c "print(repr(min($t_prof_1, $t_prof_2)))")
 overhead=$(python3 -c "
 print('%.3f' % ($on_s / $off_s if $off_s > 0 else 1.0))")
+profile_overhead=$(python3 -c "
+print('%.3f' % ($profile_on_s / $off_s if $off_s > 0 else 1.0))")
 # 50 ms absolute slack: the whole workload solves in well under a
 # second, where scheduler noise would otherwise dominate the ratio.
 # BENCH_obs2.json records off_s, on_s, the limit and the slack, so the
@@ -119,6 +139,14 @@ if [ "$ov_ok" = true ]; then
   echo "ok: provenance overhead ${overhead}x (limit 1.3x)"
 else
   echo "FAIL: provenance overhead ${overhead}x exceeds 1.3x"
+  fail=1
+fi
+prof_ok=$(python3 -c "
+print('true' if $profile_on_s <= 1.3 * $off_s + $slack_s else 'false')")
+if [ "$prof_ok" = true ]; then
+  echo "ok: profiler overhead ${profile_overhead}x (limit 1.3x)"
+else
+  echo "FAIL: profiler overhead ${profile_overhead}x exceeds 1.3x"
   fail=1
 fi
 
@@ -159,6 +187,9 @@ cat > BENCH_obs2.json <<EOF
   "provenance_overhead_x": $overhead,
   "off_s": $off_s,
   "on_s": $on_s,
+  "profile_table_identical": $prof_identical,
+  "profile_overhead_x": $profile_overhead,
+  "profile_on_s": $profile_on_s,
   "overhead_limit_x": 1.3,
   "slack_s": $slack_s,
   "witnesses": $witness_count,

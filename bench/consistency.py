@@ -19,23 +19,31 @@ import os
 import sys
 
 # recorded ratios are rounded by the writer: 2 decimals for the
-# speedups, 3 for the provenance overhead
+# speedups, 3 for the provenance and profiler overheads
 TOL_2DP = 0.005 + 1e-9
 TOL_3DP = 0.0005 + 1e-9
 
 
 def check_obs2(d):
     errs = []
-    within = d["on_s"] <= d["overhead_limit_x"] * d["off_s"] + d["slack_s"]
-    ratio = d["on_s"] / d["off_s"] if d["off_s"] > 0 else 1.0
-    if abs(ratio - d["provenance_overhead_x"]) > TOL_3DP:
-        errs.append("provenance_overhead_x %.3f but on_s / off_s = %.4f"
-                    % (d["provenance_overhead_x"], ratio))
-    if d["pass"] and not within:
-        errs.append("pass is true but on_s %.4f > %.2f x off_s %.4f + slack %.3f"
-                    % (d["on_s"], d["overhead_limit_x"], d["off_s"], d["slack_s"]))
-    if d["pass"] and d.get("provenance_table_identical") is not True:
-        errs.append("pass is true but the provenance table is not identical")
+    # (feature, its solve seconds, its recorded overhead, its table flag)
+    for name, on_key, x_key, same_key in [
+            ("provenance", "on_s", "provenance_overhead_x",
+             "provenance_table_identical"),
+            ("profile", "profile_on_s", "profile_overhead_x",
+             "profile_table_identical")]:
+        on_s = d[on_key]
+        within = on_s <= d["overhead_limit_x"] * d["off_s"] + d["slack_s"]
+        ratio = on_s / d["off_s"] if d["off_s"] > 0 else 1.0
+        if abs(ratio - d[x_key]) > TOL_3DP:
+            errs.append("%s %.3f but %s / off_s = %.4f"
+                        % (x_key, d[x_key], on_key, ratio))
+        if d["pass"] and not within:
+            errs.append("pass is true but %s %.4f > %.2f x off_s %.4f + slack %.3f"
+                        % (on_key, on_s, d["overhead_limit_x"], d["off_s"],
+                           d["slack_s"]))
+        if d["pass"] and d.get(same_key) is not True:
+            errs.append("pass is true but the %s table is not identical" % name)
     return errs
 
 

@@ -20,12 +20,5 @@ type opts = {
   max_access_path : int;
 }
 
-val appscan_like : opts
-val fortify_like : opts
-
-val run : opts -> Fd_frontend.Apk.t -> (string option * string option) list
-(** [run opts apk] analyses the app and returns (source tag, sink tag)
-    findings. *)
-
 val run_appscan : Fd_frontend.Apk.t -> (string option * string option) list
 val run_fortify : Fd_frontend.Apk.t -> (string option * string option) list

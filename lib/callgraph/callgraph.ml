@@ -325,14 +325,6 @@ let clinit_sites cg callee =
       if List.exists (Mkey.equal callee) tgts then site :: acc else acc)
     cg.cg_clinit []
 
-(** [refl_sites cg callee] — every reflective call site resolving to
-    [callee]. *)
-let refl_sites cg callee =
-  Hashtbl.fold
-    (fun site tgts acc ->
-      if List.exists (Mkey.equal callee) tgts then site :: acc else acc)
-    cg.cg_refl []
-
 (** [callers cg callee] is the call sites that may invoke [callee]. *)
 let callers cg callee =
   Option.value (Hashtbl.find_opt cg.cg_in callee) ~default:[]

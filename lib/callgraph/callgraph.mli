@@ -44,9 +44,6 @@ val clinit_sites : t -> Mkey.t -> (Mkey.t * int) list
 (** every (caller, stmt) first-use site triggering the given
     [<clinit>] method *)
 
-val refl_sites : t -> Mkey.t -> (Mkey.t * int) list
-(** every reflective call site resolving to the given method *)
-
 val callers : t -> Mkey.t -> (Mkey.t * int) list
 (** the call sites that may invoke a method *)
 

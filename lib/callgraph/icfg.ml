@@ -105,12 +105,6 @@ let clinit_sites g m =
     (fun (caller, idx) -> { n_method = caller; n_idx = idx })
     (Callgraph.clinit_sites g.cg m)
 
-(** [refl_sites g m] — every reflective call node resolving to [m]. *)
-let refl_sites g m =
-  List.map
-    (fun (caller, idx) -> { n_method = caller; n_idx = idx })
-    (Callgraph.refl_sites g.cg m)
-
 (** [is_call g n] holds when node [n] contains an invoke. *)
 let is_call g n = Stmt.is_call (stmt g n)
 

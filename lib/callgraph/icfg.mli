@@ -65,9 +65,6 @@ val refl_callees : t -> node -> Mkey.t list
 val clinit_sites : t -> Mkey.t -> node list
 (** every node whose first-use edge triggers the given [<clinit>] *)
 
-val refl_sites : t -> Mkey.t -> node list
-(** every reflective call node resolving to the given method *)
-
 val is_call : t -> node -> bool
 val invoke : t -> node -> Stmt.invoke option
 val is_exit : t -> node -> bool

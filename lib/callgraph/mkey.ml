@@ -44,7 +44,6 @@ let of_method (cls : Jclass.t) (m : Jclass.jmethod) =
   }
 
 let to_string k = Printf.sprintf "%s.%s/%d" k.mk_class k.mk_name k.mk_arity
-let pp fmt k = Format.pp_print_string fmt (to_string k)
 
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t

@@ -17,7 +17,5 @@ val of_method : Jclass.t -> Jclass.jmethod -> t
 val to_string : t -> string
 (** e.g. ["a.B.m/2"] *)
 
-val pp : Format.formatter -> t -> unit
-
 module Tbl : Hashtbl.S with type key = t
 module Set : Set.S with type elt = t

@@ -33,18 +33,6 @@ let rec equal_fields xs ys =
 let equal a b =
   a == b || (equal_base a.base b.base && equal_fields a.fields b.fields)
 
-let compare_base a b =
-  match (a, b) with
-  | Bloc x, Bloc y -> Stmt.compare_local x y
-  | Bstatic f, Bstatic g -> Types.compare_field_sig f g
-  | Bloc _, Bstatic _ -> -1
-  | Bstatic _, Bloc _ -> 1
-
-let compare a b =
-  match compare_base a.base b.base with
-  | 0 -> List.compare Types.compare_field_sig a.fields b.fields
-  | c -> c
-
 (* a fold over the base and *every* field segment: [Hashtbl.hash]
    stops at its meaningful-node limit, so paths differing only deep in
    the chain used to collide (and the old version allocated a whole
@@ -64,8 +52,6 @@ let to_string t =
   in
   List.fold_left (fun acc f -> acc ^ "." ^ f.Types.f_name) b t.fields
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 (** [of_local l] is the length-0 path [l]. *)
 let of_local l = { base = Bloc l; fields = [] }
 
@@ -84,12 +70,6 @@ let length t = List.length t.fields
 let truncate ~k t =
   if length t <= k then t
   else { t with fields = List.filteri (fun i _ -> i < k) t.fields }
-
-(** [append ~k t f] is [t.f], truncated to length [k]. *)
-let append ~k t f = truncate ~k { t with fields = t.fields @ [ f ] }
-
-(** [base_local t] is the base if it is a local. *)
-let base_local t = match t.base with Bloc l -> Some l | Bstatic _ -> None
 
 (** [is_static t] holds for static-field-rooted paths. *)
 let is_static t = match t.base with Bstatic _ -> true | Bloc _ -> false

@@ -19,8 +19,6 @@ type t = {
 }
 
 val equal : t -> t -> bool
-val equal_base : base -> base -> bool
-val compare : t -> t -> int
 
 val hash : t -> int
 (** a fold over the base and {e every} field segment — paths that
@@ -29,8 +27,6 @@ val hash : t -> int
 
 val to_string : t -> string
 (** e.g. ["x.f.g"] or ["<C#f>.g"] for static roots. *)
-
-val pp : Format.formatter -> t -> unit
 
 val of_local : Stmt.local -> t
 (** [of_local l] is the length-0 path [l]. *)
@@ -47,12 +43,6 @@ val length : t -> int
 val truncate : k:int -> t -> t
 (** [truncate ~k t] drops fields beyond the maximal length [k]; by the
     implicit-suffix semantics this only widens the described set. *)
-
-val append : k:int -> t -> Types.field_sig -> t
-(** [append ~k t f] is [t.f], truncated to length [k]. *)
-
-val base_local : t -> Stmt.local option
-(** [base_local t] is the base if it is a local. *)
 
 val is_static : t -> bool
 (** [is_static t] holds for static-field-rooted paths. *)

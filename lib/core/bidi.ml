@@ -43,7 +43,6 @@ module SS = Fd_frontend.Sourcesink
    resolved once so hot-path updates are single field increments *)
 module M = Fd_obs.Metrics
 module Prov = Fd_obs.Provenance
-module Flight = Fd_obs.Ring.Flight
 
 let m_path_edges = M.counter "ifds.path_edges"
 let m_worklist_pushes = M.counter "ifds.worklist_pushes"
@@ -65,7 +64,7 @@ let m_findings = M.counter "core.findings"
 (* one step of a provenance witness: the program point, its statement
    and the solver fact that held there, plus the flow-function kind
    that derived it from the previous step *)
-type witness_step = {
+type witness_step = Solver_ext.witness_step = {
   ws_node : Icfg.node;
   ws_stmt : string;
   ws_fact : string;
@@ -112,7 +111,6 @@ let g_intern_ctxs = M.gauge "intern.ctxs.size"
 let g_bytes_fw = M.gauge "mem.fw_tables.bytes"
 let g_bytes_bw = M.gauge "mem.bw_tables.bytes"
 let g_bytes_facts = M.gauge "mem.fact_pool.bytes"
-let g_bytes_prov = M.gauge "mem.provenance.bytes"
 
 module Int_tbl = Hashtbl.Make (Int)
 
@@ -146,8 +144,9 @@ type minfo = {
   mi_exits : int list;
   mutable mi_start_ni : ninfo option;
   mutable mi_exit_nis : ninfo list option;
-  mutable mi_prof : Fd_obs.Profile.cell option;
-      (** cached profiler cell, resolved on first pop when profiling *)
+  mutable mi_must_alias : Fd_precision.Must_alias.t option;
+      (** the strong-update pass's must-alias partitions, computed on
+          the first query *)
 }
 
 (* per-node view: everything the solver used to recompute on every
@@ -238,74 +237,10 @@ type t = {
   act_sites : unit Node_tbl.t Node_tbl.t;
   act_methods : unit Mkey.Tbl.t Node_tbl.t;
   budget : Fd_resilience.Budget.t;
-  (* per-method must-alias results, computed lazily when the
-     strong-update precision pass is on *)
-  ma_cache : Fd_precision.Must_alias.t Mkey.Tbl.t;
-  (* provenance: the edge store ([None] = off), the interned id of the
-     zero fact, and the node/fact ids of the worklist item currently
-     being processed (every propagation's predecessor) *)
-  prov : Prov.t option;
-  zero_fid : int;
-  mutable cur_node : int;
-  mutable cur_fact : int;
-  (* persistent summary store ([None] = off, the default): the solver
-     hooks, the sink reports recorded per context (captured before
-     global dedup so a stored context is self-contained), and the
-     contexts whose summaries came from the store (replayed, never
-     re-persisted) *)
-  store : Summary.hooks option;
-  cx_reports : Summary.sink_report list ref Int_tbl.t;
-  injected_cxs : unit Int_tbl.t;
+  mutable ext : Solver_ext.t;
+      (** the enabled extensions (see {!create}), set once the engine
+          exists because they read it through a view *)
 }
-
-let create ?budget ?store ~config ~icfg ~scene ~mgr ~wrappers ~natives () =
-  let budget =
-    match budget with
-    | Some b -> b
-    | None ->
-        Fd_resilience.Budget.create ?deadline_s:config.Config.deadline_s
-          ~max_propagations:config.Config.max_propagations ()
-  in
-  let facts = Fact_pool.create ~size:512 () in
-  let prov = if config.Config.provenance then Some (Prov.create ()) else None in
-  (* the zero fact's pool id, for witness-prefix trimming; interned
-     only when provenance is on so a default run's pool statistics are
-     untouched *)
-  let zero_fid =
-    match prov with Some _ -> Fact_pool.id facts Taint.Zero | None -> -2
-  in
-  {
-    cfg = config;
-    icfg;
-    scene;
-    mgr;
-    wrappers;
-    natives;
-    facts;
-    minfos = Mkey.Tbl.create 256;
-    n_minfos = 0;
-    ninfos = Node_tbl.create 512;
-    ninfo_by_id = [||];
-    n_ninfos = 0;
-    cctxs = I2_tbl.create 256;
-    cctx_by_id = [||];
-    n_cctxs = 0;
-    fw = mk_solver ();
-    bw = mk_solver ();
-    findings = [];
-    finding_keys = Hashtbl.create 64;
-    act_sites = Node_tbl.create 16;
-    act_methods = Node_tbl.create 16;
-    budget;
-    ma_cache = Mkey.Tbl.create 16;
-    prov;
-    zero_fid;
-    cur_node = -1;
-    cur_fact = -1;
-    store;
-    cx_reports = Int_tbl.create 64;
-    injected_cxs = Int_tbl.create 64;
-  }
 
 let k t = t.cfg.Config.max_access_path
 let prec t = t.cfg.Config.precision
@@ -348,7 +283,7 @@ let minfo_of t mk =
           mi_exits = exits;
           mi_start_ni = None;
           mi_exit_nis = None;
-          mi_prof = None;
+          mi_must_alias = None;
         }
       in
       t.n_minfos <- t.n_minfos + 1;
@@ -462,15 +397,6 @@ let cctx t (mi : minfo) fact =
 
 (* ---------------- propagation ---------------- *)
 
-(* profiler cell for a method, resolved once and cached on the minfo *)
-let prof_cell (mi : minfo) =
-  match mi.mi_prof with
-  | Some c -> c
-  | None ->
-      let c = Fd_obs.Profile.cell (Mkey.to_string mi.mi_key) in
-      mi.mi_prof <- Some c;
-      c
-
 (* probe, then [Budget.tick], then insert at the probed slot: a
    budget-stopped run records exactly the edges it ticked for *)
 let propagate ?(kind = Prov.Normal) t solver cx (ni : ninfo) fact =
@@ -481,29 +407,15 @@ let propagate ?(kind = Prov.Normal) t solver cx (ni : ninfo) fact =
   else if Fd_resilience.Budget.tick t.budget then begin
     M.incr m_path_edges;
     M.incr m_worklist_pushes;
-    if solver == t.fw then begin
+    let fw = solver == t.fw in
+    if fw then begin
       M.incr m_fw_props;
       match fact with
       | Taint.T _ -> ni.ni_results <- fid :: ni.ni_results
       | Taint.Zero -> ()
     end
     else M.incr m_bw_props;
-    (match t.prov with
-    | Some prov ->
-        (* first taint derived from the zero fact is the source step,
-           whatever edge carried it (assignment source, call-site
-           return source, parameter source) *)
-        let kind =
-          if
-            t.cur_fact = t.zero_fid && fid <> t.zero_fid
-            && kind <> Prov.Seed
-          then Prov.Source
-          else kind
-        in
-        Prov.record prov ~node:ni.ni_id ~fact:fid ~pred_node:t.cur_node
-          ~pred_fact:t.cur_fact ~kind
-    | None -> ());
-    if t.cfg.Config.profile then Fd_obs.Profile.add_fact (prof_cell ni.ni_minfo);
+    t.ext.edge ~fw ~kind ~node:ni.ni_id ~fact:fid;
     Pair_set.insert_at solver.s_edges slot cx.cc_id key;
     Int_fifo.push solver.s_work cx.cc_id;
     Int_fifo.push solver.s_work ni.ni_id;
@@ -521,23 +433,21 @@ let int_cell tbl id =
       Int_tbl.replace tbl id c;
       c
 
-let add_incoming solver cx_callee ((ni : ninfo), (caller_cx : cctx)) =
+(* a context's entries in one of the per-context list tables *)
+let listed tbl (cx : cctx) =
+  match Int_tbl.find_opt tbl cx.cc_id with Some c -> !c | None -> []
+
+(* only the forward solver keeps incoming calls: it alone returns into
+   callers *)
+let add_incoming t cx_callee ((ni : ninfo), (caller_cx : cctx)) =
   if
-    Pair_set.add solver.s_inc_seen cx_callee.cc_id
+    Pair_set.add t.fw.s_inc_seen cx_callee.cc_id
       (pack ni.ni_id caller_cx.cc_id)
   then begin
-    Flight.record (fun () ->
-        Printf.sprintf "call-edge %s -> %s"
-          (Icfg.string_of_node ni.ni_node)
-          (Mkey.to_string cx_callee.cc_proc.mi_key));
-    let cell = int_cell solver.s_incoming cx_callee.cc_id in
+    t.ext.call ~site:ni.ni_node ~callee:cx_callee.cc_proc.mi_key;
+    let cell = int_cell t.fw.s_incoming cx_callee.cc_id in
     cell := (ni, caller_cx) :: !cell
   end
-
-let incoming_of solver cx_callee =
-  match Int_tbl.find_opt solver.s_incoming cx_callee.cc_id with
-  | Some c -> !c
-  | None -> []
 
 let add_summary t solver cx_callee ((ni : ninfo), fact) =
   let fid = intern_fact t fact in
@@ -545,78 +455,105 @@ let add_summary t solver cx_callee ((ni : ninfo), fact) =
   then false
   else begin
     let fact = fact_of t fid in
-    Flight.record (fun () ->
-        Printf.sprintf "return-edge %s %s"
-          (Icfg.string_of_node ni.ni_node)
-          (Taint.fact_to_string fact));
+    t.ext.summary ~exit:ni.ni_node ~fact;
     let cell = int_cell solver.s_summaries cx_callee.cc_id in
     cell := (ni, fact) :: !cell;
     M.incr m_summaries;
     true
   end
 
-let summaries_of solver cx_callee =
-  match Int_tbl.find_opt solver.s_summaries cx_callee.cc_id with
-  | Some c -> !c
-  | None -> []
+(* ---------------- engine construction ---------------- *)
+
+(* the extensions' read access to the engine, by interned id *)
+let view t : Solver_ext.view =
+  let cx id = t.cctx_by_id.(id) in
+  {
+    node = (fun id -> t.ninfo_by_id.(id).ni_node);
+    method_id = (fun id -> t.ninfo_by_id.(id).ni_minfo.mi_id);
+    stmt = (fun id -> t.ninfo_by_id.(id).ni_stmt);
+    fact = fact_of t;
+    intern = intern_fact t;
+    iter_contexts =
+      (fun f ->
+        I2_tbl.iter (fun _ c -> f c.cc_id c.cc_proc.mi_key c.cc_fact) t.cctxs);
+    callers =
+      (fun id ->
+        List.map (fun (_, c) -> c.cc_id) (listed t.fw.s_incoming (cx id)));
+    exits =
+      (fun id ->
+        List.map
+          (fun ((ni : ninfo), f) -> (ni.ni_node.Icfg.n_idx, f))
+          (listed t.fw.s_summaries (cx id)));
+  }
+
+let create ?budget ?store ~config ~icfg ~scene ~mgr ~wrappers ~natives () =
+  let budget =
+    match budget with
+    | Some b -> b
+    | None ->
+        Fd_resilience.Budget.create ?deadline_s:config.Config.deadline_s
+          ~max_propagations:config.Config.max_propagations ()
+  in
+  let t =
+    {
+      cfg = config;
+      icfg;
+      scene;
+      mgr;
+      wrappers;
+      natives;
+      facts = Fact_pool.create ~size:512 ();
+      minfos = Mkey.Tbl.create 256;
+      n_minfos = 0;
+      ninfos = Node_tbl.create 512;
+      ninfo_by_id = [||];
+      n_ninfos = 0;
+      cctxs = I2_tbl.create 256;
+      cctx_by_id = [||];
+      n_cctxs = 0;
+      fw = mk_solver ();
+      bw = mk_solver ();
+      findings = [];
+      finding_keys = Hashtbl.create 64;
+      act_sites = Node_tbl.create 16;
+      act_methods = Node_tbl.create 16;
+      budget;
+      ext = Solver_ext.none;
+    }
+  in
+  let v = view t in
+  t.ext <-
+    List.fold_left Solver_ext.combine Solver_ext.none
+      [
+        Ext_flight.make v;
+        (if config.Config.provenance then Ext_provenance.make v
+         else Ext_provenance.off);
+        (if config.Config.profile then Ext_profile.make v
+         else Solver_ext.none);
+        (match store with
+        | Some h -> Ext_store.make h v
+        | None -> Solver_ext.none);
+      ];
+  t
 
 (* ---------------- findings ---------------- *)
 
-(* reconstruct the witness for the finding being reported: walk the
-   provenance chain of the (node, fact) pair currently popped (the
-   sink check runs on the popped item, so the ambient cur_node /
-   cur_fact IS the sink endpoint), then trim the zero-fact seed prefix
-   down to its last element — the statement where the source taint was
-   generated *)
-let witness_of_current t =
-  match t.prov with
-  | None -> []
-  | Some prov ->
-      let chain = Prov.trace prov ~node:t.cur_node ~fact:t.cur_fact in
-      let is_zero (_, fid, _) = fid = t.zero_fid in
-      let rec trim = function
-        | a :: (b :: _ as rest) when is_zero a && is_zero b -> trim rest
-        | l -> l
-      in
-      List.map
-        (fun (nid, fid, kind) ->
-          let ni = t.ninfo_by_id.(nid) in
-          {
-            ws_node = ni.ni_node;
-            ws_stmt = Stmt.to_string ni.ni_stmt;
-            ws_fact = Taint.fact_to_string (fact_of t fid);
-            ws_kind = Prov.string_of_kind kind;
-          })
-        (trim chain)
-
+(* [taint] is absent for store replays: their paths were not walked in
+   this process *)
 let report t ~cx ?taint ~(source : Taint.source_info) ~sink_node ~sink_tag
     ~sink_cat () =
-  (* capture for the summary store *before* the global dedup: a stored
-     context must carry every leak of its subtree, even when another
-     context already reported the same flow.  [taint] is absent for
-     store replays — their paths were not walked in this process. *)
-  (match t.store with
-  | None -> ()
-  | Some _ ->
-      let r =
-        { Summary.sr_source = source; sr_sink = sink_node; sr_tag = sink_tag;
-          sr_cat = sink_cat }
-      in
-      let cell = int_cell t.cx_reports cx.cc_id in
-      let rkey = Summary.report_key r in
-      if
-        not
-          (List.exists
-             (fun x -> String.equal (Summary.report_key x) rkey)
-             !cell)
-      then cell := r :: !cell);
   let key =
     Printf.sprintf "%s|%s|%s"
       (Icfg.string_of_node source.Taint.si_node)
       (Option.value source.Taint.si_tag ~default:"")
       (Icfg.string_of_node sink_node)
   in
-  if not (Hashtbl.mem t.finding_keys key) then begin
+  let fresh = not (Hashtbl.mem t.finding_keys key) in
+  let witness =
+    t.ext.report ~ctx:cx.cc_id ~fresh ~source ~sink:sink_node ~tag:sink_tag
+      ~cat:sink_cat
+  in
+  if fresh then begin
     Hashtbl.replace t.finding_keys key ();
     M.incr m_findings;
     t.findings <-
@@ -629,34 +566,27 @@ let report t ~cx ?taint ~(source : Taint.source_info) ~sink_node ~sink_tag
           (match taint with
           | Some taint -> Taint.path taint @ [ sink_node ]
           | None -> [ sink_node ]);
-        f_witness = witness_of_current t;
+        f_witness = witness;
       }
       :: t.findings
   end
 
 (* ---------------- activation machinery ---------------- *)
 
-let node_set_add tbl key node =
-  let set =
-    match Node_tbl.find_opt tbl key with
-    | Some s -> s
-    | None ->
-        let s = Node_tbl.create 4 in
-        Node_tbl.replace tbl key s;
-        s
-  in
-  Node_tbl.replace set node ()
+(* the inner set of [key] in an activation-keyed table, made on demand *)
+let inner_set tbl key create =
+  match Node_tbl.find_opt tbl key with
+  | Some s -> s
+  | None ->
+      let s = create 4 in
+      Node_tbl.replace tbl key s;
+      s
+
+let node_set_add tbl key n =
+  Node_tbl.replace (inner_set tbl key Node_tbl.create) n ()
 
 let mkey_set_add tbl key mk =
-  let set =
-    match Node_tbl.find_opt tbl key with
-    | Some s -> s
-    | None ->
-        let s = Mkey.Tbl.create 4 in
-        Node_tbl.replace tbl key s;
-        s
-  in
-  Mkey.Tbl.replace set mk ()
+  Mkey.Tbl.replace (inner_set tbl key Mkey.Tbl.create) mk ()
 
 let is_act_site t ~activation n =
   Node_tbl.length t.act_sites > 0
@@ -675,61 +605,49 @@ let act_method_implies t ~activation mk =
 
 (* ---------------- summary-store injection ---------------- *)
 
-(* On a store hit for (callee, entry fact), install the decoded end
-   summaries and replay the subtree's sink reports instead of seeding
-   the callee — the caller's summary-application loop then maps them
-   through [return_flow] exactly as if the subtree had been analysed.
-   Returns true when the descent seed must be skipped.  Two pieces of
-   cold-run bookkeeping are reproduced explicitly:
+(* On a store hit for (callee, entry fact) — answered by the [lookup]
+   extension event — install the decoded end summaries and replay the
+   subtree's sink reports instead of seeding the callee: the caller's
+   summary-application loop then maps them through [return_flow]
+   exactly as if the subtree had been analysed.  Returns true when the
+   descent seed must be skipped.  Two pieces of cold-run bookkeeping
+   are reproduced explicitly:
 
    - every decoded inactive fact's activation statement is associated
      with the callee ([act_methods]), the invariant the skipped
      returns would have established bottom-up, so [return_flow]'s
      activation-site registration fires for the caller as usual;
-   - replayed reports are recorded under the *injected* context, so a
+   - replayed reports are raised under the *injected* context, so a
      store-eligible ancestor persisting its own subtree still sees
      them. *)
 let inject_stored_summaries t (cx_callee : cctx) =
-  match t.store with
+  match
+    t.ext.lookup ~ctx:cx_callee.cc_id ~callee:cx_callee.cc_proc.mi_key
+      ~entry:cx_callee.cc_fact
+  with
   | None -> false
-  | Some h -> (
-      if Int_tbl.mem t.injected_cxs cx_callee.cc_id then true
-      else if not (Summary.eligible_entry cx_callee.cc_fact) then false
-      else
-        match
-          h.Summary.h_lookup ~callee:cx_callee.cc_proc.mi_key
-            ~entry:cx_callee.cc_fact
-        with
-        | None -> false
-        | Some inj ->
-            Int_tbl.replace t.injected_cxs cx_callee.cc_id ();
-            let exits = exit_nis t cx_callee.cc_proc in
-            List.iter
-              (fun (idx, f) ->
-                match
-                  List.find_opt
-                    (fun (e : ninfo) -> e.ni_node.Icfg.n_idx = idx)
-                    exits
-                with
-                | None -> ()
-                | Some eni ->
-                    (match f with
-                    | Taint.T tt when not tt.Taint.active -> (
-                        match tt.Taint.activation with
-                        | Some a ->
-                            mkey_set_add t.act_methods a
-                              cx_callee.cc_proc.mi_key
-                        | None -> ())
-                    | _ -> ());
-                    ignore (add_summary t t.fw cx_callee (eni, f)))
-              inj.Summary.inj_summaries;
-            List.iter
-              (fun (r : Summary.sink_report) ->
-                report t ~cx:cx_callee ~source:r.Summary.sr_source
-                  ~sink_node:r.Summary.sr_sink ~sink_tag:r.Summary.sr_tag
-                  ~sink_cat:r.Summary.sr_cat ())
-              inj.Summary.inj_reports;
-            true)
+  | Some inj ->
+      let exits = exit_nis t cx_callee.cc_proc in
+      List.iter
+        (fun (idx, f) ->
+          match
+            List.find_opt (fun (e : ninfo) -> e.ni_node.Icfg.n_idx = idx) exits
+          with
+          | None -> ()
+          | Some eni ->
+              (match f with
+              | Taint.T { Taint.active = false; activation = Some a; _ } ->
+                  mkey_set_add t.act_methods a cx_callee.cc_proc.mi_key
+              | _ -> ());
+              ignore (add_summary t t.fw cx_callee (eni, f)))
+        inj.Summary.inj_summaries;
+      List.iter
+        (fun (r : Summary.sink_report) ->
+          report t ~cx:cx_callee ~source:r.Summary.sr_source
+            ~sink_node:r.Summary.sr_sink ~sink_tag:r.Summary.sr_tag
+            ~sink_cat:r.Summary.sr_cat ())
+        inj.Summary.inj_reports;
+      true
 
 (* activate an outgoing taint when it crosses its activation node or a
    call site associated with it *)
@@ -895,16 +813,17 @@ let zero_gen t (ni : ninfo) =
 
 (* must-alias query for the strong-update pass, lazily computing and
    caching the per-method partition dataflow *)
-let must_alias_at t (ni : ninfo) b x =
-  match ni.ni_minfo.mi_body with
+let must_alias_at (ni : ninfo) b x =
+  let mi = ni.ni_minfo in
+  match mi.mi_body with
   | None -> false
   | Some body ->
       let ma =
-        match Mkey.Tbl.find_opt t.ma_cache ni.ni_minfo.mi_key with
+        match mi.mi_must_alias with
         | Some ma -> ma
         | None ->
             let ma = Fd_precision.Must_alias.analyze body in
-            Mkey.Tbl.replace t.ma_cache ni.ni_minfo.mi_key ma;
+            mi.mi_must_alias <- Some ma;
             ma
       in
       Fd_precision.Must_alias.must_alias ma ~at:ni.ni_node.Icfg.n_idx b x
@@ -938,7 +857,7 @@ let normal_flow t cx (ni : ninfo) (fact : Taint.fact) : Taint.fact list =
                   (taint.Taint.ap.AP.base, taint.Taint.ap.AP.fields)
                 with
                 | AP.Bloc b, f0 :: _ ->
-                    Types.equal_field_sig f0 f && must_alias_at t ni b x
+                    Types.equal_field_sig f0 f && must_alias_at ni b x
                 | _ -> false)
             | _ -> false
           in
@@ -1285,7 +1204,7 @@ let process_call_fw t cx (ni : ninfo) (fact : Taint.fact) inv =
       List.iter
         (fun d3 ->
           let cx_callee = cctx t callee d3 in
-          add_incoming t.fw cx_callee (ni, cx);
+          add_incoming t cx_callee (ni, cx);
           if not (inject_stored_summaries t cx_callee) then
             propagate_fw ~kind:Prov.Call t cx_callee s_callee d3;
           List.iter
@@ -1305,7 +1224,7 @@ let process_call_fw t cx (ni : ninfo) (fact : Taint.fact) inv =
                       propagate_fw ~kind:Prov.Return t cx r d5)
                     rets)
                 node_succs)
-            (summaries_of t.fw cx_callee))
+            (listed t.fw.s_summaries cx_callee))
         entry_facts
     end
   in
@@ -1392,7 +1311,7 @@ let process_exit_fw t cx (ni : ninfo) (fact : Taint.fact) =
                     propagate_fw ~kind:Prov.Return t caller_cx r d5)
                   rets)
               (succs t c))
-      (incoming_of t.fw cx);
+      (listed t.fw.s_incoming cx);
     (* <clinit> exits reached through first-use edges (precision pass)
        have no syntactic call site: relay static-rooted facts,
        context-insensitively, to the successors of every first-use
@@ -1482,7 +1401,7 @@ let backward_descend_args t cx (mni : ninfo) (inv : Stmt.invoke)
             | Some ap ->
                 let d = Taint.derive taint ~ap ~at:m in
                 let cx_callee = cctx t callee (Taint.T d) in
-                add_incoming t.fw cx_callee (mni, cx);
+                add_incoming t cx_callee (mni, cx);
                 List.iter
                   (fun e_ni ->
                     propagate_bw ~kind:Prov.Backward t cx_callee e_ni
@@ -1538,7 +1457,7 @@ let backward_step t cx (mni : ninfo) (taint : Taint.t) =
                             | Some ap ->
                                 let d = Taint.derive taint ~ap ~at:m in
                                 let cx_callee = cctx t callee (Taint.T d) in
-                                add_incoming t.fw cx_callee (mni, cx);
+                                add_incoming t cx_callee (mni, cx);
                                 propagate_bw ~kind:Prov.Backward t cx_callee
                                   e_ni (Taint.T d)
                             | None -> ())
@@ -1645,129 +1564,26 @@ let solver_bytes s =
 let publish_memory_gauges t =
   M.set_int g_bytes_fw (solver_bytes t.fw);
   M.set_int g_bytes_bw (solver_bytes t.bw);
-  M.set_int g_bytes_facts (bytes_of_words (Fact_pool.size t.facts * 16));
-  M.set_int g_bytes_prov
-    (match t.prov with Some p -> Prov.approx_bytes p | None -> 0)
-
-(* ---------------- summary-store persistence ---------------- *)
-
-(* Write-behind persistence after a [Complete] solve: hand every
-   store-eligible context's end summaries — plus the sink reports
-   recorded anywhere in its context subtree (the calls it descended
-   into, transitively) — to the store hooks.  Contexts whose summaries
-   were themselves injected are skipped: the store already holds them.
-   Partial solves persist nothing; a truncated summary would replay as
-   the wrong answer. *)
-let persist_summaries t (h : Summary.hooks) =
-  (* invert the incoming-call relation into context children *)
-  let children : cctx list ref Int_tbl.t = Int_tbl.create 256 in
-  I2_tbl.iter
-    (fun _ cx_callee ->
-      List.iter
-        (fun ((_ : ninfo), (caller_cx : cctx)) ->
-          let cell = int_cell children caller_cx.cc_id in
-          cell := cx_callee :: !cell)
-        (incoming_of t.fw cx_callee))
-    t.cctxs;
-  let reports_in_subtree cx =
-    let seen_cx = Int_tbl.create 16 in
-    let seen_r = Hashtbl.create 8 in
-    let acc = ref [] in
-    let rec go (c : cctx) =
-      if not (Int_tbl.mem seen_cx c.cc_id) then begin
-        Int_tbl.replace seen_cx c.cc_id ();
-        (match Int_tbl.find_opt t.cx_reports c.cc_id with
-        | Some rs ->
-            List.iter
-              (fun r ->
-                let key = Summary.report_key r in
-                if not (Hashtbl.mem seen_r key) then begin
-                  Hashtbl.replace seen_r key ();
-                  acc := r :: !acc
-                end)
-              (List.rev !rs)
-        | None -> ());
-        match Int_tbl.find_opt children c.cc_id with
-        | Some cs -> List.iter go !cs
-        | None -> ()
-      end
-    in
-    go cx;
-    List.rev !acc
-  in
-  let per_method : Summary.persist_context list ref Mkey.Tbl.t =
-    Mkey.Tbl.create 64
-  in
-  I2_tbl.iter
-    (fun _ cx ->
-      if
-        (not (Int_tbl.mem t.injected_cxs cx.cc_id))
-        && Summary.eligible_entry cx.cc_fact
-        && h.Summary.h_eligible cx.cc_proc.mi_key
-      then begin
-        let pc =
-          {
-            Summary.pc_entry = cx.cc_fact;
-            pc_summaries =
-              List.map
-                (fun ((ni : ninfo), f) -> (ni.ni_node.Icfg.n_idx, f))
-                (summaries_of t.fw cx);
-            pc_reports = reports_in_subtree cx;
-          }
-        in
-        let cell =
-          match Mkey.Tbl.find_opt per_method cx.cc_proc.mi_key with
-          | Some c -> c
-          | None ->
-              let c = ref [] in
-              Mkey.Tbl.replace per_method cx.cc_proc.mi_key c;
-              c
-        in
-        cell := pc :: !cell
-      end)
-    t.cctxs;
-  Mkey.Tbl.iter (fun mk cell -> h.Summary.h_persist ~callee:mk !cell) per_method
+  M.set_int g_bytes_facts (bytes_of_words (Fact_pool.size t.facts * 16))
 
 (** [run t ~entries] seeds the zero fact at each entry method and runs
     both solvers to exhaustion (or to the propagation budget). *)
 let run t ~entries =
-  (* arm the flight recorder for this solve: a later dump must never
-     mix events from a previous run, and even a first-tick chaos fault
-     (which can fire before any pop) must find a non-empty ring *)
-  Flight.clear ();
-  Flight.mark (Printf.sprintf "solve.start entries=%d" (List.length entries));
+  t.ext.start ~entries:(List.length entries);
   List.iter
     (fun m ->
       let start = ninfo_of t (Icfg.start_node t.icfg m) in
       let cx = cctx t start.ni_minfo Taint.Zero in
       propagate_fw ~kind:Prov.Seed t cx start Taint.Zero)
     entries;
-  let profiling = t.cfg.Config.profile in
-  let track = t.prov <> None in
   let pop_item solver process =
     let cx = t.cctx_by_id.(Int_fifo.pop solver.s_work) in
     let ni = t.ninfo_by_id.(Int_fifo.pop solver.s_work) in
     let fid = Int_fifo.pop solver.s_work in
-    let fact = fact_of t fid in
     M.incr m_worklist_pops;
-    (* remember the popped pair: every propagation performed while
-       processing it records this pair as its provenance predecessor *)
-    if track then begin
-      t.cur_node <- ni.ni_id;
-      t.cur_fact <- fid
-    end;
-    Flight.record (fun () ->
-        Printf.sprintf "%s %s %s"
-          (if solver == t.fw then "fw.pop" else "bw.pop")
-          (Icfg.string_of_node ni.ni_node)
-          (Taint.fact_to_string fact));
-    if profiling then begin
-      let t0 = Fd_obs.Profile.now () in
-      process t cx ni fact;
-      Fd_obs.Profile.add_pop (prof_cell ni.ni_minfo)
-        ~seconds:(Fd_obs.Profile.now () -. t0)
-    end
-    else process t cx ni fact
+    t.ext.pop_begin ~fw:(solver == t.fw) ~node:ni.ni_id ~fact:fid;
+    process t cx ni (fact_of t fid);
+    t.ext.pop_end ()
   in
   let rec loop () =
     (* cooperative stop: once the budget trips (cap, deadline or
@@ -1784,12 +1600,8 @@ let run t ~entries =
     end
   in
   loop ();
-  (match t.store with
-  | Some h
-    when Fd_resilience.Outcome.is_complete
-           (Fd_resilience.Budget.outcome t.budget) ->
-      persist_summaries t h
-  | _ -> ());
+  t.ext.finish
+    ~complete:Fd_resilience.(Outcome.is_complete (Budget.outcome t.budget));
   (* publish pool statistics so the interning layer is observable *)
   M.set_int g_intern_facts (Fact_pool.size t.facts);
   M.set_int g_intern_fact_hits (Fact_pool.hits t.facts);
@@ -1828,7 +1640,3 @@ let propagation_count t = Fd_resilience.Budget.propagations t.budget
 (** [outcome t] is the typed termination state of the solve:
     [Complete], or the budget's stop reason. *)
 let outcome t = Fd_resilience.Budget.outcome t.budget
-
-(** [budget t] is the engine's budget handle (e.g. for cooperative
-    cancellation from a signal handler). *)
-let budget t = t.budget

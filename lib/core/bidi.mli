@@ -20,7 +20,7 @@ open Fd_callgraph
     the flow-function kind that derived it from the previous step
     (["seed"], ["source"], ["normal"], ["call"], ["return"],
     ["call-to-return"], ["alias"], ["backward"], ["inject"]). *)
-type witness_step = {
+type witness_step = Solver_ext.witness_step = {
   ws_node : Icfg.node;
   ws_stmt : string;
   ws_fact : string;
@@ -55,11 +55,16 @@ val create :
 (** [create ~config … ()] builds an engine.  Without [?budget] one is
     derived from the config ([max_propagations] plus [deadline_s]);
     pass an explicit budget to share a deadline across phases or to
-    enable cooperative cancellation / chaos injection.  [?store]
-    connects the persistent summary store (see {!Summary.make_hooks}):
-    stored callee summaries are injected in place of descents, and
-    freshly solved contexts are persisted write-behind after a
-    complete solve.  Absent hooks ⇒ behaviour and output are
+    enable cooperative cancellation / chaos injection.
+
+    The engine's optional features are solver extensions
+    ({!Solver_ext}), all built here: the flight recorder (always on),
+    provenance ({!Config.t.provenance}), the profiler
+    ({!Config.t.profile}) and, when [?store] is given, the persistent
+    summary store (see {!Summary.make_hooks}): on a store hit a
+    callee's stored summaries are installed in place of its descent,
+    and after a complete solve freshly solved contexts are persisted
+    write-behind.  Absent hooks ⇒ behaviour and output are
     byte-identical to a store-free build. *)
 
 val run : t -> entries:Mkey.t list -> unit
@@ -88,6 +93,3 @@ val outcome : t -> Fd_resilience.Outcome.t
     [Complete], [Budget_exhausted], [Deadline_exceeded] or
     [Cancelled].  On any state but [Complete] the findings are a
     partial under-approximation. *)
-
-val budget : t -> Fd_resilience.Budget.t
-(** the engine's budget handle (for cooperative cancellation) *)

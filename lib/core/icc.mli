@@ -15,9 +15,6 @@
 
 open Fd_callgraph
 
-val send_methods : string list
-(** the framework methods that launch an intent *)
-
 type send_site = {
   ss_node : Icfg.node;  (** the startActivity / sendBroadcast call *)
   ss_method : string;  (** the send method's name *)
@@ -28,12 +25,6 @@ type send_site = {
   ss_extras_unknown : bool;
       (** a [putExtra] with non-constant key, or [putExtras] *)
 }
-
-val send_sites :
-  Icfg.t -> send_site list * (Icfg.node * Fd_ir.Stmt.local * string option) list
-(** every intent-send call site among the reachable methods with its
-    abstract intent, plus every [setResult] site as
-    [(node, intent local, statement tag)] *)
 
 type stitched = {
   st_finding : Bidi.finding;  (** the composed end-to-end flow *)

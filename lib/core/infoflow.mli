@@ -44,8 +44,6 @@ type phase_hook = string -> unit
 (** called with a phase name as the pipeline advances (used by the
     pipeline-trace example) *)
 
-val no_hook : phase_hook
-
 val log_src : Logs.src
 (** The [Logs] source the pipeline reports through ([flowdroid]):
     phase progress at debug level, budget exhaustion at warning
@@ -173,13 +171,6 @@ exception Fallback_failed of attempt list
 
 val string_of_completeness : completeness -> string
 (** [precise], [degraded(label)] or [partial(label)] *)
-
-val with_fallback :
-  config:Config.t -> (label:string -> Config.t -> result) -> fallback
-(** [with_fallback ~config run] drives [run] down the degradation
-    ladder until a rung completes; crashes are caught by an exception
-    barrier and count as failed rungs.
-    @raise Fallback_failed when every rung crashed. *)
 
 val analyze_with_fallback :
   ?config:Config.t ->

@@ -5,19 +5,6 @@
     propagation statements, in the XML shape FlowDroid's result files
     use ([DataFlowResults]/[Results]/[Result]/[Sink]+[Sources]). *)
 
-val finding_to_xml : Bidi.finding -> Fd_xml.Xml.t
-
-val termination_state : Fd_resilience.Outcome.t -> string
-(** the FlowDroid-style [TerminationState] attribute value:
-    [Success], [DataFlowIncomplete], [DataFlowTimeout], [Cancelled]
-    or [Crashed] *)
-
-val to_xml : ?completeness:string -> Infoflow.result -> Fd_xml.Xml.t
-(** [to_xml ?completeness result] serialises the result; the root
-    element carries a [TerminationState] attribute from the run's
-    outcome, plus a [Completeness] attribute when the degradation
-    ladder supplied one. *)
-
 val to_xml_string : ?completeness:string -> Infoflow.result -> string
 (** the rendered document, with XML declaration; parses back with
     {!Fd_xml.Xml.parse_string} *)

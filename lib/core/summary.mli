@@ -2,8 +2,9 @@
 
     Stable, intern-order-independent structural encodings of the
     solver's facts; content-addressed transitive method digests;
-    the analysis-config digest; and the hook interface through which
-    the {!Bidi} solver reuses end summaries across processes.  The
+    the analysis-config digest; and the store hooks through which the
+    solver's store extension ({!Ext_store}) reuses end summaries
+    across processes.  The
     on-disk backend lives in the separate [fd_store] library and
     registers through {!provider} — with no backend linked (or
     [Config.summary_store = None]) every hook constructor returns
@@ -36,9 +37,6 @@ val dec_fact : entry_source:Taint.source_info option -> Json.t -> Taint.fact
 (** inverse of {!enc_fact}; the ["entry"] placeholder resolves to
     [entry_source].  Decoded facts carry no derivation links. *)
 
-val enc_node : Icfg.node -> Json.t
-val dec_node : Json.t -> Icfg.node
-
 (** {1 Sink reports} *)
 
 (** a leak detected inside a summarised subtree; stored with the
@@ -60,18 +58,7 @@ val eligible_entry : Taint.fact -> bool
 (** zero or plain active (no pending activation statement) — the only
     entry shapes whose summaries are position-independent *)
 
-val entry_key : Taint.fact -> string
-(** canonical context key of an eligible entry fact (source
-    abstracted, so callers with distinct sources share a context) *)
-
-val entry_source : Taint.fact -> Taint.source_info option
-
 (** {1 Digests} *)
-
-val config_allows : Config.t -> bool
-(** the configurations whose semantics the store can replay: paper
-    defaults for the flow-sensitivity switches, no provenance, no
-    first-use [<clinit>] placement *)
 
 val config_digest :
   config:Config.t ->
@@ -93,11 +80,7 @@ type method_entry = {
           source *)
 }
 
-val digest_methods : Icfg.t -> method_entry Mkey.Tbl.t
-(** digest every reachable bodied method of one app, bottom-up over
-    the call-graph condensation *)
-
-(** {1 Solver hooks} *)
+(** {1 Store hooks} *)
 
 (** what a store hit injects in place of descending into a callee *)
 type injection = {
@@ -141,5 +124,7 @@ val make_hooks :
   natives:Fd_frontend.Rules.t ->
   hooks option
 (** build the solver hooks for one run; [None] when the store is
-    disabled, the config is outside {!config_allows}, or no backend is
+    disabled, the config is one the store cannot replay (a
+    flow-sensitivity switch off its paper default, provenance,
+    first-use [<clinit>] placement or the ICC tier), or no backend is
     installed.  Digests every reachable method once. *)

@@ -32,18 +32,13 @@ type t = {
   pred : t option;  (** derivation link (excluded from equality) *)
   at : Icfg.node option;  (** statement where this abstraction arose *)
   mutable t_memo : int;
-      (** cached {!hash_taint}; construct taints only through the
+      (** cached structural hash; construct taints only through the
           functions below so the cache is reset on every copy *)
 }
 
 type fact = Zero | T of t
 
-val equal_taint : t -> t -> bool
 val equal : fact -> fact -> bool
-
-val hash_taint : t -> int
-(** a memoised fold over every equality-relevant component, access
-    path in full (consistent with {!equal_taint}) *)
 
 val hash : fact -> int
 

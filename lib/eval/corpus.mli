@@ -41,7 +41,4 @@ type summary = {
 
 val summarize : t -> summary
 
-val outcome_distribution : t -> (string * int) list
-(** apps per termination state ([complete], [crashed], …), sorted *)
-
 val render : t -> string

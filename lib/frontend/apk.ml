@@ -416,14 +416,6 @@ let load_merged ?(mode = `Strict) ?template apks =
     m_app_of = (fun cls -> Hashtbl.find_opt class_app cls);
   }
 
-(** [res_id loaded name] is the integer resource id of the layout
-    control with symbolic id [name].
-    @raise Load_error when no layout declares it. *)
-let res_id loaded name =
-  try Layout.res_id loaded.layout name
-  with Not_found ->
-    raise (Load_error (Printf.sprintf "%s: unknown resource id %S" loaded.name name))
-
 (** [layout_id loaded name] is the [R.layout] integer for a layout
     file.
     @raise Load_error when the layout is unknown. *)

@@ -95,10 +95,6 @@ val load_merged : ?mode:mode -> ?template:Scene.t -> t list -> merged
     apply the exported gate between apps.
     @raise Load_error on an empty list or inconsistencies (strict). *)
 
-val res_id : loaded -> string -> int
-(** the integer resource id of the layout control with the given
-    symbolic id.  @raise Load_error when no layout declares it. *)
-
 val layout_id : loaded -> string -> int
 (** the [R.layout] integer for a layout file name *)
 

@@ -138,13 +138,6 @@ let control_by_id t id = List.find_opt (fun c -> c.ctl_id = id) t.controls
 let control_by_name t name =
   List.find_opt (fun c -> c.ctl_name = name) t.controls
 
-(** [res_id t name] is the generated integer for symbolic id [name].
-    @raise Not_found when no control declares it. *)
-let res_id t name =
-  match control_by_name t name with
-  | Some c -> c.ctl_id
-  | None -> raise Not_found
-
 (** [layout_id t name] is the generated [R.layout.*] integer, or
     [None] when no layout [name] was parsed.  Returning an option (and
     never raising [Not_found]) lets lenient callers degrade an unknown

@@ -40,15 +40,9 @@ val parse : (string * string) list -> t
 val control_by_id : t -> int -> control option
 val control_by_name : t -> string -> control option
 
-val res_id : t -> string -> int
-(** @raise Not_found when no control declares the symbolic id *)
-
 val layout_id : t -> string -> int option
 (** [None] for unknown layout names; never raises, so lenient callers
     can turn a dangling layout reference into a diag *)
-
-val controls_in : t -> string -> control list
-(** the controls declared in one layout *)
 
 val xml_callbacks : t -> string -> string list
 (** the declaratively bound onClick handler names in one layout *)

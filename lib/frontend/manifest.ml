@@ -272,8 +272,3 @@ let component_receives c (it : intent_desc) =
   match it.it_class with
   | Some cls -> cls = c.comp_class
   | None -> List.exists (fun f -> filter_matches f it) c.comp_filters
-
-(** [resolve_intent m it] — the enabled components of [m] that can
-    receive [it], in declaration order. *)
-let resolve_intent m it =
-  List.filter (fun c -> component_receives c it) m.components

@@ -39,9 +39,6 @@ type t = {
 
 exception Malformed of string
 
-val main_action : string
-val launcher_category : string
-
 val parse : string -> t
 (** [parse xml_source] parses a manifest document; dot-relative
     component names are resolved against the package.
@@ -76,19 +73,6 @@ type intent_desc = {
 val blank_intent : intent_desc
 (** no target, no action, no categories, no data *)
 
-val filter_matches : intent_filter -> intent_desc -> bool
-(** Android's three intent-filter tests (action, category, data):
-    - action: the filter must list the intent's action; an actionless
-      intent passes any filter with at least one action;
-    - category: every intent category must appear in the filter;
-    - data: an intent without URI/type passes only data-less filters;
-      otherwise some [<data>] spec must match every dimension the
-      intent carries (mimeType supports ["type/*"] wildcards). *)
-
 val component_receives : component -> intent_desc -> bool
 (** can this component receive the intent?  Explicit class targets
     bypass the filters; implicit intents must pass one. *)
-
-val resolve_intent : t -> intent_desc -> component list
-(** the enabled components able to receive the intent, in declaration
-    order *)

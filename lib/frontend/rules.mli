@@ -40,13 +40,5 @@ val parse_string : string -> (string * string * effect list) list
 
 val of_string : string -> t
 
-val default_wrapper_config : string
-(** the default library model (strings, string builders, collections,
-    Android UI and ICC carriers, servlet sessions) in the textual
-    format *)
-
-val default_native_config : string
-(** explicit native models ([System.arraycopy], [String.getChars]) *)
-
 val default_wrappers : unit -> t
 val default_natives : unit -> t

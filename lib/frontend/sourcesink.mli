@@ -48,13 +48,9 @@ val digest : t -> string
 
 exception Bad_line of int * string
 
-val parse_line : int -> string -> def option
 val parse_string : string -> def list
 (** @raise Bad_line with the 1-based line number on malformed lines *)
 
 val of_string : string -> t
-
-val default_config : string
-(** the default Android configuration, in the textual format *)
 
 val default : unit -> t

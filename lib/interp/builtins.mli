@@ -4,10 +4,5 @@
     bundles, strings and string builders, collections, [arraycopy],
     and the monitor-detection probe of the Section 7 evasion demo). *)
 
-val call : Interp.builtin_fn
-(** the dispatcher; returns [None] for unmodelled methods (the
-    interpreter then falls back to configured sources or conservative
-    label joining) *)
-
 val install : Interp.state -> unit
 (** wire the model into an interpreter state *)

@@ -29,8 +29,6 @@ module M = Fd_frontend.Manifest
 
 type coverage = Basic | Thorough
 
-let string_of_coverage = function Basic -> "basic" | Thorough -> "thorough"
-
 (* a fresh intent carrying externally supplied (hence tainted) data,
    handed to receivers and getIntent *)
 let make_external_intent st =

@@ -12,8 +12,6 @@ type coverage =
       (** full lifecycle excursions, every discovered callback fired
           between resume and pause, the component schedule run twice *)
 
-val string_of_coverage : coverage -> string
-
 val run :
   ?coverage:coverage ->
   ?max_steps:int ->

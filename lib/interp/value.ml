@@ -40,13 +40,6 @@ let with_labels labels v = { v; labels }
 let join a b = Labels.union a b
 let is_tainted tv = not (Labels.is_empty tv.labels)
 
-let string_of_value = function
-  | Vnull -> "null"
-  | Vint i -> string_of_int i
-  | Vstr s -> Printf.sprintf "%S" s
-  | Vobj id -> Printf.sprintf "obj#%d" id
-  | Varr id -> Printf.sprintf "arr#%d" id
-
 (** Heap objects carry a class, ordinary fields, and optionally a
     built-in payload used by the framework models (string builders,
     collections, intents, UI views). *)

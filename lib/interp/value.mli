@@ -28,7 +28,6 @@ val untainted : value -> tvalue
 val with_labels : Labels.t -> value -> tvalue
 val join : Labels.t -> Labels.t -> Labels.t
 val is_tainted : tvalue -> bool
-val string_of_value : value -> string
 
 (** Heap objects carry a class, ordinary fields, and optionally a
     built-in payload used by the framework models. *)

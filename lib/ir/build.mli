@@ -35,7 +35,6 @@ val param : mb -> int -> ?ty:typ -> ?tag:string -> string -> local
 
 (* ---------------- straight-line statements ---------------- *)
 
-val set : mb -> ?tag:string -> local -> expr -> unit
 val move : mb -> ?tag:string -> local -> local -> unit
 val const : mb -> ?tag:string -> local -> imm -> unit
 val load : mb -> ?tag:string -> local -> local -> field_sig -> unit

@@ -61,8 +61,3 @@ let find_method c name params =
     arity is not statically known (textual frontend). *)
 let find_method_named c name =
   List.find_opt (fun m -> String.equal m.jm_sig.m_name name) c.c_methods
-
-(** [declares_field c f] holds when [c] declares a field named like
-    [f]. *)
-let declares_field c fname =
-  List.exists (fun f -> String.equal f.f_name fname) c.c_fields

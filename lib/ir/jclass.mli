@@ -39,4 +39,3 @@ val find_method : t -> string -> typ list -> jmethod option
     DESIGN.md) *)
 
 val find_method_named : t -> string -> jmethod option
-val declares_field : t -> string -> bool

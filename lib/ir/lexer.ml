@@ -111,7 +111,11 @@ let read_string t =
               digits 2;
               t.pos <- t.pos - 1;
               (* compensate the unconditional advance below *)
-              Buffer.add_char buf (Char.chr (int_of_string (Buffer.contents d)))
+              let code = int_of_string (Buffer.contents d) in
+              if code > 255 then
+                fail t
+                  (Printf.sprintf "escape \\%s out of range" (Buffer.contents d));
+              Buffer.add_char buf (Char.chr code)
           | c -> fail t (Printf.sprintf "unknown escape \\%c" c));
           advance t;
           go ()

@@ -84,12 +84,6 @@ let class_to_string (c : Jclass.t) =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-(** [method_to_string m] renders one method. *)
-let method_to_string m =
-  let buf = Buffer.create 256 in
-  pp_method buf m;
-  Buffer.contents buf
-
 (** [body_to_string b] renders one body (no header). *)
 let body_to_string b =
   let buf = Buffer.create 256 in
@@ -108,11 +102,3 @@ let cfg_to_string (b : Body.t) =
            (Stmt.string_of_kind s.Stmt.s_kind)
            (String.concat "; " (List.map string_of_int succs))));
   Buffer.contents buf
-
-(** [scene_to_string scene] renders all application (non-phantom)
-    classes. *)
-let scene_to_string scene =
-  Scene.application_classes scene
-  |> List.sort (fun a b -> String.compare a.c_name b.c_name)
-  |> List.map class_to_string
-  |> String.concat "\n"

@@ -3,12 +3,8 @@
     benchmark corpus). *)
 
 val class_to_string : Jclass.t -> string
-val method_to_string : Jclass.jmethod -> string
 val body_to_string : Body.t -> string
 
 val cfg_to_string : Body.t -> string
 (** [idx: stmt -> \[succs\]] lines — the rendering used to display
     Figure 1's dummy-main CFG *)
-
-val scene_to_string : Scene.t -> string
-(** all application (non-phantom) classes, sorted by name *)

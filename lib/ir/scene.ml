@@ -289,23 +289,6 @@ and dispatch_targets_uncached t ~static_type ((name, params) as subsig) =
         | None -> None)
     cone
 
-(** [find_method t msig] resolves a method signature to its declaration
-    by exact class lookup followed by a walk up the hierarchy. *)
-let find_method t (msig : Types.method_sig) =
-  match
-    resolve_concrete t msig.m_class (msig.m_name, msig.m_params)
-  with
-  | Some (c, m) -> Some (c, m)
-  | None -> (
-      (* abstract/interface declarations still resolve for signature
-         purposes *)
-      match find_class t msig.m_class with
-      | Some c -> (
-          match Jclass.find_method c msig.m_name msig.m_params with
-          | Some m -> Some (c, m)
-          | None -> None)
-      | None -> None)
-
 (** [methods_with_bodies t] lists every (class, method) pair carrying
     code, the analysable universe. *)
 let methods_with_bodies t =

@@ -78,11 +78,6 @@ val dispatch_targets :
 (** CHA: the concrete methods a virtual call with the given declared
     receiver type may dispatch to, deduplicated *)
 
-val find_method :
-  t -> Types.method_sig -> (Jclass.t * Jclass.jmethod) option
-(** resolve a method signature by exact class lookup followed by a
-    walk up the hierarchy *)
-
 val methods_with_bodies : t -> (Jclass.t * Jclass.jmethod) list
 (** every (class, method) pair carrying code: the analysable
     universe *)

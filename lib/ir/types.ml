@@ -25,27 +25,6 @@ let rec equal_typ a b =
   | Array x, Array y -> equal_typ x y
   | _ -> false
 
-let rec hash_typ = function
-  | Void -> 1
-  | Bool -> 2
-  | Char -> 3
-  | Int -> 4
-  | Long -> 5
-  | Float -> 6
-  | Double -> 7
-  | Ref c -> Fd_util.Intern.combine 8 (Hashtbl.hash c)
-  | Array t -> Fd_util.Intern.combine 9 (hash_typ t)
-
-let rec compare_typ a b =
-  let rank = function
-    | Void -> 0 | Bool -> 1 | Char -> 2 | Int -> 3 | Long -> 4
-    | Float -> 5 | Double -> 6 | Ref _ -> 7 | Array _ -> 8
-  in
-  match (a, b) with
-  | Ref x, Ref y -> String.compare x y
-  | Array x, Array y -> compare_typ x y
-  | _ -> Int.compare (rank a) (rank b)
-
 (** [string_of_typ t] renders [t] in Java source syntax,
     e.g. ["int"], ["java.lang.String"], ["byte[]"]. *)
 let rec string_of_typ = function
@@ -76,14 +55,6 @@ let rec typ_of_string s =
     | "double" -> Double
     | c -> Ref c
 
-(** [is_primitive t] holds for non-reference, non-array, non-void
-    types. *)
-let is_primitive = function
-  | Bool | Char | Int | Long | Float | Double -> true
-  | Void | Ref _ | Array _ -> false
-
-let pp_typ fmt t = Format.pp_print_string fmt (string_of_typ t)
-
 (* ------------------------------------------------------------------ *)
 
 type field_sig = {
@@ -102,16 +73,10 @@ let equal_field_sig a b =
 let hash_field_sig f =
   Fd_util.Intern.combine (Hashtbl.hash f.f_class) (Hashtbl.hash f.f_name)
 
-let compare_field_sig a b =
-  match String.compare a.f_class b.f_class with
-  | 0 -> String.compare a.f_name b.f_name
-  | c -> c
-
 let mk_field ?(ty = Ref "java.lang.Object") f_class f_name =
   { f_class; f_name; f_type = ty }
 
 let string_of_field_sig f = Printf.sprintf "%s#%s" f.f_class f.f_name
-let pp_field_sig fmt f = Format.pp_print_string fmt (string_of_field_sig f)
 
 (* ------------------------------------------------------------------ *)
 
@@ -124,37 +89,6 @@ type method_sig = {
 (** A global method identifier.  Virtual dispatch resolves the same
     sub-signature (name, params, return) against the runtime class. *)
 
-let equal_method_sig a b =
-  String.equal a.m_class b.m_class
-  && String.equal a.m_name b.m_name
-  && List.length a.m_params = List.length b.m_params
-  && List.for_all2 equal_typ a.m_params b.m_params
-
-let compare_method_sig a b =
-  match String.compare a.m_class b.m_class with
-  | 0 -> (
-      match String.compare a.m_name b.m_name with
-      | 0 -> List.compare compare_typ a.m_params b.m_params
-      | c -> c)
-  | c -> c
-
-(* hash the fields [equal_method_sig] compares: class, name and every
-   parameter type — a fold, so signatures differing only in a late
-   parameter still hash apart *)
-let hash_method_sig m =
-  Fd_util.Intern.fold_hash hash_typ
-    (Fd_util.Intern.combine (Hashtbl.hash m.m_class) (Hashtbl.hash m.m_name))
-    m.m_params
-
-(** [sub_signature m] identifies [m] up to the declaring class: the key
-    used when resolving overrides along the class hierarchy. *)
-let sub_signature m = (m.m_name, m.m_params)
-
-let equal_sub_signature a b =
-  String.equal a.m_name b.m_name
-  && List.length a.m_params = List.length b.m_params
-  && List.for_all2 equal_typ a.m_params b.m_params
-
 let mk_method ?(params = []) ?(ret = Void) m_class m_name =
   { m_class; m_name; m_params = params; m_ret = ret }
 
@@ -162,9 +96,5 @@ let string_of_method_sig m =
   Printf.sprintf "<%s: %s %s(%s)>" m.m_class (string_of_typ m.m_ret) m.m_name
     (String.concat "," (List.map string_of_typ m.m_params))
 
-let pp_method_sig fmt m = Format.pp_print_string fmt (string_of_method_sig m)
-
 (** Well-known class names used throughout the Android model. *)
 let object_class = "java.lang.Object"
-
-let string_class = "java.lang.String"

@@ -13,20 +13,12 @@ type typ =
   | Array of typ
 
 val equal_typ : typ -> typ -> bool
-val compare_typ : typ -> typ -> int
-
-val hash_typ : typ -> int
-(** structural fold over the whole type, arbitrarily deep arrays
-    included (unlike [Hashtbl.hash], which truncates) *)
 
 val string_of_typ : typ -> string
 (** Java source syntax: ["int"], ["java.lang.String"], ["byte[]"] *)
 
 val typ_of_string : string -> typ
 (** inverse of {!string_of_typ}; unknown names read as class types *)
-
-val is_primitive : typ -> bool
-val pp_typ : Format.formatter -> typ -> unit
 
 type field_sig = {
   f_class : string;  (** declaring class *)
@@ -39,15 +31,12 @@ type field_sig = {
 val equal_field_sig : field_sig -> field_sig -> bool
 (** by declaring class and name *)
 
-val compare_field_sig : field_sig -> field_sig -> int
-
 val hash_field_sig : field_sig -> int
 (** consistent with {!equal_field_sig}: hashes declaring class and
     name, both in full *)
 
 val mk_field : ?ty:typ -> string -> string -> field_sig
 val string_of_field_sig : field_sig -> string
-val pp_field_sig : Format.formatter -> field_sig -> unit
 
 type method_sig = {
   m_class : string;  (** declaring (or statically-resolved) class *)
@@ -56,27 +45,10 @@ type method_sig = {
   m_ret : typ;
 }
 
-val equal_method_sig : method_sig -> method_sig -> bool
-val compare_method_sig : method_sig -> method_sig -> int
-
-val hash_method_sig : method_sig -> int
-(** consistent with {!equal_method_sig}: folds over class, name and
-    {e every} parameter type *)
-
-val sub_signature : method_sig -> string * typ list
-(** identity up to the declaring class: the key for override
-    resolution *)
-
-val equal_sub_signature : method_sig -> method_sig -> bool
 val mk_method : ?params:typ list -> ?ret:typ -> string -> string -> method_sig
 
 val string_of_method_sig : method_sig -> string
 (** Jimple style: ["<a.B: void foo(int,java.lang.String)>"] *)
 
-val pp_method_sig : Format.formatter -> method_sig -> unit
-
 val object_class : string
 (** ["java.lang.Object"] *)
-
-val string_class : string
-(** ["java.lang.String"] *)

@@ -40,14 +40,5 @@ type component_callbacks = {
           feature) *)
 }
 
-val discover :
-  Scene.t ->
-  Fd_frontend.Layout.t ->
-  component:string ->
-  kind:FW.component_kind ->
-  component_callbacks
-(** [discover scene layout ~component ~kind] runs the iterative
-    discovery for one component. *)
-
 val discover_all : Fd_frontend.Apk.loaded -> component_callbacks list
 (** [discover_all loaded] runs discovery for every enabled component. *)

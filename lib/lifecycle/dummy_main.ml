@@ -301,11 +301,6 @@ let generate scene (ccs : Callbacks.component_callbacks list) =
   Scene.add_or_replace scene dummy;
   Mkey.{ mk_class = dummy_class_name; mk_name = dummy_method_name; mk_arity = 0 }
 
-(** [entry_of_plain_methods keys] — for non-Android programs
-    (SecuriBench, the paper's listings) the entry points are given
-    explicitly and no dummy main is needed. *)
-let entry_of_plain_methods keys = keys
-
 (** [generate_plain scene entries] builds the non-Android equivalent
     of the dummy main (FlowDroid's default entry-point creator): all
     given entry methods are callable in any sequential order and

@@ -11,22 +11,10 @@
 open Fd_ir
 open Fd_callgraph
 
-val dummy_class_name : string
-(** ["dummyMainClass"] *)
-
-val dummy_method_name : string
-(** ["dummyMain"] *)
-
-val opaque_field : Types.field_sig
-(** the opaque predicate: a static int field of the dummy class *)
-
 val generate : Scene.t -> Callbacks.component_callbacks list -> Mkey.t
 (** [generate scene ccs] builds the dummy-main class for the given
     per-component callback sets, registers it in [scene] (replacing a
     previous one), and returns the entry-point key. *)
-
-val entry_of_plain_methods : Mkey.t list -> Mkey.t list
-(** identity — explicit entry points for non-Android programs *)
 
 val generate_plain : Scene.t -> Mkey.t list -> Mkey.t
 (** [generate_plain scene entries] is the non-Android equivalent

@@ -103,6 +103,5 @@ val with_delta : (unit -> 'a) -> 'a * snapshot
 (** [with_delta f] runs [f] and returns its result together with
     [diff] of the registry around it. *)
 
-val snapshot_to_json : snapshot -> Json.t
 val to_json : unit -> Json.t
-(** [to_json ()] = [snapshot_to_json (snapshot ())] *)
+(** [to_json ()] is the JSON rendering of [snapshot ()] *)

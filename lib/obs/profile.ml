@@ -1,8 +1,8 @@
 (** The per-method solver profiler (see the interface).
 
     A process-global registry like {!Metrics}: cells are keyed by
-    method name, resolved once per method by the solver (which caches
-    the handle next to its per-method view) and then updated with
+    method name, resolved once per program point by the solver's
+    profiler extension (which caches the handles) and then updated with
     atomic operations, so engines profiling on different domains can
     share the registry.  Everything is opt-in: with profiling off the
     solvers never touch this module on the hot path. *)

@@ -3,9 +3,10 @@
     Attributes worklist pops, created path edges ("facts") and
     monotonic wall time to the method being processed, in both solver
     loops.  The registry is process-global and domain-safe (atomic
-    cells), mirroring {!Metrics}: a solver resolves one {!cell} handle
-    per method and caches it, so the profiled hot path costs two
-    atomic updates and one clock read per pop.
+    cells), mirroring {!Metrics}: the solver's profiler extension
+    resolves a {!cell} handle once per program point and caches it, so
+    the profiled hot path costs atomic updates and two clock reads per
+    pop.
 
     Profiling is opt-in ({!Fd_core.Config.t.profile} /
     [--profile-out]); with it off the solvers never call into this

@@ -47,7 +47,6 @@ end)
 type t = { edges : edge I2_tbl.t }
 
 let create () = { edges = I2_tbl.create 1024 }
-let size t = I2_tbl.length t.edges
 
 (* rough live-size estimate: per binding one boxed (int, int) key
    (4 words), one edge record (4 words), and ~3 words of bucket

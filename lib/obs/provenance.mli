@@ -45,16 +45,11 @@ val record :
     derivations of a pair already recorded are ignored.  A negative
     [pred_node] marks a root (seed) with no predecessor. *)
 
-val lookup : t -> node:int -> fact:int -> edge option
-
 val trace : t -> node:int -> fact:int -> (int * int * kind) list
 (** the derivation chain of [(node, fact)], oldest step first and
     ending with the pair itself; each element is [(node, fact, kind)]
     where [kind] says how that pair was derived from the previous
     element.  Empty when the pair was never recorded. *)
-
-val size : t -> int
-(** recorded edges *)
 
 val approx_bytes : t -> int
 (** rough live heap size of the store, for the memory gauges *)

@@ -19,7 +19,6 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { r_cap = capacity; r_buf = Array.make capacity None; r_next = 0; r_pushed = 0 }
 
-let capacity r = r.r_cap
 let pushed r = r.r_pushed
 let length r = min r.r_pushed r.r_cap
 

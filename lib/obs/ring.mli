@@ -21,8 +21,6 @@ val create : capacity:int -> 'a t
 val push : 'a t -> 'a -> unit
 (** append a value, overwriting the oldest once full *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
 (** values currently held ([min pushed capacity]) *)
 
@@ -36,8 +34,6 @@ val clear : 'a t -> unit
 
 (** The per-domain solver flight recorder. *)
 module Flight : sig
-  val default_capacity : int
-
   val record : (unit -> string) -> unit
   (** record a lazy event in the calling domain's ring; the closure is
       evaluated only if the ring is dumped, so hot loops pay one

@@ -193,25 +193,3 @@ let to_chrome_json () =
     [ ("traceEvents", Json.List events); ("displayTimeUnit", Json.String "ms") ]
 
 let to_chrome_string () = Json.to_string ~indent:1 (to_chrome_json ())
-
-let summary () =
-  let buf = Buffer.create 256 in
-  let all = merged () in
-  Array.iter
-    (fun (sp, _) ->
-      let share =
-        if sp.sp_parent < 0 then ""
-        else
-          let p, _ = all.(sp.sp_parent) in
-          if p.sp_dur > 0. then
-            Printf.sprintf "  (%.0f%% of %s)" (100. *. sp.sp_dur /. p.sp_dur)
-              p.sp_name
-          else ""
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%s%-*s %10.3f ms%s\n"
-           (String.make (2 * sp.sp_depth) ' ')
-           (32 - (2 * sp.sp_depth))
-           sp.sp_name (sp.sp_dur *. 1e3) share))
-    all;
-  Buffer.contents buf

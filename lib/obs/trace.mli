@@ -4,9 +4,8 @@
     parent is whatever span is open on this thread of execution when it
     starts.  The recorded tree can be exported as
 
-    - Chrome [trace_event] JSON ({!to_chrome_json}) — load the file in
+    - Chrome [trace_event] JSON ({!to_chrome_string}) — load the file in
       [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto};
-    - a plain-text tree summary ({!summary}) with per-span durations;
     - per-phase aggregate durations ({!aggregate}) for stats JSON.
 
     Timestamps are wall-clock, relative to the first span after the
@@ -25,7 +24,6 @@ type span = {
   sp_parent : int;  (** index of the parent span, -1 at top level *)
 }
 
-val begin_span : string -> unit
 val end_span : unit -> unit
 (** @raise Invalid_argument when no span is open *)
 
@@ -53,12 +51,4 @@ val reset_domain : unit -> unit
     on this domain.  A long-lived worker domain calls it between jobs
     so that its store does not grow with every job it runs. *)
 
-val to_chrome_json : unit -> Json.t
-(** the ["traceEvents"] document: one complete ("ph":"X") event per
-    span, timestamps in microseconds *)
-
 val to_chrome_string : unit -> string
-
-val summary : unit -> string
-(** indented text tree: one line per span with duration and the share
-    of its parent *)

@@ -16,7 +16,6 @@ let clock_period = 256
 let global_cancel = Atomic.make false
 
 let cancel_all () = Atomic.set global_cancel true
-let reset_cancel_all () = Atomic.set global_cancel false
 let cancelling_all () = Atomic.get global_cancel
 
 type t = {
@@ -99,7 +98,3 @@ let outcome t =
   match t.b_stop with Some o -> o | None -> Outcome.Complete
 
 let propagations t = t.b_props
-let max_propagations t = t.b_max_props
-
-let remaining_s t =
-  Option.map (fun d -> d -. Unix.gettimeofday ()) t.b_deadline

@@ -56,19 +56,8 @@ val cancel_all : unit -> unit
 val cancelling_all : unit -> bool
 (** whether {!cancel_all} has been requested *)
 
-val reset_cancel_all : unit -> unit
-(** clear the process-wide cancellation (for tests and multi-campaign
-    drivers that survive an interrupt) *)
-
 val outcome : t -> Outcome.t
 (** [Complete] while live; the stop reason once stopped *)
 
 val propagations : t -> int
 (** ticks consumed so far *)
-
-val max_propagations : t -> int
-(** the cap ([max_int] when unlimited) *)
-
-val remaining_s : t -> float option
-(** seconds until the deadline ([None] when no deadline is set);
-    negative once overdue *)

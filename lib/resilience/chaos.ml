@@ -7,7 +7,6 @@ let m_faults = Fd_obs.Metrics.counter "resilience.faults_injected"
 type t = {
   c_prng : Prng.t;
   c_rate : float;
-  c_seed : int;
   mutable c_injected : int;
 }
 
@@ -15,10 +14,7 @@ exception Fault of string
 
 let create ~seed ~rate =
   { c_prng = Prng.create seed; c_rate = max 0.0 (min 1.0 rate);
-    c_seed = seed; c_injected = 0 }
-
-let rate c = c.c_rate
-let seed c = c.c_seed
+    c_injected = 0 }
 
 let fired c =
   c.c_injected <- c.c_injected + 1;

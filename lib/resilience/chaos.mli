@@ -9,7 +9,7 @@
     - {b input corruption} ({!corrupt_string}): with probability [p] a
       parser input (manifest, layout, µJimple unit) has a few bytes
       scrambled, driving the lenient-frontend recovery paths;
-    - {b step faults} ({!should_fail}, {!fail_point}): with
+    - {b step faults} ({!fail_point}): with
       probability [p] a pipeline step raises {!Fault}, driving the
       exception barriers and the degradation ladder.
 
@@ -24,12 +24,6 @@ exception Fault of string
 val create : seed:int -> rate:float -> t
 (** [create ~seed ~rate] makes a harness injecting faults with
     probability [rate] (clamped to [\[0, 1\]]) per opportunity. *)
-
-val rate : t -> float
-val seed : t -> int
-
-val should_fail : t -> bool
-(** advance the schedule by one Bernoulli([rate]) draw *)
 
 val fail_point : t option -> string -> unit
 (** [fail_point (Some c) site] raises [Fault site] with probability

@@ -17,9 +17,6 @@ val is_complete : t -> bool
 val equal : t -> t -> bool
 (** structural equality; [Crashed] messages are ignored. *)
 
-val severity : t -> int
-(** 0 = [Complete] … 4 = [Crashed]: position on the badness scale. *)
-
 val worst : t -> t -> t
 (** the higher-severity of the two *)
 

@@ -40,9 +40,6 @@ type ruleset = {
   rs_natives : Fd_frontend.Rules.t;
 }
 
-val default_ruleset : unit -> ruleset
-(** the built-in SuSi-style defaults, parsed once *)
-
 type config = {
   sv_socket : string;  (** Unix-domain socket path *)
   sv_workers : int;  (** analysis worker domains *)
@@ -81,10 +78,6 @@ val start : config -> t
     return immediately.  Ignores SIGPIPE (client disconnects must not
     kill the daemon).
     @raise Unix.Unix_error when the socket cannot be bound. *)
-
-val drain : t -> unit
-(** stop admitting analyze requests; in-flight and already-queued work
-    continues.  Idempotent. *)
 
 val draining : t -> bool
 

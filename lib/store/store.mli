@@ -37,9 +37,3 @@ val gc : string -> max_bytes:int -> int * int
     [(deleted, freed_bytes)].  Candidates are ordered by (mtime, path)
     so eviction is deterministic regardless of directory enumeration
     order — concurrent shards keep the same survivors. *)
-
-(**/**)
-
-val entry_path :
-  dir:string -> config_digest:string -> method_digest:string -> string
-(** exposed for the tests (corruption injection) *)

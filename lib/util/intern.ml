@@ -111,11 +111,6 @@ module Make (T : HASHED) = struct
   let size p = p.p_next
   let hits p = p.p_hits
   let misses p = p.p_misses
-
-  let iter p f =
-    for i = 0 to p.p_next - 1 do
-      f i p.p_values.(i)
-    done
 end
 
 (* ------------------------------------------------------------------ *)

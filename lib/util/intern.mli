@@ -72,8 +72,6 @@ module Make (T : HASHED) : sig
   val size : pool -> int
   val hits : pool -> int
   val misses : pool -> int
-
-  val iter : pool -> (int -> T.t -> unit) -> unit
 end
 
 (** {1 Flat id-keyed structures}

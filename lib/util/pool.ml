@@ -67,5 +67,3 @@ let map ?(jobs = 1) f xs =
                assert false)
          out)
   end
-
-let iter ?jobs f xs = ignore (map ?jobs (fun x -> f x; ()) xs)

@@ -30,5 +30,3 @@ exception Worker_failed of exn
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs], computed by [jobs] domains.
     [jobs <= 1] runs inline with zero overhead. *)
-
-val iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit

@@ -11,10 +11,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val next_int64 : t -> int64
-(** [next_int64 t] advances the state and returns the next raw 64-bit
-    output of the splitmix64 sequence. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)

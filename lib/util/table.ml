@@ -75,9 +75,6 @@ let render t =
     t.rows;
   Buffer.contents out
 
-(** [print t] renders [t] to stdout. *)
-let print t = print_string (render t)
-
 (** [pct num den] formats the ratio as a percentage with no decimals,
     matching the paper's "93%" style; returns ["n/a"] when [den = 0]. *)
 let pct num den =

@@ -19,9 +19,6 @@ val render : t -> string
 (** [render t] renders aligned text, one line per row, with a
     separator under the header. *)
 
-val print : t -> unit
-(** [print t] renders to stdout. *)
-
 val pct : int -> int -> string
 (** [pct num den] formats a percentage the way the paper does
     (["93%"]); ["n/a"] when [den = 0]. *)

@@ -566,6 +566,8 @@ let test_parse_errors () =
       "class A { method void m() { goto missing; } }";
       "class A { method void m() { if x == goto l; } }";
       "klass A {}";
+      (* a decimal escape beyond a byte *)
+      {|class A { method void m() { x = "\504"; } }|};
     ]
   in
   List.iter

@@ -445,6 +445,61 @@ let test_provenance_engine () =
   Alcotest.(check bool) "witnesses JSON round-trips" true
     (J.equal wj (J.parse_string (J.to_string ~indent:1 wj)))
 
+let suite_app name =
+  match Fd_droidbench.Suite.find name with
+  | Some a -> a.Fd_droidbench.Bench_app.app_apk
+  | None -> Alcotest.fail (name ^ " missing from the suite")
+
+(* the profiler accounts every worklist pop and every path edge of a
+   solve to some method: its per-method totals add up to the solver's
+   own counters *)
+let test_profile_engine () =
+  fresh ();
+  P.reset ();
+  let config = { Fd_core.Config.default with Fd_core.Config.profile = true } in
+  let _ = Fd_core.Infoflow.analyze_apk ~config (suite_app "DeepAlias1") in
+  let entries = P.entries () in
+  Alcotest.(check bool) "methods profiled" true (entries <> []);
+  let sum f = List.fold_left (fun acc e -> acc + f e) 0 entries in
+  Alcotest.(check int) "pops add up to ifds.worklist_pops"
+    (M.counter_value "ifds.worklist_pops")
+    (sum (fun e -> e.P.e_pops));
+  Alcotest.(check int) "facts add up to ifds.path_edges"
+    (M.counter_value "ifds.path_edges")
+    (sum (fun e -> e.P.e_facts));
+  P.reset ()
+
+(* a solve stopped by its propagation budget returns the flight
+   recorder's recent events as a diagnostic: the stop itself and the
+   worklist pops that led to it *)
+let test_flight_recorder_diag () =
+  fresh ();
+  let config =
+    { Fd_core.Config.default with Fd_core.Config.max_propagations = 10 }
+  in
+  let r = Fd_core.Infoflow.analyze_apk ~config (suite_app "DirectLeak1") in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  match
+    List.filter
+      (fun (d : Fd_resilience.Diag.t) ->
+        d.Fd_resilience.Diag.d_file = "flight-recorder")
+      r.Fd_core.Infoflow.r_diags
+  with
+  | [ d ] ->
+      let msg = d.Fd_resilience.Diag.d_msg in
+      Alcotest.(check bool) ("budget.stop in: " ^ msg) true
+        (contains msg "budget.stop");
+      Alcotest.(check bool) ("fw.pop in: " ^ msg) true (contains msg "fw.pop")
+  | ds ->
+      Alcotest.failf "expected one flight-recorder diagnostic, got %d"
+        (List.length ds)
+
 let () =
   Alcotest.run "fd_obs"
     [
@@ -497,5 +552,8 @@ let () =
             test_engine_populates_registry;
           Alcotest.test_case "provenance engine run" `Quick
             test_provenance_engine;
+          Alcotest.test_case "profiler totals" `Quick test_profile_engine;
+          Alcotest.test_case "flight-recorder diagnostic" `Quick
+            test_flight_recorder_diag;
         ] );
     ]

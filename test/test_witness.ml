@@ -78,6 +78,78 @@ let test_example_app_witnesses () =
   check_report "leakage_app" wr;
   Alcotest.(check bool) "flow witnessed" true (wr.Dc.wr_witnessed > 0)
 
+(* exact witnesses: the full (node, statement, fact, kind) step list of
+   every finding, pinned on DeepAlias1 (whose witness crosses the
+   alias, backward and inject handovers) and DirectLeak1 *)
+let pinned_witnesses =
+  [
+    ( "DeepAlias1",
+      [
+        [
+          ("ext.DeepAlias1.onCreate/1@7", "x = virtualinvoke tm.android.telephony.TelephonyManager#getDeviceId() @\"src-imei\"", "0", "normal");
+          ("ext.DeepAlias1.onCreate/1@8", "staticinvoke ext.DA1Helper#taint(a, x)", "x", "source");
+          ("ext.DA1Helper.taint/2@0", "n := @parameter0", "s", "call");
+          ("ext.DA1Helper.taint/2@1", "s := @parameter1", "s", "normal");
+          ("ext.DA1Helper.taint/2@2", "inner = n.ext.DA1Node#next", "s", "normal");
+          ("ext.DA1Helper.taint/2@3", "inner.ext.DA1Node#v = s", "s", "normal");
+          ("ext.DA1Helper.taint/2@3", "inner.ext.DA1Node#v = s", "inner.v*inactive*@act:ext.DA1Helper.taint/2@3", "alias");
+          ("ext.DA1Helper.taint/2@2", "inner = n.ext.DA1Node#next", "n.next.v*inactive*@act:ext.DA1Helper.taint/2@3", "inject");
+          ("ext.DA1Helper.taint/2@3", "inner.ext.DA1Node#v = s", "n.next.v*inactive*@act:ext.DA1Helper.taint/2@3", "normal");
+          ("ext.DA1Helper.taint/2@4", "return", "n.next.v@act:ext.DA1Helper.taint/2@3", "normal");
+          ("ext.DeepAlias1.onCreate/1@8", "staticinvoke ext.DA1Helper#taint(a, x)", "a.next.v*inactive*@act:ext.DeepAlias1.onCreate/1@8", "alias");
+          ("ext.DeepAlias1.onCreate/1@7", "x = virtualinvoke tm.android.telephony.TelephonyManager#getDeviceId() @\"src-imei\"", "a.next.v*inactive*@act:ext.DeepAlias1.onCreate/1@8", "backward");
+          ("ext.DeepAlias1.onCreate/1@6", "tm = new android.telephony.TelephonyManager", "a.next.v*inactive*@act:ext.DeepAlias1.onCreate/1@8", "backward");
+          ("ext.DA1Helper.alias/1@2", "return r", "n.next.v*inactive*@act:ext.DeepAlias1.onCreate/1@8", "backward");
+          ("ext.DA1Helper.alias/1@2", "return r", "r.v*inactive*@act:ext.DeepAlias1.onCreate/1@8", "inject");
+          ("ext.DeepAlias1.onCreate/1@6", "tm = new android.telephony.TelephonyManager", "b.v*inactive*@act:ext.DeepAlias1.onCreate/1@8", "return");
+          ("ext.DeepAlias1.onCreate/1@7", "x = virtualinvoke tm.android.telephony.TelephonyManager#getDeviceId() @\"src-imei\"", "b.v*inactive*@act:ext.DeepAlias1.onCreate/1@8", "normal");
+          ("ext.DeepAlias1.onCreate/1@8", "staticinvoke ext.DA1Helper#taint(a, x)", "b.v*inactive*@act:ext.DeepAlias1.onCreate/1@8", "call-to-return");
+          ("ext.DeepAlias1.onCreate/1@9", "out = b.ext.DA1Node#v", "b.v@act:ext.DeepAlias1.onCreate/1@8", "call-to-return");
+          ("ext.DeepAlias1.onCreate/1@10", "sms = staticinvoke android.telephony.SmsManager#getDefault()", "out@act:ext.DeepAlias1.onCreate/1@8", "normal");
+          ("ext.DeepAlias1.onCreate/1@11", "virtualinvoke sms.android.telephony.SmsManager#sendTextMessage(\"+49 1234\", null, out, null, null) @\"sink-sms\"", "out@act:ext.DeepAlias1.onCreate/1@8", "call-to-return");
+        ];
+      ] );
+    ( "DirectLeak1",
+      [
+        [
+          ("de.ecspride.DirectLeak1.onCreate/1@3", "imei = virtualinvoke tm.android.telephony.TelephonyManager#getDeviceId() @\"src-imei\"", "0", "normal");
+          ("de.ecspride.DirectLeak1.onCreate/1@4", "sms = staticinvoke android.telephony.SmsManager#getDefault()", "imei", "source");
+          ("de.ecspride.DirectLeak1.onCreate/1@5", "virtualinvoke sms.android.telephony.SmsManager#sendTextMessage(\"+49 1234\", null, imei, null, null) @\"sink-sms\"", "imei", "call-to-return");
+        ];
+      ] );
+  ]
+
+let test_pinned_witnesses () =
+  List.iter
+    (fun (name, expected) ->
+      let app =
+        match Suite.find name with
+        | Some a -> a.Fd_droidbench.Bench_app.app_apk
+        | None -> Alcotest.fail (name ^ " missing from the suite")
+      in
+      let config =
+        { Fd_core.Config.default with Fd_core.Config.provenance = true }
+      in
+      let r = Fd_core.Infoflow.analyze_apk ~config app in
+      let step (node, stmt, fact, kind) =
+        String.concat " | " [ node; stmt; fact; kind ]
+      in
+      let actual (fd : Fd_core.Bidi.finding) =
+        List.map
+          (fun (w : Fd_core.Bidi.witness_step) ->
+            step
+              ( Fd_callgraph.Icfg.string_of_node w.Fd_core.Bidi.ws_node,
+                w.Fd_core.Bidi.ws_stmt,
+                w.Fd_core.Bidi.ws_fact,
+                w.Fd_core.Bidi.ws_kind ))
+          fd.Fd_core.Bidi.f_witness
+      in
+      Alcotest.(check (list (list string)))
+        (name ^ ": witness steps")
+        (List.map (List.map step) expected)
+        (List.map actual r.Fd_core.Infoflow.r_findings))
+    pinned_witnesses
+
 let () =
   Alcotest.run "fd_witness"
     [
@@ -89,5 +161,6 @@ let () =
           Alcotest.test_case "minimized reproducers" `Quick
             test_repro_witnesses;
           Alcotest.test_case "example app" `Quick test_example_app_witnesses;
+          Alcotest.test_case "pinned witnesses" `Quick test_pinned_witnesses;
         ] );
     ]
