@@ -23,68 +23,43 @@
 
    Writes the JSON report to --out (default BENCH_serve.json). *)
 
+open Cmdliner
 module Json = Fd_obs.Json
 module Gen = Fd_appgen.Generator
 module Client = Fd_serve.Client
 module Protocol = Fd_serve.Protocol
 module Squeue = Fd_serve.Squeue
 
-let apps_per_phase = ref 100
-let concurrency = ref [ 4; 16 ]
-let seed = ref 20140609
-let chaos_rate = ref 0.1
-let out_path = ref "BENCH_serve.json"
-let warm_factor = ref 3.0
-let p99_ratio_limit = ref 2.0
-let cold_samples = ref 5
-let warm_samples = ref 200
-let warm_lanes = ref 2
-let cold_probe = ref (-1)
+type opts = {
+  apps_per_phase : int;
+  concurrency : int list;
+  seed : int;
+  chaos_rate : float;
+  out_path : string;
+  warm_factor : float;
+  p99_ratio_limit : float;
+  cold_samples : int;
+  warm_lanes : int;
+  serve_exe : string;
+}
 
-let serve_exe =
-  ref
-    (Filename.concat
-       (Filename.dirname Sys.executable_name)
-       "../bin/flowdroid_serve.exe")
-
+let warm_samples = 200
 let phase_timeout_s = 180.
-
-let speclist =
-  [
-    ("--apps", Arg.Set_int apps_per_phase, "apps per phase (default 100)");
-    ( "--concurrency",
-      Arg.String
-        (fun s ->
-          concurrency :=
-            List.map int_of_string (String.split_on_char ',' s)),
-      "comma-separated client-lane counts (default 4,16)" );
-    ("--seed", Arg.Set_int seed, "corpus seed");
-    ("--chaos-rate", Arg.Set_float chaos_rate, "chaos-on phase rate (0.1)");
-    ("--out", Arg.Set_string out_path, "report path (BENCH_serve.json)");
-    ("--warm-factor", Arg.Set_float warm_factor, "warm-speedup gate (3.0)");
-    ("--p99-ratio", Arg.Set_float p99_ratio_limit, "chaos p99 gate (2.0)");
-    ("--cold-samples", Arg.Set_int cold_samples, "cold probe runs (5)");
-    ( "--cold-probe",
-      Arg.Set_int cold_probe,
-      "internal: analyse one app cold and print milliseconds" );
-    ("--serve-exe", Arg.Set_string serve_exe, "path to flowdroid_serve.exe");
-    ("--warm-lanes", Arg.Set_int warm_lanes, "warm-path client lanes (2)");
-  ]
 
 (* ---------------- daemon process control ---------------- *)
 
-let boot_daemon ~socket ~chaos =
+let boot_daemon o ~socket ~chaos =
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let argv =
     [|
-      !serve_exe; "--socket"; socket; "--workers"; "4"; "--queue"; "32";
+      o.serve_exe; "--socket"; socket; "--workers"; "4"; "--queue"; "32";
       "--max-frame-bytes"; string_of_int (256 * 1024); "--deadline-s"; "10";
       "--chaos-rate"; string_of_float chaos; "--chaos-seed";
-      string_of_int !seed; "-q";
+      string_of_int o.seed; "-q";
     |]
   in
   let pid =
-    Unix.create_process !serve_exe argv Unix.stdin Unix.stdout Unix.stderr
+    Unix.create_process o.serve_exe argv Unix.stdin Unix.stdout Unix.stderr
   in
   (* the daemon warms its templates before listening; wait for the
      socket to answer *)
@@ -137,9 +112,9 @@ let shutdown_daemon ~socket pid =
 
 (* ---------------- cold probe (child process) ---------------- *)
 
-let run_cold_probe index =
+let run_cold_probe ~seed index =
   let t0 = Unix.gettimeofday () in
-  let app = Gen.generate ~profile:Gen.Malware ~seed:!seed index in
+  let app = Gen.generate ~profile:Gen.Malware ~seed index in
   let loaded = Fd_frontend.Apk.load ~mode:`Lenient app.Gen.ga_apk in
   let r = Fd_core.Infoflow.analyze_loaded loaded in
   ignore (List.length r.Fd_core.Infoflow.r_findings);
@@ -149,11 +124,11 @@ let run_cold_probe index =
    is what a cold flowdroid_cli invocation actually costs per app —
    exec + runtime init + frontend/framework template construction +
    the analysis — and is the number the warm path amortises. *)
-let cold_probe_ms index =
+let cold_probe_ms o index =
   let cmd =
     Printf.sprintf "%s --cold-probe %d --seed %d"
       (Filename.quote Sys.executable_name)
-      index !seed
+      index o.seed
   in
   let t0 = Unix.gettimeofday () in
   let ic = Unix.open_process_in cmd in
@@ -172,9 +147,9 @@ let job_kind i =
   else if i mod 10 = 4 then J_hang
   else J_normal
 
-let gen_spec i =
+let gen_spec o i =
   let profile = if i mod 2 = 0 then Gen.Play else Gen.Malware in
-  Protocol.App_gen { g_profile = profile; g_seed = !seed; g_index = i }
+  Protocol.App_gen { g_profile = profile; g_seed = o.seed; g_index = i }
 
 (* an inline bundle whose frame comfortably exceeds the server limit *)
 let oversized_app i =
@@ -195,28 +170,26 @@ let crash_app i =
       in_sources = [ "this is not µJimple {{{" ];
     }
 
-let job_request i =
+let request ?id app =
+  {
+    Protocol.rq_id = id;
+    rq_app = app;
+    rq_apps = [];
+    rq_deadline_ms = None;
+    rq_rules = "default";
+    rq_strict = false;
+    rq_options = [];
+  }
+
+let job_request o i =
   let kind = job_kind i in
-  let base app =
-    {
-      Protocol.rq_id = Some (Json.Int i);
-      rq_app = app;
-      rq_apps = [];
-      rq_deadline_ms = None;
-      rq_k = None;
-      rq_rules = "default";
-      rq_strict = false;
-      rq_fresh_metrics = false;
-      rq_icc = false;
-      rq_targeted = [];
-    }
-  in
+  let base = request ~id:(Json.Int i) in
   match kind with
-  | J_normal -> (kind, base (gen_spec i))
+  | J_normal -> (kind, base (gen_spec o i))
   | J_hang ->
       (* a 1 ms deadline blows every ladder rung: the daemon must
          deadline it out and reply partial/failed, never stall *)
-      (kind, { (base (gen_spec i)) with Protocol.rq_deadline_ms = Some 1 })
+      (kind, { (base (gen_spec o i)) with Protocol.rq_deadline_ms = Some 1 })
   | J_crash -> (kind, { (base (crash_app i)) with Protocol.rq_strict = true })
   | J_oversized -> (kind, base (oversized_app i))
 
@@ -242,17 +215,14 @@ let percentile sorted p =
   | 0 -> 0.
   | n -> sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
 
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
 let classify reply =
   match Json.member "ok" reply with
   | Some (Json.Bool true) -> (
       match Json.member "completeness" reply with
       | Some (Json.String c) ->
           if c = "precise" then "precise"
-          else if has_prefix "degraded" c then "degraded"
-          else if has_prefix "partial" c then "partial"
+          else if String.starts_with ~prefix:"degraded" c then "degraded"
+          else if String.starts_with ~prefix:"partial" c then "partial"
           else "ok-other"
       | _ -> "ok-other")
   | Some (Json.Bool false) -> (
@@ -276,9 +246,9 @@ let query_stats socket =
     (stat_int r "worker_restarts", stat_int r "retries")
   with _ -> (0, 0)
 
-let run_phase ~name ~lanes ~chaos socket =
-  let pid = boot_daemon ~socket ~chaos in
-  let n = !apps_per_phase in
+let run_phase o ~name ~lanes ~chaos socket =
+  let pid = boot_daemon o ~socket ~chaos in
+  let n = o.apps_per_phase in
   let results = Squeue.create ~capacity:(n + lanes) in
   let lane l =
     Thread.create
@@ -286,7 +256,7 @@ let run_phase ~name ~lanes ~chaos socket =
         let c = Client.connect socket in
         let rec go i =
           if i < n then begin
-            let kind, rq = job_request i in
+            let kind, rq = job_request o i in
             let t0 = Unix.gettimeofday () in
             (* overload rejections are legitimate backpressure: honour
                retry_after_ms and resubmit, like a real client *)
@@ -365,52 +335,41 @@ let run_phase ~name ~lanes ~chaos socket =
 
 (* the cold and warm paths must analyse the same apps, or the
    comparison measures corpus skew instead of amortisation *)
-let probe_indices () =
-  let stride = max 1 (!apps_per_phase / !cold_samples) in
-  List.init !cold_samples (fun i -> i * stride)
+let probe_indices o =
+  let stride = max 1 (o.apps_per_phase / o.cold_samples) in
+  List.init o.cold_samples (fun i -> i * stride)
 
 (* per-app cost of serving N well-formed apps through a warm daemon at
    saturation — the number that amortises the per-process cold cost *)
-let measure_warm socket =
-  let indices = Array.of_list (probe_indices ()) in
-  let pid = boot_daemon ~socket ~chaos:0. in
-  let n = !warm_samples in
+let measure_warm o socket =
+  let indices = Array.of_list (probe_indices o) in
+  let pid = boot_daemon o ~socket ~chaos:0. in
+  let n = warm_samples in
   let lane l =
     Thread.create
       (fun () ->
         let c = Client.connect socket in
         let i = ref l in
         while !i < n do
+          (* same profile as run_cold_probe — the two sides of the
+             amortisation comparison must analyse identical apps *)
           let rq =
-            {
-              Protocol.rq_id = None;
-              (* same profile as run_cold_probe — the two sides of the
-                 amortisation comparison must analyse identical apps *)
-              rq_app =
-                Protocol.App_gen
-                  {
-                    g_profile = Gen.Malware;
-                    g_seed = !seed;
-                    g_index = indices.(!i mod Array.length indices);
-                  };
-              rq_apps = [];
-              rq_deadline_ms = None;
-              rq_k = None;
-              rq_rules = "default";
-              rq_strict = false;
-              rq_fresh_metrics = false;
-              rq_icc = false;
-              rq_targeted = [];
-            }
+            request
+              (Protocol.App_gen
+                 {
+                   g_profile = Gen.Malware;
+                   g_seed = o.seed;
+                   g_index = indices.(!i mod Array.length indices);
+                 })
           in
           ignore (Client.analyze c rq);
-          i := !i + !warm_lanes
+          i := !i + o.warm_lanes
         done;
         Client.close c)
       ()
   in
   let t0 = Unix.gettimeofday () in
-  let threads = List.init !warm_lanes lane in
+  let threads = List.init o.warm_lanes lane in
   List.iter Thread.join threads;
   let wall = Unix.gettimeofday () -. t0 in
   ignore (shutdown_daemon ~socket pid);
@@ -441,22 +400,15 @@ let json_of_phase p =
       ("daemon_alive", Json.Bool p.ph_alive);
     ]
 
-let () =
-  Arg.parse speclist
-    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "serve_bench [options]";
-  if !cold_probe >= 0 then begin
-    run_cold_probe !cold_probe;
-    exit 0
-  end;
+let bench o =
   let sock i =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "fdbench-%d-%d.sock" (Unix.getpid ()) i)
   in
   Printf.printf "== serve_bench: %d apps/phase, concurrency %s\n%!"
-    !apps_per_phase
-    (String.concat "," (List.map string_of_int !concurrency));
+    o.apps_per_phase
+    (String.concat "," (List.map string_of_int o.concurrency));
   let phases = ref [] in
   let idx = ref 0 in
   List.iter
@@ -469,7 +421,7 @@ let () =
               (if chaos > 0. then "chaos" else "plain")
           in
           Printf.printf "-- phase %s\n%!" name;
-          let p = run_phase ~name ~lanes ~chaos (sock !idx) in
+          let p = run_phase o ~name ~lanes ~chaos (sock !idx) in
           Printf.printf
             "   %d/%d replies, p50 %.1fms p99 %.1fms, %d restarts, %d \
              retries, %.1fs\n\
@@ -477,15 +429,15 @@ let () =
             p.ph_replies p.ph_sent p.ph_p50_ms p.ph_p99_ms p.ph_restarts
             p.ph_retries p.ph_wall_s;
           phases := p :: !phases)
-        [ 0.; !chaos_rate ])
-    !concurrency;
+        [ 0.; o.chaos_rate ])
+    o.concurrency;
   let phases = List.rev !phases in
-  Printf.printf "-- warm path (%d requests, %d lanes)\n%!" !warm_samples
-    !warm_lanes;
-  let warm_ms = measure_warm (sock 0) in
-  Printf.printf "-- cold path (%d per-process runs)\n%!" !cold_samples;
+  Printf.printf "-- warm path (%d requests, %d lanes)\n%!" warm_samples
+    o.warm_lanes;
+  let warm_ms = measure_warm o (sock 0) in
+  Printf.printf "-- cold path (%d per-process runs)\n%!" o.cold_samples;
   let cold =
-    List.map cold_probe_ms (probe_indices ())
+    List.map (cold_probe_ms o) (probe_indices o)
     |> List.filter (fun (t, _) -> Float.is_finite t)
   in
   let mean f =
@@ -503,7 +455,7 @@ let () =
   let dropped_ok =
     List.for_all (fun p -> p.ph_sent = p.ph_replies && p.ph_alive) phases
   in
-  let warm_ok = Float.is_finite speedup && speedup >= !warm_factor in
+  let warm_ok = Float.is_finite speedup && speedup >= o.warm_factor in
   let ratios =
     List.filter_map
       (fun lanes ->
@@ -516,17 +468,17 @@ let () =
         | Some off, Some on when off.ph_p99_ms > 0. ->
             Some (lanes, on.ph_p99_ms /. off.ph_p99_ms)
         | _ -> None)
-      !concurrency
+      o.concurrency
   in
   let chaos_ok =
-    ratios <> [] && List.for_all (fun (_, r) -> r <= !p99_ratio_limit) ratios
+    ratios <> [] && List.for_all (fun (_, r) -> r <= o.p99_ratio_limit) ratios
   in
   let report =
     Json.Obj
       [
         ("bench", Json.String "serve");
-        ("apps_per_phase", Json.Int !apps_per_phase);
-        ("seed", Json.Int !seed);
+        ("apps_per_phase", Json.Int o.apps_per_phase);
+        ("seed", Json.Int o.seed);
         ("phases", Json.List (List.map json_of_phase phases));
         ("warm_ms_mean", Json.Float warm_ms);
         ("cold_ms_mean", Json.Float cold_ms);
@@ -541,19 +493,68 @@ let () =
           Json.Obj
             [
               ("zero_dropped", Json.Bool dropped_ok);
-              ( Printf.sprintf "warm_speedup_ge_%.0f" !warm_factor,
+              ( Printf.sprintf "warm_speedup_ge_%.0f" o.warm_factor,
                 Json.Bool warm_ok );
-              ( Printf.sprintf "chaos_p99_ratio_le_%.0f" !p99_ratio_limit,
+              ( Printf.sprintf "chaos_p99_ratio_le_%.0f" o.p99_ratio_limit,
                 Json.Bool chaos_ok );
             ] );
         ("pass", Json.Bool (dropped_ok && warm_ok && chaos_ok));
       ]
   in
-  Fd_obs.Export.write_file !out_path (Json.to_string ~indent:2 report ^ "\n");
-  Printf.printf "== serve_bench: report -> %s\n%!" !out_path;
+  Fd_obs.Export.write_file o.out_path (Json.to_string ~indent:2 report ^ "\n");
+  Printf.printf "== serve_bench: report -> %s\n%!" o.out_path;
   Printf.printf "   gates: dropped %s, warm %s, chaos-p99 %s\n%!"
     (if dropped_ok then "ok" else "FAIL")
     (if warm_ok then "ok" else "FAIL")
     (if chaos_ok then "ok" else "FAIL");
-  if not (dropped_ok && warm_ok && chaos_ok) then exit 1
+  if dropped_ok && warm_ok && chaos_ok then 0 else 1
+
+let opts =
+  let opt kind default name doc =
+    Arg.(value & opt kind default & info [ name ] ~doc)
+  in
+  Term.(
+    const
+      (fun apps_per_phase concurrency seed chaos_rate out_path warm_factor
+           p99_ratio_limit cold_samples warm_lanes serve_exe ->
+        { apps_per_phase; concurrency; seed; chaos_rate; out_path;
+          warm_factor; p99_ratio_limit; cold_samples; warm_lanes; serve_exe })
+    $ opt Arg.int 100 "apps" "Apps per phase."
+    $ opt Arg.(list int) [ 4; 16 ] "concurrency"
+        "Comma-separated client-lane counts."
+    $ opt Arg.int 20140609 "seed" "Corpus seed."
+    $ opt Arg.float 0.1 "chaos-rate" "Chaos-on phase rate."
+    $ opt Arg.string "BENCH_serve.json" "out" "Report path."
+    $ opt Arg.float 3.0 "warm-factor" "Warm-speedup gate."
+    $ opt Arg.float 2.0 "p99-ratio" "Chaos p99 gate."
+    $ opt Arg.int 5 "cold-samples" "Cold probe runs."
+    $ opt Arg.int 2 "warm-lanes" "Warm-path client lanes."
+    $ opt Arg.string
+        (Filename.concat
+           (Filename.dirname Sys.executable_name)
+           "../bin/flowdroid_serve.exe")
+        "serve-exe" "Path to flowdroid_serve.exe.")
+
+(* [--cold-probe INDEX] is how the bench re-executes itself for one
+   cold sample *)
+let cold_probe =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "cold-probe" ] ~docv:"INDEX"
+        ~doc:"Internal: analyse one app cold and print milliseconds.")
+
+let main cold_probe o =
+  match cold_probe with
+  | Some index ->
+      run_cold_probe ~seed:o.seed index;
+      0
+  | None -> bench o
+
+let () =
+  exit
+    (Cmd.eval'
+       (Cmd.v
+          (Cmd.info "serve_bench" ~doc:"Load generator for the serve daemon")
+          Term.(const main $ cold_probe $ opts)))
 

@@ -139,9 +139,8 @@ let run_chaos ~config ~seed rate =
       let label = app.Fd_droidbench.Bench_app.app_name in
       (* no per-app registry reset: the chaos loop happens to be
          sequential today, but a global reset is unsafe the moment the
-         loop fans out ([Fd_util.Pool]) — per-app scoping is done by
-         snapshot-and-diff ({!Fd_obs.Metrics.with_delta}) where it is
-         actually needed; nothing in this loop reads the registry *)
+         loop fans out ([Fd_util.Pool]); nothing in this loop reads
+         the registry *)
       match
         Fd_resilience.Barrier.protect ~label (fun () ->
             let sources =

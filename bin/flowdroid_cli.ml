@@ -28,7 +28,8 @@ let apk_dirs =
 
 let k_len =
   Arg.(
-    value & opt int 5
+    value
+    & opt (Cli.int_at_least 1) 5
     & info [ "k"; "access-path-length" ]
         ~doc:"Maximal access-path length (paper default: 5).")
 

@@ -54,11 +54,15 @@ let deadline_arg =
     & opt (some int) None
     & info [ "deadline-ms" ] ~doc:"Per-request deadline override.")
 
-let k_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "k" ] ~doc:"Max access-path length override.")
+let k =
+  Term.(
+    const
+      (Option.fold ~none:Fun.id ~some:(fun k c ->
+           { c with Fd_core.Config.max_access_path = k }))
+    $ Arg.(
+        value
+        & opt (some (Cli.int_at_least 1)) None
+        & info [ "k" ] ~doc:"Max access-path length override (>= 1)."))
 
 let id_arg =
   Arg.(
@@ -73,30 +77,26 @@ let parse_gen s =
   match String.split_on_char ':' s with
   | [ profile; seed; index ] -> (
       match
-        ( profile,
+        ( Fd_appgen.Generator.profile_of_string profile,
           int_of_string_opt seed,
           int_of_string_opt index )
       with
-      | "play", Some seed, Some index ->
-          Ok
-            (Protocol.App_gen
-               { g_profile = Fd_appgen.Generator.Play; g_seed = seed;
-                 g_index = index })
-      | "malware", Some seed, Some index ->
-          Ok
-            (Protocol.App_gen
-               { g_profile = Fd_appgen.Generator.Malware; g_seed = seed;
-                 g_index = index })
-      | "icc", Some seed, Some index ->
-          Ok
-            (Protocol.App_gen
-               { g_profile = Fd_appgen.Generator.Icc; g_seed = seed;
-                 g_index = index })
+      | Some g_profile, Some g_seed, Some g_index ->
+          Ok (Protocol.App_gen { g_profile; g_seed; g_index })
       | _ -> Error ("bad --gen spec: " ^ s))
   | _ -> Error ("bad --gen spec: " ^ s)
 
-let run socket verb dir apks gens deadline_ms k id strict
-    { Fd_core.Config.icc; targeted; _ } =
+(* the options the flags moved away from the default, under their
+   canonical keys: the daemon applies them to its own base config *)
+let changed_options config =
+  List.filter_map
+    (fun ((f : Fd_core.Config.field), (d : Fd_core.Config.field)) ->
+      if Json.equal f.value d.value then None else Some (f.key, f.value))
+    (List.combine
+       (Fd_core.Config.encode config)
+       (Fd_core.Config.encode Fd_core.Config.default))
+
+let run socket verb dir apks gens deadline_ms id strict config =
   let with_client f =
     match Client.connect socket with
     | exception Unix.Unix_error (e, _, _) ->
@@ -160,12 +160,9 @@ let run socket verb dir apks gens deadline_ms k id strict
                      rq_app;
                      rq_apps;
                      rq_deadline_ms = deadline_ms;
-                     rq_k = k;
                      rq_rules = "default";
                      rq_strict = strict;
-                     rq_fresh_metrics = false;
-                     rq_icc = icc;
-                     rq_targeted = targeted;
+                     rq_options = changed_options config;
                    })))
 
 let cmd =
@@ -173,7 +170,7 @@ let cmd =
     (Cmd.info "flowdroid_client" ~doc:"Client for the flowdroid_serve daemon")
     Term.(
       const run $ socket_arg $ verb_arg $ dir_arg $ apk_arg $ gen_arg
-      $ deadline_arg $ k_arg $ id_arg $ strict_arg
-      $ Cli.config [ Cli.icc; Cli.targeted ])
+      $ deadline_arg $ id_arg $ strict_arg
+      $ Cli.config [ k; Cli.icc; Cli.targeted ])
 
 let () = exit (Cmd.eval' cmd)

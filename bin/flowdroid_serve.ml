@@ -78,12 +78,12 @@ let run socket workers queue deadline max_frame grace chaos_rate chaos_seed
       (Server.default_config ~socket) with
       Server.sv_workers = workers;
       sv_queue_capacity = queue;
-      sv_default_deadline_s = deadline;
       sv_max_frame_bytes = max_frame;
       sv_drain_grace_s = grace;
       sv_chaos_rate = chaos_rate;
       sv_chaos_seed = chaos_seed;
-      sv_base_config = base_config;
+      sv_base_config =
+        { base_config with Fd_core.Config.deadline_s = Some deadline };
     }
   in
   let server =

@@ -128,11 +128,16 @@ let run_listing3 () =
        (listing3 ()) "t.L3")
 
 let () =
-  match if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" with
-  | "figure2" -> run_figure2 ()
-  | "listing2" -> run_listing2 ()
-  | "listing3" -> run_listing3 ()
-  | _ ->
-      run_figure2 ();
-      run_listing2 ();
-      run_listing3 ()
+  let open Cmdliner in
+  let all = [ run_figure2; run_listing2; run_listing3 ] in
+  let which =
+    Arg.(value
+         & pos 0
+             (enum
+                [ ("figure2", [ run_figure2 ]); ("listing2", [ run_listing2 ]);
+                  ("listing3", [ run_listing3 ]); ("all", all) ])
+             all
+         & info [] ~docv:"NAME" ~doc:"figure2, listing2, listing3 or all.")
+  in
+  let run = Term.(const (List.iter (fun run -> run ())) $ which) in
+  exit (Cmd.eval (Cmd.v (Cmd.info "paper_listings") run))

@@ -33,6 +33,9 @@ let string_of_profile = function
   | Malware -> "malware"
   | Icc -> "icc"
 
+let profile_of_string s =
+  List.find_opt (fun p -> string_of_profile p = s) [ Play; Malware; Icc ]
+
 (** The documented Table 1 limitation categories (DESIGN.md §5).  The
     generator plants constructs exercising each one, tagged so the
     differential harness ({!Fd_diffcheck}) can classify the resulting

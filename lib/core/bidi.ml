@@ -488,11 +488,7 @@ let view t : Solver_ext.view =
 
 let create ?budget ?store ~config ~icfg ~scene ~mgr ~wrappers ~natives () =
   let budget =
-    match budget with
-    | Some b -> b
-    | None ->
-        Fd_resilience.Budget.create ?deadline_s:config.Config.deadline_s
-          ~max_propagations:config.Config.max_propagations ()
+    match budget with Some b -> b | None -> Config.budget config
   in
   let t =
     {

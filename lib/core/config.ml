@@ -2,25 +2,12 @@
     switches the benchmark harness sweeps (DESIGN.md experiments
     A1–A3, F3, L3). *)
 
-(** The opt-in precision pass suite (DESIGN.md, precision passes).
-    Every field defaults to [false]; all-flags-off output is
-    bit-identical to the faithful Table 1 reproduction. *)
+(* the types are documented in config.mli *)
 type precision = {
   must_alias : bool;
-      (** flow-sensitive must-alias analysis enabling strong updates:
-          a field write through a must-aliased base kills the old
-          taint (Button2-class FPs) *)
   array_index : bool;
-      (** constant-index array cells as access-path pseudo-fields,
-          widening to the whole-array summary on non-constant indices
-          (ArrayAccess1/ListAccess1-class FPs) *)
   reflection : bool;
-      (** constant-string reflection resolution:
-          [Class.forName]/[getMethod]/[invoke] chains with
-          string-constant arguments get real call edges *)
   clinit : bool;
-      (** first-use-site [<clinit>] placement instead of
-          program-start modelling (StaticInitialization1-class FNs) *)
 }
 
 let no_precision =
@@ -73,71 +60,23 @@ let precision_of_string s =
 
 type t = {
   max_access_path : int;
-      (** maximal access-path length [k]; the paper's default is 5 *)
   lifecycle : bool;
-      (** model the component lifecycle via the dummy main; when off,
-          each lifecycle/callback method is analysed as an isolated
-          entry point (the comparator-tool behaviour) *)
-  callbacks : bool;  (** discover and include callbacks *)
+  callbacks : bool;
   per_component_callbacks : bool;
-      (** associate callbacks with their owning component (paper
-          default); off = all callbacks attached to every component *)
   context_injection : bool;
-      (** inject the forward context into spawned backward searches
-          (Figure 3); off = the naive 0-rooted handover *)
   activation_statements : bool;
-      (** flow-sensitive alias activation (Listing 3); off = aliases
-          are born active, i.e. Andromeda-style flow-insensitivity *)
   alias_search : bool;
-      (** run the on-demand backward alias analysis at all *)
   cg_algorithm : Fd_callgraph.Callgraph.algorithm;
   max_propagations : int;
-      (** safety valve on solver work (path-edge budget); analyses of
-          generated corpora are bounded, mirroring FlowDroid's
-          timeouts *)
   deadline_s : float option;
-      (** wall-clock deadline for the solve, in seconds; [None] =
-          unlimited.  Checked cooperatively inside the worklist loops;
-          expiry yields a [Deadline_exceeded] outcome with partial
-          results rather than an abort. *)
   precision : precision;
-      (** the opt-in precision pass suite; {!no_precision} (the
-          default) reproduces the paper's documented imprecisions *)
   provenance : bool;
-      (** record provenance edges during the solve and attach witness
-          paths to findings ([--explain]); off by default — with it
-          off the solver output is byte-identical to a run without
-          this feature compiled in *)
   profile : bool;
-      (** attribute worklist pops, facts and time to methods in the
-          per-method profiler ([--profile-out]) *)
   summary_store : string option;
-      (** directory of the persistent cross-app summary store
-          ([--summary-store DIR]); [None] (the default) disables the
-          store entirely — output is byte-identical to a build without
-          the store compiled in *)
   targeted : string list;
-      (** demand-driven targeted mode ([--targeted SIG]): sink
-          signature patterns (substring match on ["Class.method"],
-          supertypes included).  When non-empty the analysis slices
-          backward from matching sink invoke sites, extends the call
-          graph only along the slice and reports only flows into
-          matching sinks.  [[]] (the default) runs the full analysis
-          with byte-identical output to a build without this mode. *)
   icc : bool;
-      (** the ICC link-resolution tier ([--icc]): resolve intent send
-          sites against manifest intent filters (IccTA-style), replace
-          resolved intent-send sink findings with stitched end-to-end
-          source→sink flows into the receiving component, report
-          tainted [setResult] payloads handed to external callers, and
-          surface the exported-component attack surface.  [false] (the
-          default) keeps the paper's over-approximation — send = sink,
-          reception = source — with byte-identical output. *)
 }
 
-(** [default] is the configuration the paper evaluates: k = 5, full
-    lifecycle and callback modelling, context injection and activation
-    statements on. *)
 let default =
   {
     max_access_path = 5;
@@ -157,6 +96,114 @@ let default =
     targeted = [];
     icc = false;
   }
+
+(* ------------------------------------------------------------------ *)
+(* the canonical encoding                                              *)
+(* ------------------------------------------------------------------ *)
+
+module Json = Fd_obs.Json
+
+type store_key = Keys_summaries | Keys_findings | Unkeyed
+
+type field = { key : string; value : Json.t; store : store_key }
+
+(* [c] is destructured without a wildcard, so a new field does not
+   compile here until it has a key and a store decision *)
+let encode
+    { max_access_path; lifecycle; callbacks; per_component_callbacks;
+      context_injection; activation_statements; alias_search; cg_algorithm;
+      max_propagations; deadline_s; precision; provenance; profile;
+      summary_store; targeted; icc } =
+  let keyed store key value = { key; value; store } in
+  let summaries = keyed Keys_summaries and findings = keyed Keys_findings in
+  let unkeyed = keyed Unkeyed in
+  let opt f = function Some v -> f v | None -> Json.Null in
+  [
+    summaries "k" (Json.Int max_access_path);
+    summaries "prec" (Json.String (string_of_precision precision));
+    summaries "cg"
+      (Json.String
+         (match cg_algorithm with
+         | Fd_callgraph.Callgraph.Cha -> "cha"
+         | Fd_callgraph.Callgraph.Rta -> "rta"));
+    summaries "act" (Json.Bool activation_statements);
+    summaries "cxi" (Json.Bool context_injection);
+    summaries "alias" (Json.Bool alias_search);
+    (* targeted mode restricts which sinks are even considered, so hot
+       entries must never cross between modes (or between different
+       targeted sink sets) *)
+    findings "targeted"
+      (Json.List (List.map (fun s -> Json.String s) targeted));
+    (* the ICC tier adds and drops findings after the solve; digests
+       must not cross between tiers even though the solver is
+       unchanged *)
+    findings "icc" (Json.Bool icc);
+    (* entry-point switches: they choose which methods the dummy main
+       calls, not what a callee's summary says; the method digest keys
+       the code a summary covers *)
+    unkeyed "lifecycle" (Json.Bool lifecycle);
+    unkeyed "callbacks" (Json.Bool callbacks);
+    unkeyed "per_component_callbacks" (Json.Bool per_component_callbacks);
+    (* budget knobs: only [Complete] runs persist, and a complete
+       summary does not depend on how much budget was left *)
+    unkeyed "max_propagations" (Json.Int max_propagations);
+    unkeyed "deadline_s" (opt (fun s -> Json.Float s) deadline_s);
+    (* the store stays off under provenance ([Summary.config_allows]) *)
+    unkeyed "provenance" (Json.Bool provenance);
+    (* the profiler observes the solve without changing it *)
+    unkeyed "profile" (Json.Bool profile);
+    (* the store's location, not its contents' meaning *)
+    unkeyed "summary_store" (opt (fun d -> Json.String d) summary_store);
+  ]
+
+let decode base options =
+  let apply c (key, v) =
+    match (key, v) with
+    | "k", Json.Int k when k >= 1 -> Ok { c with max_access_path = k }
+    | "k", Json.Int _ -> Error "option \"k\": must be >= 1"
+    | "prec", Json.String s ->
+        Result.map
+          (fun precision -> { c with precision })
+          (precision_of_string s)
+    | "cg", Json.String "cha" ->
+        Ok { c with cg_algorithm = Fd_callgraph.Callgraph.Cha }
+    | "cg", Json.String "rta" ->
+        Ok { c with cg_algorithm = Fd_callgraph.Callgraph.Rta }
+    | "act", Json.Bool b -> Ok { c with activation_statements = b }
+    | "cxi", Json.Bool b -> Ok { c with context_injection = b }
+    | "alias", Json.Bool b -> Ok { c with alias_search = b }
+    | "targeted", Json.List items
+      when List.for_all (function Json.String _ -> true | _ -> false) items ->
+        let targeted =
+          List.filter_map (function Json.String s -> Some s | _ -> None) items
+        in
+        Ok { c with targeted }
+    | "icc", Json.Bool icc -> Ok { c with icc }
+    | "lifecycle", Json.Bool lifecycle -> Ok { c with lifecycle }
+    | "callbacks", Json.Bool callbacks -> Ok { c with callbacks }
+    | "per_component_callbacks", Json.Bool b ->
+        Ok { c with per_component_callbacks = b }
+    | "max_propagations", Json.Int n -> Ok { c with max_propagations = n }
+    | "deadline_s", Json.Null -> Ok { c with deadline_s = None }
+    | "deadline_s", Json.Float s -> Ok { c with deadline_s = Some s }
+    | "deadline_s", Json.Int s ->
+        Ok { c with deadline_s = Some (float_of_int s) }
+    | "provenance", Json.Bool provenance -> Ok { c with provenance }
+    | "profile", Json.Bool profile -> Ok { c with profile }
+    | "summary_store", Json.Null -> Ok { c with summary_store = None }
+    | "summary_store", Json.String d -> Ok { c with summary_store = Some d }
+    | _ when List.exists (fun f -> f.key = key) (encode c) ->
+        Error
+          (Printf.sprintf "option %S: invalid value %s" key (Json.to_string v))
+    | _ -> Error (Printf.sprintf "unknown option %S" key)
+  in
+  List.fold_left
+    (fun acc option -> Result.bind acc (fun c -> apply c option))
+    (Ok base) options
+
+let budget ?chaos c =
+  Fd_resilience.Budget.create ?deadline_s:c.deadline_s
+    ~max_propagations:c.max_propagations ?chaos ()
 
 (** [degradation_ladder config] is the sequence of progressively
     cheaper configurations the fallback driver retries under when a

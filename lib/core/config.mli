@@ -2,16 +2,25 @@
     switches the benchmark harness sweeps (DESIGN.md experiments
     A1–A3, F3, L3). *)
 
-(** The opt-in precision pass suite.  Every field defaults to [false];
-    with all flags off the engine's output is bit-identical to the
-    faithful Table 1 reproduction (the documented imprecisions are
-    preserved). *)
+(** The opt-in precision pass suite (DESIGN.md, precision passes).
+    Every field defaults to [false]; all-flags-off output is
+    bit-identical to the faithful Table 1 reproduction. *)
 type precision = {
   must_alias : bool;
-      (** strong updates via flow-sensitive must-alias analysis *)
-  array_index : bool;  (** constant-index array cells as pseudo-fields *)
-  reflection : bool;  (** constant-string reflective call edges *)
-  clinit : bool;  (** first-use-site [<clinit>] placement *)
+      (** flow-sensitive must-alias analysis enabling strong updates:
+          a field write through a must-aliased base kills the old
+          taint (Button2-class FPs) *)
+  array_index : bool;
+      (** constant-index array cells as access-path pseudo-fields,
+          widening to the whole-array summary on non-constant indices
+          (ArrayAccess1/ListAccess1-class FPs) *)
+  reflection : bool;
+      (** constant-string reflection resolution:
+          [Class.forName]/[getMethod]/[invoke] chains with
+          string-constant arguments get real call edges *)
+  clinit : bool;
+      (** first-use-site [<clinit>] placement instead of
+          program-start modelling (StaticInitialization1-class FNs) *)
 }
 
 val no_precision : precision
@@ -51,43 +60,85 @@ type t = {
       (** run the on-demand backward alias analysis at all *)
   cg_algorithm : Fd_callgraph.Callgraph.algorithm;
   max_propagations : int;
-      (** safety valve on solver work (path-edge budget) *)
+      (** safety valve on solver work (path-edge budget); analyses of
+          generated corpora are bounded, mirroring FlowDroid's
+          timeouts *)
   deadline_s : float option;
       (** wall-clock deadline for the solve, in seconds; [None] =
-          unlimited.  Expiry yields a [Deadline_exceeded] outcome with
-          partial results rather than an abort. *)
+          unlimited.  Checked cooperatively inside the worklist loops;
+          expiry yields a [Deadline_exceeded] outcome with partial
+          results rather than an abort. *)
   precision : precision;
-      (** the opt-in precision pass suite; {!no_precision} by
-          default *)
+      (** the opt-in precision pass suite; {!no_precision} (the
+          default) reproduces the paper's documented imprecisions *)
   provenance : bool;
-      (** record provenance edges and attach witness paths to findings
-          ([--explain]); off by default *)
+      (** record provenance edges during the solve and attach witness
+          paths to findings ([--explain]); off by default — with it
+          off the solver output is byte-identical to a run without
+          this feature compiled in *)
   profile : bool;
-      (** attribute solver work to methods in the per-method profiler
-          ([--profile-out]) *)
+      (** attribute worklist pops, facts and time to methods in the
+          per-method profiler ([--profile-out]) *)
   summary_store : string option;
       (** directory of the persistent cross-app summary store
           ([--summary-store DIR]); [None] (the default) disables the
-          store — output is then byte-identical to a build without the
-          store compiled in *)
+          store entirely — output is byte-identical to a build without
+          the store compiled in *)
   targeted : string list;
       (** demand-driven targeted mode ([--targeted SIG]): sink
           signature patterns (substring match on ["Class.method"],
-          supertypes included).  Non-empty = slice backward from
-          matching sinks and only report flows into them; [[]] (the
-          default) = full analysis, byte-identical output. *)
+          supertypes included).  When non-empty the analysis slices
+          backward from matching sink invoke sites, extends the call
+          graph only along the slice and reports only flows into
+          matching sinks.  [[]] (the default) runs the full analysis
+          with byte-identical output to a build without this mode. *)
   icc : bool;
-      (** the ICC link-resolution tier ([--icc]): stitch resolved
-          intent sends to their receiving components (IccTA-style) and
-          report the exported attack surface; [false] (the default)
-          keeps the paper's send = sink / reception = source
-          over-approximation with byte-identical output. *)
+      (** the ICC link-resolution tier ([--icc]): resolve intent send
+          sites against manifest intent filters (IccTA-style), replace
+          resolved intent-send sink findings with stitched end-to-end
+          source→sink flows into the receiving component, report
+          tainted [setResult] payloads handed to external callers, and
+          surface the exported-component attack surface.  [false] (the
+          default) keeps the paper's over-approximation — send = sink,
+          reception = source — with byte-identical output. *)
 }
 
 val default : t
 (** The configuration the paper evaluates: k = 5, full lifecycle and
     callback modelling, context injection and activation statements
     on, CHA call graphs, no deadline. *)
+
+(** {1 The canonical encoding}
+
+    One key and one JSON value per field of {!t}, shared by the store's
+    config digest and the serve protocol's request options. *)
+
+(** How a field enters the summary store's config digest. *)
+type store_key =
+  | Keys_summaries
+      (** changes what a method summary means; rendered before the
+          rule-set digests *)
+  | Keys_findings
+      (** leaves summaries alone but changes which findings a run
+          reports; rendered after the rule-set digests, so hot entries
+          never cross between modes *)
+  | Unkeyed  (** the reason sits beside the field in [encode] *)
+
+type field = { key : string; value : Fd_obs.Json.t; store : store_key }
+
+val encode : t -> field list
+(** every field of the config, in digest order: the
+    [Keys_summaries] fields, then [Keys_findings], then [Unkeyed] *)
+
+val decode : t -> (string * Fd_obs.Json.t) list -> (t, string) result
+(** [decode base options] applies [options] to [base] in order.  An
+    unknown key, a value of the wrong type or [k < 1] is an [Error]
+    naming the key.  [decode c (List.map (fun f -> (f.key, f.value))
+    (encode c'))] is [Ok c'] for any [c]. *)
+
+val budget : ?chaos:Fd_resilience.Chaos.t -> t -> Fd_resilience.Budget.t
+(** a fresh budget with the config's [deadline_s] (from now) and
+    [max_propagations] *)
 
 val degradation_ladder : t -> (string * t) list
 (** [(label, config)] rungs for the fallback driver: the original

@@ -543,9 +543,5 @@ let analyze_with_fallback ?(config = Config.default) ?defs ?wrappers ?natives
   phase "parse code";
   let loaded = Fd_frontend.Apk.load ?mode apk in
   with_fallback ~config (fun ~label:_ cfg ->
-      let budget =
-        Fd_resilience.Budget.create ?deadline_s:cfg.Config.deadline_s
-          ~max_propagations:cfg.Config.max_propagations ?chaos ()
-      in
-      analyze_loaded ~config:cfg ?defs ?wrappers ?natives ~phase ~budget
-        loaded)
+      analyze_loaded ~config:cfg ?defs ?wrappers ?natives ~phase
+        ~budget:(Config.budget ?chaos cfg) loaded)

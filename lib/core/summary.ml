@@ -255,66 +255,38 @@ let config_allows (c : Config.t) =
   && (not c.Config.precision.Config.clinit)
   && not c.Config.icc
 
-let string_of_algorithm = function Callgraph.Cha -> "cha" | Callgraph.Rta -> "rta"
+(* one canonical string per keyed value; a list is a set, so its
+   rendering is sorted and deduplicated *)
+let rec digest_value = function
+  | Json.Int i -> string_of_int i
+  | Json.Bool b -> if b then "1" else "0"
+  | Json.String s -> s
+  | Json.List vs ->
+      String.concat "," (List.sort_uniq compare (List.map digest_value vs))
+  | v -> Json.to_string v
 
 (** [config_digest ~config ~sources ~wrappers ~natives] keys every
     analysis input that changes what a summary {e means}: the encoding
-    format version, the k-limit, the precision passes, the call-graph
-    algorithm, the flow-sensitivity switches, the targeted sink set,
-    the ICC tier and the digests of the three rule sets.  [config] is
-    destructured without a wildcard, so a new {!Config.t} field does
-    not compile here until it is either keyed or excluded with a
-    reason. *)
-let config_digest ~(config : Config.t) ~sources ~wrappers ~natives =
-  let {
-    Config.max_access_path;
-    precision;
-    cg_algorithm;
-    activation_statements;
-    context_injection;
-    alias_search;
-    targeted;
-    icc;
-    (* entry-point switches: they choose which methods the dummy main
-       calls, not what a callee's summary says; the method digest keys
-       the code a summary covers *)
-    lifecycle = _;
-    callbacks = _;
-    per_component_callbacks = _;
-    (* budget knobs: only [Complete] runs persist, and a complete
-       summary does not depend on how much budget was left *)
-    max_propagations = _;
-    deadline_s = _;
-    (* [config_allows] keeps the store off under provenance *)
-    provenance = _;
-    (* the profiler observes the solve without changing it *)
-    profile = _;
-    (* the store's location, not its contents' meaning *)
-    summary_store = _;
-  } =
-    config
+    format version, the config fields {!Config.encode} marks as keying
+    summaries, the digests of the three rule sets, then the fields it
+    marks as keying findings. *)
+let config_digest ~config ~sources ~wrappers ~natives =
+  let fields = Config.encode config in
+  let keyed store =
+    List.filter_map
+      (fun (f : Config.field) ->
+        if f.store = store then Some (f.key ^ "=" ^ digest_value f.value)
+        else None)
+      fields
   in
-  let b v = if v then "1" else "0" in
   let parts =
-    [
-      Printf.sprintf "v%d" format_version;
-      Printf.sprintf "k=%d" max_access_path;
-      "prec=" ^ Config.string_of_precision precision;
-      "cg=" ^ string_of_algorithm cg_algorithm;
-      "act=" ^ b activation_statements;
-      "cxi=" ^ b context_injection;
-      "alias=" ^ b alias_search;
-      "srcs=" ^ SS.digest sources;
-      "wrap=" ^ Fd_frontend.Rules.digest wrappers;
-      "nat=" ^ Fd_frontend.Rules.digest natives;
-      (* targeted mode restricts which sinks are even considered, so
-         hot entries must never cross between modes (or between
-         different targeted sink sets) *)
-      "targeted=" ^ String.concat "," (List.sort_uniq compare targeted);
-      (* the ICC tier adds/drops findings post-solve; digests must not
-         cross between tiers even though the solver is unchanged *)
-      "icc=" ^ b icc;
-    ]
+    (Printf.sprintf "v%d" format_version :: keyed Config.Keys_summaries)
+    @ [
+        "srcs=" ^ SS.digest sources;
+        "wrap=" ^ Fd_frontend.Rules.digest wrappers;
+        "nat=" ^ Fd_frontend.Rules.digest natives;
+      ]
+    @ keyed Config.Keys_findings
   in
   Digest.to_hex (Digest.string (String.concat ";" parts))
 

@@ -66,11 +66,12 @@ val config_digest :
   wrappers:Fd_frontend.Rules.t ->
   natives:Fd_frontend.Rules.t ->
   string
-(** MD5 hex over every input that changes what a summary means:
-    format version, k-limit, precision passes, call-graph algorithm,
-    flow-sensitivity switches, targeted sink set, ICC tier, rule-set
-    digests.  Every other {!Config.t} field is excluded by name, with
-    its reason, in the implementation. *)
+(** MD5 hex over every input that changes what a summary means: the
+    format version, the keyed fields of {!Config.encode} (k-limit,
+    precision passes, call-graph algorithm, flow-sensitivity switches,
+    then after the rule-set digests the targeted sink set and the ICC
+    tier) and the three rule-set digests.  Each unkeyed field carries
+    its reason beside it in {!Config.encode}. *)
 
 type method_entry = {
   me_digest : string;

@@ -30,11 +30,10 @@ type t = {
 let run ?(config = Config.default) ?jobs ~profile ~seed ~n () =
   let apps = Fd_appgen.Generator.corpus ~profile ~seed n in
   (* no per-app [Metrics.reset]/[Trace.reset] here: a global reset
-     under [Pool] fan-out clobbers every concurrent app's baseline
-     (the PR 6 race).  The registry stays process-cumulative; callers
-     wanting per-app scoping snapshot-and-diff around a run instead
-     ({!Fd_obs.Metrics.with_delta}), which never mutates shared
-     state *)
+     under [Pool] fan-out clobbers every concurrent app's baseline.
+     The registry stays process-cumulative, so concurrent apps count
+     into the same totals; an app's own work counts are in its
+     result's stats record ([st_propagations], [st_reachable]) *)
   let stats =
     Fd_util.Pool.map ?jobs
       (fun (ga : Fd_appgen.Generator.gen_app) ->

@@ -283,11 +283,6 @@ let diff (after : snapshot) (before : snapshot) =
         after.sn_histograms;
   }
 
-let with_delta f =
-  let before = snapshot () in
-  let v = f () in
-  (v, diff (snapshot ()) before)
-
 let snapshot_to_json sn =
   Json.Obj
     [

@@ -99,9 +99,5 @@ val diff : snapshot -> snapshot -> snapshot
     that need exact per-request numbers should read them from the
     engine's own result record and use the delta for aggregates. *)
 
-val with_delta : (unit -> 'a) -> 'a * snapshot
-(** [with_delta f] runs [f] and returns its result together with
-    [diff] of the registry around it. *)
-
 val to_json : unit -> Json.t
 (** [to_json ()] is the JSON rendering of [snapshot ()] *)

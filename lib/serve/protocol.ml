@@ -103,18 +103,14 @@ type analyze = {
   rq_id : Json.t option;
   rq_app : app_spec;
   rq_apps : app_spec list;
-      (** additional apps beyond [rq_app]: a non-empty list makes the
-          request a batch analysed in one merged multi-app Scene *)
   rq_deadline_ms : int option;
-  rq_k : int option;
   rq_rules : string;
   rq_strict : bool;
-  rq_fresh_metrics : bool;
-  rq_icc : bool;  (** enable the inter-component taint tier *)
-  rq_targeted : string list;
-      (** demand-driven targeted mode: sink signature patterns
-          ([\[\]] = full analysis) *)
+  rq_options : (string * Json.t) list;
 }
+
+(* the config options a request may set *)
+let option_keys = [ "k"; "icc"; "targeted" ]
 
 type request = Ping | Health | Stats | Drain | Analyze of analyze
 
@@ -123,9 +119,6 @@ let int_ = function Json.Int i -> Some i | _ -> None
 
 let member_str k v = Option.bind (Json.member k v) str
 let member_int k v = Option.bind (Json.member k v) int_
-
-let member_bool k v =
-  match Json.member k v with Some (Json.Bool b) -> Some b | _ -> None
 
 let app_of_json v =
   match Json.member "dir" v with
@@ -137,18 +130,10 @@ let app_of_json v =
           match
             (member_str "profile" g, member_int "seed" g, member_int "index" g)
           with
-          | Some p, Some seed, Some index -> (
-              match p with
-              | "play" ->
-                  Ok (App_gen { g_profile = Gen.Play; g_seed = seed;
-                                g_index = index })
-              | "malware" ->
-                  Ok (App_gen { g_profile = Gen.Malware; g_seed = seed;
-                                g_index = index })
-              | "icc" ->
-                  Ok (App_gen { g_profile = Gen.Icc; g_seed = seed;
-                                g_index = index })
-              | other -> Error ("unknown gen profile: " ^ other))
+          | Some p, Some g_seed, Some g_index -> (
+              match Gen.profile_of_string p with
+              | Some g_profile -> Ok (App_gen { g_profile; g_seed; g_index })
+              | None -> Error ("unknown gen profile: " ^ p))
           | _ -> Error "app.gen needs profile (play|malware|icc), seed, index")
       | None -> (
           match (member_str "name" v, member_str "manifest" v) with
@@ -217,19 +202,15 @@ let request_of_json v =
                  rq_app;
                  rq_apps;
                  rq_deadline_ms = member_int "deadline_ms" v;
-                 rq_k = member_int "k" v;
                  rq_rules =
                    Option.value (member_str "rules" v) ~default:"default";
-                 rq_strict =
-                   Option.value (member_bool "strict" v) ~default:false;
-                 rq_fresh_metrics =
-                   Option.value (member_bool "fresh_metrics" v)
-                     ~default:false;
-                 rq_icc =
-                   Option.value (member_bool "icc" v) ~default:false;
-                 rq_targeted =
-                   (match Json.member "targeted" v with
-                   | Some (Json.List ts) -> List.filter_map str ts
+                 rq_strict = Json.member "strict" v = Some (Json.Bool true);
+                 rq_options =
+                   (match v with
+                   | Json.Obj members ->
+                       List.filter
+                         (fun (key, _) -> List.mem key option_keys)
+                         members
                    | _ -> []);
                }))
   | Some other -> Error ("unknown verb: " ^ other)
@@ -274,17 +255,10 @@ let json_of_analyze a =
     @ (match a.rq_deadline_ms with
       | Some ms -> [ ("deadline_ms", Json.Int ms) ]
       | None -> [])
-    @ (match a.rq_k with Some k -> [ ("k", Json.Int k) ] | None -> [])
     @ (if a.rq_rules <> "default" then [ ("rules", Json.String a.rq_rules) ]
        else [])
     @ (if a.rq_strict then [ ("strict", Json.Bool true) ] else [])
-    @ (if a.rq_fresh_metrics then [ ("fresh_metrics", Json.Bool true) ]
-       else [])
-    @ (if a.rq_icc then [ ("icc", Json.Bool true) ] else [])
-    @
-    if a.rq_targeted <> [] then
-      [ ("targeted", Json.List (List.map (fun s -> Json.String s) a.rq_targeted)) ]
-    else [])
+    @ a.rq_options)
 
 (* ------------------------------------------------------------------ *)
 (* response builders                                                   *)

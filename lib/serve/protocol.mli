@@ -28,10 +28,20 @@
     "sources":[µJimple…]}].  Giving ["apps":[APP,…]] instead of
     ["app"] analyses the batch in one merged multi-app Scene (the
     inter-app collusion setting).  Optional analyze fields: ["id"]
-    (echoed verbatim in the reply), ["deadline_ms"], ["k"], ["rules"]
-    (named rule-set), ["strict"] (disable the default lenient
-    frontend), ["fresh_metrics"] (report per-request metric deltas),
-    ["icc"] (enable the inter-component taint tier). *)
+    (echoed verbatim in the reply), ["deadline_ms"] (the request's
+    wall-clock deadline), ["rules"] (named rule-set), ["strict"]
+    (disable the default lenient frontend), and three analysis
+    options under their {!Fd_core.Config.encode} keys: ["k"] (the
+    access-path bound, [>= 1]), ["icc"] (the inter-component taint
+    tier) and ["targeted"] (a list of sink signature patterns).
+
+    {b Options.}  The daemon applies the options a request carries to
+    its own base configuration with {!Fd_core.Config.decode}; an
+    absent option keeps the base value.  An explicit value replaces
+    the base value: ["icc":false] turns the tier off even on a daemon
+    whose base has it on, and ["targeted":[]] asks for the full
+    analysis even on a daemon started with [--targeted].  A value of
+    the wrong type or ["k"] below 1 is answered [bad-request]. *)
 
 exception Oversized of int
 (** a frame declared more bytes than the reader's limit; the payload
@@ -81,17 +91,16 @@ type analyze = {
       (** additional apps (["apps":\[…\]] wire form): a non-empty
           list makes the request a batch analysed in one merged
           multi-app Scene — the inter-app collusion setting *)
-  rq_deadline_ms : int option;  (** per-request deadline override *)
-  rq_k : int option;  (** max access-path length override *)
+  rq_deadline_ms : int option;
+      (** the request's deadline; absent = the base config's
+          [deadline_s] *)
   rq_rules : string;  (** named rule-set, default ["default"] *)
   rq_strict : bool;  (** strict frontend (default: lenient) *)
-  rq_fresh_metrics : bool;
-      (** include a per-request metric delta in the reply *)
-  rq_icc : bool;
-      (** enable the inter-component taint tier (["icc":true]) *)
-  rq_targeted : string list;
-      (** demand-driven targeted mode (["targeted":\["SIG",…\]]):
-          sink signature patterns; [[]] (absent) = full analysis *)
+  rq_options : (string * Fd_obs.Json.t) list;
+      (** the analysis options the request sets, as [(key, value)]
+          pairs of {!Fd_core.Config.encode}, in wire order; only the
+          keys ["k"], ["icc"] and ["targeted"] travel, and a decoded
+          request keeps nothing else *)
 }
 
 type request =

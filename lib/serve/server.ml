@@ -136,7 +136,6 @@ type config = {
   sv_workers : int;
   sv_queue_capacity : int;
   sv_max_frame_bytes : int;
-  sv_default_deadline_s : float;
   sv_max_attempts : int;
   sv_backoff_base_s : float;
   sv_backoff_cap_s : float;
@@ -154,14 +153,13 @@ let default_config ~socket =
     sv_workers = 2;
     sv_queue_capacity = 64;
     sv_max_frame_bytes = Protocol.default_max_frame;
-    sv_default_deadline_s = 30.;
     sv_max_attempts = 2;
     sv_backoff_base_s = 0.01;
     sv_backoff_cap_s = 1.;
     sv_drain_grace_s = 5.;
     sv_chaos_rate = 0.;
     sv_chaos_seed = 42;
-    sv_base_config = Config.default;
+    sv_base_config = { Config.default with Config.deadline_s = Some 30. };
     sv_rules = [];
     sv_attempt_hook = None;
   }
@@ -231,7 +229,6 @@ type req = {
   q_name : string;
   q_spec : Protocol.analyze;
   q_rules : ruleset;
-  q_deadline_s : float;
   q_ladder : (string * Config.t) array;  (** rung i serves attempt i+1 *)
   q_chaos : Chaos.t option;  (** solver-step faults, full chaos rate *)
   q_chaos_kill : Chaos.t option;
@@ -368,12 +365,6 @@ let json_of_finding (f : Fd_core.Bidi.finding) =
       | Some tag -> [ ("tag", Json.String tag) ]
       | None -> [])
 
-let nonzero_counters (sn : Metrics.snapshot) =
-  Json.Obj
-    (List.filter_map
-       (fun (name, v) -> if v <> 0 then Some (name, Json.Int v) else None)
-       sn.Metrics.sn_counters)
-
 let base_fields req =
   ("app", Json.String req.q_name)
   :: ("attempts", json_of_attempts req)
@@ -386,13 +377,14 @@ let base_fields req =
             |> ( *. ) 1000.)) )
   :: []
 
-let reply_result t req ~completeness ~delta (r : Infoflow.result) =
+let reply_result t req completeness (r : Infoflow.result) =
   let stats = r.Infoflow.r_stats in
   let fields =
     base_fields req
     @ [
         ("outcome", Json.String (Outcome.to_string stats.Infoflow.st_outcome));
-        ("completeness", Json.String completeness);
+        ( "completeness",
+          Json.String (Infoflow.string_of_completeness completeness) );
         ("flows", Json.List (List.map json_of_finding r.Infoflow.r_findings));
         ("findings", Json.Int (List.length r.Infoflow.r_findings));
         ("reachable", Json.Int stats.Infoflow.st_reachable);
@@ -404,18 +396,14 @@ let reply_result t req ~completeness ~delta (r : Infoflow.result) =
                ((Unix.gettimeofday () -. req.q_submitted) *. 1000.)) );
         ("diags", json_of_diags req r.Infoflow.r_diags);
       ]
-    @ match delta with
-      | Some sn -> [ ("delta_counters", nonzero_counters sn) ]
-      | None -> []
   in
   let ok = reply_once req (Protocol.resp_ok ?id:req.q_spec.rq_id fields) in
   if ok then begin
-    (match completeness with
-    | "precise" -> Metrics.incr m_out_precise
-    | _ ->
-        if String.length completeness >= 7 && String.sub completeness 0 7 = "partial"
-        then Metrics.incr m_out_partial
-        else Metrics.incr m_out_degraded);
+    Metrics.incr
+      (match completeness with
+      | Infoflow.Precise -> m_out_precise
+      | Infoflow.Degraded _ -> m_out_degraded
+      | Infoflow.Partial _ -> m_out_partial);
     publish_gauges t
   end
 
@@ -438,7 +426,7 @@ let reply_error t req ~code ?(fields = []) msg =
 let reply_failure t req =
   match req.q_partial with
   | Some (rung, r) ->
-      reply_result t req ~completeness:("partial(" ^ rung ^ ")") ~delta:None r
+      reply_result t req (Infoflow.Partial rung) r
   | None ->
       reply_error t req ~code:"failed"
         (Printf.sprintf "analysis failed after %d attempt(s)" req.q_attempt)
@@ -453,75 +441,63 @@ let find_ruleset t name =
   | None -> if name = "default" then Some (default_ruleset ()) else None
 
 let build_req t conn (a : Protocol.analyze) =
-  match find_ruleset t a.rq_rules with
-  | None -> Error (Printf.sprintf "unknown rule-set %S" a.rq_rules)
-  | Some rules ->
-      if a.rq_deadline_ms <> None && Option.get a.rq_deadline_ms < 1 then
-        Error "deadline_ms must be >= 1"
-      else if a.rq_k <> None && Option.get a.rq_k < 1 then
-        Error "k must be >= 1"
-      else begin
-        let cfg = t.t_cfg in
-        let base =
-          match a.rq_k with
-          | Some k -> { cfg.sv_base_config with Config.max_access_path = k }
-          | None -> cfg.sv_base_config
-        in
-        (* per-request targeted mode; the summary-store digest already
-           incorporates the pattern set so hot entries never cross
-           between targeted and full requests *)
-        let base =
-          if a.rq_targeted = [] then base
-          else { base with Config.targeted = a.rq_targeted }
-        in
-        (* per-request inter-component tier (the config digest covers
-           it, so summaries never cross between icc-on and icc-off) *)
-        let base = if a.rq_icc then { base with Config.icc = true } else base in
-        let deadline_s =
-          match a.rq_deadline_ms with
-          | Some ms -> float_of_int ms /. 1000.
-          | None -> cfg.sv_default_deadline_s
-        in
-        let serial = Atomic.fetch_and_add t.t_serial 1 in
-        (* per-request chaos PRNGs seeded from (server seed, serial):
-           worker domains never share mutable chaos state *)
-        let chaos_at rate salt =
-          if rate > 0. then
-            Some
-              (Chaos.create
-                 ~seed:
-                   (Fd_util.Intern.combine
-                      (Fd_util.Intern.combine cfg.sv_chaos_seed salt)
-                      serial)
-                 ~rate)
-          else None
-        in
-        let chaos = chaos_at cfg.sv_chaos_rate 1 in
-        let chaos_kill = chaos_at (cfg.sv_chaos_rate /. 4.) 2 in
-        Ok
-          {
-            q_serial = serial;
-            q_name =
-              String.concat "+"
-                (List.map Protocol.app_name (a.rq_app :: a.rq_apps));
-            q_spec = a;
-            q_rules = rules;
-            q_deadline_s = deadline_s;
-            q_ladder = Array.of_list (Config.degradation_ladder base);
-            q_chaos = chaos;
-            q_chaos_kill = chaos_kill;
-            q_conn = conn;
-            q_submitted = Unix.gettimeofday ();
-            q_first_pickup = 0.;
-            q_attempt = 0;
-            q_attempts_log = [];
-            q_not_before = 0.;
-            q_partial = None;
-            q_diags = [];
-            q_budget = Atomic.make None;
-            q_replied = Atomic.make false;
-          }
-      end
+  let cfg = t.t_cfg in
+  match
+    ( find_ruleset t a.rq_rules,
+      a.rq_deadline_ms,
+      Config.decode cfg.sv_base_config a.rq_options )
+  with
+  | None, _, _ -> Error (Printf.sprintf "unknown rule-set %S" a.rq_rules)
+  | _, Some ms, _ when ms < 1 -> Error "deadline_ms must be >= 1"
+  | _, _, Error msg -> Error msg
+  | Some rules, deadline_ms, Ok config ->
+      (* the store's config digest covers every option a request sets,
+         so hot entries never cross between requests that differ *)
+      let config =
+        match deadline_ms with
+        | Some ms ->
+            let deadline_s = Some (float_of_int ms /. 1000.) in
+            { config with Config.deadline_s }
+        | None -> config
+      in
+      let serial = Atomic.fetch_and_add t.t_serial 1 in
+      (* per-request chaos PRNGs seeded from (server seed, serial):
+         worker domains never share mutable chaos state *)
+      let chaos_at rate salt =
+        if rate > 0. then
+          Some
+            (Chaos.create
+               ~seed:
+                 (Fd_util.Intern.combine
+                    (Fd_util.Intern.combine cfg.sv_chaos_seed salt)
+                    serial)
+               ~rate)
+        else None
+      in
+      let chaos = chaos_at cfg.sv_chaos_rate 1 in
+      let chaos_kill = chaos_at (cfg.sv_chaos_rate /. 4.) 2 in
+      Ok
+        {
+          q_serial = serial;
+          q_name =
+            String.concat "+"
+              (List.map Protocol.app_name (a.rq_app :: a.rq_apps));
+          q_spec = a;
+          q_rules = rules;
+          q_ladder = Array.of_list (Config.degradation_ladder config);
+          q_chaos = chaos;
+          q_chaos_kill = chaos_kill;
+          q_conn = conn;
+          q_submitted = Unix.gettimeofday ();
+          q_first_pickup = 0.;
+          q_attempt = 0;
+          q_attempts_log = [];
+          q_not_before = 0.;
+          q_partial = None;
+          q_diags = [];
+          q_budget = Atomic.make None;
+          q_replied = Atomic.make false;
+        }
 
 (* ------------------------------------------------------------------ *)
 (* workers                                                             *)
@@ -575,9 +551,7 @@ let process t req =
     | None -> ());
     let rung, cfg = rung_for req attempt in
     let mode = if req.q_spec.rq_strict then `Strict else `Lenient in
-    let budget =
-      Budget.create ~deadline_s:req.q_deadline_s ?chaos:req.q_chaos ()
-    in
+    let budget = Config.budget ?chaos:req.q_chaos cfg in
     Atomic.set req.q_budget (Some budget);
     let t0 = Unix.gettimeofday () in
     let run () =
@@ -611,49 +585,34 @@ let process t req =
                        ~wrappers:req.q_rules.rs_wrappers
                        ~natives:req.q_rules.rs_natives ~budget merged)))
     in
-    let res =
-      if req.q_spec.rq_fresh_metrics then begin
-        let r, delta =
-          Metrics.with_delta (fun () ->
-              Barrier.protect ~label:(req.q_name ^ "/" ^ rung) run)
-        in
-        (r, Some delta)
-      end
-      else (Barrier.protect ~label:(req.q_name ^ "/" ^ rung) run, None)
-    in
+    let res = Barrier.protect ~label:(req.q_name ^ "/" ^ rung) run in
     let dt = Unix.gettimeofday () -. t0 in
     Atomic.set req.q_budget None;
     Metrics.observe h_solve dt;
+    let failed_attempt outcome =
+      let outcome = Outcome.to_string outcome in
+      log_attempt req rung outcome dt;
+      req.q_diags <-
+        Printf.sprintf "attempt %d (%s): %s" attempt rung outcome
+        :: req.q_diags;
+      retry_or_fail t req
+    in
     match res with
-    | Ok (`Bad msg), _ ->
+    | Ok (`Bad msg) ->
         (* a malformed app is the client's fault: no retry *)
         log_attempt req rung "load-error" dt;
         Metrics.incr m_bad_requests;
         reply_error t req ~code:"bad-app" msg
-    | Ok (`Res r), delta ->
-        let outcome = r.Infoflow.r_stats.Infoflow.st_outcome in
-        log_attempt req rung (Outcome.to_string outcome) dt;
-        if Outcome.is_complete outcome then
-          let completeness =
-            if attempt = 1 then "precise" else "degraded(" ^ rung ^ ")"
-          in
-          reply_result t req ~completeness ~delta r
-        else begin
-          req.q_diags <-
-            Printf.sprintf "attempt %d (%s): %s" attempt rung
-              (Outcome.to_string outcome)
-            :: req.q_diags;
-          (* keep the most recent partial result for the final reply *)
-          req.q_partial <- Some (rung, r);
-          retry_or_fail t req
-        end
-    | Error outcome, _ ->
-        log_attempt req rung (Outcome.to_string outcome) dt;
-        req.q_diags <-
-          Printf.sprintf "attempt %d (%s): %s" attempt rung
-            (Outcome.to_string outcome)
-          :: req.q_diags;
-        retry_or_fail t req
+    | Ok (`Res r) when Outcome.is_complete r.r_stats.st_outcome ->
+        log_attempt req rung (Outcome.to_string r.r_stats.st_outcome) dt;
+        reply_result t req
+          (if attempt = 1 then Infoflow.Precise else Infoflow.Degraded rung)
+          r
+    | Ok (`Res r) ->
+        (* keep the most recent partial result for the final reply *)
+        req.q_partial <- Some (rung, r);
+        failed_attempt r.r_stats.st_outcome
+    | Error outcome -> failed_attempt outcome
   end
 
 let rec worker_loop t slot =
@@ -819,26 +778,18 @@ let handle_analyze t conn (a : Protocol.analyze) =
         end
 
 let handle_frame t conn v =
+  let id = Json.member "id" v in
+  let reply_ok fields = conn_send_now conn (Protocol.resp_ok ?id fields) in
   match Protocol.request_of_json v with
   | Error msg ->
       Metrics.incr m_bad_requests;
-      conn_send_now conn
-        (Protocol.resp_error ?id:(Json.member "id" v) ~code:"bad-request" msg)
-  | Ok Protocol.Ping ->
-      conn_send_now conn
-        (Protocol.resp_ok ?id:(Json.member "id" v)
-           [ ("verb", Json.String "pong") ])
-  | Ok Protocol.Health ->
-      conn_send_now conn
-        (Protocol.resp_ok ?id:(Json.member "id" v) (health_fields t))
-  | Ok Protocol.Stats ->
-      conn_send_now conn
-        (Protocol.resp_ok ?id:(Json.member "id" v) (stats_fields t))
+      conn_send_now conn (Protocol.resp_error ?id ~code:"bad-request" msg)
+  | Ok Protocol.Ping -> reply_ok [ ("verb", Json.String "pong") ]
+  | Ok Protocol.Health -> reply_ok (health_fields t)
+  | Ok Protocol.Stats -> reply_ok (stats_fields t)
   | Ok Protocol.Drain ->
       drain t;
-      conn_send_now conn
-        (Protocol.resp_ok ?id:(Json.member "id" v)
-           [ ("draining", Json.Bool true) ])
+      reply_ok [ ("draining", Json.Bool true) ]
   | Ok (Protocol.Analyze a) -> handle_analyze t conn a
 
 let conn_loop t conn =

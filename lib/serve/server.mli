@@ -45,8 +45,6 @@ type config = {
   sv_workers : int;  (** analysis worker domains *)
   sv_queue_capacity : int;  (** admission bound *)
   sv_max_frame_bytes : int;  (** oversized-request guard *)
-  sv_default_deadline_s : float;
-      (** per-request wall-clock deadline unless the request overrides *)
   sv_max_attempts : int;  (** 2 = one degraded retry *)
   sv_backoff_base_s : float;  (** retry backoff: base·2^(attempt-1) *)
   sv_backoff_cap_s : float;  (** …capped here *)
@@ -57,7 +55,12 @@ type config = {
           supervision) and as solver-step faults through each
           request's budget (driving the degradation ladder). *)
   sv_chaos_seed : int;
-  sv_base_config : Fd_core.Config.t;  (** per-request analysis base *)
+  sv_base_config : Fd_core.Config.t;
+      (** per-request analysis base: a request's options are decoded
+          onto it, its [deadline_s] is the deadline of a request that
+          sets no ["deadline_ms"], and every attempt's budget comes
+          from the request's config ({!Fd_core.Config.budget}), so
+          [max_propagations] caps each attempt *)
   sv_rules : (string * ruleset) list;
       (** named rule-sets; ["default"] is always available *)
   sv_attempt_hook : (string -> int -> unit) option;
@@ -67,8 +70,9 @@ type config = {
 }
 
 val default_config : socket:string -> config
-(** 2 workers, queue capacity 64, 8 MiB frames, 30 s deadline, one
-    retry, 10 ms backoff base / 1 s cap, 5 s drain grace, chaos off *)
+(** 2 workers, queue capacity 64, 8 MiB frames, one retry, 10 ms
+    backoff base / 1 s cap, 5 s drain grace, chaos off, and
+    {!Fd_core.Config.default} with a 30 s deadline as the base *)
 
 type t
 

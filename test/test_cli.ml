@@ -173,6 +173,36 @@ let test_other_flags () =
     (config [ Cli.provenance; Cli.icc ] [ "--provenance"; "--icc" ]
     = Some { Config.default with Config.provenance = true; icc = true })
 
+(* ---------------- access-path bound ------------------------------ *)
+
+let exit_code exe args =
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process exe (Array.of_list (exe :: args)) null null null
+  in
+  Unix.close null;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED n -> n
+  | _ -> Alcotest.failf "%s was killed" exe
+
+(* k < 1 is a command-line error (124) on both command lines; a valid
+   k runs: the CLI finds the leak (2), the client finds no daemon (2) *)
+let test_k_at_least_one () =
+  let app = "../examples/apps/leakage_app" in
+  let cli k = exit_code "../bin/flowdroid_cli.exe" [ "-k"; k; app ] in
+  let client k =
+    exit_code "../bin/flowdroid_client.exe"
+      [ "analyze"; "-k"; k; "--gen"; "play:1:1"; "--socket";
+        "/nonexistent/flowdroid.sock" ]
+  in
+  List.iter
+    (fun k ->
+      Alcotest.(check int) ("flowdroid -k " ^ k) 124 (cli k);
+      Alcotest.(check int) ("flowdroid_client -k " ^ k) 124 (client k))
+    [ "0"; "-1"; "two" ];
+  Alcotest.(check int) "flowdroid -k 1" 2 (cli "1");
+  Alcotest.(check int) "flowdroid_client -k 1" 2 (client "1")
+
 let () =
   Alcotest.run "fd_cli"
     [
@@ -185,5 +215,7 @@ let () =
             test_targeted;
           Alcotest.test_case "precision, icc, store, deadline" `Quick
             test_other_flags;
+          Alcotest.test_case "-k rejects values below 1" `Quick
+            test_k_at_least_one;
         ] );
     ]

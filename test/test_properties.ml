@@ -8,7 +8,9 @@
    - over-approximation ordering: shortening the access-path bound k
      never loses findings (truncation widens);
    - determinism: repeated analyses agree;
-   - no sources -> no findings. *)
+   - no sources -> no findings;
+   - the config codec: decoding a config's own encoding onto
+     [Config.default], directly or through JSON text, gives it back. *)
 
 open Fd_ir
 module B = Build
@@ -184,6 +186,81 @@ let prop_rta_subset_of_cha =
       let cha = static_findings app.Gen.ga_apk in
       subset rta cha)
 
+(* --- the config codec --- *)
+
+module Config = Fd_core.Config
+module Json = Fd_obs.Json
+
+let options_of c =
+  List.map (fun (f : Config.field) -> (f.key, f.value)) (Config.encode c)
+
+let arb_config =
+  let open QCheck.Gen in
+  let gen =
+    map
+      (fun ((k, max_propagations, deadline_s, b), (summary_store, targeted)) ->
+        {
+          Config.max_access_path = k;
+          lifecycle = b.(0);
+          callbacks = b.(1);
+          per_component_callbacks = b.(2);
+          context_injection = b.(3);
+          activation_statements = b.(4);
+          alias_search = b.(5);
+          cg_algorithm =
+            (if b.(6) then Fd_callgraph.Callgraph.Rta
+             else Fd_callgraph.Callgraph.Cha);
+          max_propagations;
+          deadline_s;
+          precision =
+            {
+              Config.must_alias = b.(7);
+              array_index = b.(8);
+              reflection = b.(9);
+              clinit = b.(10);
+            };
+          provenance = b.(11);
+          profile = b.(12);
+          summary_store;
+          targeted;
+          icc = b.(13);
+        })
+      (pair
+         (quad (int_range 1 9) (int_range 0 5_000_000)
+            (opt (float_range 0. 100.))
+            (array_repeat 14 bool))
+         (pair (opt string_printable) (small_list string_printable)))
+  in
+  QCheck.make ~print:(fun c -> Json.to_string (Json.Obj (options_of c))) gen
+
+let prop_config_codec_roundtrip =
+  QCheck.Test.make ~name:"config decode . encode = id" ~count:500 arb_config
+    (fun c ->
+      let options = options_of c in
+      let over_the_wire =
+        match Json.parse_string (Json.to_string (Json.Obj options)) with
+        | Json.Obj members -> members
+        | _ -> []
+      in
+      Config.decode Config.default options = Ok c
+      && Config.decode Config.default over_the_wire = Ok c)
+
+let test_config_decode_errors () =
+  let rejects label options =
+    Alcotest.(check bool) label true
+      (Result.is_error (Config.decode Config.default options))
+  in
+  rejects "k = 0" [ ("k", Json.Int 0) ];
+  rejects "k as a string" [ ("k", Json.String "5") ];
+  rejects "icc as an integer" [ ("icc", Json.Int 1) ];
+  rejects "targeted with a non-string" [ ("targeted", Json.List [ Json.Int 1 ]) ];
+  rejects "unknown precision pass" [ ("prec", Json.String "bogus") ];
+  rejects "unknown call-graph algorithm" [ ("cg", Json.String "vta") ];
+  rejects "unknown key" [ ("bogus", Json.Bool true) ];
+  Alcotest.(check bool) "later options win" true
+    (Config.decode Config.default [ ("k", Json.Int 2); ("k", Json.Int 3) ]
+    = Ok { Config.default with Config.max_access_path = 3 })
+
 let () =
   Alcotest.run "fd_properties"
     [
@@ -200,4 +277,10 @@ let () =
             prop_callbacks_monotone;
             prop_rta_subset_of_cha;
           ] );
+      ( "config-codec",
+        [
+          QCheck_alcotest.to_alcotest prop_config_codec_roundtrip;
+          Alcotest.test_case "decode rejects bad options" `Quick
+            test_config_decode_errors;
+        ] );
     ]

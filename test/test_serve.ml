@@ -28,12 +28,9 @@ let analyze_req ?id ?deadline_ms app =
     rq_app = app;
     rq_apps = [];
     rq_deadline_ms = deadline_ms;
-    rq_k = None;
     rq_rules = "default";
     rq_strict = false;
-    rq_fresh_metrics = false;
-    rq_icc = false;
-    rq_targeted = [];
+    rq_options = [];
   }
 
 let member_str k v =
@@ -122,11 +119,20 @@ let test_framing_oversized_keeps_stream () =
   Unix.close b
 
 let test_request_roundtrip () =
-  let a = analyze_req ~id:"r1" ~deadline_ms:1500 (gen_app 3) in
+  let a =
+    {
+      (analyze_req ~id:"r1" ~deadline_ms:1500 (gen_app 3)) with
+      Protocol.rq_options =
+        [
+          ("k", Json.Int 2);
+          ("targeted", Json.List [ Json.String "Log.i" ]);
+          ("icc", Json.Bool true);
+        ];
+    }
+  in
   match Protocol.request_of_json (Protocol.json_of_analyze a) with
   | Ok (Protocol.Analyze a') ->
-      Alcotest.(check bool) "id" true (a'.rq_id = Some (Json.String "r1"));
-      Alcotest.(check bool) "deadline" true (a'.rq_deadline_ms = Some 1500);
+      Alcotest.(check bool) "every field" true (a' = a);
       Alcotest.(check string) "name" "gen3" (Protocol.app_name a'.rq_app)
   | _ -> Alcotest.fail "analyze did not round-trip"
 
@@ -137,7 +143,8 @@ let base_cfg socket =
     (Server.default_config ~socket) with
     Server.sv_workers = 1;
     sv_queue_capacity = 2;
-    sv_default_deadline_s = 10.;
+    sv_base_config =
+      { Fd_core.Config.default with Fd_core.Config.deadline_s = Some 10. };
     sv_backoff_base_s = 0.001;
     sv_drain_grace_s = 5.;
   }
@@ -225,6 +232,174 @@ let test_server_bad_requests () =
             (member_str "error" r);
           (* the connection survives all of the above *)
           Alcotest.(check bool) "still serving" true (Client.ping c)))
+
+(* ---------------- per-request options on the wire ---------------- *)
+
+(* an app whose one leak only appears when the access-path bound
+   truncates [o.in.secret] to [o.in.*]: at k = 5 the clean sibling
+   field is read, at k = 1 the two fields collapse *)
+let k_sensitive_app =
+  Protocol.App_inline
+    {
+      in_name = "k_sensitive";
+      in_manifest =
+        {|<manifest package="t.k"><application>
+  <activity android:name="t.k.Main">
+    <intent-filter><action android:name="android.intent.action.MAIN"/></intent-filter>
+  </activity>
+</application></manifest>|};
+      in_layouts = [];
+      in_sources =
+        [
+          {|class t.k.Main extends android.app.Activity {
+  method void onCreate(android.os.Bundle) {
+    local o : t.k.Outer;
+    local a : t.k.Inner;
+    local a2 : t.k.Inner;
+    local tm : android.telephony.TelephonyManager;
+    local id : java.lang.String;
+    local v : java.lang.String;
+    local sms : android.telephony.SmsManager;
+    this := @this: t.k.Main;
+    o = new t.k.Outer;
+    a = new t.k.Inner;
+    o.t.k.Outer#in = a;
+    tm = staticinvoke t.k.Main#tm();
+    id = virtualinvoke tm.android.telephony.TelephonyManager#getDeviceId();
+    a2 = o.t.k.Outer#in;
+    a2.t.k.Inner#secret = id;
+    v = a2.t.k.Inner#clean;
+    sms = staticinvoke android.telephony.SmsManager#getDefault();
+    virtualinvoke sms.android.telephony.SmsManager#sendTextMessage("1", null, v, null, null);
+    return;
+  }
+  static method android.telephony.TelephonyManager tm() {
+    local t : android.telephony.TelephonyManager;
+    t = null;
+    return t;
+  }
+}
+class t.k.Outer {
+  field in : t.k.Inner;
+}
+class t.k.Inner {
+  field secret : java.lang.String;
+  field clean : java.lang.String;
+}|};
+        ];
+    }
+
+(* the analyze request for [app] as raw JSON with [options] appended,
+   so the tests pin the wire keys themselves *)
+let analyze_json ?(options = []) app =
+  match Protocol.json_of_analyze (analyze_req app) with
+  | Json.Obj fields -> Json.Obj (fields @ options)
+  | _ -> assert false
+
+let flows_of reply =
+  match Json.member "flows" reply with
+  | Some (Json.List flows) -> flows
+  | _ -> Alcotest.failf "no flows in %s" (Json.to_string reply)
+
+let test_wire_options () =
+  let socket = fresh_socket () in
+  with_server (base_cfg socket) (fun _server ->
+      with_client socket (fun c ->
+          let flows ?options app =
+            flows_of (Client.request c (analyze_json ?options app))
+          in
+          let check_changes label ~options app =
+            let without = flows app and with_ = flows ~options app in
+            Alcotest.(check bool) (label ^ " changes the flows") false
+              (List.equal Json.equal without with_)
+          in
+          check_changes "\"k\":1" ~options:[ ("k", Json.Int 1) ]
+            k_sensitive_app;
+          let icc_app =
+            Protocol.App_gen
+              { g_profile = Fd_appgen.Generator.Icc; g_seed = 2014;
+                g_index = 1 }
+          in
+          check_changes "\"icc\":true" ~options:[ ("icc", Json.Bool true) ]
+            icc_app;
+          check_changes "\"targeted\":[...]"
+            ~options:
+              [ ("targeted", Json.List [ Json.String "NoSuch.sinkMethod" ]) ]
+            (gen_app 3);
+          (* on a daemon with the default base config, an explicit
+             false/empty value is the same request as leaving it out *)
+          List.iter
+            (fun (label, options, app) ->
+              Alcotest.(check bool) label true
+                (List.equal Json.equal (flows app) (flows ~options app)))
+            [
+              ("explicit \"icc\":false", [ ("icc", Json.Bool false) ], icc_app);
+              ( "explicit \"targeted\":[]",
+                [ ("targeted", Json.List []) ],
+                gen_app 3 );
+            ];
+          let r =
+            Client.request c
+              (analyze_json ~options:[ ("k", Json.Int 0) ] (gen_app 3))
+          in
+          Alcotest.(check (option string)) "\"k\":0 refused"
+            (Some "bad-request") (member_str "error" r);
+          Alcotest.(check bool) "still serving" true (Client.ping c)))
+
+(* an explicit value replaces the daemon's base value: on a daemon
+   whose base is targeted at a sink no app calls and has the ICC tier
+   on, ["targeted":[]] runs the full analysis and ["icc":false] turns
+   the tier off *)
+let test_explicit_options_override_base () =
+  let socket = fresh_socket () in
+  let cfg =
+    {
+      (base_cfg socket) with
+      Server.sv_base_config =
+        {
+          (base_cfg socket).Server.sv_base_config with
+          Fd_core.Config.targeted = [ "NoSuch.sinkMethod" ];
+          icc = true;
+        };
+    }
+  in
+  let full = ("targeted", Json.List []) in
+  let icc_app =
+    Protocol.App_gen
+      { g_profile = Fd_appgen.Generator.Icc; g_seed = 2014; g_index = 1 }
+  in
+  with_server cfg (fun _server ->
+      with_client socket (fun c ->
+          let flows ?options app =
+            flows_of (Client.request c (analyze_json ?options app))
+          in
+          Alcotest.(check int) "base: targeted at nothing" 0
+            (List.length (flows (gen_app 3)));
+          Alcotest.(check bool) "\"targeted\":[] runs the full analysis"
+            true
+            (flows ~options:[ full ] (gen_app 3) <> []);
+          Alcotest.(check bool) "\"icc\":false turns the tier off" false
+            (List.equal Json.equal
+               (flows ~options:[ full ] icc_app)
+               (flows ~options:[ full; ("icc", Json.Bool false) ] icc_app))))
+
+(* the daemon's base config caps solver work like the command line
+   does: ten propagations cannot finish the app at full precision *)
+let test_max_propagations_honoured () =
+  let socket = fresh_socket () in
+  let cfg =
+    {
+      (base_cfg socket) with
+      Server.sv_base_config =
+        { Fd_core.Config.default with Fd_core.Config.max_propagations = 10 };
+    }
+  in
+  with_server cfg (fun _server ->
+      with_client socket (fun c ->
+          let r = Client.analyze c (analyze_req (gen_app 3)) in
+          Alcotest.(check bool) "answered" true (is_ok r);
+          Alcotest.(check bool) "not precise" true
+            (member_str "completeness" r <> Some "precise")))
 
 (* ---------------- admission control ---------------- *)
 
@@ -373,7 +548,6 @@ let test_chaos_exactly_one_reply () =
       sv_queue_capacity = 64;
       sv_chaos_rate = 0.1;
       sv_chaos_seed = 1234;
-      sv_default_deadline_s = 10.;
     }
   in
   let lanes = 3 and per_lane = 8 in
@@ -474,5 +648,11 @@ let () =
             test_chaos_exactly_one_reply;
           Alcotest.test_case "spans bounded over 200 requests" `Quick
             test_spans_bounded;
+          Alcotest.test_case "wire options change the reply" `Quick
+            test_wire_options;
+          Alcotest.test_case "explicit options override the base" `Quick
+            test_explicit_options_override_base;
+          Alcotest.test_case "base max_propagations honoured" `Quick
+            test_max_propagations_honoured;
         ] );
     ]

@@ -419,6 +419,67 @@ let test_config_digest_fields () =
     (targeted [ "SmsManager.sendTextMessage"; "Log.i" ])
     (targeted [ "Log.i"; "SmsManager.sendTextMessage" ])
 
+(* the digest's exact hex under the default rule sets, for the default
+   config, every row above and three multi-valued cases: however the
+   digest is built, no existing store namespace may move *)
+let pinned_digests =
+  let d = Config.default in
+  ( ("default", d, "9c31a1f93fec6c3d0f27f2f81aae2e6a")
+  :: List.map2
+       (fun (field, config, _) hex -> (field, config, hex))
+       digest_rows
+       [
+         "0355fda79438b35c92c9424233efc99a";
+         "9c31a1f93fec6c3d0f27f2f81aae2e6a";
+         "9c31a1f93fec6c3d0f27f2f81aae2e6a";
+         "9c31a1f93fec6c3d0f27f2f81aae2e6a";
+         "e4e24c29258aff8486939bbfcd53bb31";
+         "517a071f79dd1acb35af364275a032c9";
+         "3e983c2d57223158b0fb37f3de257dd9";
+         "0a4d9a7d1d6f0d77afb314cec29b5210";
+         "9c31a1f93fec6c3d0f27f2f81aae2e6a";
+         "9c31a1f93fec6c3d0f27f2f81aae2e6a";
+         "c49132bcc8fe65de4f3a711a5d27e303";
+         "9c31a1f93fec6c3d0f27f2f81aae2e6a";
+         "9c31a1f93fec6c3d0f27f2f81aae2e6a";
+         "9c31a1f93fec6c3d0f27f2f81aae2e6a";
+         "e8d4928d5d2717e0cad0279f78b7cf2b";
+         "9aa91edebad7705892c73348af28bc86";
+       ] )
+  @ [
+      ( "precision subset",
+        { d with
+          Config.precision =
+            { Config.no_precision with must_alias = true; clinit = true };
+        },
+        "cb8de70d193fc2306202291fa6fa40c0" );
+      ( "targeted set, unsorted with a duplicate",
+        { d with Config.targeted = [ "SmsManager"; "Log.i"; "SmsManager" ] },
+        "84b4dcd3b3409b3e665ed68bf91bcb28" );
+      ( "every keyed field off the default",
+        { d with
+          Config.max_access_path = 2;
+          precision = Config.all_precision;
+          cg_algorithm = Fd_callgraph.Callgraph.Rta;
+          activation_statements = false;
+          context_injection = false;
+          alias_search = false;
+          targeted = [ "Log.i" ];
+          icc = true;
+        },
+        "aba46457cb6714509ced82c1e6bcb9da" );
+    ]
+
+let test_config_digest_pinned () =
+  let sources = Fd_frontend.Sourcesink.default () in
+  let wrappers = Fd_frontend.Rules.default_wrappers () in
+  let natives = Fd_frontend.Rules.default_natives () in
+  List.iter
+    (fun (label, config, hex) ->
+      Alcotest.(check string) label hex
+        (Summary.config_digest ~config ~sources ~wrappers ~natives))
+    pinned_digests
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -445,5 +506,7 @@ let () =
             test_concurrent_writers;
           Alcotest.test_case "config digest keys every non-excluded field"
             `Quick test_config_digest_fields;
+          Alcotest.test_case "config digest hex pinned" `Quick
+            test_config_digest_pinned;
         ] );
     ]
