@@ -1,5 +1,5 @@
 #!/bin/sh
-# Smoke test for the resilience layer, in three acts:
+# Smoke test for the resilience layer, in four acts:
 #
 #   1. deadline: a zero-second deadline on a DroidBench case must stop
 #      the solver cooperatively (exit 3, outcome deadline-exceeded) and
@@ -11,6 +11,9 @@
 #      (seed 20140609, p=0.1) must finish every app behind the crash
 #      barrier with a per-app outcome row and zero escaped exceptions,
 #      and the stats snapshot must carry the resilience.* series.
+#   4. table outcomes: the DroidBench table under a zero-second deadline
+#      must report deadline-exceeded runs in its outcome distribution,
+#      not count them as complete.
 #
 #   sh bench/check_resilience.sh [CASE]     (default case: DirectLeak1)
 #
@@ -120,6 +123,24 @@ if grep -q '"resilience.faults_injected": 0' "$work/chaos.json"; then
   fail=1
 else
   echo "ok: faults were injected"
+fi
+
+echo "== check_resilience: zero-second deadline in the DroidBench table"
+status=0
+dune exec --display=quiet bin/droidbench_runner.exe -- \
+  --deadline 0 --outcomes >"$work/table.txt" 2>&1 || status=$?
+if [ "$status" != 0 ]; then
+  echo "FAIL: droidbench_runner exited with status $status"
+  tail -5 "$work/table.txt"
+  fail=1
+fi
+if grep "^outcome distribution: " "$work/table.txt" \
+    | grep -q "deadline-exceeded"; then
+  echo "ok: outcome distribution lists deadline-exceeded"
+else
+  echo "FAIL: outcome distribution does not list deadline-exceeded"
+  grep "^outcome distribution: " "$work/table.txt" || true
+  fail=1
 fi
 
 [ "$fail" = 0 ] && echo "== check_resilience: PASS" || echo "== check_resilience: FAIL"

@@ -176,7 +176,6 @@ let request ?id app =
     rq_app = app;
     rq_apps = [];
     rq_deadline_ms = None;
-    rq_rules = "default";
     rq_strict = false;
     rq_options = [];
   }

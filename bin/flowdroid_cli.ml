@@ -26,34 +26,42 @@ let apk_dirs =
            intents cross APK boundaries into exported components and \
            collusion flows are stitched end to end.")
 
+(* the ablation switches: each flag is a [Cli.edit] of one field *)
 let k_len =
-  Arg.(
-    value
-    & opt (Cli.int_at_least 1) 5
-    & info [ "k"; "access-path-length" ]
-        ~doc:"Maximal access-path length (paper default: 5).")
+  Term.(
+    const (fun max_access_path c -> { c with Config.max_access_path })
+    $ Arg.(
+        value
+        & opt (Cli.int_at_least 1) Config.default.Config.max_access_path
+        & info [ "k"; "access-path-length" ]
+            ~doc:"Maximal access-path length (paper default: 5)."))
+
+let switch_off names ~doc edit =
+  Term.(
+    const (fun off c -> if off then edit c else c)
+    $ Arg.(value & flag & info names ~doc))
 
 let no_lifecycle =
-  Arg.(value & flag & info [ "no-lifecycle" ] ~doc:"Disable the lifecycle model.")
+  switch_off [ "no-lifecycle" ] ~doc:"Disable the lifecycle model." (fun c ->
+      { c with Config.lifecycle = false })
 
 let no_callbacks =
-  Arg.(value & flag & info [ "no-callbacks" ] ~doc:"Disable callback discovery.")
+  switch_off [ "no-callbacks" ] ~doc:"Disable callback discovery." (fun c ->
+      { c with Config.callbacks = false })
 
 let no_alias =
-  Arg.(
-    value & flag
-    & info [ "no-alias" ] ~doc:"Disable the on-demand backward alias analysis.")
+  switch_off [ "no-alias" ]
+    ~doc:"Disable the on-demand backward alias analysis." (fun c ->
+      { c with Config.alias_search = false })
 
 let no_activation =
-  Arg.(
-    value & flag
-    & info [ "no-activation" ]
-        ~doc:"Disable activation statements (flow-insensitive aliases).")
+  switch_off [ "no-activation" ]
+    ~doc:"Disable activation statements (flow-insensitive aliases)."
+    (fun c -> { c with Config.activation_statements = false })
 
 let rta =
-  Arg.(
-    value & flag
-    & info [ "rta" ] ~doc:"Use RTA instead of CHA for call-graph construction.")
+  switch_off [ "rta" ] ~doc:"Use RTA instead of CHA for call-graph construction."
+    (fun c -> { c with Config.cg_algorithm = Fd_callgraph.Callgraph.Rta })
 
 let lint_flag =
   Arg.(
@@ -182,8 +190,8 @@ let run_lint dir =
     1
   end
 
-let analyze dir apk_dirs base k lenient fallback no_lc no_cb no_alias no_act
-    rta lint sources wrappers show_paths dump_dm xml_out sinks explain =
+let analyze dir apk_dirs base lenient fallback lint sources wrappers show_paths
+    dump_dm xml_out sinks explain =
   Fd_obs.Metrics.reset ();
   Fd_obs.Trace.reset ();
   Fd_obs.Profile.reset ();
@@ -196,18 +204,10 @@ let analyze dir apk_dirs base k lenient fallback no_lc no_cb no_alias no_act
   if lint then
     List.fold_left (fun acc d -> max acc (run_lint d)) 0 dirs
   else
+  let config = Cli.profile sinks base in
+  (* --explain prints witnesses, so it needs them recorded *)
   let config =
-    {
-      (Cli.profile sinks base) with
-      Config.max_access_path = k;
-      Config.lifecycle = not no_lc;
-      Config.callbacks = not no_cb;
-      Config.alias_search = not no_alias;
-      Config.activation_statements = not no_act;
-      Config.cg_algorithm =
-        (if rta then Fd_callgraph.Callgraph.Rta else Fd_callgraph.Callgraph.Cha);
-      Config.provenance = base.Config.provenance || explain;
-    }
+    if explain then { config with Config.provenance = true } else config
   in
   let mode = if lenient then `Lenient else `Strict in
   let defs =
@@ -407,9 +407,9 @@ let cmd =
       const analyze $ app_dir $ apk_dirs
       $ Cli.config
           [ Cli.icc; Cli.deadline; Cli.precision; Cli.provenance;
-            Cli.summary_store; Cli.targeted ]
-      $ k_len $ lenient $ fallback $ no_lifecycle $ no_callbacks $ no_alias
-      $ no_activation $ rta $ lint_flag $ sources_file $ wrappers_file
+            Cli.summary_store; Cli.targeted; k_len; no_lifecycle;
+            no_callbacks; no_alias; no_activation; rta ]
+      $ lenient $ fallback $ lint_flag $ sources_file $ wrappers_file
       $ show_paths $ dump_dummy_main $ xml_out $ Cli.sinks $ explain_flag)
 
 let () = exit (Cmd.eval' cmd)

@@ -160,7 +160,6 @@ let run socket verb dir apks gens deadline_ms id strict config =
                      rq_app;
                      rq_apps;
                      rq_deadline_ms = deadline_ms;
-                     rq_rules = "default";
                      rq_strict = strict;
                      rq_options = changed_options config;
                    })))

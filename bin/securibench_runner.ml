@@ -24,17 +24,7 @@ let run jobs sinks =
           (Fd_resilience.Outcome.to_string o))
     outcomes;
   let dist =
-    List.fold_left
-      (fun acc (_, o) ->
-        let key =
-          match o with
-          | Fd_resilience.Outcome.Crashed _ -> "crashed"
-          | o -> Fd_resilience.Outcome.to_string o
-        in
-        let prev = Option.value (List.assoc_opt key acc) ~default:0 in
-        (key, prev + 1) :: List.remove_assoc key acc)
-      [] outcomes
-    |> List.sort compare
+    Fd_resilience.Outcome.tally (List.map (fun (_, o) -> (o, false)) outcomes)
   in
   Printf.printf "outcomes: %s\n"
     (String.concat ", "

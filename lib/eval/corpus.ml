@@ -38,25 +38,10 @@ let run ?(config = Config.default) ?jobs ~profile ~seed ~n () =
     Fd_util.Pool.map ?jobs
       (fun (ga : Fd_appgen.Generator.gen_app) ->
         let t0 = Unix.gettimeofday () in
-        let findings, outcome =
-          match
-            Fd_resilience.Barrier.protect_with_retry
-              ~label:ga.Fd_appgen.Generator.ga_name
-              (fun () ->
-                let r = Infoflow.analyze_apk ~config ga.Fd_appgen.Generator.ga_apk in
-                (Engines.findings_of_result r,
-                 r.Infoflow.r_stats.Infoflow.st_outcome))
-              ~retry:(fun () ->
-                let r =
-                  Infoflow.analyze_apk
-                    ~config:(Engines.degraded_config config)
-                    ga.Fd_appgen.Generator.ga_apk
-                in
-                (Engines.findings_of_result r,
-                 r.Infoflow.r_stats.Infoflow.st_outcome))
-          with
-          | Ok (fs, o) -> (fs, o)
-          | Error o -> ([], o)
+        let { Engines.pr_findings = findings; pr_outcome = outcome; _ } =
+          Engines.run_protected
+            (Engines.flowdroid ~config ~name:ga.Fd_appgen.Generator.ga_name ())
+            ga.Fd_appgen.Generator.ga_apk
         in
         let t1 = Unix.gettimeofday () in
         let v =
@@ -77,17 +62,8 @@ let run ?(config = Config.default) ?jobs ~profile ~seed ~n () =
 
 (** [outcome_distribution t] counts apps per termination state. *)
 let outcome_distribution t =
-  List.fold_left
-    (fun acc s ->
-      let key =
-        match s.as_outcome with
-        | Fd_resilience.Outcome.Crashed _ -> "crashed"
-        | o -> Fd_resilience.Outcome.to_string o
-      in
-      let prev = Option.value (List.assoc_opt key acc) ~default:0 in
-      (key, prev + 1) :: List.remove_assoc key acc)
-    [] t.c_stats
-  |> List.sort compare
+  Fd_resilience.Outcome.tally
+    (List.map (fun s -> (s.as_outcome, false)) t.c_stats)
 
 type summary = {
   s_apps : int;

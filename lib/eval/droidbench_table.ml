@@ -154,21 +154,14 @@ let outcome_rows t =
 (** [outcome_distribution t] counts apps per termination state,
     aggregated over every engine run (the CHANGES.md statistic). *)
 let outcome_distribution t =
-  List.fold_left
-    (fun acc r ->
-      List.fold_left
-        (fun acc (_, (pr : Engines.protected_result)) ->
-          let key =
-            match pr.Engines.pr_outcome with
-            | Fd_resilience.Outcome.Crashed _ -> "crashed"
-            | o -> Fd_resilience.Outcome.to_string o
-          in
-          let key = if pr.Engines.pr_degraded then key ^ "+degraded" else key in
-          let prev = Option.value (List.assoc_opt key acc) ~default:0 in
-          (key, prev + 1) :: List.remove_assoc key acc)
-        acc r.ar_outcomes)
-    [] t.rows
-  |> List.sort compare
+  Fd_resilience.Outcome.tally
+    (List.concat_map
+       (fun r ->
+         List.map
+           (fun (_, (pr : Engines.protected_result)) ->
+             (pr.Engines.pr_outcome, pr.Engines.pr_degraded))
+           r.ar_outcomes)
+       t.rows)
 
 (** [render_outcomes t] is a text table of {!outcome_rows}, listing
     only apps where some engine did not complete cleanly (empty string

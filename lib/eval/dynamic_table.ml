@@ -35,7 +35,7 @@ let run ?(apps = Suite.scored) () =
           let score findings = Scoring.score ~expected ~findings in
           {
             dr_app = app;
-            dr_static = score (fd.Engines.eng_run app.Bench_app.app_apk);
+            dr_static = score (fst (fd.Engines.eng_run app.Bench_app.app_apk));
             dr_basic =
               score
                 (dynamic_findings ~coverage:Fd_interp.Droid_runner.Basic

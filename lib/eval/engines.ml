@@ -4,10 +4,12 @@
 
 open Fd_core
 
+type run = Scoring.finding list * Fd_resilience.Outcome.t
+
 type t = {
   eng_name : string;
-  eng_run : Fd_frontend.Apk.t -> Scoring.finding list;
-  eng_degraded : (Fd_frontend.Apk.t -> Scoring.finding list) option;
+  eng_run : Fd_frontend.Apk.t -> run;
+  eng_degraded : (Fd_frontend.Apk.t -> run) option;
       (** cheapest-rung variant, used as the barrier's one retry *)
 }
 
@@ -17,6 +19,9 @@ let findings_of_result (r : Infoflow.result) : Scoring.finding list =
       (fd.Bidi.f_source.Taint.si_tag, fd.Bidi.f_sink_tag))
     r.Infoflow.r_findings
 
+let run_of_result (r : Infoflow.result) : run =
+  (findings_of_result r, r.Infoflow.r_stats.Infoflow.st_outcome)
+
 (* the last rung of the degradation ladder for [config] *)
 let degraded_config config =
   match List.rev (Config.degradation_ladder config) with
@@ -25,69 +30,62 @@ let degraded_config config =
 
 (** [flowdroid ?config ?name ()] wraps the core engine. *)
 let flowdroid ?(config = Config.default) ?(name = "FlowDroid") () =
+  let analyze config apk = run_of_result (Infoflow.analyze_apk ~config apk) in
   {
     eng_name = name;
-    eng_run = (fun apk -> findings_of_result (Infoflow.analyze_apk ~config apk));
-    eng_degraded =
-      Some
-        (fun apk ->
-          findings_of_result
-            (Infoflow.analyze_apk ~config:(degraded_config config) apk));
+    eng_run = analyze config;
+    eng_degraded = Some (analyze (degraded_config config));
+  }
+
+(* a comparator baseline always runs to completion *)
+let baseline name run =
+  {
+    eng_name = name;
+    eng_run = (fun apk -> (run apk, Fd_resilience.Outcome.Complete));
+    eng_degraded = None;
   }
 
 (** [appscan] — the AppScan-Source-like comparator. *)
-let appscan =
-  {
-    eng_name = "AppScan";
-    eng_run = Fd_baselines.Simple_taint.run_appscan;
-    eng_degraded = None;
-  }
+let appscan = baseline "AppScan" Fd_baselines.Simple_taint.run_appscan
 
 (** [fortify] — the Fortify-SCA-like comparator. *)
-let fortify =
-  {
-    eng_name = "Fortify";
-    eng_run = Fd_baselines.Simple_taint.run_fortify;
-    eng_degraded = None;
-  }
+let fortify = baseline "Fortify" Fd_baselines.Simple_taint.run_fortify
 
 (** {2 Crash-isolated runs} *)
 
 type protected_result = {
   pr_findings : Scoring.finding list;  (** [[]] when every attempt crashed *)
   pr_outcome : Fd_resilience.Outcome.t;
-      (** [Complete], or the first attempt's [Crashed] when nothing
-          succeeded *)
+      (** the outcome of the run that supplied the findings, or the
+          first attempt's [Crashed] when every attempt crashed *)
   pr_degraded : bool;  (** the findings came from the degraded retry *)
 }
 
-let m_retries = Fd_obs.Metrics.counter "resilience.retries"
+(** [protect ~label ?retry run] runs [run] under the exception
+    barrier; when it crashes, [retry] gets one more chance.  Never
+    raises. *)
+let protect ~label ?retry run =
+  let attempt degraded run () = (run (), degraded) in
+  let res =
+    match retry with
+    | None -> Fd_resilience.Barrier.protect ~label (attempt false run)
+    | Some retry ->
+        Fd_resilience.Barrier.protect_with_retry ~label (attempt false run)
+          ~retry:(attempt true retry)
+  in
+  match res with
+  | Ok ((pr_findings, pr_outcome), pr_degraded) ->
+      { pr_findings; pr_outcome; pr_degraded }
+  | Error first ->
+      { pr_findings = []; pr_outcome = first; pr_degraded = Option.is_some retry }
 
-(** [run_protected e apk] runs [e] under an exception barrier; when
+(** [run_protected e apk] runs [e] under the exception barrier; when
     the primary run crashes and the engine has a degraded variant, it
     gets one retry.  Never raises. *)
 let run_protected (e : t) apk =
-  match Fd_resilience.Barrier.protect ~label:e.eng_name (fun () -> e.eng_run apk) with
-  | Ok fs ->
-      { pr_findings = fs; pr_outcome = Fd_resilience.Outcome.Complete;
-        pr_degraded = false }
-  | Error first -> (
-      match e.eng_degraded with
-      | None -> { pr_findings = []; pr_outcome = first; pr_degraded = false }
-      | Some run -> (
-          Fd_obs.Metrics.incr m_retries;
-          match
-            Fd_resilience.Barrier.protect
-              ~label:(e.eng_name ^ " (degraded)")
-              (fun () -> run apk)
-          with
-          | Ok fs ->
-              { pr_findings = fs; pr_outcome = Fd_resilience.Outcome.Complete;
-                pr_degraded = true }
-          | Error _ ->
-              (* report the primary failure; the degraded crash is
-                 secondary *)
-              { pr_findings = []; pr_outcome = first; pr_degraded = true }))
+  protect ~label:e.eng_name
+    ?retry:(Option.map (fun run () -> run apk) e.eng_degraded)
+    (fun () -> e.eng_run apk)
 
 (** Ablations of the FlowDroid engine (DESIGN.md experiments). *)
 let ablations =

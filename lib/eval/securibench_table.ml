@@ -16,12 +16,13 @@ type t = {
   group_results : group_result list;
   per_case : (string * Scoring.verdict) list;
   per_case_outcomes : (string * Fd_resilience.Outcome.t) list;
-      (** barrier outcome per case; anything but [Complete] means the
-          case's verdict scored empty findings *)
+      (** termination state per case: a crash scores empty findings, a
+          run stopped early (deadline, budget) scores what it found *)
 }
 
 (** [run_case ?config case] analyses one case with the core engine and
-    the suite's manually supplied sources/sinks. *)
+    the suite's manually supplied sources/sinks, returning its findings
+    and termination state. *)
 let run_case ?(config = Fd_core.Config.default) (case : Sb_case.t) =
   let defs = Fd_frontend.Sourcesink.of_string Sb_case.sources_sinks_config in
   let entries =
@@ -34,26 +35,20 @@ let run_case ?(config = Fd_core.Config.default) (case : Sb_case.t) =
     Fd_core.Infoflow.analyze_plain ~config ~synthetic_main:true
       ~classes:case.Sb_case.sb_classes ~entries ~defs ()
   in
-  let findings = Engines.findings_of_result result in
-  Scoring.score
-    ~expected:(List.map (fun (s, k) -> (s, k)) case.Sb_case.sb_expected)
-    ~findings
+  Engines.run_of_result result
 
 (* one case under the crash barrier, with a degraded retry: a crash
    scores as zero findings instead of aborting the suite *)
 let run_case_protected ?(config = Fd_core.Config.default) (case : Sb_case.t) =
-  match
-    Fd_resilience.Barrier.protect_with_retry ~label:case.Sb_case.sb_name
-      (fun () -> run_case ~config case)
+  let pr =
+    Engines.protect ~label:case.Sb_case.sb_name
       ~retry:(fun () ->
         run_case ~config:(Engines.degraded_config config) case)
-  with
-  | Ok v -> (v, Fd_resilience.Outcome.Complete)
-  | Error o ->
-      ( Scoring.score
-          ~expected:(List.map (fun (s, k) -> (s, k)) case.Sb_case.sb_expected)
-          ~findings:[],
-        o )
+      (fun () -> run_case ~config case)
+  in
+  ( Scoring.score ~expected:case.Sb_case.sb_expected
+      ~findings:pr.Engines.pr_findings,
+    pr.Engines.pr_outcome )
 
 (** [run ?jobs ?config ()] evaluates the whole suite; each case runs
     under the crash barrier.  [jobs] fans the per-case loop out over

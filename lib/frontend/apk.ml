@@ -204,7 +204,7 @@ let parse_manifest ~mode ~name ~diag src =
         skipped;
       m
 
-let load ?(mode = `Strict) ?template apk =
+let load ?(mode = `Strict) apk =
   Fd_obs.Trace.with_span "frontend.load" @@ fun () ->
   let diags = ref [] in
   let diag ?line ~file msg =
@@ -240,15 +240,7 @@ let load ?(mode = `Strict) ?template apk =
            (Printf.sprintf "%s: layout XML error at offset %d: %s" apk.apk_name
               pos msg))
   in
-  (* [template] lets a long-lived host (the serve daemon's per-rule-set
-     template cache) supply its own pre-warmed skeleton scene; the copy
-     keeps the template immutable, so the result is indistinguishable
-     from a [Framework.fresh_scene] clone *)
-  let scene =
-    match template with
-    | Some t -> Scene.copy t
-    | None -> Framework.fresh_scene ()
-  in
+  let scene = Framework.fresh_scene () in
   List.iter
     (fun c ->
       try Scene.add_class scene c
@@ -304,7 +296,7 @@ type merged = {
     Class names must be disjoint across apps (strict mode raises,
     lenient skips).  Layout names clashing across apps keep the first
     app's file. *)
-let load_merged ?(mode = `Strict) ?template apks =
+let load_merged ?(mode = `Strict) apks =
   if apks = [] then raise (Load_error "load_merged: empty app list");
   Fd_obs.Trace.with_span "frontend.load_merged" @@ fun () ->
   let diags = ref [] in
@@ -321,11 +313,7 @@ let load_merged ?(mode = `Strict) ?template apks =
             apk.apk_manifest ))
       apks
   in
-  let scene =
-    match template with
-    | Some t -> Scene.copy t
-    | None -> Framework.fresh_scene ()
-  in
+  let scene = Framework.fresh_scene () in
   let class_app : (string, string) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun ((apk : t), _) ->

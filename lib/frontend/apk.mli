@@ -64,17 +64,13 @@ val of_dir : ?mode:mode -> string -> t
     @raise Load_error when the manifest is missing, the directory is
     unreadable, or code is malformed (strict mode). *)
 
-val load : ?mode:mode -> ?template:Scene.t -> t -> loaded
+val load : ?mode:mode -> t -> loaded
 (** [load apk] runs the frontend and validates that every enabled
     manifest component resolves to a class with the right framework
     superclass.  In lenient mode a malformed manifest component, an
     unparsable layout, a duplicate class, or a component failing
     validation is skipped with a diagnostic ([loaded.diags]) and the
     rest of the app is loaded.
-
-    [template] supplies a pre-warmed skeleton scene to clone instead
-    of {!Framework.fresh_scene} — the serve daemon's per-rule-set
-    template cache uses this; results are identical either way.
     @raise Load_error on inconsistencies (strict mode). *)
 
 type merged = {
@@ -86,7 +82,7 @@ type merged = {
       (** which app declared a class (for the cross-app exported gate) *)
 }
 
-val load_merged : ?mode:mode -> ?template:Scene.t -> t list -> merged
+val load_merged : ?mode:mode -> t list -> merged
 (** [load_merged apks] loads several apps into one merged Scene — the
     inter-app setting where intents cross APK boundaries.  Classes
     must be globally unique (strict mode raises on a duplicate;

@@ -39,21 +39,6 @@ let async_task_class = "android.os.AsyncTask"
 
 let fragment_class = "android.app.Fragment"
 
-(** Fragment lifecycle methods, in framework order. *)
-let fragment_lifecycle =
-  [
-    ("onAttach", [ T.Ref "android.app.Activity" ]);
-    ("onCreate", [ T.Ref "android.os.Bundle" ]);
-    ("onCreateView", [ T.Ref "android.os.Bundle" ]);
-    ("onStart", []);
-    ("onResume", []);
-    ("onPause", []);
-    ("onStop", []);
-    ("onDestroyView", []);
-    ("onDestroy", []);
-    ("onDetach", []);
-  ]
-
 let service_class = "android.app.Service"
 let receiver_class = "android.content.BroadcastReceiver"
 let provider_class = "android.content.ContentProvider"

@@ -15,9 +15,7 @@ type local = { l_name : string; l_type : typ }
     names are physically shared. *)
 
 let equal_local a b = a == b || String.equal a.l_name b.l_name
-let compare_local a b = String.compare a.l_name b.l_name
 let hash_local l = Hashtbl.hash l.l_name
-let pp_local fmt l = Format.pp_print_string fmt l.l_name
 let mk_local ?(ty = Ref Types.object_class) l_name = { l_name; l_type = ty }
 
 type const =
@@ -25,14 +23,6 @@ type const =
   | CStr of string
   | CNull
   | CClassRef of string  (** a class literal, [C.class] *)
-
-let equal_const a b =
-  match (a, b) with
-  | CInt x, CInt y -> x = y
-  | CStr x, CStr y -> String.equal x y
-  | CNull, CNull -> true
-  | CClassRef x, CClassRef y -> String.equal x y
-  | _ -> false
 
 let string_of_const = function
   | CInt i -> string_of_int i
@@ -43,12 +33,6 @@ let string_of_const = function
 (** An immediate operand: a local or a constant (Jimple restricts all
     non-trivial expressions to operate on immediates only). *)
 type imm = Iloc of local | Iconst of const
-
-let equal_imm a b =
-  match (a, b) with
-  | Iloc x, Iloc y -> equal_local x y
-  | Iconst x, Iconst y -> equal_const x y
-  | _ -> false
 
 let string_of_imm = function
   | Iloc l -> l.l_name

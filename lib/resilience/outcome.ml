@@ -25,3 +25,13 @@ let to_string = function
   | Deadline_exceeded -> "deadline-exceeded"
   | Cancelled -> "cancelled"
   | Crashed msg -> "crashed: " ^ msg
+
+let tally runs =
+  List.fold_left
+    (fun acc (o, degraded) ->
+      let key = match o with Crashed _ -> "crashed" | o -> to_string o in
+      let key = if degraded then key ^ "+degraded" else key in
+      let prev = Option.value (List.assoc_opt key acc) ~default:0 in
+      (key, prev + 1) :: List.remove_assoc key acc)
+    [] runs
+  |> List.sort compare

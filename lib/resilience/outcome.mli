@@ -24,3 +24,9 @@ val to_string : t -> string
 (** stable, machine-greppable rendering ([complete],
     [budget-exhausted], [deadline-exceeded], [cancelled],
     [crashed: msg]) *)
+
+val tally : (t * bool) list -> (string * int) list
+(** [tally runs] counts runs per termination state, sorted by key.  A
+    run is its outcome and whether a degraded retry produced it; its
+    key is {!to_string} with every [Crashed] message folded into
+    ["crashed"], plus ["+degraded"] for a degraded run. *)

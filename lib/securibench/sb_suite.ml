@@ -25,8 +25,3 @@ let expected_in g =
   List.fold_left
     (fun acc c -> acc + List.length c.Sb_case.sb_expected)
     0 (by_group g)
-
-(** Total expected leaks over the implemented groups (121, as in
-    Table 2). *)
-let total_expected =
-  List.fold_left (fun acc c -> acc + List.length c.Sb_case.sb_expected) 0 all

@@ -104,7 +104,6 @@ type analyze = {
   rq_app : app_spec;
   rq_apps : app_spec list;
   rq_deadline_ms : int option;
-  rq_rules : string;
   rq_strict : bool;
   rq_options : (string * Json.t) list;
 }
@@ -191,10 +190,14 @@ let request_of_json v =
         | Some _, Some _ -> Error "analyze: give \"app\" or \"apps\", not both"
         | None, None -> Error "analyze: missing \"app\" (or \"apps\")"
       in
-      match specs with
-      | Error e -> Error e
-      | Ok [] -> Error "analyze: \"apps\" must be non-empty"
-      | Ok (rq_app :: rq_apps) ->
+      (* every request runs under the default rule sets; naming any
+         other is refused rather than silently ignored *)
+      match (specs, member_str "rules" v) with
+      | Error e, _ -> Error e
+      | Ok [], _ -> Error "analyze: \"apps\" must be non-empty"
+      | _, Some rules when rules <> "default" ->
+          Error (Printf.sprintf "unknown rule-set %S" rules)
+      | Ok (rq_app :: rq_apps), _ ->
           Ok
             (Analyze
                {
@@ -202,8 +205,6 @@ let request_of_json v =
                  rq_app;
                  rq_apps;
                  rq_deadline_ms = member_int "deadline_ms" v;
-                 rq_rules =
-                   Option.value (member_str "rules" v) ~default:"default";
                  rq_strict = Json.member "strict" v = Some (Json.Bool true);
                  rq_options =
                    (match v with
@@ -255,8 +256,6 @@ let json_of_analyze a =
     @ (match a.rq_deadline_ms with
       | Some ms -> [ ("deadline_ms", Json.Int ms) ]
       | None -> [])
-    @ (if a.rq_rules <> "default" then [ ("rules", Json.String a.rq_rules) ]
-       else [])
     @ (if a.rq_strict then [ ("strict", Json.Bool true) ] else [])
     @ a.rq_options)
 

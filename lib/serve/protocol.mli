@@ -29,7 +29,10 @@
     ["app"] analyses the batch in one merged multi-app Scene (the
     inter-app collusion setting).  Optional analyze fields: ["id"]
     (echoed verbatim in the reply), ["deadline_ms"] (the request's
-    wall-clock deadline), ["rules"] (named rule-set), ["strict"]
+    wall-clock deadline), ["rules"] (only ["default"] is accepted:
+    every request runs under the default sources/sinks, taint wrappers
+    and native rules, and any other name is answered [bad-request]),
+    ["strict"]
     (disable the default lenient frontend), and three analysis
     options under their {!Fd_core.Config.encode} keys: ["k"] (the
     access-path bound, [>= 1]), ["icc"] (the inter-component taint
@@ -94,7 +97,6 @@ type analyze = {
   rq_deadline_ms : int option;
       (** the request's deadline; absent = the base config's
           [deadline_s] *)
-  rq_rules : string;  (** named rule-set, default ["default"] *)
   rq_strict : bool;  (** strict frontend (default: lenient) *)
   rq_options : (string * Fd_obs.Json.t) list;
       (** the analysis options the request sets, as [(key, value)]

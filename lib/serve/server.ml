@@ -47,8 +47,6 @@ let m_out_degraded = Metrics.counter "serve.outcome.degraded"
 let m_out_partial = Metrics.counter "serve.outcome.partial"
 let m_out_failed = Metrics.counter "serve.outcome.failed"
 let m_out_cancelled = Metrics.counter "serve.outcome.cancelled"
-let m_template_hits = Metrics.counter "serve.template_hits"
-let m_template_misses = Metrics.counter "serve.template_misses"
 let g_queue_depth = Metrics.gauge "serve.queue_depth"
 let g_in_flight = Metrics.gauge "serve.in_flight"
 let h_request = Metrics.histogram "serve.request_seconds"
@@ -59,91 +57,15 @@ let h_solve = Metrics.histogram "serve.solve_seconds"
 (* configuration                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type ruleset = {
-  rs_defs : Fd_frontend.Sourcesink.t;
-  rs_wrappers : Fd_frontend.Rules.t;
-  rs_natives : Fd_frontend.Rules.t;
-}
-
-let default_ruleset () =
-  {
-    rs_defs = Fd_frontend.Sourcesink.default ();
-    rs_wrappers = Fd_frontend.Rules.default_wrappers ();
-    rs_natives = Fd_frontend.Rules.default_natives ();
-  }
-
-(* ------------------------------------------------------------------ *)
-(* per-rule-set warm Scene templates                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Keyed by the rule set's content digest, so two names binding
-   identical rules share one warm template.  A worker picking up a
-   request clones the cached template ([Apk.load ~template]) instead
-   of re-deriving one from the framework skeleton; the first request
-   under a digest pays the derivation (a miss), every later one is a
-   hit.  [serve.template_{hits,misses}] make the amortisation visible
-   in the [stats] verb. *)
-
-let rules_digest rs =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\n"
-          [
-            Fd_frontend.Sourcesink.digest rs.rs_defs;
-            Fd_frontend.Rules.digest rs.rs_wrappers;
-            Fd_frontend.Rules.digest rs.rs_natives;
-          ]))
-
-type templates = {
-  tc_lock : Mutex.t;
-  tc_scenes : (string, Fd_ir.Scene.t) Hashtbl.t;  (** digest → template *)
-  tc_digests : (string, string) Hashtbl.t;  (** rule-set name → digest *)
-}
-
-let templates_make () =
-  {
-    tc_lock = Mutex.create ();
-    tc_scenes = Hashtbl.create 4;
-    tc_digests = Hashtbl.create 4;
-  }
-
-let template_for tc ~rules_name rs =
-  Mutex.lock tc.tc_lock;
-  let digest =
-    match Hashtbl.find_opt tc.tc_digests rules_name with
-    | Some d -> d
-    | None ->
-        let d = rules_digest rs in
-        Hashtbl.add tc.tc_digests rules_name d;
-        d
-  in
-  let scene =
-    match Hashtbl.find_opt tc.tc_scenes digest with
-    | Some s ->
-        Metrics.incr m_template_hits;
-        s
-    | None ->
-        Metrics.incr m_template_misses;
-        let s = Fd_frontend.Framework.fresh_scene () in
-        Hashtbl.add tc.tc_scenes digest s;
-        s
-  in
-  Mutex.unlock tc.tc_lock;
-  scene
-
 type config = {
   sv_socket : string;
   sv_workers : int;
   sv_queue_capacity : int;
   sv_max_frame_bytes : int;
-  sv_max_attempts : int;
-  sv_backoff_base_s : float;
-  sv_backoff_cap_s : float;
   sv_drain_grace_s : float;
   sv_chaos_rate : float;
   sv_chaos_seed : int;
   sv_base_config : Config.t;
-  sv_rules : (string * ruleset) list;
   sv_attempt_hook : (string -> int -> unit) option;
 }
 
@@ -153,14 +75,10 @@ let default_config ~socket =
     sv_workers = 2;
     sv_queue_capacity = 64;
     sv_max_frame_bytes = Protocol.default_max_frame;
-    sv_max_attempts = 2;
-    sv_backoff_base_s = 0.01;
-    sv_backoff_cap_s = 1.;
     sv_drain_grace_s = 5.;
     sv_chaos_rate = 0.;
     sv_chaos_seed = 42;
     sv_base_config = { Config.default with Config.deadline_s = Some 30. };
-    sv_rules = [];
     sv_attempt_hook = None;
   }
 
@@ -228,7 +146,6 @@ type req = {
   q_serial : int;
   q_name : string;
   q_spec : Protocol.analyze;
-  q_rules : ruleset;
   q_ladder : (string * Config.t) array;  (** rung i serves attempt i+1 *)
   q_chaos : Chaos.t option;  (** solver-step faults, full chaos rate *)
   q_chaos_kill : Chaos.t option;
@@ -262,7 +179,6 @@ type t = {
   t_serial : int Atomic.t;
   t_started : float;
   t_listen : Unix.file_descr;
-  t_templates : templates;
   t_inflight : req option Atomic.t array;
   t_domains : unit Domain.t option array;
   t_dom_lock : Mutex.t;  (** guards t_domains (start/supervisor/stop) *)
@@ -435,22 +351,12 @@ let reply_failure t req =
 (* request admission                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let find_ruleset t name =
-  match List.assoc_opt name t.t_cfg.sv_rules with
-  | Some rs -> Some rs
-  | None -> if name = "default" then Some (default_ruleset ()) else None
-
 let build_req t conn (a : Protocol.analyze) =
   let cfg = t.t_cfg in
-  match
-    ( find_ruleset t a.rq_rules,
-      a.rq_deadline_ms,
-      Config.decode cfg.sv_base_config a.rq_options )
-  with
-  | None, _, _ -> Error (Printf.sprintf "unknown rule-set %S" a.rq_rules)
-  | _, Some ms, _ when ms < 1 -> Error "deadline_ms must be >= 1"
-  | _, _, Error msg -> Error msg
-  | Some rules, deadline_ms, Ok config ->
+  match (a.rq_deadline_ms, Config.decode cfg.sv_base_config a.rq_options) with
+  | Some ms, _ when ms < 1 -> Error "deadline_ms must be >= 1"
+  | _, Error msg -> Error msg
+  | deadline_ms, Ok config ->
       (* the store's config digest covers every option a request sets,
          so hot entries never cross between requests that differ *)
       let config =
@@ -483,7 +389,6 @@ let build_req t conn (a : Protocol.analyze) =
             String.concat "+"
               (List.map Protocol.app_name (a.rq_app :: a.rq_apps));
           q_spec = a;
-          q_rules = rules;
           q_ladder = Array.of_list (Config.degradation_ladder config);
           q_chaos = chaos;
           q_chaos_kill = chaos_kill;
@@ -515,12 +420,14 @@ let realize_one (spec : Protocol.app_spec) ~mode =
 let rung_for req attempt =
   req.q_ladder.(min (attempt - 1) (Array.length req.q_ladder - 1))
 
+(* two attempts: the request's own config, then one retry on the next
+   rung.  The retry waits 10 ms after a failed attempt, or 5 ms when a
+   worker died at pickup before the first attempt started *)
+let max_attempts = 2
+
 let retry_or_fail t req =
-  if phase t = Running && req.q_attempt < t.t_cfg.sv_max_attempts then begin
-    let backoff =
-      Float.min t.t_cfg.sv_backoff_cap_s
-        (t.t_cfg.sv_backoff_base_s *. (2. ** float_of_int (req.q_attempt - 1)))
-    in
+  if phase t = Running && req.q_attempt < max_attempts then begin
+    let backoff = if req.q_attempt = 0 then 0.005 else 0.01 in
     req.q_not_before <- Unix.gettimeofday () +. backoff;
     Metrics.incr m_retries;
     (* push_front: an admitted request's retry must not be bounced by
@@ -561,29 +468,14 @@ let process t req =
           (req.q_spec.Protocol.rq_app :: req.q_spec.Protocol.rq_apps)
       with
       | exception Apk.Load_error msg -> `Bad msg
+      | [ apk ] ->
+          `Res (Infoflow.analyze_loaded ~config:cfg ~budget (Apk.load ~mode apk))
       | apks -> (
-          let template =
-            template_for t.t_templates ~rules_name:req.q_spec.rq_rules
-              req.q_rules
-          in
-          match apks with
-          | [ apk ] ->
-              let loaded = Apk.load ~mode ~template apk in
-              `Res
-                (Infoflow.analyze_loaded ~config:cfg
-                   ~defs:req.q_rules.rs_defs ~wrappers:req.q_rules.rs_wrappers
-                   ~natives:req.q_rules.rs_natives ~budget loaded)
-          | apks -> (
-              (* batch: one merged multi-app Scene (the inter-app
-                 setting); load clashes are the client's fault *)
-              match Apk.load_merged ~mode ~template apks with
-              | exception Apk.Load_error msg -> `Bad msg
-              | merged ->
-                  `Res
-                    (Infoflow.analyze_merged ~config:cfg
-                       ~defs:req.q_rules.rs_defs
-                       ~wrappers:req.q_rules.rs_wrappers
-                       ~natives:req.q_rules.rs_natives ~budget merged)))
+          (* batch: one merged multi-app Scene (the inter-app setting);
+             load clashes are the client's fault *)
+          match Apk.load_merged ~mode apks with
+          | exception Apk.Load_error msg -> `Bad msg
+          | merged -> `Res (Infoflow.analyze_merged ~config:cfg ~budget merged))
     in
     let res = Barrier.protect ~label:(req.q_name ^ "/" ^ rung) run in
     let dt = Unix.gettimeofday () -. t0 in
@@ -727,12 +619,6 @@ let stats_fields t =
           ] );
       ("retries", Json.Int (Metrics.value m_retries));
       ("client_gone", Json.Int (Metrics.value m_client_gone));
-      ( "template_cache",
-        Json.Obj
-          [
-            ("hits", Json.Int (Metrics.value m_template_hits));
-            ("misses", Json.Int (Metrics.value m_template_misses));
-          ] );
       ("latency", quantiles_json "serve.request_seconds");
       ("queue_wait", quantiles_json "serve.queue_wait_seconds");
       ("solve", quantiles_json "serve.solve_seconds");
@@ -853,7 +739,6 @@ let start cfg =
   (* a client vanishing mid-write must never signal the daemon *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Infoflow.warm_templates ();
-  ignore (default_ruleset ());
   (try Unix.unlink cfg.sv_socket with Unix.Unix_error _ -> ());
   let listen = Unix.socket PF_UNIX SOCK_STREAM 0 in
   (try
@@ -871,7 +756,6 @@ let start cfg =
       t_serial = Atomic.make 0;
       t_started = Unix.gettimeofday ();
       t_listen = listen;
-      t_templates = templates_make ();
       t_inflight = Array.init cfg.sv_workers (fun _ -> Atomic.make None);
       t_domains = Array.make cfg.sv_workers None;
       t_dom_lock = Mutex.create ();
@@ -881,12 +765,6 @@ let start cfg =
       t_stopped = false;
     }
   in
-  (* pre-warm one Scene template per configured rule set (plus the
-     default), so the first request under each digest is already a
-     template hit; the startup derivations are the only misses *)
-  List.iter
-    (fun (name, rs) -> ignore (template_for t.t_templates ~rules_name:name rs))
-    (("default", default_ruleset ()) :: cfg.sv_rules);
   for slot = 0 to cfg.sv_workers - 1 do
     spawn_worker t slot
   done;

@@ -4,10 +4,11 @@
     protocol of {!Protocol}, built from the existing resilience
     primitives:
 
-    - {b warm templates}: rule sets are parsed once at startup and the
-      framework-skeleton scene template is forced eagerly
-      ({!Fd_core.Infoflow.warm_templates}), so each request pays only
-      a [Scene.copy] instead of the whole frontend+framework cost;
+    - {b warm start}: the default rule sets and the framework-skeleton
+      scene are built once at startup
+      ({!Fd_core.Infoflow.warm_templates}), so each request's
+      {!Fd_frontend.Apk.load} pays only a [Scene.copy] of the skeleton
+      instead of the whole framework cost;
     - {b admission control}: requests enter a bounded {!Squeue}; a
       full queue rejects immediately with [overloaded] and a
       [retry_after_ms] estimate instead of buffering unbounded work;
@@ -18,8 +19,9 @@
       exception outside the barrier, e.g. service-level chaos) is
       restarted by the supervisor and its request re-admitted;
     - {b graceful degradation}: a failed attempt (crash or blown
-      deadline) is retried — after a capped exponential backoff — on
-      the next rung of {!Fd_core.Config.degradation_ladder}, so a
+      deadline) is retried once — after 10 ms, or 5 ms when a worker
+      died at pickup — on the next rung of
+      {!Fd_core.Config.degradation_ladder}, so a
       poisoned input yields a [degraded]/[partial] outcome row rather
       than taking the daemon down.  Every admitted request receives
       {e exactly one} reply;
@@ -34,20 +36,11 @@
     [serve.request_seconds], [serve.queue_wait_seconds],
     [serve.outcome.*]) and reported by the [health]/[stats] verbs. *)
 
-type ruleset = {
-  rs_defs : Fd_frontend.Sourcesink.t;
-  rs_wrappers : Fd_frontend.Rules.t;
-  rs_natives : Fd_frontend.Rules.t;
-}
-
 type config = {
   sv_socket : string;  (** Unix-domain socket path *)
   sv_workers : int;  (** analysis worker domains *)
   sv_queue_capacity : int;  (** admission bound *)
   sv_max_frame_bytes : int;  (** oversized-request guard *)
-  sv_max_attempts : int;  (** 2 = one degraded retry *)
-  sv_backoff_base_s : float;  (** retry backoff: base·2^(attempt-1) *)
-  sv_backoff_cap_s : float;  (** …capped here *)
   sv_drain_grace_s : float;  (** drain allowance before cancellation *)
   sv_chaos_rate : float;
       (** service-level fault injection rate; 0 = off.  Faults are
@@ -61,8 +54,6 @@ type config = {
           sets no ["deadline_ms"], and every attempt's budget comes
           from the request's config ({!Fd_core.Config.budget}), so
           [max_propagations] caps each attempt *)
-  sv_rules : (string * ruleset) list;
-      (** named rule-sets; ["default"] is always available *)
   sv_attempt_hook : (string -> int -> unit) option;
       (** test seam, called with (app name, attempt number) outside
           the barrier before each attempt: a raise here kills the
@@ -70,15 +61,15 @@ type config = {
 }
 
 val default_config : socket:string -> config
-(** 2 workers, queue capacity 64, 8 MiB frames, one retry, 10 ms
-    backoff base / 1 s cap, 5 s drain grace, chaos off, and
-    {!Fd_core.Config.default} with a 30 s deadline as the base *)
+(** 2 workers, queue capacity 64, 8 MiB frames, 5 s drain grace,
+    chaos off, and {!Fd_core.Config.default} with a 30 s deadline as
+    the base *)
 
 type t
 
 val start : config -> t
 (** Boot the daemon: bind the socket (replacing a stale file), warm
-    the templates, spawn workers, supervisor and accept loop, and
+    the shared templates, spawn workers, supervisor and accept loop, and
     return immediately.  Ignores SIGPIPE (client disconnects must not
     kill the daemon).
     @raise Unix.Unix_error when the socket cannot be bound. *)

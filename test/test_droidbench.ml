@@ -125,7 +125,7 @@ let test_implicit_flows_silent () =
       Alcotest.(check int)
         (app.Bench_app.app_name ^ " silent")
         0
-        (List.length (fd.Engines.eng_run app.Bench_app.app_apk)))
+        (List.length (fst (fd.Engines.eng_run app.Bench_app.app_apk))))
     (Suite.by_category "Implicit Flows")
 
 (* the post-1.0 extension cases: per-app expected engine behaviour,
@@ -139,7 +139,7 @@ let test_extensions () =
         Scoring.score
           ~expected:
             (List.map Scoring.of_bench_expectation app.Bench_app.app_expected)
-          ~findings:(fd.Engines.eng_run app.Bench_app.app_apk)
+          ~findings:(fst (fd.Engines.eng_run app.Bench_app.app_apk))
       in
       Alcotest.(check (list int))
         name

@@ -215,6 +215,29 @@ let test_xml_report () =
      String.length sum >= String.length re
      && String.sub sum 0 (String.length re) = re)
 
+(* a run stopped by its deadline is reported as such, not as complete:
+   the tables carry each run's own outcome through the barrier *)
+let test_deadline_outcomes () =
+  let config =
+    { Fd_core.Config.default with Fd_core.Config.deadline_s = Some 0. }
+  in
+  let apps = List.filteri (fun i _ -> i < 2) Fd_droidbench.Suite.scored in
+  let db =
+    Fd_eval.Droidbench_table.run ~apps [ Fd_eval.Engines.flowdroid ~config () ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "droidbench distribution"
+    [ ("deadline-exceeded", 2) ]
+    (Fd_eval.Droidbench_table.outcome_distribution db);
+  Alcotest.(check bool) "droidbench outcome rows listed" true
+    (Fd_eval.Droidbench_table.render_outcomes db <> "");
+  let sb = Fd_eval.Securibench_table.run ~config () in
+  List.iter
+    (fun (name, o) ->
+      Alcotest.(check string) name "deadline-exceeded"
+        (Fd_resilience.Outcome.to_string o))
+    sb.Fd_eval.Securibench_table.per_case_outcomes
+
 let () =
   Alcotest.run "fd_eval"
     [
@@ -243,5 +266,10 @@ let () =
           Alcotest.test_case "planted-leak recall" `Slow test_corpus_recall;
           Alcotest.test_case "malware leak rate" `Quick test_corpus_leak_rate;
           Alcotest.test_case "profile sizes" `Quick test_profiles_differ_in_size;
+        ] );
+      ( "outcomes",
+        [
+          Alcotest.test_case "deadline-exceeded reported" `Quick
+            test_deadline_outcomes;
         ] );
     ]

@@ -28,7 +28,6 @@ let analyze_req ?id ?deadline_ms app =
     rq_app = app;
     rq_apps = [];
     rq_deadline_ms = deadline_ms;
-    rq_rules = "default";
     rq_strict = false;
     rq_options = [];
   }
@@ -145,7 +144,6 @@ let base_cfg socket =
     sv_queue_capacity = 2;
     sv_base_config =
       { Fd_core.Config.default with Fd_core.Config.deadline_s = Some 10. };
-    sv_backoff_base_s = 0.001;
     sv_drain_grace_s = 5.;
   }
 
@@ -219,9 +217,16 @@ let test_server_bad_requests () =
           let r = Client.request c (Json.Obj [ ("verb", Json.String "nope") ]) in
           Alcotest.(check (option string)) "unknown verb" (Some "bad-request")
             (member_str "error" r);
+          (* [Protocol.analyze] has no rules field, so the unknown name
+             goes out as a raw frame *)
           let r =
-            Client.analyze c
-              { (analyze_req (gen_app 1)) with Protocol.rq_rules = "missing" }
+            Client.request c
+              (Json.Obj
+                 [
+                   ("verb", Json.String "analyze");
+                   ("app", Json.Obj [ ("dir", Json.String "/nonexistent/app") ]);
+                   ("rules", Json.String "missing");
+                 ])
           in
           Alcotest.(check (option string)) "unknown rules" (Some "bad-request")
             (member_str "error" r);
