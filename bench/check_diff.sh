@@ -20,6 +20,7 @@ seed="${SEED:-20140609}"
 count="${COUNT:-200}"
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
+. "$root/bench/gate_lib.sh"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
@@ -50,15 +51,10 @@ else
 fi
 
 # one JSON object per profile, one per line; field order is fixed
-json_field () {
-  # json_field FILE LINE KEY — scalar field from campaign JSON
-  sed -n "${2}p" "$1" | sed "s/.*\"$3\":\"\{0,1\}\([^\",}]*\)\"\{0,1\}.*/\1/"
-}
-
 for line in 1 2; do
-  profile="$(json_field "$work/seq.json" "$line" profile)"
-  seq_digest="$(json_field "$work/seq.json" "$line" digest)"
-  par_digest="$(json_field "$work/par.json" "$line" digest)"
+  profile="$(json_line_field "$work/seq.json" "$line" profile)"
+  seq_digest="$(json_line_field "$work/seq.json" "$line" digest)"
+  par_digest="$(json_line_field "$work/par.json" "$line" digest)"
   if [ "$seq_digest" = "$par_digest" ] && [ -n "$seq_digest" ]; then
     echo "ok: $profile verdict digest invariant under job count ($seq_digest)"
   else
@@ -69,10 +65,10 @@ for line in 1 2; do
   fi
 done
 
-play_digest="$(json_field "$work/seq.json" 1 digest)"
-malware_digest="$(json_field "$work/seq.json" 2 digest)"
-play_keys="$(json_field "$work/seq.json" 1 keys)"
-malware_keys="$(json_field "$work/seq.json" 2 keys)"
+play_digest="$(json_line_field "$work/seq.json" 1 digest)"
+malware_digest="$(json_line_field "$work/seq.json" 2 digest)"
+play_keys="$(json_line_field "$work/seq.json" 1 keys)"
+malware_keys="$(json_line_field "$work/seq.json" 2 keys)"
 
 cat > BENCH_diff.json <<EOF
 {

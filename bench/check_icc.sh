@@ -31,6 +31,7 @@ pairs="${PAIRS:-12}"
 default_count="${COUNT:-200}"
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
+. "$root/bench/gate_lib.sh"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
@@ -42,10 +43,6 @@ dune build --display=quiet bin/diff_runner.exe
 runner=_build/default/bin/diff_runner.exe
 
 # one JSON object per campaign, one per line; field order is fixed
-json_field () {
-  # json_field FILE LINE KEY — scalar field from campaign JSON
-  sed -n "${2}p" "$1" | sed "s/.*\"$3\":\"\{0,1\}\([^\",}]*\)\"\{0,1\}.*/\1/"
-}
 bucket_count () {
   # bucket_count FILE LINE LABEL — count for one bucket label, or 0
   sed -n "${2}p" "$1" \
@@ -74,8 +71,8 @@ echo "== check_icc: determinism under job count (tier on)"
 "$runner" --profile icc --seed "$seed" --count "$apps" \
   --pairs "$pairs" --jobs 1 --json --icc > "$work/on_j1.json" || fail=1
 for line in 1 2; do
-  dN="$(json_field "$work/on.json" "$line" digest)"
-  d1="$(json_field "$work/on_j1.json" "$line" digest)"
+  dN="$(json_line_field "$work/on.json" "$line" digest)"
+  d1="$(json_line_field "$work/on_j1.json" "$line" digest)"
   what="$([ "$line" = 1 ] && echo "icc apps" || echo "collusion pairs")"
   if [ -n "$dN" ] && [ "$dN" = "$d1" ]; then
     echo "ok: $what digest invariant under job count ($dN)"
@@ -88,8 +85,8 @@ for line in 1 2; do
 done
 
 # the tier must actually change the verdicts it claims to change
-d_off_apps="$(json_field "$work/off.json" 1 digest)"
-d_on_apps="$(json_field "$work/on.json" 1 digest)"
+d_off_apps="$(json_line_field "$work/off.json" 1 digest)"
+d_on_apps="$(json_line_field "$work/on.json" 1 digest)"
 if [ -n "$d_off_apps" ] && [ "$d_off_apps" != "$d_on_apps" ]; then
   echo "ok: tier on reclassifies (app digests differ)"
 else
@@ -111,8 +108,8 @@ bench_field () {
 }
 expect_play="$(bench_field BENCH_diff.json play_digest)"
 expect_malware="$(bench_field BENCH_diff.json malware_digest)"
-got_play="$(json_field "$work/default.json" 1 digest)"
-got_malware="$(json_field "$work/default.json" 2 digest)"
+got_play="$(json_line_field "$work/default.json" 1 digest)"
+got_malware="$(json_line_field "$work/default.json" 2 digest)"
 if [ -n "$expect_play" ] && [ "$got_play" = "$expect_play" ] \
    && [ "$got_malware" = "$expect_malware" ]; then
   echo "ok: default play/malware digests byte-identical to BENCH_diff.json"
@@ -140,10 +137,10 @@ else
   fail=1
 fi
 
-apps_keys="$(json_field "$work/on.json" 1 keys)"
-pair_keys="$(json_field "$work/on.json" 2 keys)"
-d_off_pairs="$(json_field "$work/off.json" 2 digest)"
-d_on_pairs="$(json_field "$work/on.json" 2 digest)"
+apps_keys="$(json_line_field "$work/on.json" 1 keys)"
+pair_keys="$(json_line_field "$work/on.json" 2 keys)"
+d_off_pairs="$(json_line_field "$work/off.json" 2 digest)"
+d_on_pairs="$(json_line_field "$work/on.json" 2 digest)"
 
 cat > BENCH_icc.json <<EOF
 {

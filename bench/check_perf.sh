@@ -23,6 +23,7 @@ min_speedup="${MIN_SPEEDUP:-1.5}"
 repeat="${REPEAT:-5}"
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
+. "$root/bench/gate_lib.sh"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
@@ -39,11 +40,6 @@ dune exec --display=quiet bench/perf_bench.exe -- \
 echo "== check_perf: parallel run (--jobs $jobs, --repeat 1)"
 dune exec --display=quiet bench/perf_bench.exe -- \
   --jobs "$jobs" --repeat 1 --json "$work/par.json"
-
-json_field () {
-  # json_field FILE KEY — extract a scalar field from the flat report
-  sed -n "s/^ *\"$2\": *\"\{0,1\}\([^\",]*\)\"\{0,1\},\{0,1\}\$/\1/p" "$1"
-}
 
 seq_digest="$(json_field "$work/seq.json" digest)"
 par_digest="$(json_field "$work/par.json" digest)"

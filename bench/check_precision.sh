@@ -24,6 +24,7 @@ seed="${SEED:-20140609}"
 count="${COUNT:-200}"
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
+. "$root/bench/gate_lib.sh"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
@@ -101,21 +102,16 @@ else
   fail=1
 fi
 
-json_field () {
-  # json_field FILE LINE KEY — scalar field from campaign JSON
-  sed -n "${2}p" "$1" | sed "s/.*\"$3\":\"\{0,1\}\([^\",}]*\)\"\{0,1\}.*/\1/"
-}
-
 cat > BENCH_precision.json <<EOF
 {
  "workload": "precision-pass gate (DroidBench table + diffcheck campaign)",
  "seed": $seed,
  "apps_per_profile": $count,
  "jobs": $jobs,
- "flags_off_play_digest": "$(json_field "$work/off.json" 1 digest)",
- "flags_off_malware_digest": "$(json_field "$work/off.json" 2 digest)",
- "flags_on_play_digest": "$(json_field "$work/on.json" 1 digest)",
- "flags_on_malware_digest": "$(json_field "$work/on.json" 2 digest)",
+ "flags_off_play_digest": "$(json_line_field "$work/off.json" 1 digest)",
+ "flags_off_malware_digest": "$(json_line_field "$work/off.json" 2 digest)",
+ "flags_on_play_digest": "$(json_line_field "$work/on.json" 1 digest)",
+ "flags_on_malware_digest": "$(json_line_field "$work/on.json" 2 digest)",
  "explained_keys_flags_off": $off_explained,
  "explained_keys_flags_on": $on_explained,
  "fixed_keys_flags_on": $on_fixed,

@@ -31,6 +31,7 @@ depth="${DEPTH:-100}"
 min_speedup="${MIN_SPEEDUP:-2.0}"
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
+. "$root/bench/gate_lib.sh"
 work="$(mktemp -d)"
 store="$work/store"
 trap 'rm -rf "$work"' EXIT
@@ -46,12 +47,6 @@ fleetb=_build/default/bench/store_bench.exe
 corpus=_build/default/bin/corpus_runner.exe
 diffr=_build/default/bin/diff_runner.exe
 storecli=_build/default/bin/flowdroid_store.exe
-
-json_field () {
-  # json_field FILE KEY — extract a scalar field from a flat report
-  sed -n "s/^ *\"$2\": *\"\{0,1\}\([^\",]*\)\"\{0,1\},\{0,1\}\$/\1/p" "$1" \
-    | head -n 1
-}
 
 echo "== check_store: fleet campaign ($fleet apps, shared library depth $depth)"
 "$fleetb" --fleet "$fleet" --depth "$depth" --jobs 1 \

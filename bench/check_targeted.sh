@@ -29,6 +29,7 @@ min_speedup="${MIN_SPEEDUP:-5.0}"
 sink="${SINK:-SmsManager.sendTextMessage}"
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
+. "$root/bench/gate_lib.sh"
 work="$(mktemp -d)"
 store="$work/store"
 trap 'rm -rf "$work"' EXIT
@@ -41,12 +42,6 @@ dune build --display=quiet bench/targeted_bench.exe bin/corpus_runner.exe
 
 tbench=_build/default/bench/targeted_bench.exe
 corpus=_build/default/bin/corpus_runner.exe
-
-json_field () {
-  # json_field FILE KEY — extract a scalar field from a flat report
-  sed -n "s/^ *\"$2\": *\"\{0,1\}\([^\",]*\)\"\{0,1\},\{0,1\}\$/\1/p" "$1" \
-    | head -n 1
-}
 
 echo "== check_targeted: fleet campaign ($fleet apps, depth $depth, sink $sink)"
 "$tbench" --fleet "$fleet" --depth "$depth" --jobs 1 --mode full \

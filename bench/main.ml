@@ -224,9 +224,12 @@ let tests =
         (Staged.stage (fun () ->
              List.iter
                (fun (a : Fd_droidbench.Bench_app.t) ->
-                 match Fd_frontend.Apk.load a.Fd_droidbench.Bench_app.app_apk with
+                 match
+                   Fd_frontend.Apk.load_merged
+                     [ a.Fd_droidbench.Bench_app.app_apk ]
+                 with
                  | exception Fd_frontend.Apk.Load_error _ -> ()
-                 | loaded -> ignore (Fd_interp.Droid_runner.run loaded))
+                 | m -> ignore (Fd_interp.Droid_runner.run m))
                Fd_droidbench.Suite.scored));
     ]
 

@@ -115,8 +115,7 @@ let shutdown_daemon ~socket pid =
 let run_cold_probe ~seed index =
   let t0 = Unix.gettimeofday () in
   let app = Gen.generate ~profile:Gen.Malware ~seed index in
-  let loaded = Fd_frontend.Apk.load ~mode:`Lenient app.Gen.ga_apk in
-  let r = Fd_core.Infoflow.analyze_loaded loaded in
+  let r = Fd_core.Infoflow.analyze_apk ~mode:`Lenient app.Gen.ga_apk in
   ignore (List.length r.Fd_core.Infoflow.r_findings);
   Printf.printf "%.3f\n" ((Unix.gettimeofday () -. t0) *. 1000.)
 

@@ -156,7 +156,7 @@ let run_chaos ~config ~seed rate =
                 ~layouts:apk.Fd_frontend.Apk.apk_layouts sources
             in
             Fd_core.Infoflow.analyze_with_fallback ~config ~mode:`Lenient
-              ~chaos corrupted)
+              ~chaos [ corrupted ])
       with
       | Ok fb ->
           let c =

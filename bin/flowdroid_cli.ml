@@ -223,35 +223,19 @@ let analyze dir apk_dirs base lenient fallback lint sources wrappers show_paths
   let phase p = Printf.eprintf "[phase] %s\n%!" p in
   (
       let run () =
-        match dirs with
-        | [ dir ] ->
-            let apk = Fd_frontend.Apk.of_dir ~mode dir in
-            if fallback then begin
-              let fb =
-                Fd_core.Infoflow.analyze_with_fallback ~config ~defs ~wrappers
-                  ~phase ~mode apk
-              in
-              (fb.Fd_core.Infoflow.fb_result, Some fb)
-            end
-            else
-              ( Fd_core.Infoflow.analyze_apk ~config ~defs ~wrappers ~phase
-                  ~mode apk,
-                None )
-        | dirs ->
-            (* the merged multi-app Scene: collusion analysis *)
-            if fallback then
-              Printf.eprintf
-                "warning: --fallback applies to single-app analysis; ignored\n";
-            let apks = List.map (Fd_frontend.Apk.of_dir ~mode) dirs in
-            let merged = Fd_frontend.Apk.load_merged ~mode apks in
-            List.iter
-              (fun d ->
-                Printf.eprintf "warning: %s\n"
-                  (Fd_resilience.Diag.to_string d))
-              merged.Fd_frontend.Apk.m_loaded.Fd_frontend.Apk.diags;
-            ( Fd_core.Infoflow.analyze_merged ~config ~defs ~wrappers ~phase
-                merged,
-              None )
+        (* one app, or several in one merged Scene: collusion analysis *)
+        let apks = List.map (Fd_frontend.Apk.of_dir ~mode) dirs in
+        if fallback then begin
+          let fb =
+            Fd_core.Infoflow.analyze_with_fallback ~config ~defs ~wrappers
+              ~phase ~mode apks
+          in
+          (fb.Fd_core.Infoflow.fb_result, Some fb)
+        end
+        else
+          ( Fd_core.Infoflow.analyze_merged ~config ~defs ~wrappers ~phase
+              (Fd_core.Infoflow.load ~phase ~mode apks),
+            None )
       in
       match run () with
       | exception Fd_frontend.Apk.Load_error msg ->

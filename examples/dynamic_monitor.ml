@@ -95,7 +95,7 @@ let () =
   in
   let dynamic coverage =
     Fd_interp.Droid_runner.findings
-      (Fd_interp.Droid_runner.run ~coverage (Apk.load app))
+      (Fd_interp.Droid_runner.run ~coverage (Apk.load_merged [ app ]))
   in
   show "FlowDroid (static):" static;
   show "dynamic monitor (basic driver):" (dynamic Fd_interp.Droid_runner.Basic);

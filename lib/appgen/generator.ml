@@ -820,8 +820,9 @@ let generate_icc ~seed index =
 (* ------------------------------------------------------------------ *)
 
 (** A two-app collusion campaign unit: app A harvests and broadcasts,
-    app B's {e exported} component forwards to a sink.  Only a merged
-    Scene ({!Fd_core.Infoflow.analyze_pair}) sees the flow. *)
+    app B's {e exported} component forwards to a sink.  Only the two
+    apps loaded into one merged Scene ({!Fd_frontend.Apk.load_merged},
+    then {!Fd_core.Infoflow.analyze_merged}) show the flow. *)
 type gen_pair = {
   gp_name : string;
   gp_sender : gen_app;  (** per-app fields describe the app alone *)

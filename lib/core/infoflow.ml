@@ -4,9 +4,10 @@
     [source/sink/entry-point detection] → [generate dummy main] →
     [build call graph] → [perform taint analysis].
 
-    Two entry modes exist: {!analyze_apk} runs the full Android
-    pipeline; {!analyze_plain} analyses ordinary Java-style programs
-    with explicitly given entry points (SecuriBench Micro, the paper's
+    Two entry modes exist: {!analyze_merged} runs the full Android
+    pipeline over one app or several sharing one merged Scene;
+    {!analyze_plain} analyses ordinary Java-style programs with
+    explicitly given entry points (SecuriBench Micro, the paper's
     listings — RQ4's "nothing precludes applying FlowDroid to Java"). *)
 
 open Fd_ir
@@ -286,17 +287,45 @@ let android_entries ~(config : Config.t) ~phase
       ccs
     |> List.sort_uniq Mkey.compare
 
-(* run the ICC link resolver over the solved engine and fold its
-   stitched/dropped findings into the result (the {!Config.t.icc}
-   tier).  Re-snapshots the metrics so the [icc.*] gauges reach
-   [--stats-json]. *)
-let apply_icc ~(config : Config.t) ~phase ~scene ~apps ~app_of (r : result) =
+(** [load ?phase ?mode apks] is the pipeline's frontend stage: it
+    announces Figure 4's three parse phases and loads the app set into
+    one merged Scene. *)
+let load ?(phase = no_hook) ?mode apks =
+  phase "parse manifest file";
+  phase "parse layout xmls";
+  phase "parse code";
+  Fd_frontend.Apk.load_merged ?mode apks
+
+(** [analyze_merged ?config ?defs ?wrappers ?natives ?phase ?budget m]
+    is the Android pipeline over a loaded app set — one app, or
+    several sharing one merged Scene (the inter-app setting).  The
+    dummy main exercises every app's components; with the
+    {!Config.t.icc} tier on, the link resolver consults the per-app
+    manifests, applies the exported gate across app boundaries, and
+    stitches collusion flows into the findings (re-snapshotting the
+    metrics so the [icc.*] gauges reach [--stats-json]). *)
+let analyze_merged ?(config = Config.default)
+    ?(defs = Fd_frontend.Sourcesink.default ())
+    ?(wrappers = Fd_frontend.Rules.default_wrappers ())
+    ?(natives = Fd_frontend.Rules.default_natives ()) ?(phase = no_hook)
+    ?budget (m : Fd_frontend.Apk.merged) =
+  let loaded = m.Fd_frontend.Apk.m_loaded in
+  let scene = loaded.Fd_frontend.Apk.scene in
+  let mgr =
+    Srcsink_mgr.create ~scene ~defs ~layout:loaded.Fd_frontend.Apk.layout
+  in
+  let entries = android_entries ~config ~phase loaded in
+  let r =
+    run_engine ~config ~phase ?budget ~diags:loaded.Fd_frontend.Apk.diags
+      ~scene ~mgr ~wrappers ~natives ~entries ()
+  in
   if not config.Config.icc then r
   else begin
     phase "icc link resolution";
     let report =
       Icc.analyze ~icfg:r.r_icfg ~scene ~engine:r.r_engine
-        ~provenance:config.Config.provenance ~apps ~app_of r.r_findings
+        ~provenance:config.Config.provenance ~apps:m.Fd_frontend.Apk.m_apps
+        ~app_of:m.Fd_frontend.Apk.m_app_of r.r_findings
     in
     {
       r with
@@ -306,60 +335,12 @@ let apply_icc ~(config : Config.t) ~phase ~scene ~apps ~app_of (r : result) =
     }
   end
 
-(* the shared Android pipeline body; [apps]/[app_of] parameterise the
-   ICC resolver's manifest view (one app, or the per-app manifests of
-   a merged scene) *)
-let analyze_loaded_gen ?(config = Config.default)
-    ?(defs = Fd_frontend.Sourcesink.default ())
-    ?(wrappers = Fd_frontend.Rules.default_wrappers ())
-    ?(natives = Fd_frontend.Rules.default_natives ()) ?(phase = no_hook)
-    ?budget ~apps ~app_of (loaded : Fd_frontend.Apk.loaded) =
-  let scene = loaded.Fd_frontend.Apk.scene in
-  let mgr =
-    Srcsink_mgr.create ~scene ~defs ~layout:loaded.Fd_frontend.Apk.layout
-  in
-  let entries = android_entries ~config ~phase loaded in
-  run_engine ~config ~phase ?budget ~diags:loaded.Fd_frontend.Apk.diags ~scene
-    ~mgr ~wrappers ~natives ~entries ()
-  |> apply_icc ~config ~phase ~scene ~apps ~app_of
-
-(** [analyze_loaded ?config ?defs ?wrappers ?natives ?phase loaded]
-    analyses an already-loaded APK. *)
-let analyze_loaded ?config ?defs ?wrappers ?natives ?phase ?budget
-    (loaded : Fd_frontend.Apk.loaded) =
-  analyze_loaded_gen ?config ?defs ?wrappers ?natives ?phase ?budget
-    ~apps:[ (loaded.Fd_frontend.Apk.name, loaded.Fd_frontend.Apk.manifest) ]
-    ~app_of:(fun _ -> Some loaded.Fd_frontend.Apk.name)
-    loaded
-
-(** [analyze_merged ?config m] analyses several apps sharing one
-    merged Scene — the inter-app setting.  The dummy main exercises
-    every app's components; with the {!Config.t.icc} tier on, the
-    resolver consults the per-app manifests, applies the exported gate
-    across app boundaries, and stitches collusion flows. *)
-let analyze_merged ?config ?defs ?wrappers ?natives ?phase ?budget
-    (m : Fd_frontend.Apk.merged) =
-  analyze_loaded_gen ?config ?defs ?wrappers ?natives ?phase ?budget
-    ~apps:m.Fd_frontend.Apk.m_apps ~app_of:m.Fd_frontend.Apk.m_app_of
-    m.Fd_frontend.Apk.m_loaded
-
-(** [analyze_pair ?config a b] loads two apps into one merged scene
-    and analyses them together — the two-app collusion setting of the
-    ICC campaign. *)
-let analyze_pair ?config ?defs ?wrappers ?natives ?phase ?mode ?budget a b =
-  analyze_merged ?config ?defs ?wrappers ?natives ?phase ?budget
-    (Fd_frontend.Apk.load_merged ?mode [ a; b ])
-
-(** [analyze_apk ?config ?mode apk] runs the full pipeline from an APK
-    bundle; [mode] selects strict (default) or lenient frontend
+(** [analyze_apk ?config ?mode apk] runs the full pipeline from one
+    APK bundle; [mode] selects strict (default) or lenient frontend
     parsing. *)
-let analyze_apk ?config ?defs ?wrappers ?natives ?(phase = no_hook) ?mode
-    ?budget apk =
-  phase "parse manifest file";
-  phase "parse layout xmls";
-  phase "parse code";
-  let loaded = Fd_frontend.Apk.load ?mode apk in
-  analyze_loaded ?config ?defs ?wrappers ?natives ~phase ?budget loaded
+let analyze_apk ?config ?defs ?wrappers ?natives ?phase ?mode ?budget apk =
+  analyze_merged ?config ?defs ?wrappers ?natives ?phase ?budget
+    (load ?phase ?mode [ apk ])
 
 (** [analyze_plain ?config ~classes ~entries ~defs ()] analyses a
     plain (non-Android) program: [classes] are added to a fresh scene
@@ -529,19 +510,17 @@ let with_fallback ~(config : Config.t) (run : label:string -> Config.t -> result
   in
   go [] None [] ladder
 
-(** [analyze_with_fallback ?config ?mode apk] is {!analyze_apk} under
-    the degradation ladder: when a run exhausts its budget or crashes,
-    it is retried under progressively cheaper configs and the final
-    report carries a completeness marker.
+(** [analyze_with_fallback ?config ?mode apks] is the pipeline over
+    an app set under the degradation ladder: when a run exhausts its
+    budget or crashes, it is retried under progressively cheaper
+    configs and the final report carries a completeness marker.  The
+    apps are loaded once; every rung analyses the same Scene.
     @raise Fd_frontend.Apk.Load_error when the (strict-mode) frontend
-    rejects the app;
+    rejects the app set;
     @raise Fallback_failed when every ladder rung crashed. *)
 let analyze_with_fallback ?(config = Config.default) ?defs ?wrappers ?natives
-    ?(phase = no_hook) ?mode ?chaos apk =
-  phase "parse manifest file";
-  phase "parse layout xmls";
-  phase "parse code";
-  let loaded = Fd_frontend.Apk.load ?mode apk in
+    ?phase ?mode ?chaos apks =
+  let m = load ?phase ?mode apks in
   with_fallback ~config (fun ~label:_ cfg ->
-      analyze_loaded ~config:cfg ?defs ?wrappers ?natives ~phase
-        ~budget:(Config.budget ?chaos cfg) loaded)
+      analyze_merged ~config:cfg ?defs ?wrappers ?natives ?phase
+        ~budget:(Config.budget ?chaos cfg) m)

@@ -4,9 +4,14 @@
     [source/sink/entry-point detection] → [generate dummy main] →
     [build call graph] → [perform taint analysis].
 
-    {!analyze_apk} runs the full Android pipeline; {!analyze_plain}
-    analyses ordinary Java-style programs with explicit entry points
-    (SecuriBench Micro, the paper's listings — RQ4). *)
+    One Android driver serves one app and several alike: {!load} runs
+    the frontend over an app set — one app is a set of one — and
+    {!analyze_merged} runs the rest of the pipeline over the merged
+    Scene.  {!analyze_apk} is the two for one bundle, and
+    {!analyze_with_fallback} the two under the degradation ladder.
+    {!analyze_plain} analyses ordinary Java-style programs with
+    explicit entry points (SecuriBench Micro, the paper's listings —
+    RQ4). *)
 
 open Fd_callgraph
 
@@ -49,32 +54,16 @@ val log_src : Logs.src
     phase progress at debug level, budget exhaustion at warning
     level. *)
 
-val analyze_apk :
-  ?config:Config.t ->
-  ?defs:Fd_frontend.Sourcesink.t ->
-  ?wrappers:Fd_frontend.Rules.t ->
-  ?natives:Fd_frontend.Rules.t ->
+val load :
   ?phase:phase_hook ->
   ?mode:Fd_frontend.Apk.mode ->
-  ?budget:Fd_resilience.Budget.t ->
-  Fd_frontend.Apk.t ->
-  result
-(** [analyze_apk apk] runs the full pipeline from an APK bundle.
-    [mode] selects strict (default) or lenient frontend parsing;
-    [budget] overrides the config-derived work/deadline budget.
-    @raise Fd_frontend.Apk.Load_error on malformed inputs (strict
-    mode). *)
-
-val analyze_loaded :
-  ?config:Config.t ->
-  ?defs:Fd_frontend.Sourcesink.t ->
-  ?wrappers:Fd_frontend.Rules.t ->
-  ?natives:Fd_frontend.Rules.t ->
-  ?phase:phase_hook ->
-  ?budget:Fd_resilience.Budget.t ->
-  Fd_frontend.Apk.loaded ->
-  result
-(** [analyze_loaded loaded] analyses an already-loaded APK. *)
+  Fd_frontend.Apk.t list ->
+  Fd_frontend.Apk.merged
+(** [load apks] announces the three parse phases and loads the app
+    set into one merged Scene ({!Fd_frontend.Apk.load_merged}).
+    [mode] selects strict (default) or lenient frontend parsing.
+    @raise Fd_frontend.Apk.Load_error on malformed inputs or clashes
+    (strict mode). *)
 
 val analyze_merged :
   ?config:Config.t ->
@@ -85,12 +74,14 @@ val analyze_merged :
   ?budget:Fd_resilience.Budget.t ->
   Fd_frontend.Apk.merged ->
   result
-(** [analyze_merged m] analyses several apps sharing one merged Scene
-    — the inter-app setting.  With the {!Config.t.icc} tier on, the
-    resolver consults the per-app manifests, applies the exported gate
-    across app boundaries, and stitches collusion flows. *)
+(** [analyze_merged m] analyses a loaded app set: one app, or several
+    sharing one merged Scene — the inter-app setting.  [budget]
+    overrides the config-derived work/deadline budget.  With the
+    {!Config.t.icc} tier on, the resolver consults the per-app
+    manifests, applies the exported gate across app boundaries, and
+    stitches collusion flows. *)
 
-val analyze_pair :
+val analyze_apk :
   ?config:Config.t ->
   ?defs:Fd_frontend.Sourcesink.t ->
   ?wrappers:Fd_frontend.Rules.t ->
@@ -99,11 +90,11 @@ val analyze_pair :
   ?mode:Fd_frontend.Apk.mode ->
   ?budget:Fd_resilience.Budget.t ->
   Fd_frontend.Apk.t ->
-  Fd_frontend.Apk.t ->
   result
-(** [analyze_pair a b] loads two apps into one merged scene and
-    analyses them together — the two-app collusion setting.
-    @raise Fd_frontend.Apk.Load_error on clashes (strict mode). *)
+(** [analyze_apk apk] is [analyze_merged (load [apk])]: the full
+    pipeline from one APK bundle.
+    @raise Fd_frontend.Apk.Load_error on malformed inputs (strict
+    mode). *)
 
 val analyze_plain :
   ?config:Config.t ->
@@ -180,9 +171,10 @@ val analyze_with_fallback :
   ?phase:phase_hook ->
   ?mode:Fd_frontend.Apk.mode ->
   ?chaos:Fd_resilience.Chaos.t ->
-  Fd_frontend.Apk.t ->
+  Fd_frontend.Apk.t list ->
   fallback
-(** {!analyze_apk} under the ladder.  [chaos] attaches a fault
+(** [analyze_with_fallback apks] loads the app set once ({!load}) and
+    runs {!analyze_merged} under the ladder.  [chaos] attaches a fault
     harness to each rung's budget (solver-step faults, for the
     resilience tests).
     @raise Fd_frontend.Apk.Load_error on strict-mode frontend

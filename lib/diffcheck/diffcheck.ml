@@ -26,12 +26,12 @@ let m_divergent = M.counter "diffcheck.divergent_apps"
 (* the three views of one app                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** [static_findings ?config apk] — the bidi engine's findings as
-    deduplicated (source tag, sink tag) keys, plus the typed solver
-    outcome. *)
-let static_findings ?(config = Config.default) apk :
+(** [static_findings ?config apks] — the bidi engine's findings over
+    the app set's merged Scene as deduplicated (source tag, sink tag)
+    keys, plus the typed solver outcome. *)
+let static_findings ?(config = Config.default) apks :
     Verdict.key list * Fd_resilience.Outcome.t =
-  let r = Infoflow.analyze_apk ~config apk in
+  let r = Infoflow.analyze_merged ~config (Fd_frontend.Apk.load_merged apks) in
   ( List.sort_uniq compare
       (List.map
          (fun (fd : Bidi.finding) ->
@@ -39,17 +39,19 @@ let static_findings ?(config = Config.default) apk :
          r.Infoflow.r_findings),
     r.Infoflow.r_stats.Infoflow.st_outcome )
 
-(** [dynamic_findings ?coverage ?icc apk] — the interpreter's observed
-    leaks as deduplicated keys.  [icc] turns on concrete intent
-    dispatch, mirroring the static tier so the differential fence
-    stays aligned.  An unloadable app observes nothing. *)
+(** [dynamic_findings ?coverage ?icc apks] — the interpreter's
+    observed leaks over the app set as deduplicated keys.  [icc] turns
+    on concrete intent dispatch, mirroring the static tier so the
+    differential fence stays aligned.  An unloadable app set observes
+    nothing.  It loads its own copy of the apps: the static run adds
+    its dummy main to the Scene it analyses. *)
 let dynamic_findings ?(coverage = Fd_interp.Droid_runner.Thorough)
-    ?(icc = false) apk : Verdict.key list =
-  match Fd_frontend.Apk.load apk with
+    ?(icc = false) apks : Verdict.key list =
+  match Fd_frontend.Apk.load_merged apks with
   | exception Fd_frontend.Apk.Load_error _ -> []
-  | loaded ->
+  | m ->
       Fd_interp.Droid_runner.findings
-        (Fd_interp.Droid_runner.run ~coverage ~icc loaded)
+        (Fd_interp.Droid_runner.run ~coverage ~icc m)
 
 (* ------------------------------------------------------------------ *)
 (* per-app check                                                       *)
@@ -86,20 +88,20 @@ let fixed_of_config (config : Config.t) : Gen.limitation list =
       (config.Config.icc, Gen.Lim_icc_stitch);
     ]
 
-(** [check_apk ?config ?coverage ~name ~expected ~limits apk] runs
-    both engines on one app and classifies every leak key.  A crashing
-    static run yields zero static findings (classified accordingly)
-    rather than aborting the campaign. *)
-let check_apk ?(config = Config.default) ?coverage ~name ~expected ~limits apk :
-    app_report =
+(* both engines over one app set, every leak key classified against
+   the set's ground truth; a crashing static run yields zero static
+   findings (classified accordingly) rather than aborting the
+   campaign *)
+let check_apps ?(config = Config.default) ?coverage ~name ~expected ~limits
+    apks : app_report =
   let t0 = Unix.gettimeofday () in
   let static, outcome =
-    match static_findings ~config apk with
+    match static_findings ~config apks with
     | r -> r
     | exception e ->
         ([], Fd_resilience.Outcome.Crashed (Printexc.to_string e))
   in
-  let dynamic = dynamic_findings ?coverage ~icc:config.Config.icc apk in
+  let dynamic = dynamic_findings ?coverage ~icc:config.Config.icc apks in
   let verdicts =
     Verdict.classify ~fixed:(fixed_of_config config) ~static ~dynamic ~expected
       ~limits
@@ -113,6 +115,11 @@ let check_apk ?(config = Config.default) ?coverage ~name ~expected ~limits apk :
   if divergences ar <> [] then M.incr m_divergent;
   ar
 
+(** [check_apk ?config ?coverage ~name ~expected ~limits apk] runs
+    both engines on one app and classifies every leak key. *)
+let check_apk ?config ?coverage ~name ~expected ~limits apk =
+  check_apps ?config ?coverage ~name ~expected ~limits [ apk ]
+
 (** [check_gen ?config ?coverage ga] — {!check_apk} on a generated
     app, using its planted ground truth and limitation table. *)
 let check_gen ?config ?coverage (ga : Gen.gen_app) : app_report =
@@ -124,52 +131,10 @@ let check_gen ?config ?coverage (ga : Gen.gen_app) : app_report =
     pair's collusion ground truth (meaningful only merged) classifies
     the keys.  With the ICC tier off, the collusion flow shows up as
     an explained FN; with it on, as a confirmed stitched leak. *)
-let check_pair ?(config = Config.default) ?coverage (gp : Gen.gen_pair) :
-    app_report =
-  let t0 = Unix.gettimeofday () in
-  let merged =
-    match
-      Fd_frontend.Apk.load_merged
-        [ gp.Gen.gp_sender.Gen.ga_apk; gp.Gen.gp_receiver.Gen.ga_apk ]
-    with
-    | m -> Some m
-    | exception Fd_frontend.Apk.Load_error _ -> None
-  in
-  let static, outcome =
-    match merged with
-    | None -> ([], Fd_resilience.Outcome.Crashed "unloadable pair")
-    | Some m -> (
-        match Infoflow.analyze_merged ~config m with
-        | r ->
-            ( List.sort_uniq compare
-                (List.map
-                   (fun (fd : Bidi.finding) ->
-                     (fd.Bidi.f_source.Taint.si_tag, fd.Bidi.f_sink_tag))
-                   r.Infoflow.r_findings),
-              r.Infoflow.r_stats.Infoflow.st_outcome )
-        | exception e ->
-            ([], Fd_resilience.Outcome.Crashed (Printexc.to_string e)))
-  in
-  let dynamic =
-    match merged with
-    | None -> []
-    | Some m ->
-        Fd_interp.Droid_runner.findings
-          (Fd_interp.Droid_runner.run_merged ?coverage
-             ~icc:config.Config.icc m)
-  in
-  let verdicts =
-    Verdict.classify ~fixed:(fixed_of_config config) ~static ~dynamic
-      ~expected:gp.Gen.gp_expected ~limits:gp.Gen.gp_limits
-  in
-  let t1 = Unix.gettimeofday () in
-  M.incr m_apps;
-  let ar =
-    { ar_name = gp.Gen.gp_name; ar_verdicts = verdicts; ar_outcome = outcome;
-      ar_time = t1 -. t0 }
-  in
-  if divergences ar <> [] then M.incr m_divergent;
-  ar
+let check_pair ?config ?coverage (gp : Gen.gen_pair) : app_report =
+  check_apps ?config ?coverage ~name:gp.Gen.gp_name
+    ~expected:gp.Gen.gp_expected ~limits:gp.Gen.gp_limits
+    [ gp.Gen.gp_sender.Gen.ga_apk; gp.Gen.gp_receiver.Gen.ga_apk ]
 
 (* ------------------------------------------------------------------ *)
 (* witness validation                                                  *)
@@ -233,7 +198,7 @@ let check_witnesses ?(config = Config.default) ?coverage ~name apk :
   let config = { config with Config.provenance = true } in
   let r = Infoflow.analyze_apk ~config apk in
   let icfg = r.Infoflow.r_icfg in
-  let dynamic = dynamic_findings ?coverage ~icc:config.Config.icc apk in
+  let dynamic = dynamic_findings ?coverage ~icc:config.Config.icc [ apk ] in
   let errors = ref [] in
   let witnessed = ref 0 in
   let agree = ref 0 in

@@ -108,8 +108,8 @@ let set_method_body apk cname mname body =
 let holds ?config ?coverage ~expected ~limits ~(target : Verdict.leak_verdict)
     apk =
   match
-    let static, outcome = Diffcheck.static_findings ?config apk in
-    let dynamic = Diffcheck.dynamic_findings ?coverage apk in
+    let static, outcome = Diffcheck.static_findings ?config [ apk ] in
+    let dynamic = Diffcheck.dynamic_findings ?coverage [ apk ] in
     (static, outcome, dynamic)
   with
   | exception _ -> false

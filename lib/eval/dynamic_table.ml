@@ -16,11 +16,10 @@ type row = {
 type t = { rows : row list }
 
 let dynamic_findings ~coverage (apk : Fd_frontend.Apk.t) =
-  match Fd_frontend.Apk.load apk with
+  match Fd_frontend.Apk.load_merged [ apk ] with
   | exception Fd_frontend.Apk.Load_error _ -> []
-  | loaded ->
-      Fd_interp.Droid_runner.findings
-        (Fd_interp.Droid_runner.run ~coverage loaded)
+  | m ->
+      Fd_interp.Droid_runner.findings (Fd_interp.Droid_runner.run ~coverage m)
 
 (** [run ?apps ()] scores the three analyses over the suite. *)
 let run ?(apps = Suite.scored) () =

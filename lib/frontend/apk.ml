@@ -5,9 +5,10 @@
     artefact (Figure 4).  Our model is the same bundle with µJimple in
     place of Dalvik: a manifest XML document, named layout XML
     documents, and classes (either already-built IR or textual µJimple
-    to be parsed).  [load] runs the whole frontend: XML parsing,
-    resource-id assignment, scene construction with the framework
-    skeleton installed. *)
+    to be parsed).  [load_merged] runs the whole frontend over a set
+    of apps — one app is a set of one: XML parsing, resource-id
+    assignment, scene construction with the framework skeleton
+    installed. *)
 
 open Fd_ir
 module M = Fd_obs.Metrics
@@ -151,18 +152,6 @@ let of_dir ?(mode = `Strict) dir =
   with Sys_error msg ->
     raise (Load_error (Printf.sprintf "%s: I/O error: %s" dir msg))
 
-(** [load apk] runs the frontend: parses the manifest and layouts,
-    builds a scene containing the framework skeleton plus the app's
-    classes, and checks that every enabled manifest component resolves
-    to a class with the right framework superclass.
-
-    In the default strict mode any inconsistency raises {!Load_error}.
-    In lenient mode the offending artefact — a malformed manifest
-    component, an unparsable layout, a duplicate class, a component
-    whose class is missing or has the wrong superclass — is skipped
-    with a structured diagnostic and the rest of the app is loaded.
-    @raise Load_error on inconsistencies (strict mode), or when even
-    lenient loading cannot recover (e.g. a layout batch failure). *)
 (* Ok () / Error msg, without the apk-name prefix *)
 let component_check scene (c : Manifest.component) =
   match Scene.find_class scene c.Manifest.comp_class with
@@ -204,80 +193,6 @@ let parse_manifest ~mode ~name ~diag src =
         skipped;
       m
 
-let load ?(mode = `Strict) apk =
-  Fd_obs.Trace.with_span "frontend.load" @@ fun () ->
-  let diags = ref [] in
-  let diag ?line ~file msg =
-    M.incr m_skipped;
-    diags := Fd_resilience.Diag.make ?line ~file msg :: !diags
-  in
-  let manifest =
-    parse_manifest ~mode ~name:apk.apk_name ~diag:(fun ~file msg -> diag ~file msg)
-      apk.apk_manifest
-  in
-  let layout_srcs =
-    match mode with
-    | `Strict -> apk.apk_layouts
-    | `Lenient ->
-        (* pre-validate each layout so one bad file only drops itself *)
-        List.filter
-          (fun (lname, src) ->
-            match Fd_xml.Xml.parse_string src with
-            | _ -> true
-            | exception Fd_xml.Xml.Parse_error (pos, msg) ->
-                diag
-                  ~file:(apk.apk_name ^ "/res/layout/" ^ lname ^ ".xml")
-                  (Printf.sprintf "skipped layout: XML error at offset %d: %s"
-                     pos msg);
-                false)
-          apk.apk_layouts
-  in
-  let layout =
-    try Layout.parse layout_srcs
-    with Fd_xml.Xml.Parse_error (pos, msg) ->
-      raise
-        (Load_error
-           (Printf.sprintf "%s: layout XML error at offset %d: %s" apk.apk_name
-              pos msg))
-  in
-  let scene = Framework.fresh_scene () in
-  List.iter
-    (fun c ->
-      try Scene.add_class scene c
-      with Scene.Duplicate_class n -> (
-        match mode with
-        | `Strict ->
-            raise
-              (Load_error
-                 (Printf.sprintf "%s: duplicate class %s" apk.apk_name n))
-        | `Lenient ->
-            diag ~file:apk.apk_name
-              (Printf.sprintf "skipped duplicate class %s" n)))
-    apk.apk_classes;
-  let components =
-    List.filter
-      (fun (c : Manifest.component) ->
-        match component_check scene c with
-        | Ok () -> true
-        | Error msg -> (
-            match mode with
-            | `Strict -> raise (Load_error (apk.apk_name ^ ": " ^ msg))
-            | `Lenient ->
-                diag ~file:(apk.apk_name ^ "/AndroidManifest.xml")
-                  ("skipped component: " ^ msg);
-                false))
-      (Manifest.enabled_components manifest)
-  in
-  M.set_int g_classes (List.length apk.apk_classes);
-  M.set_int g_layouts (List.length apk.apk_layouts);
-  M.set_int g_components (List.length components);
-  { name = apk.apk_name; manifest; layout; scene; components;
-    diags = apk.apk_diags @ List.rev !diags }
-
-(* ------------------------------------------------------------------ *)
-(* Merged multi-app Scenes (inter-app / collusion analysis)            *)
-(* ------------------------------------------------------------------ *)
-
 type merged = {
   m_loaded : loaded;
       (** one Scene holding every app's classes, one component list
@@ -288,17 +203,27 @@ type merged = {
           resolution gate) *)
 }
 
-(** [load_merged apks] loads several apps into one merged Scene — the
-    co-installed-device model for inter-app (collusion) analysis.  The
-    merged [loaded] carries a synthetic manifest concatenating every
-    app's components; the per-app manifests survive in [m_apps] so the
-    ICC resolver can gate cross-app links on exported components.
-    Class names must be disjoint across apps (strict mode raises,
-    lenient skips).  Layout names clashing across apps keep the first
-    app's file. *)
+(** [load_merged apks] runs the frontend over an app set: parses the
+    manifests and layouts, builds one Scene holding the framework
+    skeleton plus every app's classes, and checks that every enabled
+    manifest component resolves to a class with the right framework
+    superclass.  One app is a set of one — the co-installed-device
+    model of inter-app (collusion) analysis is the same load with more
+    apps.  The merged [loaded] of several apps carries a synthetic
+    manifest concatenating every app's components; the per-app
+    manifests survive in [m_apps] so the ICC resolver can gate
+    cross-app links on exported components.  Layout names clashing
+    across apps keep the first app's file.
+
+    In the default strict mode any inconsistency raises {!Load_error}.
+    In lenient mode the offending artefact — a malformed manifest
+    component, an unparsable layout, a duplicate class, a component
+    whose class is missing or has the wrong superclass — is skipped
+    with a structured diagnostic, in that order, and the rest is
+    loaded. *)
 let load_merged ?(mode = `Strict) apks =
   if apks = [] then raise (Load_error "load_merged: empty app list");
-  Fd_obs.Trace.with_span "frontend.load_merged" @@ fun () ->
+  Fd_obs.Trace.with_span "frontend.load" @@ fun () ->
   let diags = ref [] in
   let diag ?line ~file msg =
     M.incr m_skipped;
@@ -313,10 +238,50 @@ let load_merged ?(mode = `Strict) apks =
             apk.apk_manifest ))
       apks
   in
+  let name = String.concat "+" (List.map (fun a -> a.apk_name) apks) in
+  let layout_file apk lname = apk.apk_name ^ "/res/layout/" ^ lname ^ ".xml" in
+  let layout_srcs =
+    List.fold_left
+      (fun acc apk ->
+        List.fold_left
+          (fun acc ((lname, _) as l) ->
+            if List.exists (fun (_, (n, _)) -> n = lname) acc then begin
+              diag ~file:(layout_file apk lname)
+                "layout name clashes across apps; first app wins";
+              acc
+            end
+            else (apk, l) :: acc)
+          acc apk.apk_layouts)
+      [] apks
+    |> List.rev
+  in
+  let valid_srcs =
+    List.filter_map
+      (fun (apk, ((lname, src) as l)) ->
+        match mode with
+        | `Strict -> Some l
+        | `Lenient -> (
+            (* pre-validate each layout so one bad file only drops itself *)
+            match Fd_xml.Xml.parse_string src with
+            | _ -> Some l
+            | exception Fd_xml.Xml.Parse_error (pos, msg) ->
+                diag ~file:(layout_file apk lname)
+                  (Printf.sprintf "skipped layout: XML error at offset %d: %s"
+                     pos msg);
+                None))
+      layout_srcs
+  in
+  let layout =
+    try Layout.parse valid_srcs
+    with Fd_xml.Xml.Parse_error (pos, msg) ->
+      raise
+        (Load_error
+           (Printf.sprintf "%s: layout XML error at offset %d: %s" name pos msg))
+  in
   let scene = Framework.fresh_scene () in
   let class_app : (string, string) Hashtbl.t = Hashtbl.create 64 in
   List.iter
-    (fun ((apk : t), _) ->
+    (fun apk ->
       List.iter
         (fun (c : Jclass.t) ->
           match Scene.add_class scene c with
@@ -326,16 +291,15 @@ let load_merged ?(mode = `Strict) apks =
               | `Strict ->
                   raise
                     (Load_error
-                       (Printf.sprintf "%s: duplicate class %s across apps"
-                          apk.apk_name n))
+                       (Printf.sprintf "%s: duplicate class %s" apk.apk_name n))
               | `Lenient ->
                   diag ~file:apk.apk_name
                     (Printf.sprintf "skipped duplicate class %s" n)))
         apk.apk_classes)
-    parsed;
+    apks;
   let components =
     List.concat_map
-      (fun ((apk : t), m) ->
+      (fun (apk, m) ->
         List.filter
           (fun (c : Manifest.component) ->
             match component_check scene c with
@@ -350,43 +314,25 @@ let load_merged ?(mode = `Strict) apks =
           (Manifest.enabled_components m))
       parsed
   in
-  let layout_srcs =
-    List.fold_left
-      (fun acc ((apk : t), _) ->
-        List.fold_left
-          (fun acc (lname, src) ->
-            if List.mem_assoc lname acc then begin
-              diag ~file:(apk.apk_name ^ "/res/layout/" ^ lname ^ ".xml")
-                "layout name clashes across apps; first app wins";
-              acc
-            end
-            else acc @ [ (lname, src) ])
-          acc apk.apk_layouts)
-      [] parsed
-  in
-  let name = String.concat "+" (List.map (fun a -> a.apk_name) apks) in
-  let layout =
-    try Layout.parse layout_srcs
-    with Fd_xml.Xml.Parse_error (pos, msg) ->
-      raise
-        (Load_error
-           (Printf.sprintf "%s: layout XML error at offset %d: %s" name pos msg))
-  in
   let manifest =
-    {
-      Manifest.package = "";
-      Manifest.components =
-        List.concat_map (fun (_, (m : Manifest.t)) -> m.Manifest.components)
-          parsed;
-      Manifest.permissions =
-        List.sort_uniq compare
-          (List.concat_map
-             (fun (_, (m : Manifest.t)) -> m.Manifest.permissions)
-             parsed);
-    }
+    match parsed with
+    | [ (_, m) ] -> m
+    | _ ->
+        {
+          Manifest.package = "";
+          Manifest.components =
+            List.concat_map
+              (fun (_, (m : Manifest.t)) -> m.Manifest.components)
+              parsed;
+          Manifest.permissions =
+            List.sort_uniq compare
+              (List.concat_map
+                 (fun (_, (m : Manifest.t)) -> m.Manifest.permissions)
+                 parsed);
+        }
   in
   M.set_int g_classes
-    (List.fold_left (fun n (a : t) -> n + List.length a.apk_classes) 0 apks);
+    (List.fold_left (fun n a -> n + List.length a.apk_classes) 0 apks);
   M.set_int g_layouts (List.length layout_srcs);
   M.set_int g_components (List.length components);
   {
@@ -397,12 +343,14 @@ let load_merged ?(mode = `Strict) apks =
         layout;
         scene;
         components;
-        diags =
-          List.concat_map (fun (a : t) -> a.apk_diags) apks @ List.rev !diags;
+        diags = List.concat_map (fun a -> a.apk_diags) apks @ List.rev !diags;
       };
-    m_apps = List.map (fun ((a : t), m) -> (a.apk_name, m)) parsed;
+    m_apps = List.map (fun (a, m) -> (a.apk_name, m)) parsed;
     m_app_of = (fun cls -> Hashtbl.find_opt class_app cls);
   }
+
+(** [load apk] is the load of the app set [[apk]]. *)
+let load ?mode apk = (load_merged ?mode [ apk ]).m_loaded
 
 (** [layout_id loaded name] is the [R.layout] integer for a layout
     file.

@@ -2,10 +2,11 @@
 
     A real APK is a zip archive holding [AndroidManifest.xml], layout
     resources and Dalvik bytecode; this model is the same bundle with
-    µJimple in place of Dalvik.  {!load} runs the whole frontend of
-    Figure 4's first stage: XML parsing, resource-id assignment, scene
-    construction with the framework skeleton installed, and
-    component-consistency checks. *)
+    µJimple in place of Dalvik.  {!load_merged} runs the whole frontend
+    of Figure 4's first stage over a set of apps: XML parsing,
+    resource-id assignment, scene construction with the framework
+    skeleton installed, and component-consistency checks.  A one-app
+    load ({!load}) is a merged load of one. *)
 
 open Fd_ir
 
@@ -64,32 +65,35 @@ val of_dir : ?mode:mode -> string -> t
     @raise Load_error when the manifest is missing, the directory is
     unreadable, or code is malformed (strict mode). *)
 
-val load : ?mode:mode -> t -> loaded
-(** [load apk] runs the frontend and validates that every enabled
-    manifest component resolves to a class with the right framework
-    superclass.  In lenient mode a malformed manifest component, an
-    unparsable layout, a duplicate class, or a component failing
-    validation is skipped with a diagnostic ([loaded.diags]) and the
-    rest of the app is loaded.
-    @raise Load_error on inconsistencies (strict mode). *)
-
 type merged = {
   m_loaded : loaded;
-      (** the merged view: one scene holding every app's classes, a
-          synthetic manifest concatenating all components *)
+      (** the merged view: one scene holding every app's classes, one
+          component list spanning all apps; for one app, its own
+          manifest, for several a synthetic one concatenating all
+          components *)
   m_apps : (string * Manifest.t) list;  (** per-app manifests, load order *)
   m_app_of : string -> string option;
       (** which app declared a class (for the cross-app exported gate) *)
 }
 
 val load_merged : ?mode:mode -> t list -> merged
-(** [load_merged apks] loads several apps into one merged Scene — the
-    inter-app setting where intents cross APK boundaries.  Classes
-    must be globally unique (strict mode raises on a duplicate;
-    lenient keeps the first and records a diagnostic); layouts merge
-    first-wins.  The ICC resolver consumes [m_apps] and [m_app_of] to
-    apply the exported gate between apps.
-    @raise Load_error on an empty list or inconsistencies (strict). *)
+(** [load_merged apks] runs the frontend over an app set and loads it
+    into one Scene, validating that every enabled manifest component
+    resolves to a class with the right framework superclass.  One app
+    is a set of one; several apps are the inter-app setting where
+    intents cross APK boundaries.  Classes must be globally unique;
+    layouts merge first-wins.  The ICC resolver consumes [m_apps] and
+    [m_app_of] to apply the exported gate between apps.
+
+    In lenient mode a malformed manifest component, an unparsable
+    layout (in any app of the set), a duplicate class, or a component
+    failing validation is skipped with a diagnostic
+    ([m_loaded.diags], in that order) and the rest is loaded.
+    @raise Load_error on an empty list or inconsistencies (strict
+    mode). *)
+
+val load : ?mode:mode -> t -> loaded
+(** [load apk] is [(load_merged ?mode [apk]).m_loaded]. *)
 
 val layout_id : loaded -> string -> int
 (** the [R.layout] integer for a layout file name *)

@@ -368,8 +368,18 @@ let receivers_of ~apps ~sender_app descs =
     apps
   |> List.sort_uniq compare
 
-let run_gen ~coverage ~max_steps ~icc ~apps ~app_of
-    (loaded : Fd_frontend.Apk.loaded) =
+(** [run ?coverage ?max_steps ?icc m] dynamically executes a loaded
+    app set — one app, or several sharing one merged scene — under the
+    given coverage policy and returns the observed leaks.  With
+    [~icc:true] the driver concretely dispatches sent intents to their
+    resolved receivers (taint rides the intent object; across apps
+    only into exported components), suppresses deliverable sends as
+    sinks, and monitors [setResult] payloads. *)
+let run ?(coverage = Thorough) ?(max_steps = 2_000_000) ?(icc = false)
+    (m : Fd_frontend.Apk.merged) =
+  let apps = m.Fd_frontend.Apk.m_apps in
+  let app_of = m.Fd_frontend.Apk.m_app_of in
+  let loaded = m.Fd_frontend.Apk.m_loaded in
   let scene = loaded.Fd_frontend.Apk.scene in
   let st =
     Interp.create ~max_steps ~scene ~defs:(SS.default ())
@@ -450,28 +460,6 @@ let run_gen ~coverage ~max_steps ~icc ~apps ~app_of
      done
    with Interp.Budget_exhausted -> ());
   Interp.leaks st
-
-(** [run ?coverage ?max_steps ?icc loaded] dynamically executes the
-    app under the given coverage policy and returns the observed
-    leaks.  With [~icc:true] the driver concretely dispatches sent
-    intents to their resolved receivers (taint rides the intent
-    object), suppresses deliverable sends as sinks, and monitors
-    [setResult] payloads. *)
-let run ?(coverage = Thorough) ?(max_steps = 2_000_000) ?(icc = false)
-    (loaded : Fd_frontend.Apk.loaded) =
-  run_gen ~coverage ~max_steps ~icc
-    ~apps:
-      [ (loaded.Fd_frontend.Apk.name, loaded.Fd_frontend.Apk.manifest) ]
-    ~app_of:(fun _ -> Some loaded.Fd_frontend.Apk.name)
-    loaded
-
-(** [run_merged ?coverage ?max_steps ?icc m] dynamically executes
-    several apps sharing one merged scene — collusion pairs: intents
-    cross app boundaries only into exported components. *)
-let run_merged ?(coverage = Thorough) ?(max_steps = 2_000_000) ?(icc = false)
-    (m : Fd_frontend.Apk.merged) =
-  run_gen ~coverage ~max_steps ~icc ~apps:m.Fd_frontend.Apk.m_apps
-    ~app_of:m.Fd_frontend.Apk.m_app_of m.Fd_frontend.Apk.m_loaded
 
 (** [run_plain ~classes ~entries ~defs ()] dynamically executes a
     plain (non-Android) program: each entry method is invoked once on

@@ -16,31 +16,23 @@ val run :
   ?coverage:coverage ->
   ?max_steps:int ->
   ?icc:bool ->
-  Fd_frontend.Apk.loaded ->
-  leak list
-(** [run loaded] concretely executes the app under the given coverage
-    policy (default {!Thorough}) and returns the observed leaks.
-    Framework behaviour comes from {!Builtins}; execution stops at
-    [max_steps] interpreter steps.
-
-    With [~icc:true] the driver concretely dispatches sent intents:
-    each intent a component sends is resolved against the manifest
-    (Android's filter tests on the concrete payload) and the receiving
-    components run with the very intent object, so taint rides into
-    them through the shared heap.  Deliverable sends stop counting as
-    sinks themselves, and tainted [setResult] payloads become leaks —
-    the dynamic counterpart of the static {!Fd_core.Config.t.icc}
-    tier. *)
-
-val run_merged :
-  ?coverage:coverage ->
-  ?max_steps:int ->
-  ?icc:bool ->
   Fd_frontend.Apk.merged ->
   leak list
-(** [run_merged m] dynamically executes several apps sharing one
-    merged scene (collusion pairs); with [~icc:true] intents cross app
-    boundaries only into exported components. *)
+(** [run m] concretely executes a loaded app set — one app, or several
+    sharing one merged scene ({!Fd_frontend.Apk.load_merged}) — under
+    the given coverage policy (default {!Thorough}) and returns the
+    observed leaks.  Framework behaviour comes from {!Builtins};
+    execution stops at [max_steps] interpreter steps.
+
+    With [~icc:true] the driver concretely dispatches sent intents:
+    each intent a component sends is resolved against the manifests
+    (Android's filter tests on the concrete payload) and the receiving
+    components run with the very intent object, so taint rides into
+    them through the shared heap.  Within its own app a sender reaches
+    every matching component, across apps only exported ones.
+    Deliverable sends stop counting as sinks themselves, and tainted
+    [setResult] payloads become leaks — the dynamic counterpart of the
+    static {!Fd_core.Config.t.icc} tier. *)
 
 val run_plain :
   ?max_steps:int ->

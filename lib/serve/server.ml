@@ -462,20 +462,16 @@ let process t req =
     Atomic.set req.q_budget (Some budget);
     let t0 = Unix.gettimeofday () in
     let run () =
+      (* one app, or a batch loaded as one merged multi-app Scene (the
+         inter-app setting); a load failure is the client's fault *)
       match
-        List.map
-          (fun spec -> realize_one spec ~mode)
-          (req.q_spec.Protocol.rq_app :: req.q_spec.Protocol.rq_apps)
+        Apk.load_merged ~mode
+          (List.map
+             (fun spec -> realize_one spec ~mode)
+             (req.q_spec.Protocol.rq_app :: req.q_spec.Protocol.rq_apps))
       with
       | exception Apk.Load_error msg -> `Bad msg
-      | [ apk ] ->
-          `Res (Infoflow.analyze_loaded ~config:cfg ~budget (Apk.load ~mode apk))
-      | apks -> (
-          (* batch: one merged multi-app Scene (the inter-app setting);
-             load clashes are the client's fault *)
-          match Apk.load_merged ~mode apks with
-          | exception Apk.Load_error msg -> `Bad msg
-          | merged -> `Res (Infoflow.analyze_merged ~config:cfg ~budget merged))
+      | m -> `Res (Infoflow.analyze_merged ~config:cfg ~budget m)
     in
     let res = Barrier.protect ~label:(req.q_name ^ "/" ^ rung) run in
     let dt = Unix.gettimeofday () -. t0 in

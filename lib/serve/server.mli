@@ -7,7 +7,7 @@
     - {b warm start}: the default rule sets and the framework-skeleton
       scene are built once at startup
       ({!Fd_core.Infoflow.warm_templates}), so each request's
-      {!Fd_frontend.Apk.load} pays only a [Scene.copy] of the skeleton
+      {!Fd_frontend.Apk.load_merged} pays only a [Scene.copy] of the skeleton
       instead of the whole framework cost;
     - {b admission control}: requests enter a bounded {!Squeue}; a
       full queue rejects immediately with [overloaded] and a

@@ -603,9 +603,12 @@ let test_results_order () =
       ( "icc-pair",
         fun () ->
           let gp = Fd_appgen.Generator.collusion_pair ~seed:7 0 in
-          Infoflow.analyze_pair ~config:icc
-            gp.Fd_appgen.Generator.gp_sender.Fd_appgen.Generator.ga_apk
-            gp.Fd_appgen.Generator.gp_receiver.Fd_appgen.Generator.ga_apk );
+          Infoflow.analyze_merged ~config:icc
+            (Fd_frontend.Apk.load_merged
+               [
+                 gp.Fd_appgen.Generator.gp_sender.Fd_appgen.Generator.ga_apk;
+                 gp.Fd_appgen.Generator.gp_receiver.Fd_appgen.Generator.ga_apk;
+               ]) );
     ]
   in
   let unreached =

@@ -203,6 +203,67 @@ let test_k_at_least_one () =
   Alcotest.(check int) "flowdroid -k 1" 2 (cli "1");
   Alcotest.(check int) "flowdroid_client -k 1" 2 (client "1")
 
+(* ---------------- a lenient multi-app run ---------------------- *)
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let count_sub ~sub s =
+  let n = String.length sub in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else if String.sub s i n = sub then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+(* a second app, with its own class names, whose one layout is
+   malformed: the lenient two-app run skips that file, warns about it
+   exactly once and still reports the sample app's leak *)
+let test_lenient_two_apps () =
+  let dir = Filename.temp_dir "fd_cli" "" in
+  let layouts = Filename.concat (Filename.concat dir "res") "layout" in
+  Unix.mkdir (Filename.concat dir "res") 0o755;
+  Unix.mkdir layouts 0o755;
+  write_file
+    (Filename.concat dir "AndroidManifest.xml")
+    {|<manifest package="t"><application>
+  <activity android:name="t.Other"/>
+</application></manifest>|};
+  write_file (Filename.concat layouts "other.xml")
+    {|<?xml version="1.0" encoding="utf-8"?>
+<LinearLayout>|};
+  write_file
+    (Filename.concat dir "Other.jimple")
+    {|class t.Other extends android.app.Activity {
+  method void onCreate(android.os.Bundle) {
+    local b : android.os.Bundle;
+    this := @this: t.Other;
+    b := @parameter0;
+    return;
+  }
+}|};
+  let err = Filename.temp_file "fd_cli" ".err" in
+  let exe = "../bin/flowdroid_cli.exe" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let pid =
+    Unix.create_process exe
+      [| exe; "--lenient"; "../examples/apps/leakage_app"; "--apk"; dir |]
+      null null errfd
+  in
+  Unix.close null;
+  Unix.close errfd;
+  let code =
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED n -> n
+    | _ -> Alcotest.failf "%s was killed" exe
+  in
+  let stderr = In_channel.with_open_bin err In_channel.input_all in
+  Alcotest.(check int) "leak found" 2 code;
+  Alcotest.(check int) "one skipped-layout warning" 1
+    (count_sub ~sub:"skipped layout" stderr)
+
 let () =
   Alcotest.run "fd_cli"
     [
@@ -217,5 +278,7 @@ let () =
             test_other_flags;
           Alcotest.test_case "-k rejects values below 1" `Quick
             test_k_at_least_one;
+          Alcotest.test_case "lenient two-app run warns once" `Quick
+            test_lenient_two_apps;
         ] );
     ]

@@ -212,8 +212,8 @@ let check_repro ~fn dir () =
   let dir = Filename.concat repro_root dir in
   let key = parse_key (read_repro_key dir) in
   let apk = Apk.of_dir dir in
-  let static, _ = Dc.static_findings apk in
-  let dynamic = Dc.dynamic_findings apk in
+  let static, _ = Dc.static_findings [ apk ] in
+  let dynamic = Dc.dynamic_findings [ apk ] in
   if fn then begin
     (* a real leak the static engine is documented to miss *)
     Alcotest.(check bool) "dynamic observes the leak" true

@@ -299,6 +299,41 @@ let test_apk_text_source () =
   Alcotest.(check bool) "class parsed into scene" true
     (Fd_ir.Scene.mem loaded.Apk.scene "t.Main")
 
+(* a lenient load reports its skips in pipeline order: manifest,
+   layouts, classes, components (serve's [diags] reply lists them so) *)
+let test_apk_lenient_diag_order () =
+  let open Fd_ir in
+  let manifest =
+    {|<manifest package="t"><application>
+        <activity android:name="t.Main"/>
+        <activity android:name="t.Gone"/>
+        <activity android:name="t.Flag" android:enabled="notabool"/>
+      </application></manifest>|}
+  in
+  let main () = Build.cls "t.Main" ~super:"android.app.Activity" [] in
+  let loaded =
+    Apk.load ~mode:`Lenient
+      (Apk.make "order" ~manifest ~layouts:[ ("bad", "<unclosed") ]
+         [ main (); main () ])
+  in
+  let prefixes =
+    [ "skipped <activity>"; "skipped layout"; "skipped duplicate class";
+      "skipped component" ]
+  in
+  Alcotest.(check int) "four skips" 4 (List.length loaded.Apk.diags);
+  Alcotest.(check (list string))
+    "manifest, layout, class, component" prefixes
+    (List.map2
+       (fun prefix (d : Fd_resilience.Diag.t) ->
+         if String.starts_with ~prefix d.Fd_resilience.Diag.d_msg then prefix
+         else d.Fd_resilience.Diag.d_msg)
+       prefixes loaded.Apk.diags);
+  Alcotest.(check string) "duplicate class text"
+    "skipped duplicate class t.Main"
+    (List.nth loaded.Apk.diags 2).Fd_resilience.Diag.d_msg;
+  Alcotest.(check int) "only t.Main survives" 1
+    (List.length loaded.Apk.components)
+
 (* the on-disk sample app shipped with the repository *)
 let test_shipped_app () =
   let dir = "../examples/apps/leakage_app" in
@@ -353,5 +388,7 @@ let () =
           Alcotest.test_case "load validation" `Quick test_apk_load_validation;
           Alcotest.test_case "textual classes" `Quick test_apk_text_source;
           Alcotest.test_case "shipped sample app" `Quick test_shipped_app;
+          Alcotest.test_case "lenient diagnostic order" `Quick
+            test_apk_lenient_diag_order;
         ] );
     ]

@@ -28,7 +28,7 @@ let keys_of (r : Infoflow.result) =
   |> List.sort_uniq compare
 
 let analyze ?(config = Config.default) apk =
-  Infoflow.analyze_loaded ~config (Apk.load apk)
+  Infoflow.analyze_apk ~config apk
 
 let key = Alcotest.(pair (option string) (option string))
 
@@ -329,8 +329,9 @@ let test_external_target_surface () =
 let test_pair_stitch_and_exported_gate () =
   let gp = Gen.collusion_pair ~seed:7 0 in
   let r =
-    Infoflow.analyze_pair ~config:icc_config gp.Gen.gp_sender.Gen.ga_apk
-      gp.Gen.gp_receiver.Gen.ga_apk
+    Infoflow.analyze_merged ~config:icc_config
+      (Apk.load_merged
+         [ gp.Gen.gp_sender.Gen.ga_apk; gp.Gen.gp_receiver.Gen.ga_apk ])
   in
   let rep = stitched_exn r in
   let targets = List.map (fun s -> s.Icc.st_target) rep.Icc.ic_stitched in

@@ -10,7 +10,7 @@ module T = Types
 module FW = Fd_frontend.Framework
 module Apk = Fd_frontend.Apk
 
-let load apk = Apk.load apk
+let load apk = Apk.load_merged [ apk ]
 
 let dynamic ?(coverage = Droid_runner.Thorough) apk =
   Droid_runner.findings (Droid_runner.run ~coverage (load apk))

@@ -63,8 +63,8 @@ let check_flip ~fn dir config () =
   let dir = Filename.concat repro_root dir in
   let key = parse_key (read_repro_key dir) in
   let apk = Apk.of_dir dir in
-  let off, _ = Dc.static_findings apk in
-  let on, _ = Dc.static_findings ~config apk in
+  let off, _ = Dc.static_findings [ apk ] in
+  let on, _ = Dc.static_findings ~config [ apk ] in
   if fn then begin
     Alcotest.(check bool) "passes off: leak still missed" false
       (List.mem key off);
@@ -80,7 +80,7 @@ let check_flip ~fn dir config () =
 (* --- soundness: passes only remove spurious flows or surface real
    ones --- *)
 
-let keys_of config apk = fst (Dc.static_findings ~config apk)
+let keys_of config apk = fst (Dc.static_findings ~config [ apk ])
 
 let test_soundness =
   QCheck.Test.make ~name:"flags-on findings are dynamically corroborated"
@@ -91,7 +91,7 @@ let test_soundness =
       let ga = Gen.generate ~profile ~seed 0 in
       let off = keys_of Config.default ga.Gen.ga_apk in
       let on = keys_of all_on ga.Gen.ga_apk in
-      let dynamic = Dc.dynamic_findings ga.Gen.ga_apk in
+      let dynamic = Dc.dynamic_findings [ ga.Gen.ga_apk ] in
       List.for_all
         (fun k -> List.mem k off || List.mem k dynamic)
         on)

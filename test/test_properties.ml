@@ -27,10 +27,9 @@ let static_findings ?(config = Fd_core.Config.default) apk =
   |> List.sort_uniq compare
 
 let dynamic_findings apk =
-  match Fd_frontend.Apk.load apk with
+  match Fd_frontend.Apk.load_merged [ apk ] with
   | exception Fd_frontend.Apk.Load_error _ -> []
-  | loaded ->
-      Fd_interp.Droid_runner.findings (Fd_interp.Droid_runner.run loaded)
+  | m -> Fd_interp.Droid_runner.findings (Fd_interp.Droid_runner.run m)
 
 let subset a b = List.for_all (fun x -> List.mem x b) a
 

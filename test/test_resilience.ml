@@ -124,7 +124,7 @@ let test_ladder_converges () =
      k=1 and ~200 with aliasing off: a 1000-propagation budget
      exhausts the first three rungs and completes on the fourth *)
   let config = { Config.default with Config.max_propagations = 1000 } in
-  let fb = Infoflow.analyze_with_fallback ~config apk in
+  let fb = Infoflow.analyze_with_fallback ~config [ apk ] in
   Alcotest.(check string) "degraded completeness" "degraded(k=1,no-alias)"
     (Infoflow.string_of_completeness fb.Infoflow.fb_completeness);
   Alcotest.(check int) "four attempts" 4 (List.length fb.Infoflow.fb_attempts);
@@ -161,6 +161,25 @@ let good_unit =
 }|}
 
 let broken_unit = "class t.Broken extends {{{ not jimple at all"
+
+(* the ladder runs over an app set as over one app: two apps whose
+   budget is too small for any rung end partial, the first try "full" *)
+let test_ladder_two_apps () =
+  if not (Sys.file_exists leakage_dir) then Alcotest.skip ();
+  let other =
+    Apk.make_text "other"
+      ~manifest:
+        (Apk.simple_manifest ~package:"t" [ (FW.Activity, "t.Main", []) ])
+      [ good_unit ]
+  in
+  let config = { Config.default with Config.max_propagations = 10 } in
+  let fb =
+    Infoflow.analyze_with_fallback ~config [ Apk.of_dir leakage_dir; other ]
+  in
+  Alcotest.(check bool) "not precise" true
+    (fb.Infoflow.fb_completeness <> Infoflow.Precise);
+  Alcotest.(check string) "first attempt" "full"
+    (List.hd fb.Infoflow.fb_attempts).Infoflow.at_label
 
 let manifest_with_bad_bits =
   {|<?xml version="1.0" encoding="utf-8"?>
@@ -244,6 +263,46 @@ let test_lenient_bad_layout () =
     | Some _ -> true
     | None -> false)
 
+(* one malformed layout in one app of a merged load drops only that
+   file, exactly as it does in a one-app load *)
+let test_lenient_merged_bad_layout () =
+  let manifest cls =
+    Apk.simple_manifest ~package:"t" [ (FW.Activity, cls, []) ]
+  in
+  let other_unit =
+    {|class t.Other extends android.app.Activity {
+  method void onCreate(android.os.Bundle) {
+    local b : android.os.Bundle;
+    this := @this: t.Other;
+    b := @parameter0;
+    return;
+  }
+}|}
+  in
+  let good =
+    Apk.make_text "good" ~manifest:(manifest "t.Main")
+      ~layouts:[ ("main", "<LinearLayout/>") ] [ good_unit ]
+  in
+  let bad_layout mode =
+    Apk.make_text ~mode "bad" ~manifest:(manifest "t.Other")
+      ~layouts:[ ("other", "<unclosed") ] [ other_unit ]
+  in
+  (match Apk.load_merged [ good; bad_layout `Strict ] with
+  | exception Apk.Load_error _ -> ()
+  | _ -> Alcotest.fail "strict merged load should raise");
+  let m = Apk.load_merged ~mode:`Lenient [ good; bad_layout `Lenient ] in
+  let loaded = m.Apk.m_loaded in
+  Alcotest.(check bool) "skipped layout diagnosed" true
+    (List.exists
+       (fun (d : R.Diag.t) ->
+         String.starts_with ~prefix:"skipped layout" d.R.Diag.d_msg
+         && String.ends_with ~suffix:"other.xml" d.R.Diag.d_file)
+       loaded.Apk.diags);
+  Alcotest.(check int) "both components kept" 2
+    (List.length loaded.Apk.components);
+  Alcotest.(check bool) "good layout survived" true
+    (Fd_frontend.Layout.layout_id loaded.Apk.layout "main" <> None)
+
 (* ---------------- I/O errors are Load_error, never Sys_error ----- *)
 
 let test_of_dir_io_errors () =
@@ -293,7 +352,7 @@ let test_chaos_suite_never_escapes () =
                 ~manifest:apk.Apk.apk_manifest
                 ~layouts:apk.Apk.apk_layouts sources
             in
-            Infoflow.analyze_with_fallback ~mode:`Lenient ~chaos corrupted)
+            Infoflow.analyze_with_fallback ~mode:`Lenient ~chaos [ corrupted ])
       with
       | Ok _ -> incr completed
       | Error _ -> incr completed  (* crashed, but the barrier held *)
@@ -327,6 +386,7 @@ let () =
             test_deadline_mid_solve;
           Alcotest.test_case "ladder shape" `Quick test_ladder_shape;
           Alcotest.test_case "ladder converges" `Quick test_ladder_converges;
+          Alcotest.test_case "ladder over two apps" `Quick test_ladder_two_apps;
         ] );
       ( "lenient frontend",
         [
@@ -336,6 +396,8 @@ let () =
             test_lenient_corrupted_manifest;
           Alcotest.test_case "bad layout" `Quick test_lenient_bad_layout;
           Alcotest.test_case "I/O errors" `Quick test_of_dir_io_errors;
+          Alcotest.test_case "merged bad layout" `Quick
+            test_lenient_merged_bad_layout;
         ] );
       ( "fault injection",
         [

@@ -235,6 +235,25 @@ let test_server_bad_requests () =
           in
           Alcotest.(check (option string)) "bad app dir" (Some "bad-app")
             (member_str "error" r);
+          (* one app goes through the same loader as a batch: a strict
+             load that rejects the app is the client's fault too *)
+          let missing_class =
+            Protocol.App_inline
+              {
+                in_name = "missing";
+                in_manifest =
+                  Fd_frontend.Apk.simple_manifest ~package:"t"
+                    [ (Fd_frontend.Framework.Activity, "t.Missing", []) ];
+                in_layouts = [];
+                in_sources = [];
+              }
+          in
+          let r =
+            Client.analyze c
+              { (analyze_req missing_class) with Protocol.rq_strict = true }
+          in
+          Alcotest.(check (option string)) "strict load rejection"
+            (Some "bad-app") (member_str "error" r);
           (* the connection survives all of the above *)
           Alcotest.(check bool) "still serving" true (Client.ping c)))
 
