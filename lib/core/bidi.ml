@@ -51,6 +51,10 @@ let m_summaries = M.counter "ifds.summaries_installed"
 let m_summary_apps = M.counter "ifds.summary_applications"
 let m_flow_normal = M.counter "ifds.flow.normal"
 let m_flow_call = M.counter "ifds.flow.call"
+
+(* static-rooted facts kept out of a callee that cannot touch their
+   field: they reach the return site only on the call-to-return edge *)
+let m_flow_call_static_skipped = M.counter "ifds.flow.call_static_skipped"
 let m_flow_return = M.counter "ifds.flow.return"
 let m_flow_c2r = M.counter "ifds.flow.call_to_return"
 let m_fw_props = M.counter "bidi.fw_propagations"
@@ -181,6 +185,21 @@ and callinfo = {
       (** effects applied on the call-to-return edge *)
 }
 
+(* the static fields a method's code reads or writes, closed over its
+   ICFG callees; [Any_field] once that closure takes a first-use
+   [<clinit>] edge, whose exit relays every static fact to all the
+   class's first-use sites (see {!process_exit_fw}) *)
+module Field_set = Set.Make (struct
+  type t = Types.field_sig
+
+  let compare (a : t) (b : t) =
+    match String.compare a.Types.f_class b.Types.f_class with
+    | 0 -> String.compare a.Types.f_name b.Types.f_name
+    | c -> c
+end)
+
+type field_use = Any_field | Fields of Field_set.t
+
 type cctx = { cc_id : int; cc_proc : minfo; cc_fact : Taint.fact }
 (** an IFDS context [⟨sp, d1⟩], interned: equal contexts are the same
     value and carry the same id *)
@@ -236,6 +255,9 @@ type t = {
      activation has executed, and the methods those call sites live in *)
   act_sites : unit Node_tbl.t Node_tbl.t;
   act_methods : unit Mkey.Tbl.t Node_tbl.t;
+  static_use : field_use Mkey.Tbl.t;
+      (** method -> the static fields its call tree touches, filled on
+          demand by {!static_use} *)
   budget : Fd_resilience.Budget.t;
   mutable ext : Solver_ext.t;
       (** the enabled extensions (see {!create}), set once the engine
@@ -513,6 +535,7 @@ let create ?budget ?store ~config ~icfg ~scene ~mgr ~wrappers ~natives () =
       finding_keys = Hashtbl.create 64;
       act_sites = Node_tbl.create 16;
       act_methods = Node_tbl.create 16;
+      static_use = Mkey.Tbl.create 16;
       budget;
       ext = Solver_ext.none;
     }
@@ -743,6 +766,92 @@ let spawn_alias_search t cx (ni : ninfo) (origin : Taint.t) ap =
     propagate_bw ~kind:Prov.Alias t cx ni (Taint.T alias)
   end
 
+(* ---------------- static-field use ---------------- *)
+
+let union_use a b =
+  match (a, b) with
+  | Any_field, _ | _, Any_field -> Any_field
+  | Fields x, Fields y -> Fields (Field_set.union x y)
+
+(* [static_use t mk] is [mk]'s field-use set.  The first query walks
+   the callees nobody has memoised yet with Tarjan's algorithm, so
+   every member of a recursive cycle gets the union of the cycle, and
+   each method is walked at most once per solve. *)
+let static_use t mk =
+  match Mkey.Tbl.find_opt t.static_use mk with
+  | Some u -> u
+  | None ->
+      let cg = t.icfg.Icfg.cg in
+      let clinit = (prec t).Config.clinit
+      and refl = (prec t).Config.reflection in
+      let index = Mkey.Tbl.create 16 and low = Mkey.Tbl.create 16 in
+      (* the open methods, each with its own fields and its finished
+         callees' sets *)
+      let stack = ref [] and next = ref 0 in
+      let lower m v = if v < Mkey.Tbl.find low m then Mkey.Tbl.replace low m v in
+      let rec visit m =
+        let i = !next in
+        incr next;
+        Mkey.Tbl.replace index m i;
+        Mkey.Tbl.replace low m i;
+        let u = ref (Fields Field_set.empty) in
+        stack := (m, u) :: !stack;
+        let field f =
+          match !u with
+          | Fields fs -> u := Fields (Field_set.add f fs)
+          | Any_field -> ()
+        in
+        (* a visited callee is memoised once its component is done;
+           one that is not is still open, in [m]'s component *)
+        let edge c =
+          if not (Mkey.Tbl.mem index c || Mkey.Tbl.mem t.static_use c) then
+            visit c;
+          match Mkey.Tbl.find_opt t.static_use c with
+          | Some cu -> u := union_use !u cu
+          | None -> lower m (Mkey.Tbl.find low c)
+        in
+        (match Callgraph.body_of cg m with
+        | exception Not_found -> ()
+        | body ->
+            Body.iter body (fun s ->
+                let idx = s.Stmt.s_idx in
+                (match s.Stmt.s_kind with
+                | Stmt.Assign (lv, e) ->
+                    (match lv with Stmt.Lstatic f -> field f | _ -> ());
+                    (match e with Stmt.Estatic f -> field f | _ -> ())
+                | _ -> ());
+                if Stmt.invoke_of s <> None then
+                  List.iter edge (Callgraph.callees cg m idx);
+                if clinit && Callgraph.clinit_callees cg m idx <> [] then
+                  u := Any_field;
+                if refl then List.iter edge (Callgraph.refl_callees cg m idx)));
+        if Mkey.Tbl.find low m = i then begin
+          let rec pop acc =
+            match !stack with
+            | [] -> acc
+            | ((c, _) as top) :: rest ->
+                stack := rest;
+                if Mkey.equal c m then top :: acc else pop (top :: acc)
+          in
+          let members = pop [] in
+          let cu =
+            List.fold_left
+              (fun acc (_, cu) -> union_use acc !cu)
+              (Fields Field_set.empty) members
+          in
+          List.iter (fun (c, _) -> Mkey.Tbl.replace t.static_use c cu) members
+        end
+      in
+      visit mk;
+      Mkey.Tbl.find t.static_use mk
+
+(* whether the call tree of [callee] can read or write the static
+   field [f] *)
+let touches_static t (callee : minfo) f =
+  match static_use t callee.mi_key with
+  | Any_field -> true
+  | Fields fs -> Field_set.mem f fs
+
 (* ---------------- forward flow functions ---------------- *)
 
 (* taints generated across an assignment for an incoming taint *)
@@ -894,9 +1003,20 @@ let call_flow t (ni : ninfo) (inv : Stmt.invoke) (callee : minfo)
           let n = ni.ni_node in
           let this_l = callee.mi_this and params = callee.mi_params in
           let mapped = ref [] in
-          (* static-rooted taints flow into callees unchanged *)
-          if AP.is_static taint.Taint.ap then
-            mapped := Taint.T taint :: !mapped;
+          (* a static-rooted taint enters unchanged, and only a callee
+             whose call tree touches its field: no other callee can
+             read it, and static writes are never strong updates, so
+             the call-to-return pass-through alone is exact.  One
+             carrying an activation always enters, so [return_flow]
+             sees every call that may complete it. *)
+          (match taint.Taint.ap.AP.base with
+          | AP.Bstatic f ->
+              if
+                Option.is_some taint.Taint.activation
+                || touches_static t callee f
+              then mapped := Taint.T taint :: !mapped
+              else M.incr m_flow_call_static_skipped
+          | AP.Bloc _ -> ());
           (* receiver -> @this *)
           (match (inv.Stmt.i_recv, this_l) with
           | Some r, Some tl -> (

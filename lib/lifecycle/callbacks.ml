@@ -142,7 +142,7 @@ let discover scene (layout : Fd_frontend.Layout.t) ~component ~kind =
              cb_kind = Overridden;
            }))
     (FW.overridden_framework_callbacks scene component);
-  let changed = ref true in
+  let changed = ref true and last_cg = ref None in
   while !changed do
     changed := false;
     let entry =
@@ -155,6 +155,7 @@ let discover scene (layout : Fd_frontend.Layout.t) ~component ~kind =
     in
     if entry <> [] then begin
       let cg = Callgraph.build scene ~entry () in
+      last_cg := Some cg;
       (* (a) imperative registrations *)
       let ifaces = registered_interfaces cg in
       let insts = component :: instantiated_classes cg in
@@ -204,48 +205,41 @@ let discover scene (layout : Fd_frontend.Layout.t) ~component ~kind =
     end
   done;
   (* extension features: AsyncTask subclasses that reachable code
-     executes, and Fragment subclasses it instantiates *)
-  let final_entry =
-    lifecycle
-    @ List.map
-        (fun (_, cb) ->
-          Mkey.of_sig
-            { cb.cb_method.Jclass.jm_sig with Types.m_class = cb.cb_class })
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) found [])
-  in
+     executes, and Fragment subclasses it instantiates.  The last round
+     found nothing new, so its call graph was built from the final
+     entry set. *)
   let async_tasks, fragments =
-    if final_entry = [] then ([], [])
-    else begin
-      let cg = Callgraph.build scene ~entry:final_entry () in
-      let insts = instantiated_classes cg in
-      let executes_task =
-        List.exists
-          (fun k ->
-            match Callgraph.body_of cg k with
-            | exception Not_found -> false
-            | body ->
-                Body.fold body
-                  (fun s acc ->
-                    acc
-                    ||
-                    match Stmt.invoke_of s with
-                    | Some inv -> inv.Stmt.i_sig.Types.m_name = "execute"
-                    | None -> false)
-                  false)
-          (Callgraph.reachable_methods cg)
-      in
-      let tasks =
-        if executes_task then
-          List.filter
-            (fun c -> Scene.is_subtype scene c FW.async_task_class)
-            insts
-        else []
-      in
-      let frags =
-        List.filter (fun c -> Scene.is_subtype scene c FW.fragment_class) insts
-      in
-      (List.sort_uniq compare tasks, List.sort_uniq compare frags)
-    end
+    match !last_cg with
+    | None -> ([], [])
+    | Some cg ->
+        let insts = instantiated_classes cg in
+        let executes_task =
+          List.exists
+            (fun k ->
+              match Callgraph.body_of cg k with
+              | exception Not_found -> false
+              | body ->
+                  Body.fold body
+                    (fun s acc ->
+                      acc
+                      ||
+                      match Stmt.invoke_of s with
+                      | Some inv -> inv.Stmt.i_sig.Types.m_name = "execute"
+                      | None -> false)
+                    false)
+            (Callgraph.reachable_methods cg)
+        in
+        let tasks =
+          if executes_task then
+            List.filter
+              (fun c -> Scene.is_subtype scene c FW.async_task_class)
+              insts
+          else []
+        in
+        let frags =
+          List.filter (fun c -> Scene.is_subtype scene c FW.fragment_class) insts
+        in
+        (List.sort_uniq compare tasks, List.sort_uniq compare frags)
   in
   let callbacks = Hashtbl.fold (fun _ cb acc -> cb :: acc) found [] in
   let listener_classes =

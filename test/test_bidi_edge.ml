@@ -258,6 +258,149 @@ let test_long_pipeline () =
   Alcotest.(check bool) "bounded work" true
     (r.Infoflow.r_stats.Infoflow.st_propagations < 100_000)
 
+(* ---- static-field taints enter only callees whose call tree
+   touches the field: each case below reaches the read of [St#s] only
+   through a callee that does not mention it itself ---- *)
+
+let st_s = B.fld "t.St" "s"
+let obj = T.Ref "java.lang.Object"
+
+(* [main] stores a secret in [St#s] and calls [entry] *)
+let static_main ?(args = []) entry =
+  B.meth "main" ~static:true (fun m ->
+      let x = B.local m "x" in
+      src m ~tag:"s" x;
+      B.storestatic m st_s (B.v x);
+      B.scall m "t.S" entry args)
+
+(* reads [St#s] into a sink *)
+let read_leak m =
+  let v = B.local m "v" ~ty:obj in
+  B.loadstatic m v st_s;
+  snk m ~tag:"k" v
+
+let check_static ?config name classes =
+  check ?config name
+    (B.cls "t.St" ~fields:[ ("s", obj) ] [] :: classes)
+    [ ("t.S", "main") ]
+    [ ("s", "k") ]
+
+let test_static_two_calls_below () =
+  check_static "read two calls below the callee"
+    [
+      B.cls "t.S"
+        [
+          static_main "a";
+          B.meth "a" ~static:true (fun m -> B.scall m "t.S" "b" []);
+          B.meth "b" ~static:true (fun m -> B.scall m "t.S" "c" []);
+          B.meth "c" ~static:true read_leak;
+        ];
+    ]
+
+let test_static_mutual_recursion () =
+  let ping_pong name other ~reads =
+    B.meth name ~static:true ~params:[ T.Int ] (fun m ->
+        let n = B.param m 0 "n" in
+        B.ifgoto m (B.v n) Stmt.Cle (B.i 0) "base";
+        let n' = B.local m "n2" ~ty:T.Int in
+        B.binop m n' "-" (B.v n) (B.i 1);
+        B.scall m "t.S" other [ B.v n' ];
+        if reads then read_leak m;
+        B.label m "base";
+        B.ret m)
+  in
+  check_static "read inside a mutually recursive pair"
+    [
+      B.cls "t.S"
+        [
+          static_main ~args:[ B.i 3 ] "ping";
+          ping_pong "ping" "pong" ~reads:false;
+          ping_pong "pong" "ping" ~reads:true;
+        ];
+    ]
+
+let test_static_clinit_edge () =
+  check_static
+    ~config:
+      {
+        Config.default with
+        Config.precision = { Config.no_precision with Config.clinit = true };
+      }
+    "read reached through a first-use <clinit> edge"
+    [
+      B.cls "t.S"
+        [
+          static_main "helper";
+          B.meth "helper" ~static:true (fun m ->
+              let o = B.local m "o" ~ty:(T.Ref "t.Lazy") in
+              B.newobj m o "t.Lazy");
+        ];
+      B.cls "t.Lazy" [ B.meth "<clinit>" ~static:true read_leak ];
+    ]
+
+let test_static_reflective_edge () =
+  check_static
+    ~config:
+      {
+        Config.default with
+        Config.precision =
+          { Config.no_precision with Config.reflection = true };
+      }
+    "read reached through a constant-string reflective edge"
+    [
+      B.cls "t.S"
+        [
+          static_main "helper";
+          B.meth "helper" ~static:true (fun m ->
+              let o = B.local m "o" ~ty:(T.Ref "t.Target") in
+              let mth =
+                B.local m "mth" ~ty:(T.Ref "java.lang.reflect.Method")
+              in
+              B.newobj m o "t.Target";
+              B.vcall m ~ret:mth o "java.lang.Class" "getMethod"
+                [ B.s "show" ];
+              B.vcall m mth "java.lang.reflect.Method" "invoke" [ B.v o ]);
+        ];
+      B.cls "t.Target" [ B.meth "show" read_leak ];
+    ]
+
+(* the backward search from the heap write [o.f = x] in [setup] finds
+   the static alias [St#s.f], born inactive with its activation in
+   [setup]; it crosses [idle], which never mentions [St#s], before
+   [show] reads it *)
+let test_static_alias_activated_in_callee () =
+  let node = "t.SNode" in
+  let f = B.fld node "f" in
+  let st_n = B.fld ~ty:(T.Ref node) "t.St" "n" in
+  check "inactive static alias activated in a callee"
+    [
+      B.cls node ~fields:[ ("f", obj) ] [];
+      B.cls "t.St" ~fields:[ ("n", T.Ref node) ] [];
+      B.cls "t.S"
+        [
+          B.meth "main" ~static:true (fun m ->
+              B.scall m "t.S" "setup" [];
+              B.scall m "t.S" "idle" [];
+              B.scall m "t.S" "show" []);
+          B.meth "setup" ~static:true (fun m ->
+              let o = B.local m "o" ~ty:(T.Ref node) in
+              let x = B.local m "x" in
+              B.newobj m o node;
+              B.storestatic m st_n (B.v o);
+              src m ~tag:"s" x;
+              B.store m o f (B.v x));
+          B.meth "idle" ~static:true (fun m -> B.nop m);
+          B.meth "show" ~static:true (fun m ->
+              let r = B.local m "r" ~ty:(T.Ref node) in
+              let v = B.local m "v" ~ty:obj in
+              B.loadstatic m r st_n;
+              B.load m v r f;
+              snk m ~tag:"k" v);
+        ];
+    ]
+    [ ("t.S", "main") ]
+    [ ("s", "k") ]
+
 let () =
   Alcotest.run "fd_bidi_edge"
     [
@@ -272,5 +415,18 @@ let () =
           Alcotest.test_case "no cross contamination" `Quick
             test_no_cross_contamination;
           Alcotest.test_case "long pipeline" `Quick test_long_pipeline;
+        ] );
+      ( "static-field gate",
+        [
+          Alcotest.test_case "two calls below" `Quick
+            test_static_two_calls_below;
+          Alcotest.test_case "mutual recursion" `Quick
+            test_static_mutual_recursion;
+          Alcotest.test_case "first-use <clinit> edge" `Quick
+            test_static_clinit_edge;
+          Alcotest.test_case "reflective edge" `Quick
+            test_static_reflective_edge;
+          Alcotest.test_case "alias activated in a callee" `Quick
+            test_static_alias_activated_in_callee;
         ] );
     ]

@@ -413,6 +413,52 @@ let test_pair_campaign_clean_and_deterministic () =
     (List.length (Dc.divergent_reports c1));
   Alcotest.(check string) "digest deterministic" (Dc.digest c1) (Dc.digest c2)
 
+(* ---------------- merged Scene costs the sum of its apps ---------- *)
+
+(* per-method path edges ([Fd_obs.Profile] facts) of one analysis *)
+let profile_facts config m =
+  Fd_obs.Profile.reset ();
+  ignore (Infoflow.analyze_merged ~config m);
+  let facts =
+    List.map
+      (fun (e : Fd_obs.Profile.entry) ->
+        (e.Fd_obs.Profile.e_name, e.Fd_obs.Profile.e_facts))
+      (Fd_obs.Profile.entries ())
+  in
+  Fd_obs.Profile.reset ();
+  facts
+
+(* one app's static taint must not spread into the other apps'
+   methods: outside the dummy main, which drives every component of
+   the merged Scene, each method gets exactly the facts it gets when
+   its own app is analysed alone *)
+let test_merged_facts_per_method () =
+  let config = { Config.default with Config.profile = true } in
+  let apks =
+    List.init 10 (fun i ->
+        (Gen.generate ~profile:Gen.Play ~seed:1 i).Gen.ga_apk)
+  in
+  let alone =
+    List.concat_map
+      (fun apk -> profile_facts config (Apk.load_merged [ apk ]))
+      apks
+  in
+  let is_dummy = String.starts_with ~prefix:"dummyMainClass.dummyMain/" in
+  let differing =
+    List.filter_map
+      (fun (name, facts) ->
+        if is_dummy name then None
+        else
+          let own = List.assoc_opt name alone in
+          if own = Some facts then None
+          else
+            Some
+              (Printf.sprintf "%s: %d merged, %s alone" name facts
+                 (match own with Some n -> string_of_int n | None -> "none")))
+      (profile_facts config (Apk.load_merged apks))
+  in
+  Alcotest.(check (list string)) "methods whose facts differ" [] differing
+
 (* ---------------- properties --------------------------------------- *)
 
 let prop_tier_on_subset =
@@ -491,6 +537,8 @@ let () =
             test_intent_sink1_gap_closed;
           Alcotest.test_case "other inter-app rows unchanged" `Quick
             test_other_interapp_rows_unchanged;
+          Alcotest.test_case "merged facts per method" `Quick
+            test_merged_facts_per_method;
         ] );
       ( "campaigns",
         [

@@ -391,6 +391,32 @@ let test_engine_populates_registry () =
   Alcotest.(check bool) "solve phase traced" true
     (List.exists (fun (n, _, _) -> n = "taint.solve") (T.aggregate ()))
 
+(* the static-field gate counts the static-rooted facts it keeps out
+   of callees: in a merged Scene one app's static taints meet the
+   other app's callbacks (app 3 of this corpus stashes its secret in a
+   static field); an app without static fields has none *)
+let test_static_skip_counter () =
+  let skipped apks =
+    fresh ();
+    ignore
+      (Fd_core.Infoflow.analyze_merged (Fd_frontend.Apk.load_merged apks));
+    M.counter_value "ifds.flow.call_static_skipped"
+  in
+  let gen i =
+    (Fd_appgen.Generator.generate ~profile:Fd_appgen.Generator.Play ~seed:1 i)
+      .Fd_appgen.Generator.ga_apk
+  in
+  let alone = skipped [ gen 3 ] and merged = skipped [ gen 0; gen 3 ] in
+  Alcotest.(check bool) "merged two-app run skips callees" true (merged > 0);
+  Alcotest.(check bool) "the other app's callees are skipped too" true
+    (merged > alone);
+  let app =
+    match Fd_droidbench.Suite.find "DirectLeak1" with
+    | Some a -> a.Fd_droidbench.Bench_app.app_apk
+    | None -> Alcotest.fail "DirectLeak1 missing from the suite"
+  in
+  Alcotest.(check int) "no static fields, nothing skipped" 0 (skipped [ app ])
+
 (* with provenance on, the same app yields a witness per finding and
    the Chrome trace / witnesses JSON stay valid; with it off (the
    default, exercised above) findings carry no witness *)
@@ -550,6 +576,8 @@ let () =
         [
           Alcotest.test_case "engine populates registry" `Quick
             test_engine_populates_registry;
+          Alcotest.test_case "static-field gate counter" `Quick
+            test_static_skip_counter;
           Alcotest.test_case "provenance engine run" `Quick
             test_provenance_engine;
           Alcotest.test_case "profiler totals" `Quick test_profile_engine;
