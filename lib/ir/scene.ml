@@ -10,13 +10,17 @@ open Jclass
 
 type t = {
   classes : (string, Jclass.t) Hashtbl.t;
+  sc_children : (string, string list) Hashtbl.t;
+      (** the direct-subtype index: a type name to the registered
+          classes naming it as [c_super] or in [c_interfaces], most
+          recently linked first (a class naming a parent twice appears
+          twice); the parent need not be registered, and no binding is
+          empty.  [insert] keeps it exact. *)
   (* memoised hierarchy queries — call graphs are rebuilt several
      times per app (callback discovery iterates), and every virtual
-     site asks for its dispatch cone each build, so these dominate
-     construction time when recomputed; [insert] drops the entries a
-     class-table mutation can change *)
+     site asks for its dispatch targets each build; [insert] drops the
+     entries a class-table mutation can change *)
   sc_supertypes : (string, string list) Hashtbl.t;
-  sc_subtypes : (string, Jclass.t list) Hashtbl.t;
   sc_dispatch :
     (string * string * Types.typ list, (Jclass.t * Jclass.jmethod) list)
     Hashtbl.t;
@@ -30,31 +34,55 @@ exception Duplicate_class of string
 let create () =
   {
     classes = Hashtbl.create 97;
+    sc_children = Hashtbl.create 97;
     sc_supertypes = Hashtbl.create 97;
-    sc_subtypes = Hashtbl.create 97;
     sc_dispatch = Hashtbl.create 97;
     sc_concrete = Hashtbl.create 97;
   }
 
-(** [copy t] is an independent scene with the same classes: mutations
-    of either copy never affect the other.  [Jclass.t] values are
-    immutable, so the class table is copied shallowly; the memo caches
-    are still valid for the copied table and are shared content-wise
-    the same way. *)
+(** [copy t] is an independent scene with the same classes, index and
+    memo entries: mutations of either copy never affect the other.
+    Every table maps to immutable values ([Jclass.t], name lists,
+    answers), so shallow copies suffice — the framework-skeleton
+    template hands each app its subtype index this way. *)
 let copy t =
   {
     classes = Hashtbl.copy t.classes;
+    sc_children = Hashtbl.copy t.sc_children;
     sc_supertypes = Hashtbl.copy t.sc_supertypes;
-    sc_subtypes = Hashtbl.copy t.sc_subtypes;
     sc_dispatch = Hashtbl.copy t.sc_dispatch;
     sc_concrete = Hashtbl.copy t.sc_concrete;
   }
 
 let invalidate t =
   Hashtbl.reset t.sc_supertypes;
-  Hashtbl.reset t.sc_subtypes;
   Hashtbl.reset t.sc_dispatch;
   Hashtbl.reset t.sc_concrete
+
+let iter_parents f (c : Jclass.t) =
+  Option.iter f c.c_super;
+  List.iter f c.c_interfaces
+
+(* linking is one cons per parent: the skeleton template and every app
+   load link each class once, while only a replacement (the dummy
+   main's regeneration) unlinks *)
+let link t (c : Jclass.t) =
+  iter_parents
+    (fun p ->
+      let kids = Option.value (Hashtbl.find_opt t.sc_children p) ~default:[] in
+      Hashtbl.replace t.sc_children p (c.c_name :: kids))
+    c
+
+let unlink t (c : Jclass.t) =
+  iter_parents
+    (fun p ->
+      match Hashtbl.find_opt t.sc_children p with
+      | None -> ()
+      | Some kids -> (
+          match List.filter (fun k -> not (String.equal k c.c_name)) kids with
+          | [] -> Hashtbl.remove t.sc_children p
+          | kids -> Hashtbl.replace t.sc_children p kids))
+    c
 
 (** [find_class t name] is the registered class, if any. *)
 let find_class t name = Hashtbl.find_opt t.classes name
@@ -115,57 +143,45 @@ let supertypes t name =
       Hashtbl.replace t.sc_supertypes name sups;
       sups
 
-(* [insert t c] registers [c], dropping only the memo entries the
-   insertion can change:
+(* [insert t c] registers [c], updating the subtype index (a replaced
+   class's old parents lose it, the new parents gain it) and dropping
+   only the memo entries the insertion can change:
    - with every cache empty (the bulk load of an app) there is nothing
      to drop;
    - a fresh class that no registered class names as its super or
      interface changes only the queries about itself (its supertypes
      and concrete resolutions) and the cones of its own supertypes (the
-     subtypes and dispatch targets keyed on one of them); every other
-     entry was computed without ever looking the name up;
+     dispatch targets keyed on one of them); every other entry was
+     computed without ever looking the name up;
    - anything else (a replacement, a phantom upgrade, a class some
      registered class names) invalidates every cache.
-   The kept entries hold [all_classes] order, which one more binding
-   leaves alone unless the class table grows its bucket array — it
-   does so when its size passes twice its (power-of-two) bucket count,
-   so an insertion into a table whose size is a power of two takes the
-   full invalidation too. *)
+   A cone walks the index from its root, so a kept entry's cone is the
+   one a cold query gives: the new class links only below its own
+   supertypes. *)
 let insert t (c : Jclass.t) =
   let name = c.c_name in
   let caches_empty =
     Hashtbl.length t.sc_supertypes = 0
-    && Hashtbl.length t.sc_subtypes = 0
     && Hashtbl.length t.sc_dispatch = 0
     && Hashtbl.length t.sc_concrete = 0
   in
-  let size = Hashtbl.length t.classes in
-  let fresh_unnamed () =
-    (not (Hashtbl.mem t.classes name))
-    && size land (size - 1) <> 0
-    && not
-         (Hashtbl.fold
-            (fun _ (d : Jclass.t) named ->
-              named || d.c_super = Some name || List.mem name d.c_interfaces)
-            t.classes false)
-  in
-  if caches_empty then Hashtbl.replace t.classes name c
-  else if fresh_unnamed () then begin
-    Hashtbl.replace t.classes name c;
-    Hashtbl.remove t.sc_supertypes name;
-    let sups = supertypes t name in
-    List.iter (Hashtbl.remove t.sc_subtypes) sups;
-    let stale keep tbl =
-      Hashtbl.fold (fun k _ acc -> if keep k then acc else k :: acc) tbl []
-      |> List.iter (Hashtbl.remove tbl)
-    in
-    stale (fun (st, _, _) -> not (List.mem st sups)) t.sc_dispatch;
-    stale (fun (cls, _, _) -> cls <> name) t.sc_concrete
-  end
-  else begin
-    invalidate t;
-    Hashtbl.replace t.classes name c
-  end
+  let old = Hashtbl.find_opt t.classes name in
+  let fresh_unnamed = old = None && not (Hashtbl.mem t.sc_children name) in
+  Option.iter (unlink t) old;
+  Hashtbl.replace t.classes name c;
+  link t c;
+  if not caches_empty then
+    if fresh_unnamed then begin
+      Hashtbl.remove t.sc_supertypes name;
+      let sups = supertypes t name in
+      let stale keep tbl =
+        Hashtbl.fold (fun k _ acc -> if keep k then acc else k :: acc) tbl []
+        |> List.iter (Hashtbl.remove tbl)
+      in
+      stale (fun (st, _, _) -> not (List.mem st sups)) t.sc_dispatch;
+      stale (fun (cls, _, _) -> cls <> name) t.sc_concrete
+    end
+    else invalidate t
 
 (** [add_class t c] registers [c].
     @raise Duplicate_class if a class of the same name exists. *)
@@ -197,16 +213,27 @@ let is_subtype t sub sup =
 
 (** [subtypes t name] is every *registered* class that is a subtype of
     [name] (including [name] itself if registered).  This is the
-    class-cone CHA uses to enumerate dispatch targets. *)
+    class-cone CHA uses to enumerate dispatch targets.  It walks the
+    subtype index depth-first from [name], children most recently
+    linked first; the [java.lang.Object] cone is every class. *)
 let subtypes t name =
-  match Hashtbl.find_opt t.sc_subtypes name with
-  | Some subs -> subs
-  | None ->
-      let subs =
-        List.filter (fun c -> is_subtype t c.c_name name) (all_classes t)
-      in
-      Hashtbl.replace t.sc_subtypes name subs;
-      subs
+  if String.equal name Types.object_class then all_classes t
+  else begin
+    let seen = Hashtbl.create 16 in
+    let rec walk name acc =
+      if Hashtbl.mem seen name then acc
+      else begin
+        Hashtbl.add seen name ();
+        let acc =
+          match find_class t name with Some c -> c :: acc | None -> acc
+        in
+        match Hashtbl.find_opt t.sc_children name with
+        | Some kids -> List.fold_left (fun acc k -> walk k acc) acc kids
+        | None -> acc
+      end
+    in
+    List.rev (walk name [])
+  end
 
 (** [resolve_concrete_uncached t cls subsig] walks the superclass chain
     starting at [cls] looking for a concrete (non-abstract) declaration
@@ -265,15 +292,6 @@ let rec dispatch_targets t ~static_type ((name, params) as subsig) =
 and dispatch_targets_uncached t ~static_type ((name, params) as subsig) =
   ignore params;
   let seen = Hashtbl.create 7 in
-  let cone = subtypes t static_type in
-  let cone =
-    (* the static type itself might be unregistered (phantom on the fly) *)
-    if List.exists (fun c -> c.c_name = static_type) cone then cone
-    else
-      match find_class t static_type with
-      | Some c -> c :: cone
-      | None -> cone
-  in
   List.filter_map
     (fun c ->
       if c.c_is_interface then None
@@ -287,7 +305,7 @@ and dispatch_targets_uncached t ~static_type ((name, params) as subsig) =
               Some (decl, m)
             end
         | None -> None)
-    cone
+    (subtypes t static_type)
 
 (** [methods_with_bodies t] lists every (class, method) pair carrying
     code, the analysable universe. *)

@@ -14,9 +14,10 @@ exception Duplicate_class of string
 val create : unit -> t
 
 val copy : t -> t
-(** an independent scene with the same classes; mutations of either
-    copy never affect the other (used to stamp out per-app scenes from
-    the framework-skeleton template) *)
+(** an independent scene with the same classes, subtype index and memo
+    entries; mutations of either copy never affect the other (used to
+    stamp out per-app scenes from the framework-skeleton template, so
+    no app starts with a cold index) *)
 
 val add_class : t -> Jclass.t -> unit
 (** @raise Duplicate_class if a class of the same name exists. *)
@@ -51,7 +52,12 @@ val is_subtype : t -> string -> string -> bool
 
 val subtypes : t -> string -> Jclass.t list
 (** every registered class that is a subtype of the given one: the
-    class cone CHA enumerates dispatch targets over *)
+    class cone CHA enumerates dispatch targets over.  The cone is a
+    depth-first walk of the scene's direct-subtype index from the given
+    type (itself first, if registered; children most recently linked
+    first), so its order is deterministic for a given insertion
+    sequence and never depends on the class table's layout.  The
+    [java.lang.Object] cone is every class ({!all_classes}). *)
 
 val resolve_concrete :
   t -> string -> string * Types.typ list -> (Jclass.t * Jclass.jmethod) option

@@ -54,65 +54,53 @@ type component_callbacks = {
           (extension feature) *)
 }
 
-(* collect classes instantiated in the bodies reachable from [cg] *)
-let instantiated_classes cg =
-  let seen = Hashtbl.create 32 in
-  List.iter
-    (fun k ->
-      match Callgraph.body_of cg k with
-      | exception Not_found -> ()
-      | body ->
-          Body.iter body (fun s ->
-              match s.Stmt.s_kind with
-              | Stmt.Assign (_, Stmt.Enew c) -> Hashtbl.replace seen c ()
-              | _ -> ()))
-    (Callgraph.reachable_methods cg);
-  Hashtbl.fold (fun c () acc -> c :: acc) seen []
+(* what one round of discovery reads off the bodies reachable in its
+   call graph; one walk collects it all *)
+type scan = {
+  registered : string list;
+      (** interfaces that got a listener registered *)
+  instantiated : string list;  (** classes allocated with [new] *)
+  layouts : string list;  (** layouts installed via setContentView(const) *)
+  executes : bool;  (** some call is named [execute] *)
+}
 
-(* scan reachable bodies for registration calls; returns the
-   interfaces that got a listener registered *)
-let registered_interfaces cg =
-  let ifaces = Hashtbl.create 8 in
+let scan cg (layout : Fd_frontend.Layout.t) =
+  let ifaces = Hashtbl.create 8 and insts = Hashtbl.create 32 in
+  let layouts = ref [] and executes = ref false in
   List.iter
     (fun k ->
       match Callgraph.body_of cg k with
       | exception Not_found -> ()
       | body ->
           Body.iter body (fun s ->
+              (match s.Stmt.s_kind with
+              | Stmt.Assign (_, Stmt.Enew c) -> Hashtbl.replace insts c ()
+              | _ -> ());
               match Stmt.invoke_of s with
+              | None -> ()
               | Some inv -> (
-                  match
-                    FW.registered_interface inv.Stmt.i_sig.Types.m_name
-                  with
+                  let name = inv.Stmt.i_sig.Types.m_name in
+                  if name = "execute" then executes := true;
+                  (match FW.registered_interface name with
                   | Some iface -> Hashtbl.replace ifaces iface ()
-                  | None -> ())
-              | None -> ()))
-    (Callgraph.reachable_methods cg);
-  Hashtbl.fold (fun i () acc -> i :: acc) ifaces []
-
-(* layouts a component installs via setContentView(const) *)
-let layouts_used cg (layout : Fd_frontend.Layout.t) =
-  let used = ref [] in
-  List.iter
-    (fun k ->
-      match Callgraph.body_of cg k with
-      | exception Not_found -> ()
-      | body ->
-          Body.iter body (fun s ->
-              match Stmt.invoke_of s with
-              | Some inv
-                when inv.Stmt.i_sig.Types.m_name = "setContentView" -> (
+                  | None -> ());
                   match inv.Stmt.i_args with
-                  | [ Stmt.Iconst (Stmt.CInt id) ] ->
+                  | [ Stmt.Iconst (Stmt.CInt id) ] when name = "setContentView"
+                    ->
                       List.iter
-                        (fun (name, lid) ->
-                          if lid = id && not (List.mem name !used) then
-                            used := name :: !used)
+                        (fun (lname, lid) ->
+                          if lid = id && not (List.mem lname !layouts) then
+                            layouts := lname :: !layouts)
                         layout.Fd_frontend.Layout.layouts
-                  | _ -> ())
-              | _ -> ()))
+                  | _ -> ())))
     (Callgraph.reachable_methods cg);
-  !used
+  let keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] in
+  {
+    registered = keys ifaces;
+    instantiated = keys insts;
+    layouts = !layouts;
+    executes = !executes;
+  }
 
 (** [discover scene layout ~component ~kind] runs the iterative
     discovery for one component and returns its callback set. *)
@@ -142,7 +130,7 @@ let discover scene (layout : Fd_frontend.Layout.t) ~component ~kind =
              cb_kind = Overridden;
            }))
     (FW.overridden_framework_callbacks scene component);
-  let changed = ref true and last_cg = ref None in
+  let changed = ref true and last_scan = ref None in
   while !changed do
     changed := false;
     let entry =
@@ -154,11 +142,10 @@ let discover scene (layout : Fd_frontend.Layout.t) ~component ~kind =
           (Hashtbl.fold (fun k v acc -> (k, v) :: acc) found [])
     in
     if entry <> [] then begin
-      let cg = Callgraph.build scene ~entry () in
-      last_cg := Some cg;
+      let seen = scan (Callgraph.build scene ~entry ()) layout in
+      last_scan := Some seen;
       (* (a) imperative registrations *)
-      let ifaces = registered_interfaces cg in
-      let insts = component :: instantiated_classes cg in
+      let insts = component :: seen.instantiated in
       List.iter
         (fun iface ->
           List.iter
@@ -179,7 +166,7 @@ let discover scene (layout : Fd_frontend.Layout.t) ~component ~kind =
                       if add cb then changed := true)
                   (FW.callback_methods_of scene cls))
             insts)
-        ifaces;
+        seen.registered;
       (* (b) XML-declared handlers in the layouts this component
          installs: handlers are methods on the component class taking a
          View *)
@@ -201,36 +188,18 @@ let discover scene (layout : Fd_frontend.Layout.t) ~component ~kind =
                   if add cb then changed := true
               | _ -> ())
             (Fd_frontend.Layout.xml_callbacks layout lname))
-        (layouts_used cg layout)
+        seen.layouts
     end
   done;
   (* extension features: AsyncTask subclasses that reachable code
      executes, and Fragment subclasses it instantiates.  The last round
-     found nothing new, so its call graph was built from the final
-     entry set. *)
+     found nothing new, so its scan covers the final entry set. *)
   let async_tasks, fragments =
-    match !last_cg with
+    match !last_scan with
     | None -> ([], [])
-    | Some cg ->
-        let insts = instantiated_classes cg in
-        let executes_task =
-          List.exists
-            (fun k ->
-              match Callgraph.body_of cg k with
-              | exception Not_found -> false
-              | body ->
-                  Body.fold body
-                    (fun s acc ->
-                      acc
-                      ||
-                      match Stmt.invoke_of s with
-                      | Some inv -> inv.Stmt.i_sig.Types.m_name = "execute"
-                      | None -> false)
-                    false)
-            (Callgraph.reachable_methods cg)
-        in
+    | Some { instantiated = insts; executes; _ } ->
         let tasks =
-          if executes_task then
+          if executes then
             List.filter
               (fun c -> Scene.is_subtype scene c FW.async_task_class)
               insts

@@ -342,8 +342,7 @@ type scenario = {
 let gen_scenario =
   let open QCheck.Gen in
   let* defs = flatten_a (Array.init universe gen_hdef) in
-  (* 10 to 13 registered classes: no power of two, so the table never
-     grows on this insertion and each path is taken as chosen *)
+  (* 10 to 13 registered classes *)
   let* missing = int_range 1 4 in
   let* perm = shuffle_l (List.init universe Fun.id) in
   let registered = Array.make universe true in
@@ -423,9 +422,11 @@ let prop_scene_insert_keeps_caches_exact =
     (QCheck.make ~print:print_scenario gen_scenario)
     (fun s -> play ~warm:true s = play ~warm:false s)
 
-(* a fresh, unnamed class that makes the class table grow its bucket
-   array reorders [all_classes]: cached cones must not keep the old
-   order *)
+(* a fresh, unnamed class whose insertion makes the class table grow
+   its bucket array (the 257th binding) reorders [all_classes], but
+   cones walk the subtype index, not the table: a cone and a dispatch
+   answer cached before the growth stay what a cold scene gives, order
+   included *)
 let test_insert_growing_table () =
   let build () =
     let sc = Scene.create () in
@@ -451,6 +452,198 @@ let test_insert_growing_table () =
   Scene.add_class cold (B.cls "g.Other" []);
   Alcotest.(check (pair (list string) (list string)))
     "cone order" (cone cold) (cone warm)
+
+(* Cones and dispatch against a reference model: the cone of [x] is
+   every class that a scene holding the same classes, never queried,
+   calls a subtype of [x] ([List.filter is_subtype all_classes]), and
+   dispatch resolves each non-interface class of it.  A random
+   sequence of insertions, with warming queries in between, always
+   contains a replacement that changes a class's parents, a phantom
+   later upgraded, a class naming an unregistered parent, a superclass
+   cycle and a class listing one interface twice.  Then a copy of the
+   scene is mutated, and the original must answer as before. *)
+
+let kname i = Printf.sprintf "k.C%d" i
+let k_universe = 10
+
+let k_names = T.object_class :: "k.U0" :: "k.U1" :: List.init k_universe kname
+
+type kdef = {
+  k_super : string;
+  k_ifaces : string list;
+  k_iface : bool;
+  k_meths : (string * int * bool) list;
+}
+
+type kop =
+  | K_add of string * kdef  (** [add_or_replace] *)
+  | K_resolve of string
+  | K_warm of string  (** dispatch queries on every subsignature *)
+
+let kclass name d =
+  let meth (n, arity, abstract) =
+    let params = List.init arity (fun _ -> T.Ref T.object_class) in
+    if abstract then B.abstract_meth n ~params name
+    else B.meth n ~params (fun m -> B.ret m) name
+  in
+  Jclass.mk name ~super:(Some d.k_super) ~interfaces:d.k_ifaces
+    ~is_interface:d.k_iface ~methods:(List.map meth d.k_meths)
+
+(* superclasses of [k.C{i}] come from below it (or [Object] and the
+   unregistered [k.U*]), so the only superclass cycle is the one
+   [k.C0]/[k.C1] close on purpose; those two declare every subsignature
+   concretely, as resolution walks superclasses without a cycle check *)
+let gen_kdef ?super i =
+  let open QCheck.Gen in
+  let* k_super =
+    match super with
+    | Some s -> return s
+    | None ->
+        oneofl
+          (T.object_class :: "k.U0" :: "k.U1"
+          :: List.init (max 0 (i - 2)) (fun j -> kname (j + 2))
+          @ [ kname 0; kname 1 ])
+  in
+  let* k_ifaces = list_size (int_bound 2) (oneofl k_names) in
+  let* k_iface = frequency [ (4, return false); (1, return true) ] in
+  let* k_meths =
+    list_size (int_bound 3)
+      (triple (oneofl [ "m"; "n" ]) (int_bound 1)
+         (frequency [ (3, return false); (1, return true) ]))
+  in
+  return { k_super; k_ifaces; k_iface; k_meths }
+
+let cycle_member i =
+  {
+    k_super = kname (1 - i);
+    k_ifaces = [];
+    k_iface = false;
+    k_meths =
+      [ ("m", 0, false); ("m", 1, false); ("n", 0, false); ("n", 1, false) ];
+  }
+
+(* random operations on the free names [k.C4] .. [k.C9] *)
+let gen_kop =
+  let open QCheck.Gen in
+  let* i = int_range 4 (k_universe - 1) in
+  frequency
+    [
+      (3, map (fun d -> K_add (kname i, d)) (gen_kdef i));
+      (1, return (K_resolve (kname i)));
+      (2, map (fun x -> K_warm x) (oneofl k_names));
+    ]
+
+let rec interleave a b =
+  let open QCheck.Gen in
+  match (a, b) with
+  | [], l | l, [] -> return l
+  | x :: a', y :: b' ->
+      let* left = bool in
+      if left then map (List.cons x) (interleave a' b)
+      else map (List.cons y) (interleave a b')
+
+let gen_kscript =
+  let open QCheck.Gen in
+  let supers_c3 = [ T.object_class; "k.U1"; kname 0; kname 2 ] in
+  let* s3 = oneofl supers_c3 in
+  let* s3' = oneofl (List.filter (( <> ) s3) supers_c3) in
+  let* d2 = gen_kdef 2 and* d3 = gen_kdef ~super:s3 3
+  and* d3' = gen_kdef ~super:s3' 3 and* d4 = gen_kdef 4
+  and* d5 = gen_kdef ~super:"k.U0" 5 and* twice = oneofl k_names in
+  let required =
+    [
+      K_add (kname 0, cycle_member 0);
+      K_add (kname 1, cycle_member 1);
+      K_resolve (kname 2);
+      K_add (kname 2, d2);
+      K_add (kname 3, d3);
+      K_add (kname 3, d3');
+      K_add (kname 4, { d4 with k_ifaces = [ twice; twice ] });
+      K_add (kname 5, d5);
+    ]
+  in
+  let* random = list_size (int_range 5 25) gen_kop in
+  let* ops = interleave required random in
+  let* copy_ops = list_size (int_range 1 6) gen_kop in
+  (* the copy also takes a replacement of [k.C3] with other parents *)
+  return (ops, K_add (kname 3, d3) :: copy_ops)
+
+let print_kop = function
+  | K_add (x, d) ->
+      Printf.sprintf "add %s extends %s implements [%s]%s" x d.k_super
+        (String.concat "," d.k_ifaces)
+        (if d.k_iface then " (interface)" else "")
+  | K_resolve x -> "resolve " ^ x
+  | K_warm x -> "warm " ^ x
+
+let print_kscript (ops, copy_ops) =
+  String.concat "; " (List.map print_kop ops)
+  ^ " || copy: "
+  ^ String.concat "; " (List.map print_kop copy_ops)
+
+let run_kop sc = function
+  | K_add (x, d) -> Scene.add_or_replace sc (kclass x d)
+  | K_resolve x -> ignore (Scene.resolve sc x)
+  | K_warm x ->
+      Array.iter
+        (fun subsig -> ignore (Scene.dispatch_targets sc ~static_type:x subsig))
+        subsigs
+
+let target_name ((c : Jclass.t), (m : Jclass.jmethod)) =
+  c.Jclass.c_name ^ "#" ^ m.Jclass.jm_sig.T.m_name
+
+(* every cone and dispatch answer of [sc], in the order it gives them *)
+let cones sc =
+  List.map
+    (fun x ->
+      ( List.map (fun (c : Jclass.t) -> c.Jclass.c_name) (Scene.subtypes sc x),
+        List.init 4 (fun k ->
+            List.map target_name
+              (Scene.dispatch_targets sc ~static_type:x subsigs.(k))) ))
+    k_names
+
+(* the same answers as sets, from the model *)
+let model_cones sc =
+  let cold = Scene.create () in
+  List.iter (Scene.add_class cold) (Scene.all_classes sc);
+  List.map
+    (fun x ->
+      let cone =
+        List.filter
+          (fun (c : Jclass.t) -> Scene.is_subtype cold c.Jclass.c_name x)
+          (Scene.all_classes cold)
+      in
+      ( List.sort compare
+          (List.map (fun (c : Jclass.t) -> c.Jclass.c_name) cone),
+        List.init 4 (fun k ->
+            List.filter_map
+              (fun (c : Jclass.t) ->
+                if c.Jclass.c_is_interface then None
+                else
+                  Option.map target_name
+                    (Scene.resolve_concrete_uncached cold c.Jclass.c_name
+                       subsigs.(k)))
+              cone
+            |> List.sort_uniq compare) ))
+    k_names
+
+let as_sets =
+  List.map (fun (cone, targets) ->
+      (List.sort compare cone, List.map (List.sort compare) targets))
+
+let prop_cones_match_model =
+  QCheck.Test.make ~name:"scene cones and dispatch equal the filter model"
+    ~count:300
+    (QCheck.make ~print:print_kscript gen_kscript)
+    (fun (ops, copy_ops) ->
+      let sc = Scene.create () in
+      List.iter (run_kop sc) ops;
+      let before = cones sc in
+      let copy = Scene.copy sc in
+      List.iter (run_kop copy) copy_ops;
+      as_sets before = model_cones sc
+      && as_sets (cones copy) = model_cones copy
+      && cones sc = before)
 
 (* ---------------- pretty / parser round-trip ---------------- *)
 
@@ -786,5 +979,5 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_print_parse_roundtrip; prop_body_succs_in_range;
             prop_parser_total; prop_parser_mutation;
-            prop_scene_insert_keeps_caches_exact ] );
+            prop_scene_insert_keeps_caches_exact; prop_cones_match_model ] );
     ]
