@@ -110,7 +110,11 @@ let dump_dummy_main =
   Arg.(
     value & flag
     & info [ "dump-dummy-main" ]
-        ~doc:"Print the generated dummy main method's CFG (Figure 1).")
+        ~doc:
+          "Print the generated dummy main method's CFG (Figure 1).  With \
+           two or more apps, $(b,dummyMain) loops over one call per app, \
+           and each app's own dummy method follows under its own \
+           heading.")
 
 let xml_out =
   Arg.(
@@ -335,18 +339,32 @@ let analyze dir apk_dirs base lenient fallback lint sources wrappers show_paths
               Printf.eprintf "wrote %s\n" path
           | None -> ());
           if dump_dm then begin
-            match
-              Fd_callgraph.Callgraph.body_of
-                result.Fd_core.Infoflow.r_icfg.Fd_callgraph.Icfg.cg
-                Fd_callgraph.Mkey.
-                  { mk_class = "dummyMainClass"; mk_name = "dummyMain";
-                    mk_arity = 0 }
-            with
-            | body ->
-                print_newline ();
-                print_endline "Generated dummy main (Figure 1 model):";
-                print_string (Fd_ir.Pretty.cfg_to_string body)
-            | exception Not_found -> ()
+            (* [dummyMain], then with several apps each app's own
+               [dummyMain_app<k>] until the first one missing *)
+            let dump heading name =
+              match
+                Fd_callgraph.Callgraph.body_of
+                  result.Fd_core.Infoflow.r_icfg.Fd_callgraph.Icfg.cg
+                  Fd_callgraph.Mkey.
+                    { mk_class = "dummyMainClass"; mk_name = name;
+                      mk_arity = 0 }
+              with
+              | body ->
+                  print_newline ();
+                  print_endline heading;
+                  print_string (Fd_ir.Pretty.cfg_to_string body);
+                  true
+              | exception Not_found -> false
+            in
+            let rec apps k =
+              if
+                dump
+                  (Printf.sprintf "Dummy main of app %d (dummyMain_app%d):" k k)
+                  (Printf.sprintf "dummyMain_app%d" k)
+              then apps (k + 1)
+            in
+            if dump "Generated dummy main (Figure 1 model):" "dummyMain" then
+              apps 0
           end;
           let incomplete =
             match fb_opt with

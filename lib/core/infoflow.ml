@@ -212,6 +212,9 @@ let android_entries ~(config : Config.t) ~phase
           Fd_lifecycle.Callbacks.
             {
               cc_component = c.Fd_frontend.Manifest.comp_class;
+              cc_app =
+                Fd_frontend.Apk.app_name loaded
+                  c.Fd_frontend.Manifest.comp_class;
               cc_kind = c.Fd_frontend.Manifest.comp_kind;
               cc_lifecycle =
                 Fd_lifecycle.Lifecycle.implemented_methods

@@ -40,6 +40,9 @@ type loaded = {
   diags : Fd_resilience.Diag.t list;
       (** bundle diagnostics plus lenient-load skips; [[]] in strict
           mode *)
+  app_of : string -> string option;
+      (** which app of the load declared a class; the dummy main gives
+          each app of a merged Scene its own method *)
 }
 
 exception Load_error of string
@@ -200,7 +203,7 @@ type merged = {
   m_apps : (string * Manifest.t) list;  (** per-app manifests, load order *)
   m_app_of : string -> string option;
       (** which app contributed a class (for the exported-across-apps
-          resolution gate) *)
+          resolution gate); the same function as [m_loaded.app_of] *)
 }
 
 (** [load_merged apks] runs the frontend over an app set: parses the
@@ -335,6 +338,7 @@ let load_merged ?(mode = `Strict) apks =
     (List.fold_left (fun n a -> n + List.length a.apk_classes) 0 apks);
   M.set_int g_layouts (List.length layout_srcs);
   M.set_int g_components (List.length components);
+  let app_of cls = Hashtbl.find_opt class_app cls in
   {
     m_loaded =
       {
@@ -344,10 +348,15 @@ let load_merged ?(mode = `Strict) apks =
         scene;
         components;
         diags = List.concat_map (fun a -> a.apk_diags) apks @ List.rev !diags;
+        app_of;
       };
     m_apps = List.map (fun (a, m) -> (a.apk_name, m)) parsed;
-    m_app_of = (fun cls -> Hashtbl.find_opt class_app cls);
+    m_app_of = app_of;
   }
+
+(** [app_name loaded cls] is the app declaring [cls], or the load's own
+    name for a class no app declared. *)
+let app_name loaded cls = Option.value (loaded.app_of cls) ~default:loaded.name
 
 (** [load apk] is the load of the app set [[apk]]. *)
 let load ?mode apk = (load_merged ?mode [ apk ]).m_loaded

@@ -34,6 +34,9 @@ type loaded = {
   diags : Fd_resilience.Diag.t list;
       (** bundle diagnostics plus lenient-load skips; [[]] in strict
           mode *)
+  app_of : string -> string option;
+      (** which app of the load declared a class; the dummy main gives
+          each app of a merged Scene its own method *)
 }
 
 exception Load_error of string
@@ -73,7 +76,8 @@ type merged = {
           components *)
   m_apps : (string * Manifest.t) list;  (** per-app manifests, load order *)
   m_app_of : string -> string option;
-      (** which app declared a class (for the cross-app exported gate) *)
+      (** which app declared a class (for the cross-app exported gate);
+          the same function as [m_loaded.app_of] *)
 }
 
 val load_merged : ?mode:mode -> t list -> merged
@@ -94,6 +98,10 @@ val load_merged : ?mode:mode -> t list -> merged
 
 val load : ?mode:mode -> t -> loaded
 (** [load apk] is [(load_merged ?mode [apk]).m_loaded]. *)
+
+val app_name : loaded -> string -> string
+(** [app_name loaded cls] is the app declaring [cls] ([loaded.app_of]),
+    or [loaded.name] for a class no app declared. *)
 
 val layout_id : loaded -> string -> int
 (** the [R.layout] integer for a layout file name *)

@@ -235,20 +235,33 @@ let subtypes t name =
     List.rev (walk name [])
   end
 
+(* The superclass walks below count their steps: a chain longer than
+   the class table must have revisited a class, so a superclass cycle
+   in malformed input ends the walk with [None].  Counting, unlike a
+   visited set, allocates nothing on the dispatch path; the walks are
+   top-level functions so that no closure is allocated per call
+   either. *)
+
+let rec concrete_from t name params steps cls =
+  if steps > Hashtbl.length t.classes then None
+  else
+    match find_class t cls with
+    | None -> None
+    | Some c -> (
+        match Jclass.find_method c name params with
+        | Some m when not m.jm_abstract -> Some (c, m)
+        | _ -> (
+            match c.c_super with
+            | Some s -> concrete_from t name params (steps + 1) s
+            | None -> None))
+
 (** [resolve_concrete_uncached t cls subsig] walks the superclass chain
     starting at [cls] looking for a concrete (non-abstract) declaration
     of [subsig]; this is runtime virtual dispatch for an exact receiver
-    class.  The answer is not memoised. *)
-let rec resolve_concrete_uncached t cls ((name, params) as subsig) =
-  match find_class t cls with
-  | None -> None
-  | Some c -> (
-      match Jclass.find_method c name params with
-      | Some m when not m.jm_abstract -> Some (c, m)
-      | _ -> (
-          match c.c_super with
-          | Some s -> resolve_concrete_uncached t s subsig
-          | None -> None))
+    class.  A superclass cycle ends the walk with [None].  The answer
+    is not memoised. *)
+let resolve_concrete_uncached t cls (name, params) =
+  concrete_from t name params 0 cls
 
 (** [resolve_concrete t cls subsig] is {!resolve_concrete_uncached},
     memoised. *)
@@ -261,19 +274,23 @@ let resolve_concrete t cls ((name, params) as subsig) =
       Hashtbl.replace t.sc_concrete key r;
       r
 
-(** [resolve_concrete_named t cls name] is {!resolve_concrete} matching
-    on the method name only (used where parameter types are not
-    statically known). *)
-let resolve_concrete_named t cls name =
-  let rec go cls =
+let rec concrete_named_from t name steps cls =
+  if steps > Hashtbl.length t.classes then None
+  else
     match find_class t cls with
     | None -> None
     | Some c -> (
         match Jclass.find_method_named c name with
         | Some m when not m.jm_abstract -> Some (c, m)
-        | _ -> ( match c.c_super with Some s -> go s | None -> None))
-  in
-  go cls
+        | _ -> (
+            match c.c_super with
+            | Some s -> concrete_named_from t name (steps + 1) s
+            | None -> None))
+
+(** [resolve_concrete_named t cls name] is {!resolve_concrete} matching
+    on the method name only (used where parameter types are not
+    statically known). *)
+let resolve_concrete_named t cls name = concrete_named_from t name 0 cls
 
 (** [dispatch_targets t ~static_type subsig] enumerates the concrete
     methods a virtual call with declared receiver type [static_type]

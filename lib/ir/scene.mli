@@ -64,7 +64,8 @@ val resolve_concrete :
 (** [resolve_concrete t cls (name, params)] walks the superclass chain
     from [cls] to the nearest concrete declaration — runtime virtual
     dispatch for an exact receiver class.  Matching is by name and
-    arity (see DESIGN.md). *)
+    arity (see DESIGN.md).  A superclass cycle in malformed input ends
+    the walk with [None]. *)
 
 val resolve_concrete_uncached :
   t -> string -> string * Types.typ list -> (Jclass.t * Jclass.jmethod) option

@@ -38,6 +38,7 @@ and kind =
 
 type component_callbacks = {
   cc_component : string;
+  cc_app : string;  (** the app declaring the component *)
   cc_kind : FW.component_kind;
   cc_lifecycle : Mkey.t list;  (** implemented lifecycle entry points *)
   cc_callbacks : callback list;
@@ -102,9 +103,10 @@ let scan cg (layout : Fd_frontend.Layout.t) =
     executes = !executes;
   }
 
-(** [discover scene layout ~component ~kind] runs the iterative
-    discovery for one component and returns its callback set. *)
-let discover scene (layout : Fd_frontend.Layout.t) ~component ~kind =
+(** [discover scene layout ~app ~component ~kind] runs the iterative
+    discovery for one component of [app] and returns its callback
+    set. *)
+let discover scene (layout : Fd_frontend.Layout.t) ~app ~component ~kind =
   let lifecycle =
     Lifecycle.implemented_methods scene component kind
     |> List.map (fun (decl, m) -> Mkey.of_method decl m)
@@ -219,6 +221,7 @@ let discover scene (layout : Fd_frontend.Layout.t) ~component ~kind =
   in
   {
     cc_component = component;
+    cc_app = app;
     cc_kind = kind;
     cc_lifecycle = lifecycle;
     cc_callbacks =
@@ -231,11 +234,14 @@ let discover scene (layout : Fd_frontend.Layout.t) ~component ~kind =
   }
 
 (** [discover_all loaded] runs discovery for every enabled component of
-    a loaded app. *)
+    a loaded app set; each component is attributed to the app that
+    declares its class. *)
 let discover_all (loaded : Fd_frontend.Apk.loaded) =
   List.map
     (fun (c : Fd_frontend.Manifest.component) ->
+      let component = c.Fd_frontend.Manifest.comp_class in
       discover loaded.Fd_frontend.Apk.scene loaded.Fd_frontend.Apk.layout
-        ~component:c.Fd_frontend.Manifest.comp_class
+        ~app:(Fd_frontend.Apk.app_name loaded component)
+        ~component
         ~kind:c.Fd_frontend.Manifest.comp_kind)
     loaded.Fd_frontend.Apk.components

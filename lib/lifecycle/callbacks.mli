@@ -26,6 +26,10 @@ and kind =
 
 type component_callbacks = {
   cc_component : string;
+  cc_app : string;
+      (** the app declaring the component; in a merged Scene the dummy
+          main drives each app's components from that app's own
+          method *)
   cc_kind : FW.component_kind;
   cc_lifecycle : Mkey.t list;  (** implemented lifecycle entry points *)
   cc_callbacks : callback list;

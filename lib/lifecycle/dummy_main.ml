@@ -5,6 +5,15 @@
 
     - all components run in an arbitrary sequential order, with
       repetition (an outer opaque-predicate loop);
+    - in a merged Scene of several apps the loop has two levels:
+      [dummyMain] calls one static method [dummyMain_app<k>] per app
+      (load order) in any order and number, and each of those is the
+      component loop over its own app's components.  The set of
+      component interleavings is the same as one flat loop's, but a
+      static taint only enters the app methods whose code can touch
+      its field (Bidi's static-field gate), and a component's locals
+      die when its app method returns.  One app keeps the one flat
+      method;
     - each activity runs Figure 1's lifecycle: create/start/resume,
       then its associated callbacks in any order and number, then
       pause, with opaque branches to resume again, restart, or be
@@ -261,10 +270,58 @@ let emit_component scene m p (cc : Callbacks.component_callbacks) idx =
       B.label m end_l;
       B.goto m "mainLoop")
 
+(* the opaque dispatcher every dummy method is built on: from
+   [mainLoop], branch to any block or fall through to [endMain]; each
+   block ends by jumping back to [mainLoop], which gives arbitrary
+   sequential order with repetition *)
+let dispatch_loop m blocks =
+  let p = B.local m "p" ~ty:Types.Int in
+  B.loadstatic m p opaque_field;
+  B.label m "mainLoop";
+  List.iter (fun (l, _) -> opaque_branch m p l) blocks;
+  B.goto m "endMain";
+  List.iter
+    (fun (l, emit) ->
+      B.label m l;
+      emit p)
+    blocks;
+  B.label m "endMain";
+  B.ret m
+
+(* the component loop over [ccs], each numbered by its index in the
+   whole component list *)
+let component_loop scene ccs name =
+  B.meth name ~static:true (fun m ->
+      dispatch_loop m
+        (List.map
+           (fun (i, cc) ->
+             ( Printf.sprintf "component%d" i,
+               fun p -> emit_component scene m p cc i ))
+           ccs))
+
+(* [ccs] numbered and grouped by declaring app, apps and components in
+   first-appearance order *)
+let by_app (ccs : Callbacks.component_callbacks list) =
+  let indexed = List.mapi (fun i cc -> (i, cc)) ccs in
+  let apps =
+    List.fold_left
+      (fun acc (_, cc) ->
+        if List.mem cc.Callbacks.cc_app acc then acc
+        else cc.Callbacks.cc_app :: acc)
+      [] indexed
+  in
+  List.rev_map
+    (fun app ->
+      List.filter (fun (_, cc) -> String.equal cc.Callbacks.cc_app app) indexed)
+    apps
+
 (** [generate scene ccs] builds the dummy-main class for the given
     per-component callback sets, registers it in [scene] (replacing a
     previous one, so re-analysis with different settings works), and
-    returns the entry-point key. *)
+    returns the entry-point key.  Components of one app share the one
+    method [dummyMain]; with several apps, [dummyMain] loops over one
+    static call per app and each [dummyMain_app<k>] (load order) is the
+    component loop over its own app's components. *)
 let generate scene (ccs : Callbacks.component_callbacks list) =
   Fd_obs.Trace.with_span "lifecycle.dummy_main" @@ fun () ->
   Fd_obs.Metrics.set_int
@@ -275,28 +332,29 @@ let generate scene (ccs : Callbacks.component_callbacks list) =
     (List.fold_left
        (fun acc cc -> acc + List.length cc.Callbacks.cc_callbacks)
        0 ccs);
+  let methods =
+    match by_app ccs with
+    | ([] | [ _ ]) as apps ->
+        [ component_loop scene (List.concat apps) dummy_method_name ]
+    | apps ->
+        let app_method k = Printf.sprintf "%s_app%d" dummy_method_name k in
+        let outer =
+          B.meth dummy_method_name ~static:true (fun m ->
+              dispatch_loop m
+                (List.mapi
+                   (fun k _ ->
+                     ( Printf.sprintf "app%d" k,
+                       fun _ ->
+                         B.scall m dummy_class_name (app_method k) [];
+                         B.goto m "mainLoop" ))
+                   apps))
+        in
+        outer
+        :: List.mapi (fun k app -> component_loop scene app (app_method k)) apps
+  in
   let dummy =
     Jclass.mk dummy_class_name ~fields:[ opaque_field ]
-      ~methods:
-        [
-          (B.meth dummy_method_name ~static:true (fun m ->
-               let p = B.local m "p" ~ty:Types.Int in
-               B.loadstatic m p opaque_field;
-               B.label m "mainLoop";
-               let comp_labels =
-                 List.mapi (fun i _ -> Printf.sprintf "component%d" i) ccs
-               in
-               List.iter (fun l -> opaque_branch m p l) comp_labels;
-               B.goto m "endMain";
-               List.iteri
-                 (fun i cc ->
-                   B.label m (Printf.sprintf "component%d" i);
-                   emit_component scene m p cc i)
-                 ccs;
-               B.label m "endMain";
-               B.ret m))
-            dummy_class_name;
-        ]
+      ~methods:(List.map (fun meth -> meth dummy_class_name) methods)
   in
   Scene.add_or_replace scene dummy;
   Mkey.{ mk_class = dummy_class_name; mk_name = dummy_method_name; mk_arity = 0 }
@@ -309,56 +367,45 @@ let generate scene (ccs : Callbacks.component_callbacks list) =
     (the Inter group). *)
 let generate_plain scene (entries : Mkey.t list) =
   Fd_obs.Trace.with_span "lifecycle.dummy_main" @@ fun () ->
+  let entry_block m i (k : Mkey.t) _p =
+    let cls = k.Mkey.mk_class in
+    let args = List.init k.Mkey.mk_arity (fun _ -> B.nul) in
+    let is_static =
+      match Scene.find_class scene cls with
+      | Some c -> (
+          match
+            List.find_opt
+              (fun (jm : Jclass.jmethod) ->
+                jm.Jclass.jm_sig.Types.m_name = k.Mkey.mk_name
+                && List.length jm.Jclass.jm_sig.Types.m_params = k.Mkey.mk_arity)
+              c.Jclass.c_methods
+          with
+          | Some jm -> jm.Jclass.jm_static
+          | None -> true)
+      | None -> true
+    in
+    if is_static then B.scall m cls k.Mkey.mk_name args
+    else begin
+      let recv = B.local m (Printf.sprintf "recv%d" i) ~ty:(Types.Ref cls) in
+      B.newobj m recv cls;
+      (match Scene.resolve_concrete scene cls ("<init>", []) with
+      | Some (_, meth) when Jclass.has_body meth ->
+          B.spcall m recv cls "<init>" []
+      | _ -> ());
+      B.vcall m recv cls k.Mkey.mk_name args
+    end;
+    B.goto m "mainLoop"
+  in
   let dummy =
     Jclass.mk dummy_class_name ~fields:[ opaque_field ]
       ~methods:
         [
-          (B.meth dummy_method_name ~static:true (fun m ->
-               let p = B.local m "p" ~ty:Types.Int in
-               B.loadstatic m p opaque_field;
-               B.label m "mainLoop";
-               let labels =
-                 List.mapi (fun i _ -> Printf.sprintf "entry%d" i) entries
-               in
-               List.iter (fun l -> opaque_branch m p l) labels;
-               B.goto m "endMain";
-               List.iteri
-                 (fun i (k : Mkey.t) ->
-                   B.label m (Printf.sprintf "entry%d" i);
-                   let cls = k.Mkey.mk_class in
-                   let args = List.init k.Mkey.mk_arity (fun _ -> B.nul) in
-                   let is_static =
-                     match Scene.find_class scene cls with
-                     | Some c -> (
-                         match
-                           List.find_opt
-                             (fun (jm : Jclass.jmethod) ->
-                               jm.Jclass.jm_sig.Types.m_name = k.Mkey.mk_name
-                               && List.length jm.Jclass.jm_sig.Types.m_params
-                                  = k.Mkey.mk_arity)
-                             c.Jclass.c_methods
-                         with
-                         | Some jm -> jm.Jclass.jm_static
-                         | None -> true)
-                     | None -> true
-                   in
-                   if is_static then
-                     B.scall m cls k.Mkey.mk_name args
-                   else begin
-                     let recv =
-                       B.local m (Printf.sprintf "recv%d" i) ~ty:(Types.Ref cls)
-                     in
-                     B.newobj m recv cls;
-                     (match Scene.resolve_concrete scene cls ("<init>", []) with
-                     | Some (_, meth) when Jclass.has_body meth ->
-                         B.spcall m recv cls "<init>" []
-                     | _ -> ());
-                     B.vcall m recv cls k.Mkey.mk_name args
-                   end;
-                   B.goto m "mainLoop")
-                 entries;
-               B.label m "endMain";
-               B.ret m))
+          B.meth dummy_method_name ~static:true
+            (fun m ->
+              dispatch_loop m
+                (List.mapi
+                   (fun i k -> (Printf.sprintf "entry%d" i, entry_block m i k))
+                   entries))
             dummy_class_name;
         ]
   in

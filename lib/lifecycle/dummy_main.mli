@@ -14,7 +14,11 @@ open Fd_callgraph
 val generate : Scene.t -> Callbacks.component_callbacks list -> Mkey.t
 (** [generate scene ccs] builds the dummy-main class for the given
     per-component callback sets, registers it in [scene] (replacing a
-    previous one), and returns the entry-point key. *)
+    previous one), and returns the entry-point key.  The components of
+    one app share the one method [dummyMain]; when [ccs] spans several
+    apps ([cc_app]), [dummyMain] loops over one static call per app
+    and each [dummyMain_app<k>] (apps in first-appearance order) is
+    the component loop over that app's components. *)
 
 val generate_plain : Scene.t -> Mkey.t list -> Mkey.t
 (** [generate_plain scene entries] is the non-Android equivalent

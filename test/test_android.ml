@@ -444,6 +444,36 @@ let chain_apk ~depth =
       "class chain.Chain {\n" ^ String.concat "" (List.init depth step) ^ "}\n";
       activity ]
 
+(* malformed input: a superclass cycle between two classes that
+   declare no method, and a virtual call on one of them.  Callback
+   discovery and the dummy main resolve methods on it; the analysis
+   must come back with no finding. *)
+let test_superclass_cycle () =
+  let manifest =
+    "<manifest package=\"c\"><application>\n\
+     <activity android:name=\"c.Main\"/>\n\
+     </application></manifest>\n"
+  in
+  let main =
+    "class c.Main extends android.app.Activity {\n\
+    \  method void onCreate(android.os.Bundle) {\n\
+    \    local b : android.os.Bundle;\n\
+    \    local a : c.A;\n\
+    \    this := @this: c.Main;\n\
+    \    b := @parameter0;\n\
+    \    a = new c.A;\n\
+    \    virtualinvoke a.c.A#m();\n\
+    \    return;\n\
+    \  }\n\
+     }\n"
+  in
+  let apk =
+    Apk.make_text "CycleApp" ~manifest
+      [ "class c.A extends c.B {\n}\n"; "class c.B extends c.A {\n}\n"; main ]
+  in
+  Alcotest.(check (list (pair string string))) "no finding" []
+    (flow_pairs (Infoflow.analyze_apk apk))
+
 (* what a budget-stopped solve leaves behind: the outcome, the
    propagations ticked, the dedup hits, the sorted findings and the
    taints recorded at the sink node (as a digest of their sorted
@@ -556,8 +586,9 @@ let test_truncated_solves () =
 (* every statement of every reachable method, in node order, with the
    taints [results_at] gives there, unsorted: the ICC tier keeps the
    first taint it meets per source, so the order is part of the
-   contract.  Also the nodes where a taint is repeated. *)
-let results_listing (r : Infoflow.result) =
+   contract.  Also the nodes where a taint is repeated.  [keep]
+   restricts the listing to the nodes of some methods. *)
+let results_listing ?(keep = fun _ -> true) (r : Infoflow.result) =
   let cg = r.Infoflow.r_icfg.Fd_callgraph.Icfg.cg in
   let nodes =
     List.concat_map
@@ -567,7 +598,7 @@ let results_listing (r : Infoflow.result) =
             List.init (Body.length body) (fun i ->
                 Fd_callgraph.Icfg.{ n_method = m; n_idx = i })
         | exception Not_found -> [])
-      (Fd_callgraph.Callgraph.reachable_methods cg)
+      (List.filter keep (Fd_callgraph.Callgraph.reachable_methods cg))
     |> List.sort Fd_callgraph.Icfg.compare_node
   in
   let repeated = ref [] and count = ref 0 in
@@ -591,8 +622,16 @@ let expected_results_order =
   [
     ("leakage", (3155, "5857d92dfb8d7323f2bc62531aeb0e34"));
     ("chain-10", (790, "4bbe79d615c3948b57d71c91feb502c5"));
-    ("icc-pair", (12, "30b2770d0eb12445b74345caf836ae82"));
+    ("icc-pair", (12, "f063a44b5379fff405ba08d3d0989008"));
   ]
+
+(* the same listing over the app methods alone: it does not depend on
+   how the dummy main is shaped *)
+let outside_dummy_main (m : Fd_callgraph.Mkey.t) =
+  m.Fd_callgraph.Mkey.mk_class <> "dummyMainClass"
+
+let expected_app_results_order =
+  [ ("icc-pair", (12, "3a2d7edf1acd1669d66a10690b79ac77")) ]
 
 let test_results_order () =
   let icc = { Config.default with Config.icc = true } in
@@ -629,6 +668,14 @@ let test_results_order () =
         (count, Digest.to_hex (Digest.string (String.concat "\n" lines)));
       Alcotest.(check (list string)) (name ^ ": nodes with a repeated taint")
         [] repeated;
+      Option.iter
+        (fun want ->
+          let lines, count, _ = results_listing ~keep:outside_dummy_main r in
+          Alcotest.(check (pair int string))
+            (name ^ ": app-method taints, in results_at order")
+            want
+            (count, Digest.to_hex (Digest.string (String.concat "\n" lines))))
+        (List.assoc_opt name expected_app_results_order);
       Alcotest.(check (list string))
         (name ^ ": no zero fact") []
         (List.filter (fun l -> l = Taint.fact_to_string Taint.Zero) lines);
@@ -671,5 +718,7 @@ let () =
             test_truncated_solves;
           Alcotest.test_case "results_at order is pinned" `Quick
             test_results_order;
+          Alcotest.test_case "superclass cycle terminates" `Quick
+            test_superclass_cycle;
         ] );
     ]

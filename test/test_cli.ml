@@ -217,22 +217,23 @@ let count_sub ~sub s =
   in
   go 0 0
 
-(* a second app, with its own class names, whose one layout is
-   malformed: the lenient two-app run skips that file, warns about it
-   exactly once and still reports the sample app's leak *)
-let test_lenient_two_apps () =
+(* a second app with its own class names and one activity, optionally
+   with one layout *)
+let other_app ?layout () =
   let dir = Filename.temp_dir "fd_cli" "" in
-  let layouts = Filename.concat (Filename.concat dir "res") "layout" in
-  Unix.mkdir (Filename.concat dir "res") 0o755;
-  Unix.mkdir layouts 0o755;
   write_file
     (Filename.concat dir "AndroidManifest.xml")
     {|<manifest package="t"><application>
   <activity android:name="t.Other"/>
 </application></manifest>|};
-  write_file (Filename.concat layouts "other.xml")
-    {|<?xml version="1.0" encoding="utf-8"?>
-<LinearLayout>|};
+  Option.iter
+    (fun src ->
+      let res = Filename.concat dir "res" in
+      let layouts = Filename.concat res "layout" in
+      Unix.mkdir res 0o755;
+      Unix.mkdir layouts 0o755;
+      write_file (Filename.concat layouts "other.xml") src)
+    layout;
   write_file
     (Filename.concat dir "Other.jimple")
     {|class t.Other extends android.app.Activity {
@@ -243,26 +244,97 @@ let test_lenient_two_apps () =
     return;
   }
 }|};
+  dir
+
+(* [run_cli args] is the flowdroid CLI's exit code, stdout and stderr *)
+let run_cli args =
+  let out = Filename.temp_file "fd_cli" ".out" in
   let err = Filename.temp_file "fd_cli" ".err" in
   let exe = "../bin/flowdroid_cli.exe" in
   let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let outfd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
   let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
   let pid =
-    Unix.create_process exe
-      [| exe; "--lenient"; "../examples/apps/leakage_app"; "--apk"; dir |]
-      null null errfd
+    Unix.create_process exe (Array.of_list (exe :: args)) null outfd errfd
   in
-  Unix.close null;
-  Unix.close errfd;
+  List.iter Unix.close [ null; outfd; errfd ];
   let code =
     match Unix.waitpid [] pid with
     | _, Unix.WEXITED n -> n
     | _ -> Alcotest.failf "%s was killed" exe
   in
-  let stderr = In_channel.with_open_bin err In_channel.input_all in
+  let read f =
+    let s = In_channel.with_open_bin f In_channel.input_all in
+    Sys.remove f;
+    s
+  in
+  let stdout = read out in
+  (code, stdout, read err)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* the lenient two-app run skips the second app's malformed layout,
+   warns about it exactly once and still reports the sample app's
+   leak *)
+let test_lenient_two_apps () =
+  let dir =
+    other_app ~layout:{|<?xml version="1.0" encoding="utf-8"?>
+<LinearLayout>|} ()
+  in
+  let code, _, stderr =
+    run_cli [ "--lenient"; "../examples/apps/leakage_app"; "--apk"; dir ]
+  in
+  rm_rf dir;
   Alcotest.(check int) "leak found" 2 code;
   Alcotest.(check int) "one skipped-layout warning" 1
     (count_sub ~sub:"skipped layout" stderr)
+
+(* with two apps the dump shows [dummyMain], a loop over one call per
+   app, then each app's own dummy method, which alone creates that
+   app's components *)
+let test_dump_two_dummy_mains () =
+  let dir = other_app () in
+  let code, stdout, _ =
+    run_cli
+      [ "--dump-dummy-main"; "../examples/apps/leakage_app"; "--apk"; dir ]
+  in
+  rm_rf dir;
+  Alcotest.(check int) "leak found" 2 code;
+  (* the text from each heading to the next *)
+  let rec index_from i sub =
+    if i + String.length sub > String.length stdout then None
+    else if String.sub stdout i (String.length sub) = sub then Some i
+    else index_from (i + 1) sub
+  in
+  let headings =
+    [ "Generated dummy main"; "Dummy main of app 0"; "Dummy main of app 1";
+      "Dummy main of app 2" ]
+  in
+  let starts = List.map (index_from 0) headings in
+  let has sub s = count_sub ~sub s > 0 in
+  match starts with
+  | [ Some o; Some a0; Some a1; None ] when o < a0 && a0 < a1 ->
+      let outer = String.sub stdout o (a0 - o) in
+      let app0 = String.sub stdout a0 (a1 - a0) in
+      let app1 = String.sub stdout a1 (String.length stdout - a1) in
+      Alcotest.(check bool) "outer loop calls app 0" true
+        (has "staticinvoke dummyMainClass#dummyMain_app0()" outer);
+      Alcotest.(check bool) "outer loop calls app 1" true
+        (has "staticinvoke dummyMainClass#dummyMain_app1()" outer);
+      Alcotest.(check bool) "outer loop creates no component" false
+        (has " = new " outer);
+      Alcotest.(check (pair bool bool)) "app 0 creates LeakageApp only"
+        (true, false)
+        (has "new de.ecspride.LeakageApp" app0, has "new t.Other" app0);
+      Alcotest.(check (pair bool bool)) "app 1 creates Other only"
+        (false, true)
+        (has "new de.ecspride.LeakageApp" app1, has "new t.Other" app1)
+  | _ -> Alcotest.failf "expected three dummy-method sections in:\n%s" stdout
 
 let () =
   Alcotest.run "fd_cli"
@@ -280,5 +352,7 @@ let () =
             test_k_at_least_one;
           Alcotest.test_case "lenient two-app run warns once" `Quick
             test_lenient_two_apps;
+          Alcotest.test_case "--dump-dummy-main prints every app's method"
+            `Quick test_dump_two_dummy_mains;
         ] );
     ]

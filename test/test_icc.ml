@@ -429,9 +429,13 @@ let profile_facts config m =
   facts
 
 (* one app's static taint must not spread into the other apps'
-   methods: outside the dummy main, which drives every component of
-   the merged Scene, each method gets exactly the facts it gets when
-   its own app is analysed alone *)
+   methods: outside the dummy methods, which drive the components,
+   each method gets exactly the facts it gets when its own app is
+   analysed alone.  Each app's own dummy method gets at least what its
+   app's dummy main gets alone (static facts also re-enter it from the
+   outer loop over the apps), and all dummy methods together stay
+   within twice the apps' dummy mains alone: one dummy method for the
+   whole merged Scene got 2.7 times as many facts. *)
 let test_merged_facts_per_method () =
   let config = { Config.default with Config.profile = true } in
   let apks =
@@ -439,25 +443,49 @@ let test_merged_facts_per_method () =
         (Gen.generate ~profile:Gen.Play ~seed:1 i).Gen.ga_apk)
   in
   let alone =
-    List.concat_map
-      (fun apk -> profile_facts config (Apk.load_merged [ apk ]))
-      apks
+    List.map (fun apk -> profile_facts config (Apk.load_merged [ apk ])) apks
   in
-  let is_dummy = String.starts_with ~prefix:"dummyMainClass.dummyMain/" in
+  let merged = profile_facts config (Apk.load_merged apks) in
+  let is_dummy = String.starts_with ~prefix:"dummyMainClass." in
+  let facts_of name facts = Option.value (List.assoc_opt name facts) ~default:0 in
+  let own_facts = List.concat alone in
   let differing =
     List.filter_map
       (fun (name, facts) ->
         if is_dummy name then None
         else
-          let own = List.assoc_opt name alone in
+          let own = List.assoc_opt name own_facts in
           if own = Some facts then None
           else
             Some
               (Printf.sprintf "%s: %d merged, %s alone" name facts
                  (match own with Some n -> string_of_int n | None -> "none")))
-      (profile_facts config (Apk.load_merged apks))
+      merged
   in
-  Alcotest.(check (list string)) "methods whose facts differ" [] differing
+  Alcotest.(check (list string)) "methods whose facts differ" [] differing;
+  let main_alone = List.map (facts_of "dummyMainClass.dummyMain/0") alone in
+  let short =
+    List.concat
+      (List.mapi
+         (fun k own ->
+           let name = Printf.sprintf "dummyMainClass.dummyMain_app%d/0" k in
+           let got = facts_of name merged in
+           if got >= own then []
+           else [ Printf.sprintf "%s: %d merged, %d alone" name got own ])
+         main_alone)
+  in
+  Alcotest.(check (list string))
+    "app dummy methods with fewer facts than alone" [] short;
+  let sum = List.fold_left ( + ) 0 in
+  let dummy_merged =
+    sum (List.filter_map
+           (fun (name, n) -> if is_dummy name then Some n else None)
+           merged)
+  in
+  let dummy_alone = sum main_alone in
+  if dummy_merged > 2 * dummy_alone then
+    Alcotest.failf "dummy methods get %d facts merged, over twice %d alone"
+      dummy_merged dummy_alone
 
 (* ---------------- properties --------------------------------------- *)
 

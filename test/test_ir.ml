@@ -240,6 +240,20 @@ let test_superclasses_chain () =
     [ "t.Mid"; "t.Base"; "java.lang.Object" ]
     (Scene.superclasses sc "t.Leaf")
 
+(* malformed input: [c.A extends c.B], [c.B extends c.A], neither
+   declaring a method.  Resolution walks the cycle and must stop. *)
+let test_superclass_cycle () =
+  let sc = Scene.create () in
+  Scene.add_class sc (B.cls "c.A" ~super:"c.B" []);
+  Scene.add_class sc (B.cls "c.B" ~super:"c.A" []);
+  let none = Alcotest.(check bool) in
+  none "resolve_concrete_uncached" true
+    (Scene.resolve_concrete_uncached sc "c.A" ("m", []) = None);
+  none "resolve_concrete_named" true
+    (Scene.resolve_concrete_named sc "c.A" "m" = None);
+  Alcotest.(check int) "dispatch_targets" 0
+    (List.length (Scene.dispatch_targets sc ~static_type:"c.A" ("m", [])))
+
 (* ---------------- scene cache maintenance ---------------- *)
 
 (* Inserting a class keeps the memoised hierarchy answers it cannot
@@ -491,8 +505,9 @@ let kclass name d =
 
 (* superclasses of [k.C{i}] come from below it (or [Object] and the
    unregistered [k.U*]), so the only superclass cycle is the one
-   [k.C0]/[k.C1] close on purpose; those two declare every subsignature
-   concretely, as resolution walks superclasses without a cycle check *)
+   [k.C0]/[k.C1] close on purpose; like every class, those two declare
+   a random subset of the subsignatures, so resolution also walks the
+   cycle without finding a declaration *)
 let gen_kdef ?super i =
   let open QCheck.Gen in
   let* k_super =
@@ -512,15 +527,6 @@ let gen_kdef ?super i =
          (frequency [ (3, return false); (1, return true) ]))
   in
   return { k_super; k_ifaces; k_iface; k_meths }
-
-let cycle_member i =
-  {
-    k_super = kname (1 - i);
-    k_ifaces = [];
-    k_iface = false;
-    k_meths =
-      [ ("m", 0, false); ("m", 1, false); ("n", 0, false); ("n", 1, false) ];
-  }
 
 (* random operations on the free names [k.C4] .. [k.C9] *)
 let gen_kop =
@@ -547,13 +553,14 @@ let gen_kscript =
   let supers_c3 = [ T.object_class; "k.U1"; kname 0; kname 2 ] in
   let* s3 = oneofl supers_c3 in
   let* s3' = oneofl (List.filter (( <> ) s3) supers_c3) in
+  let* c0 = gen_kdef ~super:(kname 1) 0 and* c1 = gen_kdef ~super:(kname 0) 1 in
   let* d2 = gen_kdef 2 and* d3 = gen_kdef ~super:s3 3
   and* d3' = gen_kdef ~super:s3' 3 and* d4 = gen_kdef 4
   and* d5 = gen_kdef ~super:"k.U0" 5 and* twice = oneofl k_names in
   let required =
     [
-      K_add (kname 0, cycle_member 0);
-      K_add (kname 1, cycle_member 1);
+      K_add (kname 0, { c0 with k_iface = false });
+      K_add (kname 1, { c1 with k_iface = false });
       K_resolve (kname 2);
       K_add (kname 2, d2);
       K_add (kname 3, d3);
@@ -962,6 +969,7 @@ let () =
             test_resolve_concrete_inherited;
           Alcotest.test_case "duplicate class" `Quick test_duplicate_class;
           Alcotest.test_case "superclass chain" `Quick test_superclasses_chain;
+          Alcotest.test_case "superclass cycle" `Quick test_superclass_cycle;
           Alcotest.test_case "insertion growing the class table" `Quick
             test_insert_growing_table;
         ] );

@@ -122,7 +122,70 @@ let test_multi_component_ordering () =
   (* repetition: the printed body has backward gotos (the dispatcher
      loop); the textual labels are positional L<n> *)
   Alcotest.(check bool) "dispatcher loop (goto back-edges)" true
-    (contains text "goto L")
+    (contains text "goto L");
+  (* one app: both components share the one dummy method *)
+  let dc = Option.get (Scene.find_class loaded.Apk.scene "dummyMainClass") in
+  Alcotest.(check (list string)) "one method for one app" [ "dummyMain" ]
+    (List.map
+       (fun (jm : Jclass.jmethod) -> jm.Jclass.jm_sig.T.m_name)
+       dc.Jclass.c_methods)
+
+let test_dummy_method_per_app () =
+  (* a merged Scene of two apps: [dummyMain] only calls one method per
+     app, and each app's method drives that app's components alone *)
+  let act =
+    B.cls "a.Act" ~super:"android.app.Activity"
+      [ B.meth "onCreate" ~params:[ T.Ref "android.os.Bundle" ] (fun m ->
+            let _ = B.this m in
+            B.ret m) ]
+  in
+  let svc =
+    B.cls "b.Svc" ~super:"android.app.Service"
+      [ B.meth "onCreate" (fun m -> let _ = B.this m in B.ret m);
+        B.meth "onDestroy" (fun m -> let _ = B.this m in B.ret m) ]
+  in
+  let apk name comps classes =
+    Apk.make name ~manifest:(Apk.simple_manifest ~package:name comps) classes
+  in
+  let loaded =
+    (Apk.load_merged
+       [ apk "a" [ (FW.Activity, "a.Act", []) ] [ act ];
+         apk "b" [ (FW.Service, "b.Svc", []) ] [ svc ] ])
+      .Apk.m_loaded
+  in
+  let ccs = Callbacks.discover_all loaded in
+  Alcotest.(check (list string)) "components' apps" [ "a"; "b" ]
+    (List.map (fun cc -> cc.Callbacks.cc_app) ccs);
+  let _entry = Dummy_main.generate loaded.Apk.scene ccs in
+  let dc = Option.get (Scene.find_class loaded.Apk.scene "dummyMainClass") in
+  let text name =
+    let jm = Option.get (Jclass.find_method_named dc name) in
+    Pretty.body_to_string (Option.get jm.Jclass.jm_body)
+  in
+  Alcotest.(check (list string)) "one method per app, after dummyMain"
+    [ "dummyMain"; "dummyMain_app0"; "dummyMain_app1" ]
+    (List.map
+       (fun (jm : Jclass.jmethod) -> jm.Jclass.jm_sig.T.m_name)
+       dc.Jclass.c_methods);
+  let outer = text "dummyMain" in
+  List.iter
+    (fun s -> Alcotest.(check bool) ("dummyMain calls " ^ s) true (contains outer s))
+    [ "staticinvoke dummyMainClass#dummyMain_app0()";
+      "staticinvoke dummyMainClass#dummyMain_app1()" ];
+  Alcotest.(check bool) "dummyMain calls no lifecycle method" false
+    (contains outer "virtualinvoke");
+  let app0 = text "dummyMain_app0" and app1 = text "dummyMain_app1" in
+  List.iter
+    (fun (what, body, want) ->
+      Alcotest.(check bool) what want (contains body what))
+    [ ("a.Act#onCreate", app0, true); ("b.Svc", app0, false);
+      ("b.Svc#onCreate", app1, true); ("b.Svc#onDestroy", app1, true);
+      ("a.Act", app1, false) ];
+  List.iter
+    (fun body ->
+      Alcotest.(check bool) "reads the opaque predicate" true
+        (contains body "static dummyMainClass#p"))
+    [ app0; app1 ]
 
 (* ---------------- callback discovery ---------------- *)
 
@@ -262,6 +325,8 @@ let () =
           Alcotest.test_case "provider" `Quick test_provider_dummy_main;
           Alcotest.test_case "multi-component" `Quick
             test_multi_component_ordering;
+          Alcotest.test_case "one dummy method per app" `Quick
+            test_dummy_method_per_app;
           Alcotest.test_case "plain entry-point creator" `Quick
             test_plain_dummy_main;
         ] );
