@@ -55,6 +55,11 @@ let m_flow_call = M.counter "ifds.flow.call"
 (* static-rooted facts kept out of a callee that cannot touch their
    field: they reach the return site only on the call-to-return edge *)
 let m_flow_call_static_skipped = M.counter "ifds.flow.call_static_skipped"
+
+(* analysable callees the zero fact stays out of because their call
+   tree generates no taint, counted once per calling method's zero
+   context at every call site its walk reaches (see {!zero_work}) *)
+let m_flow_call_zero_skipped = M.counter "ifds.flow.call_zero_skipped"
 let m_flow_return = M.counter "ifds.flow.return"
 let m_flow_c2r = M.counter "ifds.flow.call_to_return"
 let m_fw_props = M.counter "bidi.fw_propagations"
@@ -151,6 +156,8 @@ type minfo = {
   mutable mi_must_alias : Fd_precision.Must_alias.t option;
       (** the strong-update pass's must-alias partitions, computed on
           the first query *)
+  mutable mi_zero_work : (ninfo * Prov.kind) list option;
+      (** the nodes where the zero fact does work (see {!zero_work}) *)
 }
 
 (* per-node view: everything the solver used to recompute on every
@@ -169,9 +176,11 @@ and ninfo = {
   mutable ni_call : callinfo option;  (** cached call-site data *)
   mutable ni_zero_gen : Taint.t list option;
       (** parameter-source taints generated under the zero fact *)
-  mutable ni_results : int list;
+  mutable ni_results : int array;
       (** the fact id of every non-zero forward path edge at this
-          node, newest first; an id repeats once per context *)
+          node, oldest first in its first [ni_n_results] slots; an id
+          repeats once per context *)
+  mutable ni_n_results : int;
 }
 
 (* node-constant call-site classifications (sink category, wrapper /
@@ -199,6 +208,13 @@ module Field_set = Set.Make (struct
 end)
 
 type field_use = Any_field | Fields of Field_set.t
+
+(* what a method's call tree can do, for the gates on the facts that
+   enter a callee (see {!call_tree}) *)
+type call_tree = {
+  ct_fields : field_use;  (** the static fields it reads or writes *)
+  ct_gen : bool;  (** whether it generates a taint under the zero fact *)
+}
 
 type cctx = { cc_id : int; cc_proc : minfo; cc_fact : Taint.fact }
 (** an IFDS context [⟨sp, d1⟩], interned: equal contexts are the same
@@ -255,9 +271,9 @@ type t = {
      activation has executed, and the methods those call sites live in *)
   act_sites : unit Node_tbl.t Node_tbl.t;
   act_methods : unit Mkey.Tbl.t Node_tbl.t;
-  static_use : field_use Mkey.Tbl.t;
-      (** method -> the static fields its call tree touches, filled on
-          demand by {!static_use} *)
+  call_trees : call_tree Mkey.Tbl.t;
+      (** method -> what its call tree can do, filled on demand by
+          {!call_tree} *)
   budget : Fd_resilience.Budget.t;
   mutable ext : Solver_ext.t;
       (** the enabled extensions (see {!create}), set once the engine
@@ -306,6 +322,7 @@ let minfo_of t mk =
           mi_start_ni = None;
           mi_exit_nis = None;
           mi_must_alias = None;
+          mi_zero_work = None;
         }
       in
       t.n_minfos <- t.n_minfos + 1;
@@ -335,7 +352,8 @@ let ninfo_of t (n : Icfg.node) =
           ni_callees = None;
           ni_call = None;
           ni_zero_gen = None;
-          ni_results = [];
+          ni_results = [||];
+          ni_n_results = 0;
         }
       in
       t.ninfo_by_id <- append t.ninfo_by_id t.n_ninfos ni;
@@ -419,6 +437,18 @@ let cctx t (mi : minfo) fact =
 
 (* ---------------- propagation ---------------- *)
 
+(* append a fact id to the node's forward results, doubling the array
+   when full *)
+let add_result (ni : ninfo) fid =
+  let n = ni.ni_n_results in
+  if n = Array.length ni.ni_results then begin
+    let a = Array.make (max 4 (2 * n)) 0 in
+    Array.blit ni.ni_results 0 a 0 n;
+    ni.ni_results <- a
+  end;
+  ni.ni_results.(n) <- fid;
+  ni.ni_n_results <- n + 1
+
 (* probe, then [Budget.tick], then insert at the probed slot: a
    budget-stopped run records exactly the edges it ticked for *)
 let propagate ?(kind = Prov.Normal) t solver cx (ni : ninfo) fact =
@@ -433,7 +463,7 @@ let propagate ?(kind = Prov.Normal) t solver cx (ni : ninfo) fact =
     if fw then begin
       M.incr m_fw_props;
       match fact with
-      | Taint.T _ -> ni.ni_results <- fid :: ni.ni_results
+      | Taint.T _ -> add_result ni fid
       | Taint.Zero -> ()
     end
     else M.incr m_bw_props;
@@ -535,7 +565,7 @@ let create ?budget ?store ~config ~icfg ~scene ~mgr ~wrappers ~natives () =
       finding_keys = Hashtbl.create 64;
       act_sites = Node_tbl.create 16;
       act_methods = Node_tbl.create 16;
-      static_use = Mkey.Tbl.create 16;
+      call_trees = Mkey.Tbl.create 16;
       budget;
       ext = Solver_ext.none;
     }
@@ -766,27 +796,67 @@ let spawn_alias_search t cx (ni : ninfo) (origin : Taint.t) ap =
     propagate_bw ~kind:Prov.Alias t cx ni (Taint.T alias)
   end
 
-(* ---------------- static-field use ---------------- *)
+(* ---------------- what a callee's call tree can do ---------------- *)
+
+(* the taint a call statement generates under the zero fact: a
+   return-value source, or a [findViewById] whose id names a password
+   control, assigned to a local *)
+let call_source t body (s : Stmt.t) =
+  match s.Stmt.s_kind with
+  | Stmt.Assign (Stmt.Llocal x, Stmt.Einvoke inv) -> (
+      match Srcsink_mgr.return_source t.mgr inv with
+      | Some cat ->
+          Some
+            ( x,
+              cat,
+              Printf.sprintf "%s.%s()" inv.Stmt.i_sig.Types.m_class
+                inv.Stmt.i_sig.Types.m_name )
+      | None -> (
+          match Srcsink_mgr.ui_source t.mgr ~body ~at:s.Stmt.s_idx inv with
+          | Some ctl ->
+              Some
+                ( x,
+                  SS.Password,
+                  Printf.sprintf "password field %s (layout %s)"
+                    ctl.Fd_frontend.Layout.ctl_name
+                    ctl.Fd_frontend.Layout.ctl_layout )
+          | None -> None))
+  | _ -> None
 
 let union_use a b =
   match (a, b) with
   | Any_field, _ | _, Any_field -> Any_field
   | Fields x, Fields y -> Fields (Field_set.union x y)
 
-(* [static_use t mk] is [mk]'s field-use set.  The first query walks
-   the callees nobody has memoised yet with Tarjan's algorithm, so
-   every member of a recursive cycle gets the union of the cycle, and
-   each method is walked at most once per solve. *)
-let static_use t mk =
-  match Mkey.Tbl.find_opt t.static_use mk with
-  | Some u -> u
+let union_tree a b =
+  {
+    ct_fields = union_use a.ct_fields b.ct_fields;
+    ct_gen = a.ct_gen || b.ct_gen;
+  }
+
+(* [call_tree t mk] is what [mk]'s call tree can do, closed over its
+   ICFG callees (and, under the reflection pass, its constant-string
+   reflective callees).  A method's own body contributes the static
+   fields it reads or writes, and generates under the zero fact when
+   it has a source call, a parameter source, or (under the clinit
+   pass) a first-use [<clinit>] edge: such an edge makes the fields
+   "any field", because the [<clinit>] exit relays every static fact
+   to all the class's first-use sites through each site method's zero
+   context (see {!process_exit_fw}), so that context must exist.  The
+   first query walks the callees nobody has memoised yet with
+   Tarjan's algorithm, so every member of a recursive cycle gets the
+   union of the cycle, and each method is walked at most once per
+   solve. *)
+let call_tree t mk =
+  match Mkey.Tbl.find_opt t.call_trees mk with
+  | Some ct -> ct
   | None ->
       let cg = t.icfg.Icfg.cg in
       let clinit = (prec t).Config.clinit
       and refl = (prec t).Config.reflection in
       let index = Mkey.Tbl.create 16 and low = Mkey.Tbl.create 16 in
-      (* the open methods, each with its own fields and its finished
-         callees' sets *)
+      (* the open methods, each with its own body's contribution and
+         its finished callees' trees *)
       let stack = ref [] and next = ref 0 in
       let lower m v = if v < Mkey.Tbl.find low m then Mkey.Tbl.replace low m v in
       let rec visit m =
@@ -794,25 +864,32 @@ let static_use t mk =
         incr next;
         Mkey.Tbl.replace index m i;
         Mkey.Tbl.replace low m i;
-        let u = ref (Fields Field_set.empty) in
+        let u = ref { ct_fields = Fields Field_set.empty; ct_gen = false } in
         stack := (m, u) :: !stack;
         let field f =
-          match !u with
-          | Fields fs -> u := Fields (Field_set.add f fs)
+          match !u.ct_fields with
+          | Fields fs ->
+              u := { !u with ct_fields = Fields (Field_set.add f fs) }
           | Any_field -> ()
         in
+        let gen () = if not !u.ct_gen then u := { !u with ct_gen = true } in
         (* a visited callee is memoised once its component is done;
            one that is not is still open, in [m]'s component *)
         let edge c =
-          if not (Mkey.Tbl.mem index c || Mkey.Tbl.mem t.static_use c) then
+          if not (Mkey.Tbl.mem index c || Mkey.Tbl.mem t.call_trees c) then
             visit c;
-          match Mkey.Tbl.find_opt t.static_use c with
-          | Some cu -> u := union_use !u cu
+          match Mkey.Tbl.find_opt t.call_trees c with
+          | Some ct -> u := union_tree !u ct
           | None -> lower m (Mkey.Tbl.find low c)
         in
         (match Callgraph.body_of cg m with
         | exception Not_found -> ()
         | body ->
+            if
+              Srcsink_mgr.param_source t.mgr ~cls:m.Mkey.mk_class
+                ~mname:m.Mkey.mk_name
+              <> None
+            then gen ();
             Body.iter body (fun s ->
                 let idx = s.Stmt.s_idx in
                 (match s.Stmt.s_kind with
@@ -820,10 +897,14 @@ let static_use t mk =
                     (match lv with Stmt.Lstatic f -> field f | _ -> ());
                     (match e with Stmt.Estatic f -> field f | _ -> ())
                 | _ -> ());
-                if Stmt.invoke_of s <> None then
-                  List.iter edge (Callgraph.callees cg m idx);
-                if clinit && Callgraph.clinit_callees cg m idx <> [] then
-                  u := Any_field;
+                if Stmt.invoke_of s <> None then begin
+                  if call_source t body s <> None then gen ();
+                  List.iter edge (Callgraph.callees cg m idx)
+                end;
+                if clinit && Callgraph.clinit_callees cg m idx <> [] then begin
+                  u := { !u with ct_fields = Any_field };
+                  gen ()
+                end;
                 if refl then List.iter edge (Callgraph.refl_callees cg m idx)));
         if Mkey.Tbl.find low m = i then begin
           let rec pop acc =
@@ -834,23 +915,34 @@ let static_use t mk =
                 if Mkey.equal c m then top :: acc else pop (top :: acc)
           in
           let members = pop [] in
-          let cu =
+          let ct =
             List.fold_left
-              (fun acc (_, cu) -> union_use acc !cu)
-              (Fields Field_set.empty) members
+              (fun acc (_, cu) -> union_tree acc !cu)
+              { ct_fields = Fields Field_set.empty; ct_gen = false }
+              members
           in
-          List.iter (fun (c, _) -> Mkey.Tbl.replace t.static_use c cu) members
+          List.iter (fun (c, _) -> Mkey.Tbl.replace t.call_trees c ct) members
         end
       in
       visit mk;
-      Mkey.Tbl.find t.static_use mk
+      Mkey.Tbl.find t.call_trees mk
 
 (* whether the call tree of [callee] can read or write the static
    field [f] *)
 let touches_static t (callee : minfo) f =
-  match static_use t callee.mi_key with
+  match (call_tree t callee.mi_key).ct_fields with
   | Any_field -> true
   | Fields fs -> Field_set.mem f fs
+
+(* whether the zero fact enters [callee]: only when its call tree can
+   generate a taint.  Under the naive handover ([context_injection]
+   off) aliases run in their method's zero context and return to
+   callers only through that context's incoming calls, so the zero
+   fact then enters every analysable callee. *)
+let zero_enters t (callee : minfo) =
+  Option.is_some callee.mi_body
+  && ((not t.cfg.Config.context_injection)
+     || (call_tree t callee.mi_key).ct_gen)
 
 (* ---------------- forward flow functions ---------------- *)
 
@@ -940,8 +1032,7 @@ let normal_flow t cx (ni : ninfo) (fact : Taint.fact) : Taint.fact list =
   let n = ni.ni_node in
   let stmt = ni.ni_stmt in
   match fact with
-  | Taint.Zero ->
-      Taint.Zero :: List.map (fun g -> Taint.T g) (zero_gen t ni)
+  | Taint.Zero -> List.map (fun g -> Taint.T g) (zero_gen t ni)
   | Taint.T taint -> (
       let taint = maybe_activate t n taint in
       match stmt.Stmt.s_kind with
@@ -992,7 +1083,7 @@ let call_flow t (ni : ninfo) (inv : Stmt.invoke) (callee : minfo)
     (fact : Taint.fact) : Taint.fact list =
   M.incr m_flow_call;
   match fact with
-  | Taint.Zero -> [ Taint.Zero ]
+  | Taint.Zero -> if zero_enters t callee then [ Taint.Zero ] else []
   | Taint.T taint -> (
       (* no activation here: an activation associated with this call
          site fires only once the call has *completed*, i.e. on the
@@ -1137,36 +1228,16 @@ let check_sink t cx (ni : ninfo) (ci : callinfo) (inv : Stmt.invoke)
 
 (* source generation at a call site (return-value and UI sources);
    the result is node-constant and cached in the callinfo *)
-let gen_sources t (ni : ninfo) (inv : Stmt.invoke) ret_local : Taint.t list =
-  let n = ni.ni_node in
-  let stmt = ni.ni_stmt in
-  match ret_local with
+let gen_sources t (ni : ninfo) : Taint.t list =
+  match call_source t (Option.get ni.ni_minfo.mi_body) ni.ni_stmt with
   | None -> []
-  | Some x -> (
-      let mk cat desc =
-        let source =
-          Taint.{ si_category = cat; si_node = n; si_tag = stmt.Stmt.s_tag;
-                  si_desc = desc }
-        in
-        [ Taint.make ~ap:(AP.of_local x) ~source ~at:n () ]
+  | Some (x, cat, desc) ->
+      let n = ni.ni_node in
+      let source =
+        Taint.{ si_category = cat; si_node = n; si_tag = ni.ni_stmt.Stmt.s_tag;
+                si_desc = desc }
       in
-      match Srcsink_mgr.return_source t.mgr inv with
-      | Some cat ->
-          mk cat
-            (Printf.sprintf "%s.%s()" inv.Stmt.i_sig.Types.m_class
-               inv.Stmt.i_sig.Types.m_name)
-      | None -> (
-          match
-            Srcsink_mgr.ui_source t.mgr
-              ~body:(Option.get ni.ni_minfo.mi_body)
-              ~at:n.Icfg.n_idx inv
-          with
-          | Some ctl ->
-              mk SS.Password
-                (Printf.sprintf "password field %s (layout %s)"
-                   ctl.Fd_frontend.Layout.ctl_name
-                   ctl.Fd_frontend.Layout.ctl_layout)
-          | None -> []))
+      [ Taint.make ~ap:(AP.of_local x) ~source ~at:n () ]
 
 (* wrapper / native / default-model effects for one incoming fact *)
 let library_effects t (ni : ninfo) ret_local (inv : Stmt.invoke) effects
@@ -1272,7 +1343,7 @@ let callinfo_of t (ni : ninfo) (inv : Stmt.invoke) =
           ci_sink = Srcsink_mgr.sink t.mgr inv;
           ci_wrapper = wrapper;
           ci_ret = ret_local;
-          ci_sources = gen_sources t ni inv ret_local;
+          ci_sources = gen_sources t ni;
           ci_c2r = c2r;
         }
       in
@@ -1388,7 +1459,7 @@ let process_call_fw t cx (ni : ninfo) (fact : Taint.fact) inv =
     derived;
   let pass_through =
     match fact with
-    | Taint.Zero -> [ Taint.Zero ]
+    | Taint.Zero -> []
     | Taint.T taint ->
         let taint = maybe_activate t ni.ni_node taint in
         let killed =
@@ -1475,21 +1546,89 @@ let process_clinit_fw t (ni : ninfo) (fact : Taint.fact) =
           | _ -> ())
         keys
 
+(* whether the zero fact does work at [ni]: a parameter source, a
+   source call, a callee it enters, or a first-use [<clinit>] edge.
+   Exits never need it ([return_flow] maps it to nothing).  Counts the
+   analysable callees it stays out of. *)
+let does_zero_work t (ni : ninfo) =
+  let clinit =
+    (prec t).Config.clinit && Icfg.clinit_callees t.icfg ni.ni_node <> []
+  in
+  match ni.ni_invoke with
+  | None -> clinit || zero_gen t ni <> []
+  | Some inv ->
+      let ci = callinfo_of t ni inv in
+      let enters callees =
+        let n = List.length (List.filter (zero_enters t) callees) in
+        M.add m_flow_call_zero_skipped (List.length callees - n);
+        n > 0
+      in
+      let direct = ci.ci_wrapper = None && enters (callees t ni) in
+      let refl =
+        (prec t).Config.reflection
+        && enters
+             (List.map (minfo_of t) (Icfg.refl_callees t.icfg ni.ni_node))
+      in
+      clinit || ci.ci_sources <> [] || direct || refl
+
+(* [zero_work t mi] is the nodes of [mi] where the zero fact does work,
+   in breadth-first order over [succs] from the start node, found once
+   per method.  Each comes with the kind of the edge that first
+   reaches it in that order, the provenance kind the zero fact had
+   there when it walked every node, so witnesses read as before. *)
+let zero_work t (mi : minfo) =
+  match mi.mi_zero_work with
+  | Some w -> w
+  | None ->
+      let seen = Array.make (Body.length (Option.get mi.mi_body)) false in
+      let queue = Queue.create () in
+      seen.(0) <- true;
+      (* the start node's kind is never used: nothing jumps to it *)
+      Queue.add (start_ni t mi, Prov.Normal) queue;
+      let work = ref [] in
+      while not (Queue.is_empty queue) do
+        let ((ni, _) as item) = Queue.pop queue in
+        if does_zero_work t ni then work := item :: !work;
+        let kind =
+          if ni.ni_invoke = None then Prov.Normal else Prov.Call_to_return
+        in
+        List.iter
+          (fun (s : ninfo) ->
+            let i = s.ni_node.Icfg.n_idx in
+            if not seen.(i) then begin
+              seen.(i) <- true;
+              Queue.add (s, kind) queue
+            end)
+          (succs t ni)
+      done;
+      let w = List.rev !work in
+      mi.mi_zero_work <- Some w;
+      w
+
+(* The zero fact is never propagated to successors or across
+   call-to-return: a method's start node processes it like any fact,
+   then it jumps straight to the other nodes where it does work. *)
 let process_fw t cx (ni : ninfo) fact =
   if (prec t).Config.clinit then process_clinit_fw t ni fact;
-  if ni.ni_is_exit then begin
-    (* sinks can also sit on an exit-adjacent call; exits themselves
-       carry no invoke in µJimple *)
-    process_exit_fw t cx ni fact
-  end
-  else
-    match ni.ni_invoke with
-    | Some inv -> process_call_fw t cx ni fact inv
-    | None ->
-        let outs = normal_flow t cx ni fact in
-        List.iter
-          (fun m -> List.iter (fun d -> propagate_fw t cx m d) outs)
-          (succs t ni)
+  (if ni.ni_is_exit then
+     (* sinks can also sit on an exit-adjacent call; exits themselves
+        carry no invoke in µJimple *)
+     process_exit_fw t cx ni fact
+   else
+     match ni.ni_invoke with
+     | Some inv -> process_call_fw t cx ni fact inv
+     | None ->
+         let outs = normal_flow t cx ni fact in
+         List.iter
+           (fun m -> List.iter (fun d -> propagate_fw t cx m d) outs)
+           (succs t ni));
+  match fact with
+  | Taint.Zero when ni.ni_node.Icfg.n_idx = 0 ->
+      List.iter
+        (fun (w, kind) ->
+          if w != ni then propagate_fw ~kind t cx w Taint.Zero)
+        (zero_work t ni.ni_minfo)
+  | _ -> ()
 
 (* ---------------- backward solver (Algorithm 2) ---------------- *)
 
@@ -1738,16 +1877,17 @@ let results_at t n =
   | None -> []
   | Some ni ->
       let seen = Int_tbl.create 16 in
-      List.fold_left
-        (fun acc fid ->
-          if Int_tbl.mem seen fid then acc
-          else begin
-            Int_tbl.replace seen fid ();
-            match fact_of t fid with
-            | Taint.T taint -> taint :: acc
-            | Taint.Zero -> acc
-          end)
-        [] (List.rev ni.ni_results)
+      let acc = ref [] in
+      for i = 0 to ni.ni_n_results - 1 do
+        let fid = ni.ni_results.(i) in
+        if not (Int_tbl.mem seen fid) then begin
+          Int_tbl.replace seen fid ();
+          match fact_of t fid with
+          | Taint.T taint -> acc := taint :: !acc
+          | Taint.Zero -> ()
+        end
+      done;
+      !acc
 
 (** [propagation_count t] is the number of path-edge propagations
     performed (the work metric reported by the benchmarks). *)

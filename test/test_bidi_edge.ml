@@ -16,14 +16,14 @@ let test_defs =
       SS.Sink { cls = "t.Sink"; mname = "leak"; cat = SS.Generic };
     ]
 
-let analyze ?config classes entries =
+let analyze ?config ?(defs = test_defs) classes entries =
   Infoflow.analyze_plain ?config ~classes
     ~entries:
       (List.map
          (fun (c, m) ->
            Fd_callgraph.Mkey.{ mk_class = c; mk_name = m; mk_arity = 0 })
          entries)
-    ~defs:test_defs ()
+    ~defs ()
 
 let flow_pairs (r : Infoflow.result) =
   List.map
@@ -33,11 +33,11 @@ let flow_pairs (r : Infoflow.result) =
     r.Infoflow.r_findings
   |> List.sort_uniq compare
 
-let check ?config name classes entries expected =
+let check ?config ?defs name classes entries expected =
   Alcotest.(check (list (pair string string)))
     name
     (List.sort_uniq compare expected)
-    (flow_pairs (analyze ?config classes entries))
+    (flow_pairs (analyze ?config ?defs classes entries))
 
 let src m ?tag x = B.scall m ?tag ~ret:x "t.Source" "secret" []
 let snk m ?tag x = B.scall m ?tag "t.Sink" "leak" [ B.v x ]
@@ -401,6 +401,200 @@ let test_static_alias_activated_in_callee () =
     [ ("t.S", "main") ]
     [ ("s", "k") ]
 
+(* ---- the zero fact enters only callees whose call tree generates a
+   taint, and inside a method it visits only the statements where it
+   does work: each case below generates its taint one call below a
+   method that has no source itself, at a statement after the
+   callee's first ---- *)
+
+let with_precision f =
+  { Config.default with Config.precision = f Config.no_precision }
+
+let test_zero_param_source () =
+  let defs =
+    SS.create
+      [
+        SS.Param_source
+          { cls = "t.Cb"; mname = "onData"; param = 0; cat = SS.Generic };
+        SS.Sink { cls = "t.Sink"; mname = "leak"; cat = SS.Generic };
+      ]
+  in
+  check ~defs "callback parameter source"
+    [
+      B.cls "t.Cb"
+        [
+          B.meth "onData" ~params:[ obj ] (fun m ->
+              ignore (B.this m);
+              let p = B.param m 0 ~tag:"s" "p" in
+              snk m ~tag:"k" p);
+        ];
+      B.cls "t.S"
+        [
+          B.meth "main" ~static:true (fun m -> B.scall m "t.S" "helper" []);
+          B.meth "helper" ~static:true (fun m ->
+              let c = B.local m "c" ~ty:(T.Ref "t.Cb") in
+              B.newobj m c "t.Cb";
+              B.vcall m c "t.Cb" "onData" [ B.s "data" ]);
+        ];
+    ]
+    [ ("t.S", "main") ]
+    [ ("s", "k") ]
+
+let test_zero_password_field () =
+  match Fd_droidbench.Suite.find "PrivateDataLeak1" with
+  | None -> Alcotest.fail "PrivateDataLeak1 missing from the suite"
+  | Some a ->
+      Alcotest.(check (list (pair string string)))
+        "password findViewById"
+        [ ("src-pwd", "sink-sms") ]
+        (flow_pairs (Infoflow.analyze_apk a.Fd_droidbench.Bench_app.app_apk))
+
+let test_zero_clinit_edge () =
+  check
+    ~config:(with_precision (fun p -> { p with Config.clinit = true }))
+    "source in a <clinit> reached through a first-use edge"
+    [
+      B.cls "t.St" ~fields:[ ("s", obj) ] [];
+      B.cls "t.Lazy"
+        [
+          B.meth "<clinit>" ~static:true (fun m ->
+              let x = B.local m "x" in
+              src m ~tag:"s" x;
+              B.storestatic m st_s (B.v x));
+        ];
+      B.cls "t.S"
+        [
+          B.meth "main" ~static:true (fun m ->
+              B.scall m "t.S" "helper" [];
+              read_leak m);
+          B.meth "helper" ~static:true (fun m ->
+              let o = B.local m "o" ~ty:(T.Ref "t.Lazy") in
+              B.nop m;
+              B.newobj m o "t.Lazy");
+        ];
+    ]
+    [ ("t.S", "main") ]
+    [ ("s", "k") ]
+
+let test_zero_reflective_edge () =
+  check
+    ~config:(with_precision (fun p -> { p with Config.reflection = true }))
+    "source reached through a constant-string reflective edge"
+    [
+      B.cls "t.S"
+        [
+          B.meth "main" ~static:true (fun m -> B.scall m "t.S" "helper" []);
+          B.meth "helper" ~static:true (fun m ->
+              let o = B.local m "o" ~ty:(T.Ref "t.Target") in
+              let mth =
+                B.local m "mth" ~ty:(T.Ref "java.lang.reflect.Method")
+              in
+              B.newobj m o "t.Target";
+              B.vcall m ~ret:mth o "java.lang.Class" "getMethod"
+                [ B.s "show" ];
+              B.vcall m mth "java.lang.reflect.Method" "invoke" [ B.v o ]);
+        ];
+      B.cls "t.Target"
+        [
+          B.meth "show" (fun m ->
+              let x = B.local m "x" in
+              ignore (B.this m);
+              src m ~tag:"s" x;
+              snk m ~tag:"k" x);
+        ];
+    ]
+    [ ("t.S", "main") ]
+    [ ("s", "k") ]
+
+let test_zero_recursive_cycle () =
+  check "source inside a recursive cycle"
+    [
+      B.cls "t.S"
+        [
+          B.meth "main" ~static:true (fun m ->
+              B.scall m "t.S" "ping" [ B.i 3 ]);
+          B.meth "ping" ~static:true ~params:[ T.Int ] (fun m ->
+              let n = B.param m 0 "n" ~ty:T.Int in
+              let n' = B.local m "n2" ~ty:T.Int in
+              B.ifgoto m (B.v n) Stmt.Cle (B.i 0) "base";
+              B.binop m n' "-" (B.v n) (B.i 1);
+              B.scall m "t.S" "pong" [ B.v n' ];
+              B.label m "base";
+              B.ret m);
+          B.meth "pong" ~static:true ~params:[ T.Int ] (fun m ->
+              let n = B.param m 0 "n" ~ty:T.Int in
+              let x = B.local m "x" in
+              src m ~tag:"s" x;
+              snk m ~tag:"k" x;
+              B.scall m "t.S" "ping" [ B.v n ]);
+        ];
+    ]
+    [ ("t.S", "main") ]
+    [ ("s", "k") ]
+
+(* Listing 2's shape under the naive handover: the alias [out.f] of the
+   heap write in the source-free [set] is searched in [set]'s zero
+   context, and reaches [main] only through that context's callers *)
+let test_zero_naive_handover () =
+  let ff = B.fld "t.Data" "f" in
+  check
+    ~config:{ Config.default with Config.context_injection = false }
+    "naive handover"
+    [
+      B.cls "t.Data" ~fields:[ ("f", obj) ] [];
+      B.cls "t.S"
+        [
+          B.meth "set" ~static:true ~params:[ obj; T.Ref "t.Data" ]
+            (fun m ->
+              let in_ = B.param m 0 "in" in
+              let out = B.param m 1 "out" ~ty:(T.Ref "t.Data") in
+              let x = B.local m "x" ~ty:(T.Ref "t.Data") in
+              B.move m x out;
+              B.store m x ff (B.v in_));
+          B.meth "main" ~static:true (fun m ->
+              let p = B.local m "p" ~ty:(T.Ref "t.Data") in
+              let s = B.local m "s" and v = B.local m "v" in
+              B.newobj m p "t.Data";
+              src m ~tag:"s" s;
+              B.scall m "t.S" "set" [ B.v s; B.v p ];
+              B.load m v p ff;
+              snk m ~tag:"k" v);
+        ];
+    ]
+    [ ("t.S", "main") ]
+    [ ("s", "k") ]
+
+(* a helper with no source in its call tree, called from a method that
+   generates one, gets no path edge at all: the profiler, which
+   accounts every path edge to its method, never sees it *)
+let test_zero_skips_source_free_helper () =
+  let config = { Config.default with Config.profile = true } in
+  Fd_obs.Profile.reset ();
+  check ~config "leak around a source-free helper"
+    [
+      B.cls "t.S"
+        [
+          B.meth "main" ~static:true (fun m ->
+              let x = B.local m "x" in
+              src m ~tag:"s" x;
+              B.scall m "t.S" "helper" [];
+              snk m ~tag:"k" x);
+          B.meth "helper" ~static:true (fun m -> B.nop m);
+        ];
+    ]
+    [ ("t.S", "main") ]
+    [ ("s", "k") ];
+  let profiled =
+    List.map
+      (fun (e : Fd_obs.Profile.entry) -> e.Fd_obs.Profile.e_name)
+      (Fd_obs.Profile.entries ())
+  in
+  Fd_obs.Profile.reset ();
+  Alcotest.(check bool) "main profiled" true
+    (List.mem "t.S.main/0" profiled);
+  Alcotest.(check bool) "helper has no path edge" false
+    (List.mem "t.S.helper/0" profiled)
+
 let () =
   Alcotest.run "fd_bidi_edge"
     [
@@ -428,5 +622,22 @@ let () =
             test_static_reflective_edge;
           Alcotest.test_case "alias activated in a callee" `Quick
             test_static_alias_activated_in_callee;
+        ] );
+      ( "zero-fact gate",
+        [
+          Alcotest.test_case "callback parameter source" `Quick
+            test_zero_param_source;
+          Alcotest.test_case "password findViewById" `Quick
+            test_zero_password_field;
+          Alcotest.test_case "first-use <clinit> edge" `Quick
+            test_zero_clinit_edge;
+          Alcotest.test_case "reflective edge" `Quick
+            test_zero_reflective_edge;
+          Alcotest.test_case "source in a recursive cycle" `Quick
+            test_zero_recursive_cycle;
+          Alcotest.test_case "naive handover" `Quick
+            test_zero_naive_handover;
+          Alcotest.test_case "source-free helper skipped" `Quick
+            test_zero_skips_source_free_helper;
         ] );
     ]

@@ -417,6 +417,53 @@ let test_static_skip_counter () =
   in
   Alcotest.(check int) "no static fields, nothing skipped" 0 (skipped [ app ])
 
+(* the zero-fact gate counts the callees it keeps the zero fact out
+   of: [main] generates a taint and calls a helper with no source in
+   its call tree.  Under the naive handover (context injection off)
+   the zero fact enters every callee, so nothing is skipped. *)
+let test_zero_skip_counter () =
+  let module B = Fd_ir.Build in
+  let module SS = Fd_frontend.Sourcesink in
+  let prog =
+    B.cls "t.Z"
+      [
+        B.meth "main" ~static:true (fun m ->
+            let x = B.local m "x" in
+            B.scall m ~tag:"s" ~ret:x "t.Source" "secret" [];
+            B.scall m "t.Z" "helper" [];
+            B.scall m ~tag:"k" "t.Sink" "leak" [ B.v x ]);
+        B.meth "helper" ~static:true (fun m -> B.nop m);
+      ]
+  in
+  let defs =
+    SS.create
+      [
+        SS.Return_source
+          { cls = "t.Source"; mname = "secret"; cat = SS.Generic };
+        SS.Sink { cls = "t.Sink"; mname = "leak"; cat = SS.Generic };
+      ]
+  in
+  let skipped config =
+    fresh ();
+    let r =
+      Fd_core.Infoflow.analyze_plain ~config ~classes:[ prog ]
+        ~entries:
+          [
+            Fd_callgraph.Mkey.
+              { mk_class = "t.Z"; mk_name = "main"; mk_arity = 0 };
+          ]
+        ~defs ()
+    in
+    Alcotest.(check int) "the leak is found" 1
+      (List.length r.Fd_core.Infoflow.r_findings);
+    M.counter_value "ifds.flow.call_zero_skipped"
+  in
+  Alcotest.(check int) "the source-free helper is skipped" 1
+    (skipped Fd_core.Config.default);
+  Alcotest.(check int) "nothing is skipped under the naive handover" 0
+    (skipped
+       { Fd_core.Config.default with Fd_core.Config.context_injection = false })
+
 (* with provenance on, the same app yields a witness per finding and
    the Chrome trace / witnesses JSON stay valid; with it off (the
    default, exercised above) findings carry no witness *)
@@ -497,13 +544,23 @@ let test_profile_engine () =
 
 (* a solve stopped by its propagation budget returns the flight
    recorder's recent events as a diagnostic: the stop itself and the
-   worklist pops that led to it *)
+   worklist pops that led to it.  The budget is half of what the
+   unbudgeted solve propagates, so the stop is real. *)
 let test_flight_recorder_diag () =
   fresh ();
-  let config =
-    { Fd_core.Config.default with Fd_core.Config.max_propagations = 10 }
+  let app = suite_app "DirectLeak1" in
+  let full = Fd_core.Infoflow.analyze_apk app in
+  let props =
+    full.Fd_core.Infoflow.r_stats.Fd_core.Infoflow.st_propagations
   in
-  let r = Fd_core.Infoflow.analyze_apk ~config (suite_app "DirectLeak1") in
+  let config =
+    { Fd_core.Config.default with
+      Fd_core.Config.max_propagations = props / 2 }
+  in
+  let r = Fd_core.Infoflow.analyze_apk ~config app in
+  Alcotest.(check string) "the budget stops the solve" "budget-exhausted"
+    (Fd_resilience.Outcome.to_string
+       r.Fd_core.Infoflow.r_stats.Fd_core.Infoflow.st_outcome);
   let contains s sub =
     let n = String.length sub in
     let rec go i =
@@ -578,6 +635,8 @@ let () =
             test_engine_populates_registry;
           Alcotest.test_case "static-field gate counter" `Quick
             test_static_skip_counter;
+          Alcotest.test_case "zero-fact gate counter" `Quick
+            test_zero_skip_counter;
           Alcotest.test_case "provenance engine run" `Quick
             test_provenance_engine;
           Alcotest.test_case "profiler totals" `Quick test_profile_engine;
