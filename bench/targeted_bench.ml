@@ -21,30 +21,13 @@
 
 open Cmdliner
 module Cli = Fd_cli.Cli
-
-let fleet =
-  Arg.(
-    value
-    & opt (Cli.int_at_least 1) 8
-    & info [ "fleet" ] ~docv:"N" ~doc:"Apps in the fleet.")
-
-let depth =
-  Arg.(
-    value
-    & opt (Cli.int_at_least 2) 300
-    & info [ "depth" ] ~docv:"D" ~doc:"Step methods in each app's library chain.")
+module F = Chain_fleet
 
 let mode =
   Arg.(
     value
     & opt (enum [ ("full", `Full); ("targeted", `Targeted) ]) `Full
     & info [ "mode" ] ~doc:"$(b,full) or $(b,targeted) analysis.")
-
-let json_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE" ~doc:"Write the JSON report to $(docv).")
 
 (* the --targeted patterns, defaulting to the SMS sink *)
 let patterns =
@@ -55,135 +38,23 @@ let patterns =
         | ps -> ps)
     $ Cli.config [ Cli.targeted_no_env ])
 
-(* ------------------------------------------------------------------ *)
-(* per-app deep library: lib.BoxN + lib.ChainN of [depth] steps        *)
-(* ------------------------------------------------------------------ *)
-
 (* each app carries its OWN copy of the chain (classes lib.BoxI /
    lib.ChainI) so full mode pays the whole solve per app — no store,
-   no cross-app sharing; this is exactly the cost targeting avoids *)
-
-let lib_box i =
-  Printf.sprintf
-    "class lib.Box%d {\n\
-    \  field val : java.lang.String;\n\
-    \  field aux : java.lang.String;\n\
-    \  method void <init>() {\n\
-    \    this := @this: lib.Box%d;\n\
-    \    return;\n\
-    \  }\n\
-     }\n"
-    i i
-
-let chain_step ~app ~depth i =
-  if i = depth - 1 then
-    Printf.sprintf
-      "  static method java.lang.String step%d(java.lang.String) {\n\
-      \    local p : java.lang.Object;\n\
-      \    local b : lib.Box%d;\n\
-      \    local t : java.lang.Object;\n\
-      \    p := @parameter0;\n\
-      \    b = new lib.Box%d;\n\
-      \    specialinvoke b.lib.Box%d#<init>();\n\
-      \    b.lib.Box%d#val = p;\n\
-      \    t = b.lib.Box%d#val;\n\
-      \    return t;\n\
-      \  }\n"
-      i app app app app app
-  else
-    Printf.sprintf
-      "  static method java.lang.String step%d(java.lang.String) {\n\
-      \    local p : java.lang.Object;\n\
-      \    local b : lib.Box%d;\n\
-      \    local t : java.lang.Object;\n\
-      \    p := @parameter0;\n\
-      \    b = new lib.Box%d;\n\
-      \    specialinvoke b.lib.Box%d#<init>();\n\
-      \    b.lib.Box%d#val = p;\n\
-      \    t = b.lib.Box%d#val;\n\
-      \    t = staticinvoke lib.Chain%d#step%d(t);\n\
-      \    b.lib.Box%d#aux = t;\n\
-      \    t = b.lib.Box%d#aux;\n\
-      \    return t;\n\
-      \  }\n"
-      i app app app app app app (i + 1) app app
-
-let lib_chain ~app ~depth =
-  let buf = Buffer.create (depth * 256) in
-  Buffer.add_string buf (Printf.sprintf "class lib.Chain%d {\n" app);
-  for i = 0 to depth - 1 do
-    Buffer.add_string buf (chain_step ~app ~depth i)
-  done;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
-(* app 0 ends in the targeted SMS sink; every other app leaks the
-   same taint into an untargeted Log sink *)
-let app_class ~targeted_sink i =
-  let sink_lines =
-    if targeted_sink then
-      "    sms = staticinvoke android.telephony.SmsManager#getDefault();\n\
-      \    virtualinvoke sms.android.telephony.SmsManager#sendTextMessage(\"+1\", \
-       null, out, null, null) @\"sink-sms\";\n"
-    else
-      "    staticinvoke android.util.Log#i(\"fleet\", out) @\"sink-log\";\n"
-  in
-  Printf.sprintf
-    "class fleet.App%d extends android.app.Activity {\n\
-    \  method void onCreate(android.os.Bundle) {\n\
-    \    local savedState : java.lang.Object;\n\
-    \    local tm : android.telephony.TelephonyManager;\n\
-    \    local imei : java.lang.Object;\n\
-    \    local out : java.lang.Object;\n\
-    \    local sms : android.telephony.SmsManager;\n\
-    \    this := @this: fleet.App%d;\n\
-    \    savedState := @parameter0;\n\
-    \    tm = new android.telephony.TelephonyManager;\n\
-    \    imei = virtualinvoke \
-     tm.android.telephony.TelephonyManager#getDeviceId() @\"src-imei\";\n\
-    \    out = staticinvoke lib.Chain%d#step0(imei);\n\
-     %s\
-    \    return;\n\
-    \  }\n\
-     }\n"
-    i i i sink_lines
-
-let manifest i =
-  Printf.sprintf
-    "<?xml version=\"1.0\" encoding=\"utf-8\"?>\n\
-     <manifest package=\"fleet\">\n\
-    \  <application>\n\
-    \    <activity android:name=\"fleet.App%d\">\n\
-    \      <intent-filter>\n\
-    \        <action android:name=\"android.intent.action.MAIN\"/>\n\
-    \        <category android:name=\"android.intent.category.LAUNCHER\"/>\n\
-    \      </intent-filter>\n\
-    \    </activity>\n\
-    \  </application>\n\
-     </manifest>\n"
-    i
-
+   no cross-app sharing; this is exactly the cost targeting avoids.
+   App 0 ends in the targeted SMS sink; every other app leaks the same
+   taint into an untargeted Log sink. *)
 let make_apk ~depth i =
+  let suffix = string_of_int i in
   Fd_frontend.Apk.make_text
     (Printf.sprintf "targeted-fleet-%d" i)
-    ~manifest:(manifest i) ~layouts:[]
-    [ lib_box i; lib_chain ~app:i ~depth; app_class ~targeted_sink:(i = 0) i ]
+    ~manifest:(F.manifest i) ~layouts:[]
+    [
+      F.lib_box ~suffix;
+      F.lib_chain ~suffix ~depth;
+      F.app_class ~suffix ~sink:(if i = 0 then F.sms_sink else F.log_sink) i;
+    ]
 
 (* ------------------------------------------------------------------ *)
-
-let render_findings findings =
-  List.map
-    (fun (f : Fd_core.Bidi.finding) ->
-      Printf.sprintf "%s -> %s%s"
-        (match f.Fd_core.Bidi.f_source.Fd_core.Taint.si_tag with
-        | Some t -> t
-        | None -> f.Fd_core.Bidi.f_source.Fd_core.Taint.si_desc)
-        (Fd_callgraph.Icfg.string_of_node f.Fd_core.Bidi.f_sink_node)
-        (match f.Fd_core.Bidi.f_sink_tag with
-        | Some t -> " @" ^ t
-        | None -> ""))
-    findings
-  |> List.sort_uniq compare |> String.concat "\n"
 
 let run fleet depth jobs mode patterns json_out =
   let config =
@@ -208,7 +79,7 @@ let run fleet depth jobs mode patterns json_out =
                 ~icfg:r.Fd_core.Infoflow.r_icfg ~patterns
                 r.Fd_core.Infoflow.r_findings
         in
-        render_findings findings)
+        F.render_findings findings)
       apks
   in
   let dt = Unix.gettimeofday () -. t0 in
@@ -256,4 +127,5 @@ let () =
        (Cmd.v
           (Cmd.info "targeted_bench" ~doc:"The targeted-mode gate workload.")
           Term.(
-            const run $ fleet $ depth $ Cli.jobs $ mode $ patterns $ json_out)))
+            const run $ F.fleet $ F.depth $ Cli.jobs $ mode $ patterns
+            $ F.json_out)))

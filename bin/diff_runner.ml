@@ -166,8 +166,7 @@ let emit_explained_repros ~config ~profile ~seed ~count ~dir (c : Dc.campaign) =
                     | _ -> assert false
                   in
                   let d = Filename.concat dir cat in
-                  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-                  Minimize.save ~dir:d small;
+                  Fd_frontend.Apk.to_dir d small;
                   let oc = open_out (Filename.concat d "REPRO.txt") in
                   Printf.fprintf oc
                     "app: %s\nkey: %s\nbucket: %s\nstmts: %d\nseed: %d\n"

@@ -53,45 +53,11 @@ let precision_note (config : Fd_core.Config.t) =
     Printf.sprintf ", precision: %s" (Fd_core.Config.string_of_precision p)
   else ""
 
-let mkdir_p dir =
-  let rec go d =
-    if not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      Unix.mkdir d 0o755
-    end
-  in
-  go dir
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
 (* write an in-memory APK as the on-disk app-directory layout
-   flowdroid_cli consumes: AndroidManifest.xml, res/layout/*.xml and
-   one .jimple unit per class *)
+   flowdroid_cli consumes *)
 let dump_app dir (apk : Fd_frontend.Apk.t) =
   let root = Filename.concat dir apk.Fd_frontend.Apk.apk_name in
-  mkdir_p root;
-  write_file
-    (Filename.concat root "AndroidManifest.xml")
-    apk.Fd_frontend.Apk.apk_manifest;
-  (match apk.Fd_frontend.Apk.apk_layouts with
-  | [] -> ()
-  | layouts ->
-      let ldir = Filename.concat (Filename.concat root "res") "layout" in
-      mkdir_p ldir;
-      List.iter
-        (fun (name, src) ->
-          write_file (Filename.concat ldir (name ^ ".xml")) src)
-        layouts);
-  List.iter
-    (fun cls ->
-      write_file
-        (Filename.concat root (cls.Fd_ir.Jclass.c_name ^ ".jimple"))
-        (Fd_ir.Pretty.class_to_string cls))
-    apk.Fd_frontend.Apk.apk_classes;
+  Fd_frontend.Apk.to_dir root apk;
   Printf.printf "dumped %s\n" root
 
 let find_app name =

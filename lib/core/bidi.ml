@@ -587,6 +587,18 @@ let create ?budget ?store ~config ~icfg ~scene ~mgr ~wrappers ~natives () =
 
 (* ---------------- findings ---------------- *)
 
+(** [compare_finding a b] orders findings by sink node, then source
+    node, then source tag: the identity {!report} deduplicates on (a
+    sink's tag is its statement's) *)
+let compare_finding a b =
+  let sa = a.f_source and sb = b.f_source in
+  match Icfg.compare_node a.f_sink_node b.f_sink_node with
+  | 0 -> (
+      match Icfg.compare_node sa.Taint.si_node sb.Taint.si_node with
+      | 0 -> Option.compare String.compare sa.Taint.si_tag sb.Taint.si_tag
+      | c -> c)
+  | c -> c
+
 (* [taint] is absent for store replays: their paths were not walked in
    this process *)
 let report t ~cx ?taint ~(source : Taint.source_info) ~sink_node ~sink_tag
@@ -843,10 +855,12 @@ let union_tree a b =
    "any field", because the [<clinit>] exit relays every static fact
    to all the class's first-use sites through each site method's zero
    context (see {!process_exit_fw}), so that context must exist.  The
-   first query walks the callees nobody has memoised yet with
-   Tarjan's algorithm, so every member of a recursive cycle gets the
-   union of the cycle, and each method is walked at most once per
-   solve. *)
+   edge stays a property of the site, not a call-tree edge: followed,
+   a [<clinit>] calling back into its trigger method would join that
+   method's component.  The first query condenses the callees nobody
+   has memoised yet ({!Scc.condense}), so every member of a recursive
+   cycle gets the union of the cycle, and each method is walked at
+   most once per solve. *)
 let call_tree t mk =
   match Mkey.Tbl.find_opt t.call_trees mk with
   | Some ct -> ct
@@ -854,34 +868,10 @@ let call_tree t mk =
       let cg = t.icfg.Icfg.cg in
       let clinit = (prec t).Config.clinit
       and refl = (prec t).Config.reflection in
-      let index = Mkey.Tbl.create 16 and low = Mkey.Tbl.create 16 in
-      (* the open methods, each with its own body's contribution and
-         its finished callees' trees *)
-      let stack = ref [] and next = ref 0 in
-      let lower m v = if v < Mkey.Tbl.find low m then Mkey.Tbl.replace low m v in
-      let rec visit m =
-        let i = !next in
-        incr next;
-        Mkey.Tbl.replace index m i;
-        Mkey.Tbl.replace low m i;
-        let u = ref { ct_fields = Fields Field_set.empty; ct_gen = false } in
-        stack := (m, u) :: !stack;
-        let field f =
-          match !u.ct_fields with
-          | Fields fs ->
-              u := { !u with ct_fields = Fields (Field_set.add f fs) }
-          | Any_field -> ()
-        in
-        let gen () = if not !u.ct_gen then u := { !u with ct_gen = true } in
-        (* a visited callee is memoised once its component is done;
-           one that is not is still open, in [m]'s component *)
-        let edge c =
-          if not (Mkey.Tbl.mem index c || Mkey.Tbl.mem t.call_trees c) then
-            visit c;
-          match Mkey.Tbl.find_opt t.call_trees c with
-          | Some ct -> u := union_tree !u ct
-          | None -> lower m (Mkey.Tbl.find low c)
-        in
+      let visit m =
+        let fields = ref Field_set.empty and any = ref false
+        and gen = ref false and succs = ref [] in
+        let field f = fields := Field_set.add f !fields in
         (match Callgraph.body_of cg m with
         | exception Not_found -> ()
         | body ->
@@ -889,7 +879,7 @@ let call_tree t mk =
               Srcsink_mgr.param_source t.mgr ~cls:m.Mkey.mk_class
                 ~mname:m.Mkey.mk_name
               <> None
-            then gen ();
+            then gen := true;
             Body.iter body (fun s ->
                 let idx = s.Stmt.s_idx in
                 (match s.Stmt.s_kind with
@@ -898,34 +888,34 @@ let call_tree t mk =
                     (match e with Stmt.Estatic f -> field f | _ -> ())
                 | _ -> ());
                 if Stmt.invoke_of s <> None then begin
-                  if call_source t body s <> None then gen ();
-                  List.iter edge (Callgraph.callees cg m idx)
+                  if call_source t body s <> None then gen := true;
+                  succs := List.rev_append (Callgraph.callees cg m idx) !succs
                 end;
                 if clinit && Callgraph.clinit_callees cg m idx <> [] then begin
-                  u := { !u with ct_fields = Any_field };
-                  gen ()
+                  any := true;
+                  gen := true
                 end;
-                if refl then List.iter edge (Callgraph.refl_callees cg m idx)));
-        if Mkey.Tbl.find low m = i then begin
-          let rec pop acc =
-            match !stack with
-            | [] -> acc
-            | ((c, _) as top) :: rest ->
-                stack := rest;
-                if Mkey.equal c m then top :: acc else pop (top :: acc)
-          in
-          let members = pop [] in
-          let ct =
-            List.fold_left
-              (fun acc (_, cu) -> union_tree acc !cu)
-              { ct_fields = Fields Field_set.empty; ct_gen = false }
-              members
-          in
-          List.iter (fun (c, _) -> Mkey.Tbl.replace t.call_trees c ct) members
-        end
+                if refl then
+                  succs :=
+                    List.rev_append (Callgraph.refl_callees cg m idx) !succs));
+        ( { ct_fields = (if !any then Any_field else Fields !fields);
+            ct_gen = !gen },
+          !succs )
       in
-      visit mk;
-      Mkey.Tbl.find t.call_trees mk
+      (* a successor not yet memoised is in the members' component *)
+      let finish members =
+        List.fold_left
+          (fun acc (_, own, succs) ->
+            List.fold_left
+              (fun acc c ->
+                match Mkey.Tbl.find_opt t.call_trees c with
+                | Some ct -> union_tree acc ct
+                | None -> acc)
+              (union_tree acc own) succs)
+          { ct_fields = Fields Field_set.empty; ct_gen = false }
+          members
+      in
+      Scc.condense t.call_trees ~visit ~finish mk
 
 (* whether the call tree of [callee] can read or write the static
    field [f] *)
@@ -1865,7 +1855,7 @@ let run t ~entries =
   M.set_int g_intern_methods t.n_minfos;
   M.set_int g_intern_ctxs t.n_cctxs;
   publish_memory_gauges t;
-  t.findings <- List.rev t.findings
+  t.findings <- List.sort compare_finding t.findings
 
 (** [findings t] is the reported source-to-sink flows. *)
 let findings t = t.findings

@@ -72,9 +72,15 @@ val run : t -> entries:Mkey.t list -> unit
     point and runs both solvers to exhaustion (or to the propagation
     budget). *)
 
+val compare_finding : finding -> finding -> int
+(** [compare_finding a b] orders findings by sink node, then source
+    node, then source tag.  It is [0] exactly when [a] and [b] report
+    the same flow: a sink's tag is a function of its statement. *)
+
 val findings : t -> finding list
-(** [findings t] is the reported source-to-sink flows, in discovery
-    order. *)
+(** [findings t] is the reported source-to-sink flows, in
+    {!compare_finding} order, whatever order the solver met them
+    in. *)
 
 val results_at : t -> Icfg.node -> Taint.t list
 (** [results_at t n] is the taints that may hold just before [n]

@@ -35,9 +35,6 @@ module SS = Fd_frontend.Sourcesink
 module M = Fd_frontend.Manifest
 module CP = Fd_precision.Const_prop
 
-let send_methods =
-  [ "startActivity"; "startService"; "sendBroadcast"; "startActivityForResult" ]
-
 let result_methods = [ "setResult" ]
 
 (* tier observability: what the resolver did, in --stats-json *)
@@ -84,23 +81,6 @@ let fresh_abs () =
 
 let add_uniq x xs = if List.mem x xs then xs else x :: xs
 
-(* "scheme://host/path" or "scheme:rest" → (scheme, host) *)
-let parse_uri s =
-  match String.index_opt s ':' with
-  | None -> (None, None)
-  | Some i ->
-      let scheme = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      let host =
-        if String.length rest >= 2 && String.sub rest 0 2 = "//" then
-          let h = String.sub rest 2 (String.length rest - 2) in
-          match String.index_opt h '/' with
-          | Some j -> Some (String.sub h 0 j)
-          | None -> Some h
-        else None
-      in
-      (Some scheme, host)
-
 let str_of cp ~at imm =
   match imm with
   | Stmt.Iconst (Stmt.CStr s) -> Some s
@@ -138,7 +118,7 @@ let apply_setter cp ab (inv : Stmt.invoke) ~at =
           | None -> (
               match str a with
               | Some s when String.contains s ':' ->
-                  ab.ab_data <- add_uniq (parse_uri s) ab.ab_data
+                  ab.ab_data <- add_uniq (M.parse_uri s) ab.ab_data
               | Some s ->
                   ab.ab_actions <- add_uniq s ab.ab_actions;
                   if String.contains s '.' then
@@ -182,7 +162,7 @@ let apply_setter cp ab (inv : Stmt.invoke) ~at =
       match inv.Stmt.i_args with
       | a :: _ -> (
           match str a with
-          | Some s -> ab.ab_data <- add_uniq (parse_uri s) ab.ab_data
+          | Some s -> ab.ab_data <- add_uniq (M.parse_uri s) ab.ab_data
           | None -> ab.ab_opaque <- true)
       | [] -> ())
   | "setType" -> (
@@ -196,7 +176,7 @@ let apply_setter cp ab (inv : Stmt.invoke) ~at =
       match inv.Stmt.i_args with
       | d :: t :: _ ->
           (match str d with
-          | Some s -> ab.ab_data <- add_uniq (parse_uri s) ab.ab_data
+          | Some s -> ab.ab_data <- add_uniq (M.parse_uri s) ab.ab_data
           | None -> ab.ab_opaque <- true);
           (match str t with
           | Some s -> ab.ab_mimes <- add_uniq s ab.ab_mimes
@@ -356,7 +336,7 @@ let send_sites (icfg : Icfg.t) =
           Body.iter body (fun s ->
               match Stmt.invoke_of s with
               | Some inv
-                when List.mem inv.Stmt.i_sig.Types.m_name send_methods -> (
+                when List.mem inv.Stmt.i_sig.Types.m_name M.send_methods -> (
                   let node = Icfg.{ n_method = mkey; n_idx = s.Stmt.s_idx } in
                   match intent_arg lookup inv with
                   | None -> ()
@@ -395,25 +375,6 @@ let send_sites (icfg : Icfg.t) =
 (* ------------------------------------------------------------------ *)
 (* Link resolution                                                     *)
 (* ------------------------------------------------------------------ *)
-
-(** [resolve ~apps ~app_of ~sender descs] — the components (with their
-    owning app) an intent matching one of [descs] can reach: within
-    the sender's own app any enabled matching component, across app
-    boundaries only exported ones. *)
-let resolve ~(apps : (string * M.t) list) ~app_of ~sender descs =
-  let sender_app = app_of sender in
-  List.concat_map
-    (fun (app_name, m) ->
-      let same_app = sender_app = Some app_name in
-      List.filter_map
-        (fun (c : M.component) ->
-          if
-            (same_app || c.M.comp_exported)
-            && List.exists (fun d -> M.component_receives c d) descs
-          then Some (app_name, c)
-          else None)
-        m.M.components)
-    apps
 
 (* does any manifest declare this class (as a component)? *)
 let declared apps cls =
@@ -553,11 +514,8 @@ let stitch (sender : Bidi.finding) ~via ~target ~key (rx : Bidi.finding) =
     st_key = key;
   }
 
-let finding_key (f : Bidi.finding) =
-  ( f.Bidi.f_source.Taint.si_tag,
-    f.Bidi.f_source.Taint.si_node,
-    f.Bidi.f_sink_node,
-    f.Bidi.f_sink_tag )
+(* the same flow, by {!Bidi.compare_finding}'s identity *)
+let same_finding a b = Bidi.compare_finding a b = 0
 
 (** [analyze ~icfg ~scene ~engine ~apps ~app_of findings] runs the
     resolver over a solved engine: finds and resolves the send sites,
@@ -572,7 +530,8 @@ let analyze ~(icfg : Icfg.t) ~scene ~engine ~(provenance : bool)
     match site.ss_descs with
     | None -> []
     | Some descs ->
-        resolve ~apps ~app_of ~sender:site.ss_node.Icfg.n_method.Mkey.mk_class
+        M.receivers ~apps
+          ~sender_app:(app_of site.ss_node.Icfg.n_method.Mkey.mk_class)
           descs
   in
   let site_targets = List.map (fun s -> (s, resolved_of s)) sites in
@@ -680,7 +639,7 @@ let analyze ~(icfg : Icfg.t) ~scene ~engine ~(provenance : bool)
             not
               (List.exists
                  (fun st' ->
-                   finding_key st'.st_finding = finding_key st.st_finding)
+                   same_finding st'.st_finding st.st_finding)
                  seen))
           next
       in
@@ -702,7 +661,7 @@ let analyze ~(icfg : Icfg.t) ~scene ~engine ~(provenance : bool)
          (fun acc st ->
            if
              List.exists
-               (fun st' -> finding_key st'.st_finding = finding_key st.st_finding)
+               (fun st' -> same_finding st'.st_finding st.st_finding)
                acc
            then acc
            else st :: acc)
@@ -831,31 +790,25 @@ let analyze ~(icfg : Icfg.t) ~scene ~engine ~(provenance : bool)
   report
 
 (** [added report] — the findings the tier adds (stitched flows plus
-    [setResult] leaks), in a deterministic order. *)
+    [setResult] leaks), once each, in {!Bidi.compare_finding} order. *)
 let added report =
   let fds =
     List.map (fun st -> st.st_finding) report.ic_stitched
     @ report.ic_result_leaks
   in
-  List.sort_uniq
-    (fun (a : Bidi.finding) (b : Bidi.finding) ->
-      compare (finding_key a) (finding_key b))
-    fds
+  List.sort_uniq Bidi.compare_finding fds
 
 (** [apply report findings] — the tier-on view: the base findings
-    minus the resolved send-as-sink ones, plus {!added}.  Stable: base
-    findings keep their order, additions are appended sorted. *)
+    minus the resolved send-as-sink ones, plus the {!added} ones no
+    base finding already reports, in {!Bidi.compare_finding} order. *)
 let apply report (findings : Bidi.finding list) =
   let keep =
     List.filter
-      (fun (f : Bidi.finding) ->
-        not
-          (List.exists
-             (fun (d : Bidi.finding) -> finding_key d = finding_key f)
-             report.ic_dropped))
+      (fun f -> not (List.exists (same_finding f) report.ic_dropped))
       findings
   in
-  let base_keys = List.map finding_key keep in
-  keep
-  @ List.filter (fun f -> not (List.mem (finding_key f) base_keys))
-      (added report)
+  List.sort Bidi.compare_finding
+    (keep
+    @ List.filter
+        (fun f -> not (List.exists (same_finding f) keep))
+        (added report))

@@ -80,9 +80,9 @@ val analyze :
 
 val added : report -> Bidi.finding list
 (** the findings the tier adds (stitched flows plus [setResult]
-    leaks), deterministically ordered *)
+    leaks), once each, in {!Bidi.compare_finding} order *)
 
 val apply : report -> Bidi.finding list -> Bidi.finding list
 (** the tier-on view of a finding list: base findings minus the
-    resolved send-as-sink ones, plus {!added} (base order preserved,
-    additions appended) *)
+    resolved send-as-sink ones, plus {!added}, in
+    {!Bidi.compare_finding} order *)

@@ -316,12 +316,14 @@ let digest_methods (icfg : Icfg.t) : method_entry Mkey.Tbl.t =
       | body -> Mkey.Tbl.replace bodies mk body
       | exception Not_found -> ())
     methods;
-  (* per-method local string: own identity, body text, and the
+  (* a method's own contribution: its identity, body text and the
      per-site resolved callee keys (direct, clinit, reflective) —
      bodyless targets are kept in the string with a marker, their
-     semantics being covered by the rule-set digests *)
-  let site_targets = Mkey.Tbl.create 256 in
-  let local_string mk (body : Body.t) =
+     semantics being covered by the rule-set digests — and whether it
+     calls a layout-dependent source; its successors are its bodied
+     targets *)
+  let visit mk =
+    let body = Mkey.Tbl.find bodies mk in
     let buf = Buffer.create 512 in
     Buffer.add_string buf (Mkey.to_string mk);
     Buffer.add_char buf '\n';
@@ -341,135 +343,60 @@ let digest_methods (icfg : Icfg.t) : method_entry Mkey.Tbl.t =
         add "k:" (Icfg.clinit_callees icfg node);
         add "r:" (Icfg.refl_callees icfg node))
       body.Body.stmts;
-    Mkey.Tbl.replace site_targets mk
-      (List.filter (fun t -> Mkey.Tbl.mem bodies t) (List.map fst !targets));
     List.iter
       (fun line ->
         Buffer.add_char buf '\n';
         Buffer.add_string buf line)
       (List.sort compare (List.map snd !targets));
-    Buffer.contents buf
+    let ui_dependent =
+      Array.exists
+        (fun s ->
+          match Stmt.invoke_of s with
+          | Some inv -> layout_dependent_call inv
+          | None -> false)
+        body.Body.stmts
+    in
+    ( (Buffer.contents buf, ui_dependent),
+      List.filter (fun t -> Mkey.Tbl.mem bodies t) (List.map fst !targets) )
   in
-  let locals = Mkey.Tbl.create 256 in
-  let ui_dependent = Mkey.Tbl.create 16 in
-  Mkey.Tbl.iter
-    (fun mk body ->
-      Mkey.Tbl.replace locals mk (local_string mk body);
-      if
-        Array.exists
-          (fun s ->
-            match Stmt.invoke_of s with
-            | Some inv -> layout_dependent_call inv
-            | None -> false)
-          body.Body.stmts
-      then Mkey.Tbl.replace ui_dependent mk ())
-    bodies;
-  (* iterative Tarjan over the bodied-callee graph; an SCC is popped
-     only after every SCC it reaches is finalised, so digests compose
-     bottom-up as we go *)
-  let index = Mkey.Tbl.create 256 in
-  let lowlink = Mkey.Tbl.create 256 in
-  let on_stack = Mkey.Tbl.create 256 in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let scc_digest = Mkey.Tbl.create 256 in
-  let scc_eligible = Mkey.Tbl.create 256 in
-  let finalize_scc members =
+  (* a component's digest composes its members' local strings with the
+     digests of the components it calls; it is eligible when no member
+     and no callee component is layout-dependent *)
+  let scc = Mkey.Tbl.create 256 in
+  let finish members =
     let member_locals =
-      List.sort compare (List.map (fun m -> Mkey.Tbl.find locals m) members)
+      List.sort compare (List.map (fun (_, (local, _), _) -> local) members)
     in
     let child_digests = ref [] in
     let eligible = ref true in
     List.iter
-      (fun m ->
-        if Mkey.Tbl.mem ui_dependent m then eligible := false;
+      (fun (_, (_, ui_dependent), targets) ->
+        if ui_dependent then eligible := false;
         List.iter
           (fun t ->
-            if not (List.exists (Mkey.equal t) members) then begin
-              (* popped after us ⇒ already finalised *)
-              child_digests := Mkey.Tbl.find scc_digest t :: !child_digests;
-              if not (Mkey.Tbl.find scc_eligible t) then eligible := false
-            end)
-          (Mkey.Tbl.find site_targets m))
+            match Mkey.Tbl.find_opt scc t with
+            | Some (d, e) ->
+                child_digests := d :: !child_digests;
+                if not e then eligible := false
+            | None -> ())
+          targets)
       members;
-    let d =
-      Digest.to_hex
+    ( Digest.to_hex
         (Digest.string
            (String.concat "\x00" member_locals
            ^ "\x01"
-           ^ String.concat "\x00"
-               (List.sort_uniq compare !child_digests)))
-    in
-    List.iter
-      (fun m ->
-        Mkey.Tbl.replace scc_digest m d;
-        Mkey.Tbl.replace scc_eligible m !eligible)
-      members
+           ^ String.concat "\x00" (List.sort_uniq compare !child_digests))),
+      !eligible )
   in
-  let strongconnect v =
-    (* explicit work stack: frames are (node, remaining callees) *)
-    let work = ref [ (v, ref (Mkey.Tbl.find site_targets v)) ] in
-    Mkey.Tbl.replace index v !next_index;
-    Mkey.Tbl.replace lowlink v !next_index;
-    incr next_index;
-    stack := v :: !stack;
-    Mkey.Tbl.replace on_stack v ();
-    while !work <> [] do
-      match !work with
-      | [] -> ()
-      | (v, rest) :: tail -> (
-          match !rest with
-          | w :: ws ->
-              rest := ws;
-              if not (Mkey.Tbl.mem index w) then begin
-                Mkey.Tbl.replace index w !next_index;
-                Mkey.Tbl.replace lowlink w !next_index;
-                incr next_index;
-                stack := w :: !stack;
-                Mkey.Tbl.replace on_stack w ();
-                work := (w, ref (Mkey.Tbl.find site_targets w)) :: !work
-              end
-              else if Mkey.Tbl.mem on_stack w then
-                Mkey.Tbl.replace lowlink v
-                  (min (Mkey.Tbl.find lowlink v) (Mkey.Tbl.find index w))
-          | [] ->
-              work := tail;
-              (match tail with
-              | (parent, _) :: _ ->
-                  Mkey.Tbl.replace lowlink parent
-                    (min
-                       (Mkey.Tbl.find lowlink parent)
-                       (Mkey.Tbl.find lowlink v))
-              | [] -> ());
-              if Mkey.Tbl.find lowlink v = Mkey.Tbl.find index v then begin
-                let members = ref [] in
-                let continue = ref true in
-                while !continue do
-                  match !stack with
-                  | w :: rest ->
-                      stack := rest;
-                      Mkey.Tbl.remove on_stack w;
-                      members := w :: !members;
-                      if Mkey.equal w v then continue := false
-                  | [] -> continue := false
-                done;
-                finalize_scc !members
-              end)
-    done
-  in
-  Mkey.Tbl.iter
-    (fun mk _ -> if not (Mkey.Tbl.mem index mk) then strongconnect mk)
-    bodies;
   let out = Mkey.Tbl.create 256 in
   Mkey.Tbl.iter
     (fun mk _ ->
+      let d, eligible = Scc.condense scc ~visit ~finish mk in
       Mkey.Tbl.replace out mk
         {
           me_digest =
-            Digest.to_hex
-              (Digest.string
-                 (Mkey.to_string mk ^ "\x00" ^ Mkey.Tbl.find scc_digest mk));
-          me_eligible = Mkey.Tbl.find scc_eligible mk;
+            Digest.to_hex (Digest.string (Mkey.to_string mk ^ "\x00" ^ d));
+          me_eligible = eligible;
         })
     bodies;
   out

@@ -241,19 +241,3 @@ let reproducer_text apk =
     :: List.map (fun l -> "//   " ^ l)
          (String.split_on_char '\n' apk.Apk.apk_manifest)
     @ List.map Fd_ir.Pretty.class_to_string apk.Apk.apk_classes)
-
-(** [save ~dir apk] writes the reproducer as an on-disk app:
-    [AndroidManifest.xml] plus one [.jimple] file per class, loadable
-    with {!Fd_frontend.Apk.of_dir}. *)
-let save ~dir apk =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let write name contents =
-    let oc = open_out (Filename.concat dir name) in
-    output_string oc contents;
-    close_out oc
-  in
-  write "AndroidManifest.xml" apk.Apk.apk_manifest;
-  List.iter
-    (fun (c : Jclass.t) ->
-      write (c.Jclass.c_name ^ ".jimple") (Pretty.class_to_string c))
-    apk.Apk.apk_classes

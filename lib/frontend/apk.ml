@@ -155,6 +155,36 @@ let of_dir ?(mode = `Strict) dir =
   with Sys_error msg ->
     raise (Load_error (Printf.sprintf "%s: I/O error: %s" dir msg))
 
+(** [to_dir dir apk] writes [apk] as the layout {!of_dir} reads:
+    [AndroidManifest.xml], one [res/layout/NAME.xml] per layout and one
+    [.jimple] file per class, creating [dir] and its parents. *)
+let to_dir dir apk =
+  let rec mkdir_p d =
+    if not (Sys.file_exists d) then begin
+      mkdir_p (Filename.dirname d);
+      Sys.mkdir d 0o755
+    end
+  in
+  let write path contents =
+    let oc = open_out_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () -> output_string oc contents)
+  in
+  mkdir_p dir;
+  write (Filename.concat dir "AndroidManifest.xml") apk.apk_manifest;
+  let layout_dir = Filename.concat (Filename.concat dir "res") "layout" in
+  if apk.apk_layouts <> [] then mkdir_p layout_dir;
+  List.iter
+    (fun (name, src) -> write (Filename.concat layout_dir (name ^ ".xml")) src)
+    apk.apk_layouts;
+  List.iter
+    (fun (c : Jclass.t) ->
+      write
+        (Filename.concat dir (c.Jclass.c_name ^ ".jimple"))
+        (Pretty.class_to_string c))
+    apk.apk_classes
+
 (* Ok () / Error msg, without the apk-name prefix *)
 let component_check scene (c : Manifest.component) =
   match Scene.find_class scene c.Manifest.comp_class with

@@ -68,6 +68,12 @@ val of_dir : ?mode:mode -> string -> t
     @raise Load_error when the manifest is missing, the directory is
     unreadable, or code is malformed (strict mode). *)
 
+val to_dir : string -> t -> unit
+(** [to_dir dir apk] writes [apk] in the layout {!of_dir} reads:
+    [AndroidManifest.xml], [res/layout/NAME.xml] per layout and one
+    [.jimple] file per class, creating [dir] and its parents.
+    @raise Sys_error on I/O failure. *)
+
 type merged = {
   m_loaded : loaded;
       (** the merged view: one scene holding every app's classes, one

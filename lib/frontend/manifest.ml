@@ -3,8 +3,8 @@
     The manifest declares the app's components; FlowDroid reads it to
     know which classes are entry-point components, whether they are
     enabled (disabled activities are filtered from the dummy main —
-    DroidBench's InactiveActivity test), and which activity is the
-    launcher. *)
+    DroidBench's InactiveActivity test), and which intents each can
+    receive. *)
 
 module X = Fd_xml.Xml
 
@@ -26,9 +26,6 @@ type component = {
   comp_enabled : bool;
   comp_exported : bool;
   comp_filters : intent_filter list;  (** one entry per <intent-filter> *)
-  comp_actions : string list;  (** union of filter actions (legacy view) *)
-  comp_categories : string list;
-  comp_main : bool;  (** carries MAIN/LAUNCHER intent filter *)
 }
 
 type t = {
@@ -38,9 +35,6 @@ type t = {
 }
 
 exception Malformed of string
-
-let main_action = "android.intent.action.MAIN"
-let launcher_category = "android.intent.category.LAUNCHER"
 
 (* resolve ".Relative" class names against the package *)
 let resolve_class ~package name =
@@ -81,8 +75,6 @@ let parse_component ~package kind e =
     | None -> raise (Malformed "component without android:name")
   in
   let filters = List.map parse_filter (X.children_named e "intent-filter") in
-  let actions = List.concat_map (fun f -> f.if_actions) filters in
-  let categories = List.concat_map (fun f -> f.if_categories) filters in
   (* Android 12 exported semantics: an explicit android:exported
      attribute wins; absent one, a component is exported iff it
      declares at least one intent filter (it wants to be found).  A
@@ -98,10 +90,6 @@ let parse_component ~package kind e =
     comp_enabled = bool_attr e "android:enabled" ~default:true;
     comp_exported = exported;
     comp_filters = filters;
-    comp_actions = actions;
-    comp_categories = categories;
-    comp_main =
-      List.mem main_action actions && List.mem launcher_category categories;
   }
 
 (** [parse xml_source] parses a manifest document.
@@ -182,10 +170,6 @@ let parse_lenient src =
     manifest (they can never run, so the lifecycle model excludes
     them). *)
 let enabled_components m = List.filter (fun c -> c.comp_enabled) m.components
-
-(** [launcher m] is the MAIN/LAUNCHER activity if one is declared. *)
-let launcher m =
-  List.find_opt (fun c -> c.comp_main && c.comp_enabled) m.components
 
 (** [find m cls] is the component entry for class [cls], if any. *)
 let find m cls = List.find_opt (fun c -> c.comp_class = cls) m.components
@@ -272,3 +256,43 @@ let component_receives c (it : intent_desc) =
   match it.it_class with
   | Some cls -> cls = c.comp_class
   | None -> List.exists (fun f -> filter_matches f it) c.comp_filters
+
+(** the framework methods that hand an intent to the system for
+    delivery *)
+let send_methods =
+  [ "startActivity"; "startService"; "sendBroadcast"; "startActivityForResult" ]
+
+(** [parse_uri s] reads ["scheme://host/path"] or ["scheme:rest"] as
+    [(scheme, host)]; a string with no [':'] has neither. *)
+let parse_uri s =
+  match String.index_opt s ':' with
+  | None -> (None, None)
+  | Some i ->
+      let scheme = String.sub s 0 i in
+      let rest = String.sub s (i + 1) (String.length s - i - 1) in
+      let host =
+        if String.length rest >= 2 && String.sub rest 0 2 = "//" then
+          let h = String.sub rest 2 (String.length rest - 2) in
+          match String.index_opt h '/' with
+          | Some j -> Some (String.sub h 0 j)
+          | None -> Some h
+        else None
+      in
+      (Some scheme, host)
+
+(** [receivers ~apps ~sender_app descs] — the components, with their
+    app, that an intent matching one of [descs] sent from [sender_app]
+    can reach: within the sender's own app any matching component,
+    across app boundaries only exported ones. *)
+let receivers ~apps ~sender_app descs =
+  List.concat_map
+    (fun (app, m) ->
+      List.filter_map
+        (fun c ->
+          if
+            (sender_app = Some app || c.comp_exported)
+            && List.exists (component_receives c) descs
+          then Some (app, c)
+          else None)
+        m.components)
+    apps

@@ -3,7 +3,7 @@
     The manifest declares the app's components; the analysis reads it
     to know which classes are entry-point components, whether they are
     enabled (disabled activities are filtered from the dummy main),
-    and which activity is the launcher. *)
+    and which intents each can receive. *)
 
 type data_spec = {
   d_scheme : string option;
@@ -26,9 +26,6 @@ type component = {
           attribute wins; absent one, exported iff the component
           declares at least one intent filter *)
   comp_filters : intent_filter list;  (** one entry per <intent-filter> *)
-  comp_actions : string list;  (** union of filter actions (legacy view) *)
-  comp_categories : string list;
-  comp_main : bool;  (** carries a MAIN/LAUNCHER intent filter *)
 }
 
 type t = {
@@ -53,9 +50,6 @@ val parse_lenient : string -> t * string list
 val enabled_components : t -> component list
 (** components not disabled in the manifest (only these can run) *)
 
-val launcher : t -> component option
-(** the enabled MAIN/LAUNCHER activity, if declared *)
-
 val find : t -> string -> component option
 (** the component entry for a class, if any *)
 
@@ -76,3 +70,23 @@ val blank_intent : intent_desc
 val component_receives : component -> intent_desc -> bool
 (** can this component receive the intent?  Explicit class targets
     bypass the filters; implicit intents must pass one. *)
+
+val send_methods : string list
+(** the framework methods that hand an intent to the system for
+    delivery ([startActivity], [startService], [sendBroadcast],
+    [startActivityForResult]) *)
+
+val parse_uri : string -> string option * string option
+(** [parse_uri s] reads ["scheme://host/path"] or ["scheme:rest"] as
+    [(scheme, host)]; a string with no [':'] has neither. *)
+
+val receivers :
+  apps:(string * t) list ->
+  sender_app:string option ->
+  intent_desc list ->
+  (string * component) list
+(** [receivers ~apps ~sender_app descs] — the components, with their
+    app, that an intent matching one of [descs] sent from
+    [sender_app] can reach: within the sender's own app any matching
+    component ({!component_receives}), across app boundaries only
+    exported ones.  In [apps] order, then manifest order. *)

@@ -272,27 +272,6 @@ let run_component st scene ~coverage ?intent
 (* Concrete intent dispatch (the ICC driver)                           *)
 (* ------------------------------------------------------------------ *)
 
-let send_methods =
-  [ "startActivity"; "startService"; "sendBroadcast"; "startActivityForResult" ]
-
-(* "scheme://host/path" or "scheme:rest" → (scheme, host); mirrors the
-   static resolver's reading so both sides agree on URI intents *)
-let parse_uri s =
-  match String.index_opt s ':' with
-  | None -> (None, None)
-  | Some i ->
-      let scheme = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      let host =
-        if String.length rest >= 2 && String.sub rest 0 2 = "//" then
-          let h = String.sub rest 2 (String.length rest - 2) in
-          match String.index_opt h '/' with
-          | Some j -> Some (String.sub h 0 j)
-          | None -> Some h
-        else None
-      in
-      (Some scheme, host)
-
 (* read a sent intent's reserved "__" keys back into intent
    descriptions — the explicit-class reading plus the implicit one,
    the same duality the static abstraction uses *)
@@ -313,7 +292,7 @@ let descs_of_sent st (tv : tvalue) : M.intent_desc list =
           in
           let scheme, host =
             match find "__data" with
-            | Some u -> parse_uri u
+            | Some u -> M.parse_uri u
             | None -> (None, None)
           in
           let mime = find "__mime" in
@@ -352,20 +331,10 @@ let descs_of_sent st (tv : tvalue) : M.intent_desc list =
       | _ -> [])
   | _ -> []
 
-(* the components able to receive any of [descs]: cross-app targets
-   must be exported (the sender's own app sees everything) *)
+(* the classes able to receive any of [descs] *)
 let receivers_of ~apps ~sender_app descs =
-  List.concat_map
-    (fun (app, (m : M.t)) ->
-      List.filter_map
-        (fun (c : M.component) ->
-          if
-            (sender_app = Some app || c.M.comp_exported)
-            && List.exists (M.component_receives c) descs
-          then Some c.M.comp_class
-          else None)
-        m.M.components)
-    apps
+  M.receivers ~apps ~sender_app descs
+  |> List.map (fun (_, (c : M.component)) -> c.M.comp_class)
   |> List.sort_uniq compare
 
 (** [run ?coverage ?max_steps ?icc m] dynamically executes a loaded
@@ -394,7 +363,7 @@ let run ?(coverage = Thorough) ?(max_steps = 2_000_000) ?(icc = false)
        counterpart of the static tier dropping resolved sends) *)
     st.Interp.sink_filter <-
       (fun mname args ->
-        List.mem mname send_methods
+        List.mem mname M.send_methods
         &&
         match args with
         | intent :: _ ->

@@ -84,6 +84,34 @@ let iter b f = Array.iter f b.stmts
 (** [fold b f acc] folds [f] over the statements in index order. *)
 let fold b f acc = Array.fold_left (fun acc s -> f s acc) acc b.stmts
 
+(** [forward b ~entry ~transfer ~join ~equal] is the in-state of every
+    statement under a forward dataflow from statement 0: a FIFO
+    worklist that requeues a successor only when its joined state
+    changes. *)
+let forward b ~entry ~transfer ~join ~equal =
+  let state = Array.make (length b) None in
+  if length b > 0 then begin
+    let work = Queue.create () in
+    let set j v =
+      state.(j) <- Some v;
+      Queue.add j work
+    in
+    set 0 entry;
+    while not (Queue.is_empty work) do
+      let i = Queue.pop work in
+      let out = transfer b.stmts.(i) (Option.get state.(i)) in
+      List.iter
+        (fun j ->
+          match state.(j) with
+          | None -> set j out
+          | Some prev ->
+              let merged = join prev out in
+              if not (equal merged prev) then set j merged)
+        b.succs.(i)
+    done
+  end;
+  state
+
 (** [exit_stmts b] is the indices of all return/throw statements. *)
 let exit_stmts b =
   fold b

@@ -27,6 +27,21 @@ val preds : t -> int -> int list
 val iter : t -> (Stmt.t -> unit) -> unit
 val fold : t -> (Stmt.t -> 'a -> 'a) -> 'a -> 'a
 
+val forward :
+  t ->
+  entry:'a ->
+  transfer:(Stmt.t -> 'a -> 'a) ->
+  join:('a -> 'a -> 'a) ->
+  equal:('a -> 'a -> bool) ->
+  'a option array
+(** [forward b ~entry ~transfer ~join ~equal] runs a forward dataflow
+    to fixpoint and returns each statement's in-state, [None] where no
+    path from the entry reaches.  Statement 0 starts at [entry]; a
+    FIFO worklist takes a statement, applies [transfer] to its
+    in-state, and hands the result to each successor: a successor's
+    first state is that result, later ones [join prev out], and the
+    successor is requeued only when its state changes by [equal]. *)
+
 val exit_stmts : t -> int list
 (** indices of all return/throw statements *)
 

@@ -145,36 +145,14 @@ let lint_body ~where (b : Body.t) =
   if SS.is_empty candidates then []
   else begin
     let n = Body.length b in
-    let reach = Array.make n None in
-    let def_names i =
-      match Stmt.def_local (Body.stmt b i) with
-      | Some l -> SS.singleton l.Stmt.l_name
-      | None -> SS.empty
+    let reach =
+      Body.forward b ~entry:SS.empty
+        ~transfer:(fun s assigned ->
+          match Stmt.def_local s with
+          | Some l -> SS.add l.Stmt.l_name assigned
+          | None -> assigned)
+        ~join:SS.union ~equal:SS.equal
     in
-    let work = Queue.create () in
-    reach.(0) <- Some SS.empty;
-    Queue.add 0 work;
-    while not (Queue.is_empty work) do
-      let i = Queue.pop work in
-      let out = SS.union (Option.get reach.(i)) (def_names i) in
-      List.iter
-        (fun j ->
-          let changed =
-            match reach.(j) with
-            | None ->
-                reach.(j) <- Some out;
-                true
-            | Some s ->
-                let merged = SS.union s out in
-                if SS.equal s merged then false
-                else begin
-                  reach.(j) <- Some merged;
-                  true
-                end
-          in
-          if changed then Queue.add j work)
-        (Body.succs b i)
-    done;
     let flagged = ref SS.empty and issues = ref [] in
     for i = 0 to n - 1 do
       match reach.(i) with

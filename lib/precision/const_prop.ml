@@ -75,7 +75,7 @@ let invoke_value env (inv : Stmt.invoke) : value option =
       | _ -> None)
   | _ -> None
 
-let transfer (env : env) (s : Stmt.t) : env =
+let transfer (s : Stmt.t) (env : env) : env =
   let def x v =
     match v with
     | Some v -> Env.add x.Stmt.l_name v env
@@ -90,35 +90,10 @@ let transfer (env : env) (s : Stmt.t) : env =
   | _ -> env
 
 let analyze (body : Body.t) : t =
-  let n = Body.length body in
-  let state = Array.make (max n 1) None in
-  if n > 0 then begin
-    state.(0) <- Some Env.empty;
-    let work = Queue.create () in
-    Queue.add 0 work;
-    while not (Queue.is_empty work) do
-      let i = Queue.pop work in
-      match state.(i) with
-      | None -> ()
-      | Some env ->
-          let out = transfer env (Body.stmt body i) in
-          List.iter
-            (fun j ->
-              let merged, changed =
-                match state.(j) with
-                | None -> (out, true)
-                | Some prev ->
-                    let m = join prev out in
-                    (m, not (equal_env m prev))
-              in
-              if changed then begin
-                state.(j) <- Some merged;
-                Queue.add j work
-              end)
-            (Body.succs body i)
-    done
-  end;
-  { cp_in = state }
+  {
+    cp_in =
+      Body.forward body ~entry:Env.empty ~transfer ~join ~equal:equal_env;
+  }
 
 let value_at t ~at (l : Stmt.local) =
   if at < 0 || at >= Array.length t.cp_in then None

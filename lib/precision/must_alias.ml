@@ -45,7 +45,7 @@ let join (a : int array) (b : int array) : int array =
              c))
 
 (* transfer one statement over a copy of the state *)
-let transfer index (p : int array) (s : Stmt.t) : int array =
+let transfer index (s : Stmt.t) (p : int array) : int array =
   let isolate x =
     match Hashtbl.find_opt index x.Stmt.l_name with
     | None -> p
@@ -80,35 +80,14 @@ let analyze (body : Body.t) : t =
       if not (Hashtbl.mem index l.Stmt.l_name) then
         Hashtbl.add index l.Stmt.l_name i)
     body.Body.locals;
-  let n = Body.length body in
   let nl = List.length body.Body.locals in
-  let state = Array.make (max n 1) None in
-  if n > 0 then begin
-    (* entry: all singletons — parameters may alias at runtime, but
-       assuming they don't is the safe (fewer-aliases) direction *)
-    state.(0) <- Some (Array.init nl (fun i -> i));
-    let work = Queue.create () in
-    Queue.add 0 work;
-    while not (Queue.is_empty work) do
-      let i = Queue.pop work in
-      match state.(i) with
-      | None -> ()
-      | Some p ->
-          let out = transfer index p (Body.stmt body i) in
-          List.iter
-            (fun j ->
-              let merged =
-                match state.(j) with
-                | None -> out
-                | Some prev -> join prev out
-              in
-              if state.(j) <> Some merged then begin
-                state.(j) <- Some merged;
-                Queue.add j work
-              end)
-            (Body.succs body i)
-    done
-  end;
+  (* entry: all singletons — parameters may alias at runtime, but
+     assuming they don't is the safe (fewer-aliases) direction *)
+  let state =
+    Body.forward body
+      ~entry:(Array.init nl (fun i -> i))
+      ~transfer:(transfer index) ~join ~equal:( = )
+  in
   { ma_index = index; ma_in = state }
 
 let must_alias t ~at (x : Stmt.local) (y : Stmt.local) =

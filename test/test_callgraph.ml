@@ -175,6 +175,74 @@ let prop_callees_reachable =
               !ok)
         (Callgraph.reachable_methods cg))
 
+(* property: over random method graphs with cycles and a partly
+   pre-filled memo, [Scc.condense] with a union [finish] gives every
+   method the union of the contributions of everything it reaches (so
+   the members of a cycle share one value); [finish] gets whole
+   components and sees every successor outside its component already
+   in the memo; and no method is visited twice or once memoised *)
+module Iset = Set.Make (Int)
+
+let prop_condense_union =
+  QCheck.Test.make ~name:"condense: union over everything reached" ~count:300
+    QCheck.(
+      triple (int_range 1 9)
+        (small_list (pair small_nat small_nat))
+        (pair (small_list small_nat) (small_list small_nat)))
+    (fun (n, edges, (prefilled, roots)) ->
+      let key i = mk "t.G" (string_of_int i) in
+      let id (k : Mkey.t) = int_of_string k.Mkey.mk_name in
+      let edges = List.map (fun (a, b) -> (a mod n, b mod n)) edges in
+      let succs i =
+        List.filter_map (fun (a, b) -> if a = i then Some b else None) edges
+      in
+      let reach i =
+        let rec go seen = function
+          | [] -> seen
+          | j :: rest ->
+              if Iset.mem j seen then go seen rest
+              else go (Iset.add j seen) (succs j @ rest)
+        in
+        go Iset.empty [ i ]
+      in
+      let memo = Mkey.Tbl.create 16 in
+      List.iter
+        (fun j -> Mkey.Tbl.replace memo (key (j mod n)) (reach (j mod n)))
+        prefilled;
+      let ok = ref true in
+      let visited = Mkey.Tbl.copy memo in
+      let visit k =
+        if Mkey.Tbl.mem visited k then ok := false;
+        Mkey.Tbl.replace visited k Iset.empty;
+        (Iset.singleton (id k), List.map key (succs (id k)))
+      in
+      let finish members =
+        let ids = List.map (fun (m, _, _) -> id m) members in
+        List.iter
+          (fun i ->
+            if not (List.for_all (fun j -> Iset.mem j (reach i)) ids) then
+              ok := false)
+          ids;
+        List.fold_left
+          (fun acc (_, own, ss) ->
+            List.fold_left
+              (fun acc s ->
+                match Mkey.Tbl.find_opt memo s with
+                | Some v -> Iset.union acc v
+                | None ->
+                    if not (List.mem (id s) ids) then ok := false;
+                    acc)
+              (Iset.union acc own) ss)
+          Iset.empty members
+      in
+      List.iter
+        (fun r -> ignore (Scc.condense memo ~visit ~finish (key (r mod n))))
+        (roots @ List.init n Fun.id);
+      !ok
+      && List.for_all
+           (fun i -> Iset.equal (Mkey.Tbl.find memo (key i)) (reach i))
+           (List.init n Fun.id))
+
 let () =
   Alcotest.run "fd_callgraph"
     [
@@ -190,5 +258,9 @@ let () =
             test_phantom_calls_have_no_targets;
         ] );
       ("icfg", [ Alcotest.test_case "navigation" `Quick test_icfg_navigation ]);
-      ("properties", [ QCheck_alcotest.to_alcotest prop_callees_reachable ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_callees_reachable;
+          QCheck_alcotest.to_alcotest prop_condense_union;
+        ] );
     ]

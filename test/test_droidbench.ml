@@ -161,6 +161,30 @@ let test_extensions () =
       ("FragmentLifecycle1", 1, 0, 0);
     ]
 
+(* findings come out in [Bidi.compare_finding] order (sink, then
+   source), whatever order the solver meets them in: scoring matches
+   expectations greedily in list order *)
+let test_finding_order () =
+  List.iter
+    (fun (name, expected) ->
+      let app = Option.get (Suite.find name) in
+      let r = Fd_core.Infoflow.analyze_apk app.Bench_app.app_apk in
+      let tag = Option.value ~default:"-" in
+      Alcotest.(check (list (pair string string)))
+        name expected
+        (List.map
+           (fun (f : Fd_core.Bidi.finding) ->
+             (tag f.Fd_core.Bidi.f_sink_tag,
+              tag f.Fd_core.Bidi.f_source.Fd_core.Taint.si_tag))
+           r.Fd_core.Infoflow.r_findings))
+    [
+      ( "Button2",
+        [ ("sink-sms-a", "src-imei"); ("sink-log-b", "src-imei2");
+          ("sink-sms-c", "src-imei") ] );
+      (* one sink, two sources: the earlier source statement comes first *)
+      ("Parcel1", [ ("sink-log", "src-imei"); ("sink-log", "-") ]);
+    ]
+
 let test_render_contains_rows () =
   let t = Lazy.force table in
   let s = Droidbench_table.render t in
@@ -180,6 +204,7 @@ let () =
         [
           Alcotest.test_case "shape" `Quick test_suite_shape;
           Alcotest.test_case "render" `Slow test_render_contains_rows;
+          Alcotest.test_case "finding order" `Quick test_finding_order;
         ] );
       ( "totals",
         [

@@ -37,19 +37,27 @@ let test_manifest_parse () =
     "permissions"
     [ "android.permission.SEND_SMS"; "android.permission.INTERNET" ]
     m.Manifest.permissions;
-  (match Manifest.launcher m with
-  | Some c ->
-      Alcotest.(check string) "launcher resolved" "de.ecspride.MainActivity"
-        c.Manifest.comp_class
-  | None -> Alcotest.fail "no launcher");
+  let filters cls =
+    match Manifest.find m cls with
+    | Some c ->
+        List.map
+          (fun f -> (f.Manifest.if_actions, f.Manifest.if_categories))
+          c.Manifest.comp_filters
+    | None -> Alcotest.failf "%s missing" cls
+  in
+  Alcotest.(check (list (pair (list string) (list string))))
+    "launcher filter"
+    [ ([ "android.intent.action.MAIN" ], [ "android.intent.category.LAUNCHER" ]) ]
+    (filters "de.ecspride.MainActivity");
   match Manifest.find m "de.ecspride.BootListener" with
   | Some c ->
       Alcotest.(check bool) "receiver kind" true
         (c.Manifest.comp_kind = Framework.Receiver);
       Alcotest.(check bool) "exported" true c.Manifest.comp_exported;
-      Alcotest.(check (list string)) "actions"
-        [ "android.intent.action.BOOT_COMPLETED" ]
-        c.Manifest.comp_actions
+      Alcotest.(check (list (pair (list string) (list string))))
+        "actions"
+        [ ([ "android.intent.action.BOOT_COMPLETED" ], []) ]
+        (filters "de.ecspride.BootListener")
   | None -> Alcotest.fail "receiver missing"
 
 let test_manifest_relative_names () =

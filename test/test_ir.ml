@@ -73,6 +73,49 @@ let test_cfg_succs_preds () =
   Alcotest.(check (list int)) "loop head preds" [ 1; 3 ] (Body.preds b 2);
   Alcotest.(check (list int)) "return succs" [] (Body.succs b 5)
 
+(* [Body.forward] over a diamond (1 → 2|4 → 5) and a loop (6 → 5), with
+   statements 8-9 that no path reaches: the in-states are the locals
+   assigned on some path (union) or on every path (intersection) *)
+let test_forward_dataflow () =
+  let module SS = Set.Make (String) in
+  let l = S.mk_local in
+  let def x = S.Assign (S.Llocal (l x), S.Eimm (S.Iconst (S.CInt 1))) in
+  let cond x = { S.c_op = S.Clt; c_left = S.Iloc (l x); c_right = S.Iconst (S.CInt 9) } in
+  let b =
+    Body.create ~locals:(List.map l [ "x"; "y"; "z"; "w"; "v" ])
+      (List.mapi
+         (fun i k -> { S.s_idx = i; s_kind = k; s_tag = None })
+         [ def "x"; S.If (cond "x", 4); def "y"; S.Goto 5; def "z"; def "w";
+           S.If (cond "w", 5); S.Return None; def "v"; S.Return None ])
+  in
+  let assigned join =
+    Body.forward b ~entry:SS.empty
+      ~transfer:(fun s a ->
+        match Stmt.def_local s with
+        | Some x -> SS.add x.S.l_name a
+        | None -> a)
+      ~join ~equal:SS.equal
+    |> Array.map (Option.map SS.elements)
+  in
+  let some = List.map Option.some in
+  Alcotest.(check (array (option (list string))))
+    "may-assigned"
+    (Array.of_list
+       ((some
+           [ []; [ "x" ]; [ "x" ]; [ "x"; "y" ]; [ "x" ];
+             [ "w"; "x"; "y"; "z" ]; [ "w"; "x"; "y"; "z" ];
+             [ "w"; "x"; "y"; "z" ] ])
+       @ [ None; None ]))
+    (assigned SS.union);
+  Alcotest.(check (array (option (list string))))
+    "must-assigned"
+    (Array.of_list
+       ((some
+           [ []; [ "x" ]; [ "x" ]; [ "x"; "y" ]; [ "x" ]; [ "x" ];
+             [ "w"; "x" ]; [ "w"; "x" ] ])
+       @ [ None; None ]))
+    (assigned SS.inter)
+
 let test_label_resolution_error () =
   Alcotest.check_raises "undefined label"
     (B.Build_error "undefined label \"nowhere\"") (fun () ->
@@ -951,6 +994,7 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_builder_basic;
           Alcotest.test_case "cfg succs/preds" `Quick test_cfg_succs_preds;
+          Alcotest.test_case "forward dataflow" `Quick test_forward_dataflow;
           Alcotest.test_case "undefined label" `Quick test_label_resolution_error;
           Alcotest.test_case "duplicate label" `Quick test_duplicate_label_error;
           Alcotest.test_case "local interning" `Quick test_local_interning;

@@ -55,9 +55,37 @@ let test_roundtrip_app (app : Bench_app.t) () =
     "identical findings after round trip" (findings original)
     (findings reparsed)
 
+(* [Apk.to_dir] then [Apk.of_dir]: PrivateDataLeak1's leak needs its
+   password layout, so a writer that drops layouts loses the leak *)
+let test_dir_roundtrip () =
+  let app = Option.get (Fd_droidbench.Suite.find "PrivateDataLeak1") in
+  let apk = app.Bench_app.app_apk in
+  let dir = Filename.temp_dir "fd_roundtrip" "" in
+  let app_dir = Filename.concat dir apk.Apk.apk_name in
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  let back =
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        Apk.to_dir app_dir apk;
+        Apk.of_dir app_dir)
+  in
+  Alcotest.(check (list (pair string string)))
+    "layouts" apk.Apk.apk_layouts back.Apk.apk_layouts;
+  Alcotest.(check int) "one leak" 1 (List.length (findings apk));
+  Alcotest.(check (list (pair (option string) (option string))))
+    "same findings" (findings apk) (findings back)
+
 let () =
   Alcotest.run "fd_roundtrip"
     [
+      ("app-dir", [ Alcotest.test_case "to_dir/of_dir" `Quick test_dir_roundtrip ]);
       ( "droidbench-corpus",
         List.map
           (fun (app : Bench_app.t) ->
