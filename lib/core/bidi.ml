@@ -158,6 +158,9 @@ type minfo = {
           the first query *)
   mutable mi_zero_work : (ninfo * Prov.kind) list option;
       (** the nodes where the zero fact does work (see {!zero_work}) *)
+  mutable mi_live : Liveness.t option;
+      (** live locals per statement, computed on the first query (see
+          {!dead_at}) *)
 }
 
 (* per-node view: everything the solver used to recompute on every
@@ -192,28 +195,6 @@ and callinfo = {
   ci_sources : Taint.t list;
   ci_c2r : Fd_frontend.Rules.effect list option;
       (** effects applied on the call-to-return edge *)
-}
-
-(* the static fields a method's code reads or writes, closed over its
-   ICFG callees; [Any_field] once that closure takes a first-use
-   [<clinit>] edge, whose exit relays every static fact to all the
-   class's first-use sites (see {!process_exit_fw}) *)
-module Field_set = Set.Make (struct
-  type t = Types.field_sig
-
-  let compare (a : t) (b : t) =
-    match String.compare a.Types.f_class b.Types.f_class with
-    | 0 -> String.compare a.Types.f_name b.Types.f_name
-    | c -> c
-end)
-
-type field_use = Any_field | Fields of Field_set.t
-
-(* what a method's call tree can do, for the gates on the facts that
-   enter a callee (see {!call_tree}) *)
-type call_tree = {
-  ct_fields : field_use;  (** the static fields it reads or writes *)
-  ct_gen : bool;  (** whether it generates a taint under the zero fact *)
 }
 
 type cctx = { cc_id : int; cc_proc : minfo; cc_fact : Taint.fact }
@@ -271,9 +252,8 @@ type t = {
      activation has executed, and the methods those call sites live in *)
   act_sites : unit Node_tbl.t Node_tbl.t;
   act_methods : unit Mkey.Tbl.t Node_tbl.t;
-  call_trees : call_tree Mkey.Tbl.t;
-      (** method -> what its call tree can do, filled on demand by
-          {!call_tree} *)
+  trees : Call_tree.t;  (** what each callee's call tree can do *)
+  prune_dead : bool;  (** whether {!dead_at} taints are dropped *)
   budget : Fd_resilience.Budget.t;
   mutable ext : Solver_ext.t;
       (** the enabled extensions (see {!create}), set once the engine
@@ -323,6 +303,7 @@ let minfo_of t mk =
           mi_exit_nis = None;
           mi_must_alias = None;
           mi_zero_work = None;
+          mi_live = None;
         }
       in
       t.n_minfos <- t.n_minfos + 1;
@@ -474,7 +455,36 @@ let propagate ?(kind = Prov.Normal) t solver cx (ni : ninfo) fact =
     Int_fifo.push solver.s_work fid
   end
 
-let propagate_fw ?kind t cx ni fact = propagate ?kind t t.fw cx ni fact
+(* the dead-local rule: an active forward taint rooted at a local
+   that is not live-in at [ni] reaches no sink, argument, heap write
+   or caller, and only reproduces itself at later nodes, where it is
+   dead too.  A field path of [this] or of a parameter is kept:
+   [return_flow] maps it back to the caller at every exit.  Inactive
+   taints are kept: [return_flow] records their activation sites. *)
+let dead_at (ni : ninfo) (fact : Taint.fact) =
+  match fact with
+  | Taint.T { Taint.active = true; ap = { AP.base = AP.Bloc x; fields }; _ }
+    ->
+      let mi = ni.ni_minfo in
+      let live =
+        match mi.mi_live with
+        | Some l -> l
+        | None ->
+            let l = Liveness.analyze (Option.get mi.mi_body) in
+            mi.mi_live <- Some l;
+            l
+      in
+      (not (Liveness.live_in live ni.ni_node.Icfg.n_idx x))
+      && (fields = []
+         || not
+              (Option.fold ~none:false ~some:(Stmt.equal_local x) mi.mi_this
+              || List.exists (fun (_, p) -> Stmt.equal_local x p) mi.mi_params
+              ))
+  | _ -> false
+
+let propagate_fw ?kind t cx ni fact =
+  if not (t.prune_dead && dead_at ni fact) then
+    propagate ?kind t t.fw cx ni fact
 let propagate_bw ?kind t cx ni fact = propagate ?kind t t.bw cx ni fact
 
 let int_cell tbl id =
@@ -538,7 +548,8 @@ let view t : Solver_ext.view =
           (listed t.fw.s_summaries (cx id)));
   }
 
-let create ?budget ?store ~config ~icfg ~scene ~mgr ~wrappers ~natives () =
+let create ?budget ?store ?(prune_dead = true) ~config ~icfg ~scene ~mgr
+    ~wrappers ~natives () =
   let budget =
     match budget with Some b -> b | None -> Config.budget config
   in
@@ -565,7 +576,8 @@ let create ?budget ?store ~config ~icfg ~scene ~mgr ~wrappers ~natives () =
       finding_keys = Hashtbl.create 64;
       act_sites = Node_tbl.create 16;
       act_methods = Node_tbl.create 16;
-      call_trees = Mkey.Tbl.create 16;
+      trees = Call_tree.create ~cg:icfg.Icfg.cg ~mgr ~config;
+      prune_dead;
       budget;
       ext = Solver_ext.none;
     }
@@ -584,6 +596,10 @@ let create ?budget ?store ~config ~icfg ~scene ~mgr ~wrappers ~natives () =
         | None -> Solver_ext.none);
       ];
   t
+
+let fresh ?store ?prune_dead t =
+  create ?store ?prune_dead ~config:t.cfg ~icfg:t.icfg ~scene:t.scene ~mgr:t.mgr
+    ~wrappers:t.wrappers ~natives:t.natives ()
 
 (* ---------------- findings ---------------- *)
 
@@ -808,131 +824,9 @@ let spawn_alias_search t cx (ni : ninfo) (origin : Taint.t) ap =
     propagate_bw ~kind:Prov.Alias t cx ni (Taint.T alias)
   end
 
-(* ---------------- what a callee's call tree can do ---------------- *)
-
-(* the taint a call statement generates under the zero fact: a
-   return-value source, or a [findViewById] whose id names a password
-   control, assigned to a local *)
-let call_source t body (s : Stmt.t) =
-  match s.Stmt.s_kind with
-  | Stmt.Assign (Stmt.Llocal x, Stmt.Einvoke inv) -> (
-      match Srcsink_mgr.return_source t.mgr inv with
-      | Some cat ->
-          Some
-            ( x,
-              cat,
-              Printf.sprintf "%s.%s()" inv.Stmt.i_sig.Types.m_class
-                inv.Stmt.i_sig.Types.m_name )
-      | None -> (
-          match Srcsink_mgr.ui_source t.mgr ~body ~at:s.Stmt.s_idx inv with
-          | Some ctl ->
-              Some
-                ( x,
-                  SS.Password,
-                  Printf.sprintf "password field %s (layout %s)"
-                    ctl.Fd_frontend.Layout.ctl_name
-                    ctl.Fd_frontend.Layout.ctl_layout )
-          | None -> None))
-  | _ -> None
-
-let union_use a b =
-  match (a, b) with
-  | Any_field, _ | _, Any_field -> Any_field
-  | Fields x, Fields y -> Fields (Field_set.union x y)
-
-let union_tree a b =
-  {
-    ct_fields = union_use a.ct_fields b.ct_fields;
-    ct_gen = a.ct_gen || b.ct_gen;
-  }
-
-(* [call_tree t mk] is what [mk]'s call tree can do, closed over its
-   ICFG callees (and, under the reflection pass, its constant-string
-   reflective callees).  A method's own body contributes the static
-   fields it reads or writes, and generates under the zero fact when
-   it has a source call, a parameter source, or (under the clinit
-   pass) a first-use [<clinit>] edge: such an edge makes the fields
-   "any field", because the [<clinit>] exit relays every static fact
-   to all the class's first-use sites through each site method's zero
-   context (see {!process_exit_fw}), so that context must exist.  The
-   edge stays a property of the site, not a call-tree edge: followed,
-   a [<clinit>] calling back into its trigger method would join that
-   method's component.  The first query condenses the callees nobody
-   has memoised yet ({!Scc.condense}), so every member of a recursive
-   cycle gets the union of the cycle, and each method is walked at
-   most once per solve. *)
-let call_tree t mk =
-  match Mkey.Tbl.find_opt t.call_trees mk with
-  | Some ct -> ct
-  | None ->
-      let cg = t.icfg.Icfg.cg in
-      let clinit = (prec t).Config.clinit
-      and refl = (prec t).Config.reflection in
-      let visit m =
-        let fields = ref Field_set.empty and any = ref false
-        and gen = ref false and succs = ref [] in
-        let field f = fields := Field_set.add f !fields in
-        (match Callgraph.body_of cg m with
-        | exception Not_found -> ()
-        | body ->
-            if
-              Srcsink_mgr.param_source t.mgr ~cls:m.Mkey.mk_class
-                ~mname:m.Mkey.mk_name
-              <> None
-            then gen := true;
-            Body.iter body (fun s ->
-                let idx = s.Stmt.s_idx in
-                (match s.Stmt.s_kind with
-                | Stmt.Assign (lv, e) ->
-                    (match lv with Stmt.Lstatic f -> field f | _ -> ());
-                    (match e with Stmt.Estatic f -> field f | _ -> ())
-                | _ -> ());
-                if Stmt.invoke_of s <> None then begin
-                  if call_source t body s <> None then gen := true;
-                  succs := List.rev_append (Callgraph.callees cg m idx) !succs
-                end;
-                if clinit && Callgraph.clinit_callees cg m idx <> [] then begin
-                  any := true;
-                  gen := true
-                end;
-                if refl then
-                  succs :=
-                    List.rev_append (Callgraph.refl_callees cg m idx) !succs));
-        ( { ct_fields = (if !any then Any_field else Fields !fields);
-            ct_gen = !gen },
-          !succs )
-      in
-      (* a successor not yet memoised is in the members' component *)
-      let finish members =
-        List.fold_left
-          (fun acc (_, own, succs) ->
-            List.fold_left
-              (fun acc c ->
-                match Mkey.Tbl.find_opt t.call_trees c with
-                | Some ct -> union_tree acc ct
-                | None -> acc)
-              (union_tree acc own) succs)
-          { ct_fields = Fields Field_set.empty; ct_gen = false }
-          members
-      in
-      Scc.condense t.call_trees ~visit ~finish mk
-
-(* whether the call tree of [callee] can read or write the static
-   field [f] *)
-let touches_static t (callee : minfo) f =
-  match (call_tree t callee.mi_key).ct_fields with
-  | Any_field -> true
-  | Fields fs -> Field_set.mem f fs
-
-(* whether the zero fact enters [callee]: only when its call tree can
-   generate a taint.  Under the naive handover ([context_injection]
-   off) aliases run in their method's zero context and return to
-   callers only through that context's incoming calls, so the zero
-   fact then enters every analysable callee. *)
+(* whether the zero fact enters [callee] (see {!Call_tree.zero_enters}) *)
 let zero_enters t (callee : minfo) =
-  Option.is_some callee.mi_body
-  && ((not t.cfg.Config.context_injection)
-     || (call_tree t callee.mi_key).ct_gen)
+  Option.is_some callee.mi_body && Call_tree.zero_enters t.trees callee.mi_key
 
 (* ---------------- forward flow functions ---------------- *)
 
@@ -1094,7 +988,7 @@ let call_flow t (ni : ninfo) (inv : Stmt.invoke) (callee : minfo)
           | AP.Bstatic f ->
               if
                 Option.is_some taint.Taint.activation
-                || touches_static t callee f
+                || Call_tree.touches_static t.trees callee.mi_key f
               then mapped := Taint.T taint :: !mapped
               else M.incr m_flow_call_static_skipped
           | AP.Bloc _ -> ());
@@ -1219,7 +1113,7 @@ let check_sink t cx (ni : ninfo) (ci : callinfo) (inv : Stmt.invoke)
 (* source generation at a call site (return-value and UI sources);
    the result is node-constant and cached in the callinfo *)
 let gen_sources t (ni : ninfo) : Taint.t list =
-  match call_source t (Option.get ni.ni_minfo.mi_body) ni.ni_stmt with
+  match Call_tree.call_source t.mgr (Option.get ni.ni_minfo.mi_body) ni.ni_stmt with
   | None -> []
   | Some (x, cat, desc) ->
       let n = ni.ni_node in

@@ -44,6 +44,7 @@ type t
 val create :
   ?budget:Fd_resilience.Budget.t ->
   ?store:Summary.hooks ->
+  ?prune_dead:bool ->
   config:Config.t ->
   icfg:Icfg.t ->
   scene:Scene.t ->
@@ -65,7 +66,20 @@ val create :
     callee's stored summaries are installed in place of its descent,
     and after a complete solve freshly solved contexts are persisted
     write-behind.  Absent hooks ⇒ behaviour and output are
-    byte-identical to a store-free build. *)
+    byte-identical to a store-free build.
+
+    [?prune_dead] (default [true]) drops every active forward taint
+    whose base local is dead where it lands, except a field path of
+    [this] or a parameter (DESIGN §8).  Findings and witnesses are the
+    same either way, and {!results_at} loses exactly the dropped
+    taints.  [false] keeps the unpruned solver for the tests that
+    check this; no option or configuration reaches it. *)
+
+val fresh : ?store:Summary.hooks -> ?prune_dead:bool -> t -> t
+(** [fresh t] is a new, unsolved engine over [t]'s ICFG, scene, rules
+    and config, with a budget derived from the config and the summary
+    store [?store] (none by default): run with the same entries, it
+    repeats [t]'s solve, under another [?prune_dead] when given. *)
 
 val run : t -> entries:Mkey.t list -> unit
 (** [run t ~entries] seeds the zero fact at each entry method's start

@@ -137,40 +137,47 @@ let param_locals b =
       | _ -> (this, params))
     (None, [])
 
-(** [uses_local s l] holds when statement [s] reads local [l] (in any
-    operand position, including receiver and branch conditions). *)
-let uses_local s l =
-  let imm_uses = function Iloc x -> equal_local x l | Iconst _ -> false in
-  let expr_uses = function
-    | Eimm i -> imm_uses i
-    | Efield (x, _) -> equal_local x l
-    | Estatic _ -> false
-    | Earray (x, i) -> equal_local x l || imm_uses i
-    | Ebinop (_, a, b) -> imm_uses a || imm_uses b
-    | Eunop (_, a) -> imm_uses a
-    | Ecast (_, a) -> imm_uses a
-    | Einstanceof (a, _) -> imm_uses a
-    | Enew _ -> false
-    | Enewarray (_, n) -> imm_uses n
-    | Elength x -> equal_local x l
-    | Einvoke inv ->
-        (match inv.i_recv with Some r -> equal_local r l | None -> false)
-        || List.exists imm_uses inv.i_args
+(** [iter_uses f s] applies [f] to every local statement [s] reads,
+    in any operand position: receivers, arguments, branch conditions,
+    the base and index of a field or array store, and returned or
+    thrown values.  A local read twice is passed twice. *)
+let iter_uses f s =
+  let imm = function Iloc x -> f x | Iconst _ -> () in
+  let invoke inv =
+    Option.iter f inv.i_recv;
+    List.iter imm inv.i_args
   in
   match s.s_kind with
-  | Assign (lv, e) ->
+  | Assign (lv, e) -> (
       (match lv with
-      | Llocal _ -> false
-      | Lfield (x, _) -> equal_local x l
-      | Lstatic _ -> false
-      | Larray (x, i) -> equal_local x l || imm_uses i)
-      || expr_uses e
-  | InvokeStmt inv ->
-      (match inv.i_recv with Some r -> equal_local r l | None -> false)
-      || List.exists imm_uses inv.i_args
-  | Identity _ -> false
-  | If (c, _) -> imm_uses c.c_left || imm_uses c.c_right
-  | Goto _ | Nop -> false
-  | Return (Some i) -> imm_uses i
-  | Return None -> false
-  | Throw i -> imm_uses i
+      | Llocal _ | Lstatic _ -> ()
+      | Lfield (x, _) -> f x
+      | Larray (x, i) ->
+          f x;
+          imm i);
+      match e with
+      | Eimm i | Eunop (_, i) | Ecast (_, i) | Einstanceof (i, _)
+      | Enewarray (_, i) ->
+          imm i
+      | Efield (x, _) | Elength x -> f x
+      | Earray (x, i) ->
+          f x;
+          imm i
+      | Ebinop (_, a, b) ->
+          imm a;
+          imm b
+      | Estatic _ | Enew _ -> ()
+      | Einvoke inv -> invoke inv)
+  | InvokeStmt inv -> invoke inv
+  | If (c, _) ->
+      imm c.c_left;
+      imm c.c_right
+  | Return (Some i) | Throw i -> imm i
+  | Identity _ | Goto _ | Nop | Return None -> ()
+
+(** [uses_local s l] holds when statement [s] reads local [l] (in any
+    of the positions {!iter_uses} visits). *)
+let uses_local s l =
+  match iter_uses (fun x -> if equal_local x l then raise_notrace Exit) s with
+  | () -> false
+  | exception Exit -> true

@@ -52,5 +52,13 @@ val param_locals : t -> local option * (int * local) list
 (** the [@this] local (if bound) and the parameter-index→local map
     from the identity statements *)
 
+val iter_uses : (local -> unit) -> Stmt.t -> unit
+(** [iter_uses f s] applies [f] to every local the statement reads, in
+    any operand position: receivers, arguments, branch conditions, the
+    base and index of a field or array store, and returned or thrown
+    values (a local read twice is passed twice).  Identity statements
+    read nothing. *)
+
 val uses_local : Stmt.t -> local -> bool
-(** does the statement read the local in any operand position? *)
+(** does the statement read the local in any of the positions
+    {!iter_uses} visits? *)

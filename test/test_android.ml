@@ -486,7 +486,14 @@ type truncated = {
   tr_sink_taints : int * string;
 }
 
-let observe_truncated apk budget =
+(* [unpruned r] solves [r]'s program again without the dead-local
+   rule, which keeps every taint on a dead local (see [Bidi.create]) *)
+let unpruned (r : Infoflow.result) =
+  let e = Bidi.fresh ~prune_dead:false r.Infoflow.r_engine in
+  Bidi.run e ~entries:r.Infoflow.r_entries;
+  e
+
+let observe_truncated ~prune_dead apk budget =
   let sink =
     match (Infoflow.analyze_apk apk).Infoflow.r_findings with
     | fd :: _ -> fd.Bidi.f_sink_node
@@ -496,15 +503,21 @@ let observe_truncated apk budget =
   let dedup () = Fd_obs.Metrics.counter_value "ifds.worklist_dedup_hits" in
   let dedup0 = dedup () in
   let r = Infoflow.analyze_apk ~config apk in
+  let engine, dedup0 =
+    if prune_dead then (r.Infoflow.r_engine, dedup0)
+    else
+      let d = dedup () in
+      (unpruned r, d)
+  in
+  let dedup_hits = dedup () - dedup0 in
   let taints =
     List.sort compare
-      (List.map Taint.to_string (Bidi.results_at r.Infoflow.r_engine sink))
+      (List.map Taint.to_string (Bidi.results_at engine sink))
   in
   {
-    tr_outcome =
-      Fd_resilience.Outcome.to_string (Bidi.outcome r.Infoflow.r_engine);
-    tr_props = Bidi.propagation_count r.Infoflow.r_engine;
-    tr_dedup = dedup () - dedup0;
+    tr_outcome = Fd_resilience.Outcome.to_string (Bidi.outcome engine);
+    tr_props = Bidi.propagation_count engine;
+    tr_dedup = dedup_hits;
     tr_findings =
       List.sort compare
         (List.map
@@ -513,7 +526,7 @@ let observe_truncated apk budget =
              Printf.sprintf "%s -> %s"
                (node fd.Bidi.f_source.Taint.si_node)
                (node fd.Bidi.f_sink_node))
-           r.Infoflow.r_findings);
+           (Bidi.findings engine));
     tr_sink_taints =
       ( List.length taints,
         Digest.to_hex (Digest.string (String.concat "\n" taints)) );
@@ -521,8 +534,10 @@ let observe_truncated apk budget =
 
 (* reference values: the solver's probe -> tick -> insert order and
    its FIFO worklist order decide exactly what a stopped solve has
-   seen, so a change to the solver's tables must reproduce them *)
-let expected_truncated =
+   seen, so a change to the solver's tables must reproduce them.
+   These are the solver's without the dead-local rule, whose dropped
+   taints tick no budget; [expected_truncated] below are with it. *)
+let expected_truncated_unpruned =
   [
     ( "leakage", 50,
       { tr_outcome = "budget-exhausted"; tr_props = 51; tr_dedup = 4;
@@ -563,14 +578,58 @@ let expected_truncated =
         tr_sink_taints = (4, "e68016d5eccb6f8820725a077811caf7") } );
   ]
 
-let test_truncated_solves () =
+(* with the dead-local rule: the same findings at the same budgets
+   except chain-100 at 1000, which gets further; leakage's dedup hits
+   grow because the budget buys more live edges, whose re-derivations
+   are counted *)
+let expected_truncated =
+  [
+    ( "leakage", 50,
+      { tr_outcome = "budget-exhausted"; tr_props = 51; tr_dedup = 4;
+        tr_findings = [];
+        tr_sink_taints = (0, "d41d8cd98f00b204e9800998ecf8427e") } );
+    ( "leakage", 1000,
+      { tr_outcome = "budget-exhausted"; tr_props = 1001; tr_dedup = 187;
+        tr_findings =
+          [ "de.ecspride.LeakageApp.onRestart/0@2 -> \
+             de.ecspride.LeakageApp.sendMessage/1@13" ];
+        tr_sink_taints = (21, "c1c75068a87ce0c3162ef79525d0cd91") } );
+    ( "leakage", 5000,
+      { tr_outcome = "budget-exhausted"; tr_props = 5001; tr_dedup = 1088;
+        tr_findings =
+          [ "de.ecspride.LeakageApp.onRestart/0@2 -> \
+             de.ecspride.LeakageApp.sendMessage/1@13" ];
+        tr_sink_taints = (74, "9af61fb04c708bcb879bb7c6ea409de0") } );
+    ( "leakage", 4419,
+      { tr_outcome = "budget-exhausted"; tr_props = 4420; tr_dedup = 967;
+        tr_findings =
+          [ "de.ecspride.LeakageApp.onRestart/0@2 -> \
+             de.ecspride.LeakageApp.sendMessage/1@13" ];
+        tr_sink_taints = (61, "963b84f80fe35a27109b9b4c5c5ac651") } );
+    ( "chain-100", 50,
+      { tr_outcome = "budget-exhausted"; tr_props = 51; tr_dedup = 0;
+        tr_findings = [];
+        tr_sink_taints = (0, "d41d8cd98f00b204e9800998ecf8427e") } );
+    ( "chain-100", 1000,
+      { tr_outcome = "budget-exhausted"; tr_props = 1001; tr_dedup = 0;
+        tr_findings = [ "chain.App.onCreate/1@3 -> chain.App.onCreate/1@6" ];
+        tr_sink_taints = (1, "c68271a63ddbc431c307beb7d2918275") } );
+    ( "chain-100", 5000,
+      { tr_outcome = "budget-exhausted"; tr_props = 5001; tr_dedup = 0;
+        tr_findings = [ "chain.App.onCreate/1@3 -> chain.App.onCreate/1@6" ];
+        tr_sink_taints = (5, "250892f95e2621a616c2dcc586d8711d") } );
+  ]
+
+let test_truncated_solves ~prune_dead expected () =
   let apps =
     [ ("leakage", fun () -> leakage_apk ());
       ("chain-100", fun () -> chain_apk ~depth:100) ]
   in
   List.iter
     (fun (name, budget, want) ->
-      let got = observe_truncated ((List.assoc name apps) ()) budget in
+      let got =
+        observe_truncated ~prune_dead ((List.assoc name apps) ()) budget
+      in
       let what field = Printf.sprintf "%s at %d: %s" name budget field in
       Alcotest.(check string) (what "outcome") want.tr_outcome got.tr_outcome;
       Alcotest.(check int) (what "propagations") want.tr_props got.tr_props;
@@ -579,7 +638,7 @@ let test_truncated_solves () =
         (what "findings") want.tr_findings got.tr_findings;
       Alcotest.(check (pair int string))
         (what "taints at the sink") want.tr_sink_taints got.tr_sink_taints)
-    expected_truncated
+    expected
 
 (* ---------------- results_at order ---------------- *)
 
@@ -588,7 +647,7 @@ let test_truncated_solves () =
    first taint it meets per source, so the order is part of the
    contract.  Also the nodes where a taint is repeated.  [keep]
    restricts the listing to the nodes of some methods. *)
-let results_listing ?(keep = fun _ -> true) (r : Infoflow.result) =
+let results_listing ?(keep = fun _ -> true) (r : Infoflow.result) engine =
   let cg = r.Infoflow.r_icfg.Fd_callgraph.Icfg.cg in
   let nodes =
     List.concat_map
@@ -607,7 +666,7 @@ let results_listing ?(keep = fun _ -> true) (r : Infoflow.result) =
       (fun n ->
         let where = Fd_callgraph.Icfg.string_of_node n in
         let taints =
-          List.map Taint.to_string (Bidi.results_at r.Infoflow.r_engine n)
+          List.map Taint.to_string (Bidi.results_at engine n)
         in
         if List.length (List.sort_uniq compare taints) <> List.length taints
         then repeated := where :: !repeated;
@@ -617,8 +676,9 @@ let results_listing ?(keep = fun _ -> true) (r : Infoflow.result) =
   in
   (lines, !count, !repeated)
 
-(* reference values: (taint count, digest of the listing) *)
-let expected_results_order =
+(* reference values: (taint count, digest of the listing), without the
+   dead-local rule; [expected_results_order] below are with it *)
+let expected_results_order_unpruned =
   [
     ("leakage", (3155, "5857d92dfb8d7323f2bc62531aeb0e34"));
     ("chain-10", (790, "4bbe79d615c3948b57d71c91feb502c5"));
@@ -630,10 +690,22 @@ let expected_results_order =
 let outside_dummy_main (m : Fd_callgraph.Mkey.t) =
   m.Fd_callgraph.Mkey.mk_class <> "dummyMainClass"
 
-let expected_app_results_order =
+let expected_app_results_order_unpruned =
   [ ("icc-pair", (12, "3a2d7edf1acd1669d66a10690b79ac77")) ]
 
-let test_results_order () =
+(* with the dead-local rule: each listing is the unpruned one less
+   the taints on dead locals (the property in test_properties) *)
+let expected_results_order =
+  [
+    ("leakage", (2503, "a6c23f1ca2365d6ac140ab0d7d86a237"));
+    ("chain-10", (502, "8058641138d19be6d9d782979404ac5b"));
+    ("icc-pair", (7, "a4b1d9794062bfb5dc300549c631c240"));
+  ]
+
+let expected_app_results_order =
+  [ ("icc-pair", (7, "32339559ca274d74f5fa6c1f9831a673")) ]
+
+let test_results_order ~prune_dead (expected, expected_app) () =
   let icc = { Config.default with Config.icc = true } in
   let runs =
     [
@@ -661,27 +733,30 @@ let test_results_order () =
   List.iter
     (fun (name, run) ->
       let r = run () in
-      let lines, count, repeated = results_listing r in
+      let engine = if prune_dead then r.Infoflow.r_engine else unpruned r in
+      let lines, count, repeated = results_listing r engine in
       Alcotest.(check (pair int string))
         (name ^ ": taints per node, in results_at order")
-        (List.assoc name expected_results_order)
+        (List.assoc name expected)
         (count, Digest.to_hex (Digest.string (String.concat "\n" lines)));
       Alcotest.(check (list string)) (name ^ ": nodes with a repeated taint")
         [] repeated;
       Option.iter
         (fun want ->
-          let lines, count, _ = results_listing ~keep:outside_dummy_main r in
+          let lines, count, _ =
+            results_listing ~keep:outside_dummy_main r engine
+          in
           Alcotest.(check (pair int string))
             (name ^ ": app-method taints, in results_at order")
             want
             (count, Digest.to_hex (Digest.string (String.concat "\n" lines))))
-        (List.assoc_opt name expected_app_results_order);
+        (List.assoc_opt name expected_app);
       Alcotest.(check (list string))
         (name ^ ": no zero fact") []
         (List.filter (fun l -> l = Taint.fact_to_string Taint.Zero) lines);
       Alcotest.(check int)
         (name ^ ": unreached node") 0
-        (List.length (Bidi.results_at r.Infoflow.r_engine unreached)))
+        (List.length (Bidi.results_at engine unreached)))
     runs
 
 let () =
@@ -715,9 +790,18 @@ let () =
           Alcotest.test_case "propagation budget" `Quick
             test_budget_exhaustion_static;
           Alcotest.test_case "budget-truncated solves are pinned" `Quick
-            test_truncated_solves;
+            (test_truncated_solves ~prune_dead:true expected_truncated);
+          Alcotest.test_case "budget-truncated solves are pinned (unpruned)"
+            `Quick
+            (test_truncated_solves ~prune_dead:false
+               expected_truncated_unpruned);
           Alcotest.test_case "results_at order is pinned" `Quick
-            test_results_order;
+            (test_results_order ~prune_dead:true
+               (expected_results_order, expected_app_results_order));
+          Alcotest.test_case "results_at order is pinned (unpruned)" `Quick
+            (test_results_order ~prune_dead:false
+               ( expected_results_order_unpruned,
+                 expected_app_results_order_unpruned ));
           Alcotest.test_case "superclass cycle terminates" `Quick
             test_superclass_cycle;
         ] );

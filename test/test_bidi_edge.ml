@@ -595,6 +595,146 @@ let test_zero_skips_source_free_helper () =
   Alcotest.(check bool) "helper has no path edge" false
     (List.mem "t.S.helper/0" profiled)
 
+(* ---- the dead-local rule: an active taint rooted at a local that is
+   dead where it lands is dropped, except a field path of [this] or a
+   parameter; the unpruned engine ([Bidi.fresh ~prune_dead:false])
+   solves the same program for comparison ---- *)
+
+let unpruned (r : Infoflow.result) =
+  let e = Bidi.fresh ~prune_dead:false r.Infoflow.r_engine in
+  Bidi.run e ~entries:r.Infoflow.r_entries;
+  e
+
+let render_findings fs =
+  List.map
+    (fun (fd : Bidi.finding) ->
+      Printf.sprintf "%s -> %s"
+        (Fd_callgraph.Icfg.string_of_node fd.Bidi.f_source.Taint.si_node)
+        (Fd_callgraph.Icfg.string_of_node fd.Bidi.f_sink_node))
+    fs
+
+(* the taints at [cls.name]'s exits, as (base local, field count,
+   active), each once *)
+let exit_taints (r : Infoflow.result) engine cls name arity =
+  let mk = Fd_callgraph.Mkey.{ mk_class = cls; mk_name = name; mk_arity = arity } in
+  let body = Fd_callgraph.Callgraph.body_of r.Infoflow.r_icfg.Fd_callgraph.Icfg.cg mk in
+  List.sort_uniq compare
+  @@ List.concat_map
+    (fun i ->
+      List.filter_map
+        (fun (t : Taint.t) ->
+          match t.Taint.ap.Access_path.base with
+          | Access_path.Bloc x ->
+              Some (x.Stmt.l_name, Access_path.length t.Taint.ap, t.Taint.active)
+          | Access_path.Bstatic _ -> None)
+        (Bidi.results_at engine Fd_callgraph.Icfg.{ n_method = mk; n_idx = i }))
+    (Body.exit_stmts body)
+
+let data = "t.Data"
+let data_f = B.fld data "f"
+
+(* [put] writes its parameter's field and never reads the parameter
+   again; the caller reads the field back *)
+let put_program () =
+  [
+    B.cls data ~fields:[ ("f", obj) ] [];
+    B.cls "t.S"
+      [
+        B.meth "put" ~static:true ~params:[ T.Ref data; obj ] (fun m ->
+            let p = B.param m 0 "p" ~ty:(T.Ref data) in
+            let v = B.param m 1 "v" in
+            B.store m p data_f (B.v v);
+            B.nop m);
+        B.meth "main" ~static:true (fun m ->
+            let a = B.local m "a" ~ty:(T.Ref data) in
+            let x = B.local m "x" and y = B.local m "y" in
+            B.newobj m a data;
+            src m ~tag:"s" x;
+            B.scall m "t.S" "put" [ B.v a; B.v x ];
+            B.load m y a data_f;
+            snk m ~tag:"k" y);
+      ];
+  ]
+
+let test_dead_param_field_path () =
+  let r = analyze (put_program ()) [ ("t.S", "main") ] in
+  Alcotest.(check (list (pair string string))) "a.f leaks" [ ("s", "k") ]
+    (flow_pairs r);
+  Alcotest.(check (list (triple string int bool)))
+    "p.f reaches put's exit" [ ("p", 1, true) ]
+    (exit_taints r r.Infoflow.r_engine "t.S" "put" 2)
+
+let test_dead_bare_param () =
+  let r = analyze (put_program ()) [ ("t.S", "main") ] in
+  let plain = unpruned r in
+  Alcotest.(check (list (triple string int bool)))
+    "unpruned: v also reaches put's exit"
+    [ ("p", 1, true); ("v", 0, true) ]
+    (exit_taints r plain "t.S" "put" 2);
+  Alcotest.(check (list (triple string int bool)))
+    "pruned: the bare parameter v does not" [ ("p", 1, true) ]
+    (exit_taints r r.Infoflow.r_engine "t.S" "put" 2);
+  Alcotest.(check (list string)) "same findings"
+    (render_findings (Bidi.findings plain))
+    (render_findings (Bidi.findings r.Infoflow.r_engine))
+
+(* Listing 3 with the heap write in a callee that may skip it: the
+   alias search from [d.f] finds [q.f], on a local [set] never reads
+   again.  On the skipping path [q.f] reaches the exit inactive, where
+   [return_flow] records its activation site; once it crosses the
+   write it is active and dropped.  The caller's first sink reads
+   [p2.f] before the write (no leak), the second after it (the leak). *)
+let test_dead_inactive_alias () =
+  let classes =
+    [
+      B.cls data ~fields:[ ("f", obj) ] [];
+      B.cls "t.S"
+        [
+          B.meth "set" ~static:true ~params:[ T.Ref data; obj; T.Int ]
+            (fun m ->
+              let d = B.param m 0 "d" ~ty:(T.Ref data) in
+              let s = B.param m 1 "s" in
+              let n = B.param m 2 "n" ~ty:T.Int in
+              let q = B.local m "q" ~ty:(T.Ref data) in
+              B.move m q d;
+              B.ifgoto m (B.v n) Stmt.Cle (B.i 0) "end";
+              B.store m d data_f (B.v s);
+              B.label m "end";
+              B.ret m);
+          B.meth "main" ~static:true (fun m ->
+              let p = B.local m "p" ~ty:(T.Ref data) in
+              let p2 = B.local m "p2" ~ty:(T.Ref data) in
+              let s = B.local m "s" in
+              let v1 = B.local m "v1" and v2 = B.local m "v2" in
+              B.newobj m p data;
+              B.move m p2 p;
+              B.load m v1 p2 data_f;
+              snk m ~tag:"k2" v1;
+              src m ~tag:"s" s;
+              B.scall m "t.S" "set" [ B.v p; B.v s; B.i 1 ];
+              B.load m v2 p2 data_f;
+              snk m ~tag:"k4" v2);
+        ];
+    ]
+  in
+  let r = analyze classes [ ("t.S", "main") ] in
+  let plain = unpruned r in
+  Alcotest.(check (list (pair string string))) "only the second sink leaks"
+    [ ("s", "k4") ] (flow_pairs r);
+  Alcotest.(check (list string)) "same findings"
+    (render_findings (Bidi.findings plain))
+    (render_findings (Bidi.findings r.Infoflow.r_engine));
+  let on_q engine =
+    List.filter (fun (x, _, _) -> x = "q") (exit_taints r engine "t.S" "set" 3)
+  in
+  Alcotest.(check (list (triple string int bool)))
+    "unpruned: q.f at the exit, inactive and active"
+    [ ("q", 1, false); ("q", 1, true) ]
+    (on_q plain);
+  Alcotest.(check (list (triple string int bool)))
+    "pruned: only the inactive q.f" [ ("q", 1, false) ]
+    (on_q r.Infoflow.r_engine)
+
 let () =
   Alcotest.run "fd_bidi_edge"
     [
@@ -639,5 +779,14 @@ let () =
             test_zero_naive_handover;
           Alcotest.test_case "source-free helper skipped" `Quick
             test_zero_skips_source_free_helper;
+        ] );
+      ( "dead-local rule",
+        [
+          Alcotest.test_case "parameter field path kept" `Quick
+            test_dead_param_field_path;
+          Alcotest.test_case "bare parameter dropped at the exit" `Quick
+            test_dead_bare_param;
+          Alcotest.test_case "inactive alias on a dead local kept" `Quick
+            test_dead_inactive_alias;
         ] );
     ]

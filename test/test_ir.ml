@@ -214,6 +214,80 @@ let test_uses_local () =
   Alcotest.(check bool) "y.f=x uses both" true
     (Body.uses_local (Body.stmt b 2) x && Body.uses_local (Body.stmt b 2) y)
 
+(* [Liveness] on hand-built bodies: the locals live-in at each
+   statement, by name *)
+let live_sets b =
+  let lv = Liveness.analyze b in
+  let names =
+    List.sort_uniq compare (List.map (fun l -> l.S.l_name) b.Body.locals)
+  in
+  List.init (Body.length b) (fun i ->
+      List.filter (fun x -> Liveness.live_in lv i (S.mk_local x)) names)
+
+let body_of_kinds locals kinds =
+  Body.create ~locals:(List.map S.mk_local locals)
+    (List.mapi (fun i k -> { S.s_idx = i; s_kind = k; s_tag = None }) kinds)
+
+let test_liveness () =
+  let l = S.mk_local in
+  let def x = S.Assign (S.Llocal (l x), S.Eimm (S.Iconst (S.CInt 1))) in
+  let copy x y = S.Assign (S.Llocal (l x), S.Eimm (S.Iloc (l y))) in
+  let cond x =
+    { S.c_op = S.Clt; c_left = S.Iloc (l x); c_right = S.Iconst (S.CInt 9) }
+  in
+  let check name want kinds locals =
+    Alcotest.(check (list (list string))) name want
+      (live_sets (body_of_kinds locals kinds))
+  in
+  (* a diamond: y is read on one arm only, z after the join; the
+     last return is unreachable *)
+  check "diamond"
+    [ [ "y" ]; [ "x"; "y" ]; [ "y" ]; [ "z" ]; []; [ "z" ]; [] ]
+    [ def "x"; S.If (cond "x", 4); copy "z" "y"; S.Goto 5; def "z";
+      S.Return (Some (S.Iloc (l "z"))); S.Return None ]
+    [ "x"; "y"; "z" ];
+  (* a loop: i stays live around the back edge, s and t only until
+     their reads, and u, never read, nowhere *)
+  check "loop"
+    [ [ "s"; "t" ]; [ "i"; "s"; "t" ]; [ "i"; "t" ]; [ "i" ]; [ "i" ]; [] ]
+    [ def "i"; copy "u" "s"; copy "u" "t";
+      S.Assign (S.Llocal (l "i"), S.Ebinop ("+", S.Iloc (l "i"), S.Iconst (S.CInt 1)));
+      S.If (cond "i", 3); S.Return None ]
+    [ "i"; "s"; "t"; "u" ];
+  (* x = x.next reads x before it redefines it *)
+  let next = Types.{ f_class = "t.N"; f_name = "next"; f_type = Ref "t.N" } in
+  check "use and def in one statement"
+    [ [ "x" ]; [ "x" ]; [] ]
+    [ S.Assign (S.Llocal (l "x"), S.Efield (l "x", next));
+      S.Assign (S.Llocal (l "x"), S.Efield (l "x", next)); S.Return None ]
+    [ "x" ];
+  check "defined, never read" [ []; [] ] [ def "x"; S.Return None ] [ "x" ];
+  check "return x" [ [ "x" ] ] [ S.Return (Some (S.Iloc (l "x"))) ] [ "x" ];
+  check "throw x" [ [ "x" ] ] [ S.Throw (S.Iloc (l "x")) ] [ "x" ];
+  (* identity statements bind without killing: a parameter taint enters
+     at statement 0, before its identity *)
+  check "identity is transparent"
+    [ [ "p" ]; [ "p" ]; [ "p" ]; [] ]
+    [ S.Identity (l "this", S.Ithis "t.C"); S.Identity (l "p", S.Iparam 0);
+      S.InvokeStmt
+        { S.i_kind = S.Static;
+          i_sig = Types.mk_method ~params:[ Types.Ref "t.C" ] "t.C" "use";
+          i_recv = None; i_args = [ S.Iloc (l "p") ] };
+      S.Return None ]
+    [ "this"; "p" ];
+  (* more locals than one set word holds *)
+  let many = List.init 70 (Printf.sprintf "v%02d") in
+  let reads = List.map (fun x -> copy "w" x) many in
+  let lv =
+    Liveness.analyze (body_of_kinds ("w" :: many) (reads @ [ S.Return None ]))
+  in
+  Alcotest.(check (list bool)) "70 locals: v69 live until its read"
+    (List.init 71 (fun i -> i <= 69))
+    (List.init 71 (fun i -> Liveness.live_in lv i (l "v69")));
+  Alcotest.(check (list bool)) "70 locals: v00 live only at its read"
+    (List.init 71 (fun i -> i = 0))
+    (List.init 71 (fun i -> Liveness.live_in lv i (l "v00")))
+
 (* ---------------- scene & hierarchy ---------------- *)
 
 let hierarchy_scene () =
@@ -1003,6 +1077,7 @@ let () =
           Alcotest.test_case "exit stmts" `Quick test_exit_stmts;
           Alcotest.test_case "tags" `Quick test_find_tagged;
           Alcotest.test_case "uses_local" `Quick test_uses_local;
+          Alcotest.test_case "liveness" `Quick test_liveness;
         ] );
       ( "scene",
         [

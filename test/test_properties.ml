@@ -260,6 +260,180 @@ let test_config_decode_errors () =
     (Config.decode Config.default [ ("k", Json.Int 2); ("k", Json.Int 3) ]
     = Ok { Config.default with Config.max_access_path = 3 })
 
+(* --- the dead-local rule is exact --- *)
+
+module Bidi = Fd_core.Bidi
+module Taint = Fd_core.Taint
+module AP = Fd_core.Access_path
+module Icfg = Fd_callgraph.Icfg
+
+(* a depth-[depth] static chain carrying the IMEI to an SMS, each step
+   staging the value through a heap cell in one of four ways drawn
+   from [seed]: directly, through a copy of the box (an alias on a
+   local read once), through a static field, or through a helper that
+   writes its parameter's field *)
+let chain_apk ~seed =
+  let rng = Random.State.make [| seed |] in
+  let depth = 2 + Random.State.int rng 7 in
+  let step i =
+    let stage =
+      match Random.State.int rng 4 with
+      | 0 -> "    b.c.Box#val = p;\n    t = b.c.Box#val;\n"
+      | 1 -> "    q = b;\n    q.c.Box#val = p;\n    t = b.c.Box#val;\n"
+      | 2 -> "    static c.Box#st = p;\n    t = static c.Box#st;\n"
+      | _ ->
+          "    staticinvoke c.Chain#put(b, p);\n    t = b.c.Box#val;\n"
+    in
+    Printf.sprintf
+      "  static method java.lang.String step%d(java.lang.String) {\n\
+      \    local p : java.lang.Object;\n\
+      \    local b : c.Box;\n\
+      \    local q : c.Box;\n\
+      \    local t : java.lang.Object;\n\
+      \    p := @parameter0;\n\
+      \    b = new c.Box;\n\
+      \    specialinvoke b.c.Box#<init>();\n\
+       %s%s\
+      \    return t;\n\
+      \  }\n"
+      i stage
+      (if i = depth - 1 then ""
+       else Printf.sprintf "    t = staticinvoke c.Chain#step%d(t);\n" (i + 1))
+  in
+  let box =
+    "class c.Box {\n\
+    \  field val : java.lang.String;\n\
+    \  field st : java.lang.String;\n\
+    \  method void <init>() {\n\
+    \    this := @this: c.Box;\n\
+    \    return;\n\
+    \  }\n\
+     }\n"
+  in
+  let activity =
+    "class c.App extends android.app.Activity {\n\
+    \  method void onCreate(android.os.Bundle) {\n\
+    \    local tm : android.telephony.TelephonyManager;\n\
+    \    local imei : java.lang.Object;\n\
+    \    local out : java.lang.Object;\n\
+    \    local sms : android.telephony.SmsManager;\n\
+    \    this := @this: c.App;\n\
+    \    tm = new android.telephony.TelephonyManager;\n\
+    \    imei = virtualinvoke \
+     tm.android.telephony.TelephonyManager#getDeviceId() @\"src-imei\";\n\
+    \    out = staticinvoke c.Chain#step0(imei);\n\
+    \    sms = staticinvoke android.telephony.SmsManager#getDefault();\n\
+    \    virtualinvoke \
+     sms.android.telephony.SmsManager#sendTextMessage(\"+1\", null, out, \
+     null, null) @\"sink-sms\";\n\
+    \    return;\n\
+    \  }\n\
+     }\n"
+  in
+  let put =
+    "  static method void put(c.Box, java.lang.String) {\n\
+    \    local d : c.Box;\n\
+    \    local v : java.lang.Object;\n\
+    \    d := @parameter0;\n\
+    \    v := @parameter1;\n\
+    \    d.c.Box#val = v;\n\
+    \    return;\n\
+    \  }\n"
+  in
+  let chain =
+    "class c.Chain {\n" ^ put ^ String.concat "" (List.init depth step) ^ "}\n"
+  in
+  Fd_frontend.Apk.make_text "ChainApp"
+    ~manifest:
+      (Fd_frontend.Apk.simple_manifest ~package:"c"
+         [ (Fd_frontend.Framework.Activity, "c.App", []) ])
+    [ box; chain; activity ]
+
+let render_findings engine =
+  List.map
+    (fun (fd : Bidi.finding) ->
+      let node = Icfg.string_of_node in
+      String.concat " | "
+        ([ node fd.Bidi.f_source.Taint.si_node;
+           Option.value fd.Bidi.f_source.Taint.si_tag ~default:"";
+           node fd.Bidi.f_sink_node;
+           String.concat "," (List.map node fd.Bidi.f_path) ]
+        @ List.map
+            (fun (w : Bidi.witness_step) ->
+              Printf.sprintf "%s %s %s %s" (node w.Bidi.ws_node)
+                w.Bidi.ws_stmt w.Bidi.ws_fact w.Bidi.ws_kind)
+            fd.Bidi.f_witness))
+    (Bidi.findings engine)
+
+(* The rule, restated from its definition: an active taint rooted at a
+   local that is not live-in at the node, unless it is a field path of
+   [this] or a parameter.  [pruning_exact] solves [apk] with the rule
+   and without it: the findings and witnesses must be equal, and each
+   node's [results_at] must be the unpruned list less the taints the
+   rule drops, in the same order.  With [leaks], a finding must
+   exist. *)
+let pruning_exact ~leaks ~config apk =
+  let r = Fd_core.Infoflow.analyze_apk ~config apk in
+  let pruned = r.Fd_core.Infoflow.r_engine in
+  let plain = Bidi.fresh ~prune_dead:false pruned in
+  Bidi.run plain ~entries:r.Fd_core.Infoflow.r_entries;
+  let cg = r.Fd_core.Infoflow.r_icfg.Icfg.cg in
+  let nodes_agree m =
+    match Fd_callgraph.Callgraph.body_of cg m with
+    | exception Not_found -> true
+    | body ->
+        let lv = Liveness.analyze body in
+        let this_l, params = Body.param_locals body in
+        let carried x =
+          List.exists (Stmt.equal_local x)
+            (Option.to_list this_l @ List.map snd params)
+        in
+        let dropped i (t : Taint.t) =
+          t.Taint.active
+          &&
+          match t.Taint.ap.AP.base with
+          | AP.Bloc x ->
+              (not (Liveness.live_in lv i x))
+              && not (AP.length t.Taint.ap > 0 && carried x)
+          | AP.Bstatic _ -> false
+        in
+        List.for_all
+          (fun i ->
+            let n = Icfg.{ n_method = m; n_idx = i } in
+            List.equal
+              (fun a b -> Taint.equal (Taint.T a) (Taint.T b))
+              (Bidi.results_at pruned n)
+              (List.filter
+                 (fun t -> not (dropped i t))
+                 (Bidi.results_at plain n)))
+          (List.init (Body.length body) Fun.id)
+  in
+  let found = render_findings pruned in
+  ((not leaks) || found <> [])
+  && found = render_findings plain
+  && List.for_all nodes_agree (Fd_callgraph.Callgraph.reachable_methods cg)
+
+let prop_pruning_exact ?(leaks = false) name apk_of =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "the dead-local rule is exact (%s)" name)
+    ~count:8
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let apk = apk_of seed in
+      List.for_all
+        (fun (leaks, precision) ->
+          pruning_exact ~leaks
+            ~config:
+              { Fd_core.Config.default with
+                Fd_core.Config.provenance = true; precision }
+            apk)
+        (* the must-alias pass kills the copy-staged alias at its own
+           write, so only the default precision must find the leak *)
+        [ (leaks, Fd_core.Config.no_precision);
+          (false, Fd_core.Config.all_precision) ])
+
+let generated profile seed = (Gen.generate ~profile ~seed 4).Gen.ga_apk
+
 let () =
   Alcotest.run "fd_properties"
     [
@@ -275,6 +449,10 @@ let () =
             prop_naive_handover_superset;
             prop_callbacks_monotone;
             prop_rta_subset_of_cha;
+            prop_pruning_exact "malware" (generated Gen.Malware);
+            prop_pruning_exact "play" (generated Gen.Play);
+            prop_pruning_exact "icc" (generated Gen.Icc);
+            prop_pruning_exact ~leaks:true "chain" (fun seed -> chain_apk ~seed);
           ] );
       ( "config-codec",
         [

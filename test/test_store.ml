@@ -203,6 +203,71 @@ let test_hot_cold_corpus () =
        (Gen.corpus ~profile:Gen.Malware ~seed:20140609 8))
 
 (* ------------------------------------------------------------------ *)
+(* entries written without the dead-local rule                         *)
+(* ------------------------------------------------------------------ *)
+
+(* a store written by the unpruned solver ([Bidi.fresh ~prune_dead:false])
+   holds end summaries on dead locals too: a superset, whose extra
+   facts map into no caller.  The pruned solver reads it with the same
+   verdicts as with the store off, and the same findings and sink
+   reports, byte for byte, as from a store it wrote itself; the
+   unpruned entries take more bytes. *)
+(* a report's XML up to its performance data (run time and counts) *)
+let results_xml r =
+  let x = Fd_core.Report.to_xml_string r in
+  let rec cut i =
+    if i + 17 > String.length x then x
+    else if String.sub x i 17 = "<PerformanceData>" then String.sub x 0 i
+    else cut (i + 1)
+  in
+  cut 0
+
+let test_unpruned_entries_readable () =
+  Fd_store.Store.install ();
+  let old_dir = temp_dir "fdstore-unpruned"
+  and new_dir = temp_dir "fdstore-pruned" in
+  let hits () = Metrics.counter_value "store.hits" in
+  let bytes dir =
+    List.fold_left (fun acc e -> acc + e.Store.ei_bytes) 0 (Store.scan dir)
+  in
+  let apks =
+    List.map
+      (fun a -> a.Fd_droidbench.Bench_app.app_apk)
+      (List.filteri (fun i _ -> i mod 5 = 0) Suite.all)
+    @ List.init 4 (fun i -> gen_apk ~profile:Gen.Malware ~seed:29 i)
+  in
+  let old_hits = ref 0 in
+  List.iter
+    (fun apk ->
+      let off = analyze apk in
+      let hooks =
+        Summary.make_hooks ~icfg:off.Fd_core.Infoflow.r_icfg
+          ~config:{ Config.default with Config.summary_store = Some old_dir }
+          ~sources:(Fd_frontend.Sourcesink.default ())
+          ~wrappers:(Fd_frontend.Rules.default_wrappers ())
+          ~natives:(Fd_frontend.Rules.default_natives ())
+      in
+      let writer =
+        Fd_core.Bidi.fresh ?store:hooks ~prune_dead:false
+          off.Fd_core.Infoflow.r_engine
+      in
+      Fd_core.Bidi.run writer ~entries:off.Fd_core.Infoflow.r_entries;
+      ignore (analyze ~dir:new_dir apk);
+      let hot_new = analyze ~dir:new_dir apk in
+      let h = hits () in
+      let hot_old = analyze ~dir:old_dir apk in
+      old_hits := !old_hits + (hits () - h);
+      Alcotest.(check bool) "verdicts as with the store off" true
+        (keys_of off = keys_of hot_old);
+      Alcotest.(check string) "findings and sink reports"
+        (results_xml hot_new) (results_xml hot_old))
+    apks;
+  Alcotest.(check bool) "the pruned solver read unpruned entries" true
+    (!old_hits > 0);
+  Alcotest.(check bool) "unpruned entries are larger" true
+    (bytes old_dir > bytes new_dir)
+
+(* ------------------------------------------------------------------ *)
 (* corruption handling                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -496,6 +561,8 @@ let () =
             test_hot_cold_droidbench;
           Alcotest.test_case "hot vs cold: corpus slice" `Slow
             test_hot_cold_corpus;
+          Alcotest.test_case "entries written unpruned stay readable" `Quick
+            test_unpruned_entries_readable;
           Alcotest.test_case "corruption degrades to misses" `Quick
             test_corruption;
           Alcotest.test_case "unwritable dir degrades to read-only" `Quick
