@@ -485,6 +485,7 @@ let dead_at (ni : ninfo) (fact : Taint.fact) =
 let propagate_fw ?kind t cx ni fact =
   if not (t.prune_dead && dead_at ni fact) then
     propagate ?kind t t.fw cx ni fact
+
 let propagate_bw ?kind t cx ni fact = propagate ?kind t t.bw cx ni fact
 
 let int_cell tbl id =
