@@ -136,17 +136,17 @@ slack_s=0.05
 ov_ok=$(python3 -c "
 print('true' if $on_s <= 1.3 * $off_s + $slack_s else 'false')")
 if [ "$ov_ok" = true ]; then
-  echo "ok: provenance overhead ${overhead}x (limit 1.3x)"
+  echo "ok: provenance overhead ${overhead}x (bound: on_s <= 1.3 x off_s + ${slack_s} s)"
 else
-  echo "FAIL: provenance overhead ${overhead}x exceeds 1.3x"
+  echo "FAIL: provenance overhead ${overhead}x exceeds the bound on_s <= 1.3 x off_s + ${slack_s} s"
   fail=1
 fi
 prof_ok=$(python3 -c "
 print('true' if $profile_on_s <= 1.3 * $off_s + $slack_s else 'false')")
 if [ "$prof_ok" = true ]; then
-  echo "ok: profiler overhead ${profile_overhead}x (limit 1.3x)"
+  echo "ok: profiler overhead ${profile_overhead}x (bound: on_s <= 1.3 x off_s + ${slack_s} s)"
 else
-  echo "FAIL: profiler overhead ${profile_overhead}x exceeds 1.3x"
+  echo "FAIL: profiler overhead ${profile_overhead}x exceeds the bound on_s <= 1.3 x off_s + ${slack_s} s"
   fail=1
 fi
 

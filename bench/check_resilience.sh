@@ -93,13 +93,19 @@ else
   fail=1
 fi
 # every degraded/partial outcome must carry a flight-recorder dump in
-# its diagnostics (the runner prints flight=MISSING when one does not)
+# its diagnostics that names a solver event (the runner prints
+# flight=MISSING when there is no dump, flight=EMPTY when no dump names
+# a solver event)
 if grep -q "flight=MISSING" "$work/chaos.txt"; then
   echo "FAIL: degraded outcome without a flight-recorder dump"
   grep "flight=MISSING" "$work/chaos.txt"
   fail=1
+elif grep -q "flight=EMPTY" "$work/chaos.txt"; then
+  echo "FAIL: degraded outcome whose flight-recorder dump has no solver event"
+  grep "flight=EMPTY" "$work/chaos.txt"
+  fail=1
 else
-  echo "ok: every non-precise outcome carries a flight-recorder dump"
+  echo "ok: every non-precise outcome carries a flight-recorder dump with solver events"
 fi
 
 require_key () {

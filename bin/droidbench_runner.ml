@@ -87,6 +87,19 @@ let run_one ~config (app : Fd_droidbench.Bench_app.t) =
   if not (Fd_resilience.Outcome.is_complete o) then
     Printf.printf "outcome: %s\n" (Fd_resilience.Outcome.to_string o)
 
+(* whether a flight-recorder dump names at least one solver event (the
+   vocabulary of [Bidi.post_mortem]) *)
+let has_solver_event msg =
+  let contains sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  List.exists contains
+    [ "seed "; "fw.pop "; "bw.pop "; "call-edge "; "return-edge " ]
+
 (* --chaos-rate: the fault-injection smoke run.  Each app's µJimple is
    re-rendered through the pretty-printer, corrupted at rate P, parsed
    leniently, and analysed under the degradation ladder with
@@ -133,22 +146,26 @@ let run_chaos ~config ~seed rate =
           let diags =
             fb.Fd_core.Infoflow.fb_result.Fd_core.Infoflow.r_diags
           in
-          (* every degraded/partial outcome must carry a post-mortem:
-             surface the flight-recorder dump count so the CI gate (and
-             a reader) can spot a silent degradation at a glance *)
+          (* every degraded/partial outcome must carry a post-mortem
+             with at least one solver event: surface the
+             flight-recorder dump count so the CI gate (and a reader)
+             can spot a silent degradation or an empty dump *)
           let flight =
             match fb.Fd_core.Infoflow.fb_completeness with
             | Fd_core.Infoflow.Precise -> ""
             | Fd_core.Infoflow.Degraded _ | Fd_core.Infoflow.Partial _ ->
-                let n =
-                  List.length
-                    (List.filter
-                       (fun (d : Fd_resilience.Diag.t) ->
-                         d.Fd_resilience.Diag.d_file = "flight-recorder")
-                       diags)
+                let dumps =
+                  List.filter_map
+                    (fun (d : Fd_resilience.Diag.t) ->
+                      if d.Fd_resilience.Diag.d_file = "flight-recorder" then
+                        Some d.Fd_resilience.Diag.d_msg
+                      else None)
+                    diags
                 in
-                if n > 0 then Printf.sprintf ", flight=%d" n
-                else ", flight=MISSING"
+                if dumps = [] then ", flight=MISSING"
+                else if not (List.exists has_solver_event dumps) then
+                  ", flight=EMPTY"
+                else Printf.sprintf ", flight=%d" (List.length dumps)
           in
           Printf.printf "%-28s %-22s %d flow(s), %d diag(s)%s\n" label c
             (List.length fb.Fd_core.Infoflow.fb_result.Fd_core.Infoflow.r_findings)

@@ -255,6 +255,9 @@ type t = {
   trees : Call_tree.t;  (** what each callee's call tree can do *)
   prune_dead : bool;  (** whether {!dead_at} taints are dropped *)
   budget : Fd_resilience.Budget.t;
+  flight : Fd_obs.Ring.t;
+      (** the last seeds, pops, call edges and return edges, as
+          (kind, id, id); rendered by {!post_mortem} *)
   mutable ext : Solver_ext.t;
       (** the enabled extensions (see {!create}), set once the engine
           exists because they read it through a view *)
@@ -500,6 +503,28 @@ let int_cell tbl id =
 let listed tbl (cx : cctx) =
   match Int_tbl.find_opt tbl cx.cc_id with Some c -> !c | None -> []
 
+(* flight-recorder event kinds *)
+let ev_seed = 0
+let ev_fw_pop = 1
+let ev_bw_pop = 2
+let ev_call = 3
+let ev_return = 4
+
+let post_mortem t =
+  let node id = Icfg.string_of_node t.ninfo_by_id.(id).ni_node in
+  let fact id = Taint.fact_to_string (fact_of t id) in
+  Fd_resilience.Budget.post_mortem t.budget t.flight (fun kind a b ->
+      if kind = ev_seed then "seed " ^ node a
+      else if kind = ev_call then
+        Printf.sprintf "call-edge %s -> %s" (node a)
+          (Mkey.to_string t.cctx_by_id.(b).cc_proc.mi_key)
+      else
+        Printf.sprintf "%s %s %s"
+          (if kind = ev_fw_pop then "fw.pop"
+           else if kind = ev_bw_pop then "bw.pop"
+           else "return-edge")
+          (node a) (fact b))
+
 (* only the forward solver keeps incoming calls: it alone returns into
    callers *)
 let add_incoming t cx_callee ((ni : ninfo), (caller_cx : cctx)) =
@@ -507,7 +532,7 @@ let add_incoming t cx_callee ((ni : ninfo), (caller_cx : cctx)) =
     Pair_set.add t.fw.s_inc_seen cx_callee.cc_id
       (pack ni.ni_id caller_cx.cc_id)
   then begin
-    t.ext.call ~site:ni.ni_node ~callee:cx_callee.cc_proc.mi_key;
+    Fd_obs.Ring.push t.flight ev_call ni.ni_id cx_callee.cc_id;
     let cell = int_cell t.fw.s_incoming cx_callee.cc_id in
     cell := (ni, caller_cx) :: !cell
   end
@@ -518,7 +543,7 @@ let add_summary t solver cx_callee ((ni : ninfo), fact) =
   then false
   else begin
     let fact = fact_of t fid in
-    t.ext.summary ~exit:ni.ni_node ~fact;
+    Fd_obs.Ring.push t.flight ev_return ni.ni_id fid;
     let cell = int_cell solver.s_summaries cx_callee.cc_id in
     cell := (ni, fact) :: !cell;
     M.incr m_summaries;
@@ -580,6 +605,7 @@ let create ?budget ?store ?(prune_dead = true) ~config ~icfg ~scene ~mgr
       trees = Call_tree.create ~cg:icfg.Icfg.cg ~mgr ~config;
       prune_dead;
       budget;
+      flight = Fd_obs.Ring.create ();
       ext = Solver_ext.none;
     }
   in
@@ -587,7 +613,6 @@ let create ?budget ?store ?(prune_dead = true) ~config ~icfg ~scene ~mgr
   t.ext <-
     List.fold_left Solver_ext.combine Solver_ext.none
       [
-        Ext_flight.make v;
         (if config.Config.provenance then Ext_provenance.make v
          else Ext_provenance.off);
         (if config.Config.profile then Ext_profile.make v
@@ -927,7 +952,9 @@ let normal_flow t cx (ni : ninfo) (fact : Taint.fact) : Taint.fact list =
                x.  Heap locations are only strongly updated under the
                must-alias precision pass: a write x.f := e kills b.f...
                when b provably holds the same reference as x on every
-               path reaching the write. *)
+               path reaching the write.  An alias whose activation
+               statement is this write is what the write itself
+               stores, so it survives. *)
             match lv with
             | Stmt.Llocal x -> (
                 match taint.Taint.ap.AP.base with
@@ -938,7 +965,11 @@ let normal_flow t cx (ni : ninfo) (fact : Taint.fact) : Taint.fact list =
                   (taint.Taint.ap.AP.base, taint.Taint.ap.AP.fields)
                 with
                 | AP.Bloc b, f0 :: _ ->
-                    Types.equal_field_sig f0 f && must_alias_at ni b x
+                    Types.equal_field_sig f0 f
+                    && not
+                         (Option.fold ~none:false ~some:(Icfg.equal_node n)
+                            taint.Taint.activation)
+                    && must_alias_at ni b x
                 | _ -> false)
             | _ -> false
           in
@@ -1709,19 +1740,16 @@ let publish_memory_gauges t =
 (** [run t ~entries] seeds the zero fact at each entry method and runs
     both solvers to exhaustion (or to the propagation budget). *)
 let run t ~entries =
-  t.ext.start ~entries:(List.length entries);
-  List.iter
-    (fun m ->
-      let start = ninfo_of t (Icfg.start_node t.icfg m) in
-      let cx = cctx t start.ni_minfo Taint.Zero in
-      propagate_fw ~kind:Prov.Seed t cx start Taint.Zero)
-    entries;
   let pop_item solver process =
     let cx = t.cctx_by_id.(Int_fifo.pop solver.s_work) in
     let ni = t.ninfo_by_id.(Int_fifo.pop solver.s_work) in
     let fid = Int_fifo.pop solver.s_work in
+    let fw = solver == t.fw in
     M.incr m_worklist_pops;
-    t.ext.pop_begin ~fw:(solver == t.fw) ~node:ni.ni_id ~fact:fid;
+    Fd_obs.Ring.push t.flight
+      (if fw then ev_fw_pop else ev_bw_pop)
+      ni.ni_id fid;
+    t.ext.pop_begin ~fw ~node:ni.ni_id ~fact:fid;
     process t cx ni (fact_of t fid);
     t.ext.pop_end ()
   in
@@ -1739,7 +1767,19 @@ let run t ~entries =
       loop ()
     end
   in
-  loop ();
+  (* a crash, in seeding too, leaves with the solve's post-mortem *)
+  (try
+     List.iter
+       (fun m ->
+         let start = ninfo_of t (Icfg.start_node t.icfg m) in
+         Fd_obs.Ring.push t.flight ev_seed start.ni_id 0;
+         let cx = cctx t start.ni_minfo Taint.Zero in
+         propagate_fw ~kind:Prov.Seed t cx start Taint.Zero)
+       entries;
+     loop ()
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     Fd_resilience.Barrier.reraise ~post_mortem:(post_mortem t) e bt);
   t.ext.finish
     ~complete:Fd_resilience.(Outcome.is_complete (Budget.outcome t.budget));
   (* publish pool statistics so the interning layer is observable *)

@@ -86,6 +86,12 @@ val run : t -> entries:Mkey.t list -> unit
     point and runs both solvers to exhaustion (or to the propagation
     budget). *)
 
+val post_mortem : t -> string
+(** [post_mortem t] renders the solve's last events (seeds, worklist
+    pops, call edges and return edges, oldest first) and, when the
+    budget stopped it, the stop itself.  {!run} hands it to
+    {!Fd_resilience.Barrier} with any exception it re-raises. *)
+
 val compare_finding : finding -> finding -> int
 (** [compare_finding a b] orders findings by sink node, then source
     node, then source tag.  It is [0] exactly when [a] and [b] report

@@ -57,7 +57,7 @@ type abs_intent = {
   mutable ab_classes : string list;  (** possible explicit targets *)
   mutable ab_actions : string list;
   mutable ab_categories : string list;
-  mutable ab_data : (string option * string option) list;  (** scheme, host *)
+  mutable ab_data : string list;  (** data URIs *)
   mutable ab_mimes : string list;
   mutable ab_extras : (string * int) list;  (** constant key → putExtra idx *)
   mutable ab_extras_unknown : bool;
@@ -118,7 +118,7 @@ let apply_setter cp ab (inv : Stmt.invoke) ~at =
           | None -> (
               match str a with
               | Some s when String.contains s ':' ->
-                  ab.ab_data <- add_uniq (M.parse_uri s) ab.ab_data
+                  ab.ab_data <- add_uniq s ab.ab_data
               | Some s ->
                   ab.ab_actions <- add_uniq s ab.ab_actions;
                   if String.contains s '.' then
@@ -162,7 +162,7 @@ let apply_setter cp ab (inv : Stmt.invoke) ~at =
       match inv.Stmt.i_args with
       | a :: _ -> (
           match str a with
-          | Some s -> ab.ab_data <- add_uniq (M.parse_uri s) ab.ab_data
+          | Some s -> ab.ab_data <- add_uniq s ab.ab_data
           | None -> ab.ab_opaque <- true)
       | [] -> ())
   | "setType" -> (
@@ -176,7 +176,7 @@ let apply_setter cp ab (inv : Stmt.invoke) ~at =
       match inv.Stmt.i_args with
       | d :: t :: _ ->
           (match str d with
-          | Some s -> ab.ab_data <- add_uniq (M.parse_uri s) ab.ab_data
+          | Some s -> ab.ab_data <- add_uniq s ab.ab_data
           | None -> ab.ab_opaque <- true);
           (match str t with
           | Some s -> ab.ab_mimes <- add_uniq s ab.ab_mimes
@@ -249,46 +249,12 @@ let intents_in_body body =
 let descs_of ab : M.intent_desc list option =
   if ab.ab_opaque then None
   else
-    let data_combos =
-      match (ab.ab_data, ab.ab_mimes) with
-      | [], [] -> [ (None, None, None) ]
-      | ds, [] -> List.map (fun (s, h) -> (s, h, None)) ds
-      | [], ms -> List.map (fun m -> (None, None, Some m)) ms
-      | ds, ms ->
-          List.concat_map
-            (fun (s, h) -> List.map (fun m -> (s, h, Some m)) ms)
-            ds
-    in
-    let with_data base =
-      List.map
-        (fun (s, h, m) ->
-          { base with M.it_scheme = s; M.it_host = h; M.it_mime = m })
-        data_combos
-    in
-    let explicit =
-      List.map
-        (fun c -> { M.blank_intent with M.it_class = Some c })
-        ab.ab_classes
-    in
-    let implicit =
-      match ab.ab_actions with
-      | [] ->
-          if ab.ab_data <> [] || ab.ab_mimes <> [] then
-            with_data
-              { M.blank_intent with M.it_categories = ab.ab_categories }
-          else []
-      | acts ->
-          List.concat_map
-            (fun a ->
-              with_data
-                {
-                  M.blank_intent with
-                  M.it_action = Some a;
-                  M.it_categories = ab.ab_categories;
-                })
-            acts
-    in
-    match explicit @ implicit with [] -> None | ds -> Some ds
+    match
+      M.intent_descs ~classes:ab.ab_classes ~actions:ab.ab_actions
+        ~categories:ab.ab_categories ~uris:ab.ab_data ~mimes:ab.ab_mimes
+    with
+    | [] -> None
+    | ds -> Some ds
 
 (* ------------------------------------------------------------------ *)
 (* Send sites                                                          *)

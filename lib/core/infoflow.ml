@@ -151,14 +151,14 @@ let run_engine ?(config = Config.default) ?(phase = no_hook) ?budget
       Log.warn (fun m ->
           m "solve stopped early (%s): results may be incomplete"
             (Fd_resilience.Outcome.to_string outcome));
-      (* attach the flight recorder's recent-event context: what the
-         solver was doing when the budget tripped *)
+      (* attach the solve's post-mortem: what the solver was doing
+         when the budget tripped *)
       diags
       @ [
           Fd_resilience.Diag.make ~file:"flight-recorder"
             (Printf.sprintf "%s: %s"
                (Fd_resilience.Outcome.to_string outcome)
-               (Fd_obs.Ring.Flight.dump_line ~limit:12 ()));
+               (Bidi.post_mortem engine));
         ]
     end
   in
@@ -430,8 +430,8 @@ let with_fallback ~(config : Config.t) (run : label:string -> Config.t -> result
   let ladder = Config.degradation_ladder config in
   (* flight-recorder diagnostics of earlier rungs, kept so the final
      report explains *why* the ladder stepped down; each degraded rung
-     attached its own dump in [run_engine], crashed rungs are captured
-     here before the next rung's solve clears the ring *)
+     attached its own post-mortem in [run_engine], each crashed rung's
+     is built here from its [Crashed] message *)
   let flight_diags result =
     List.filter
       (fun d -> String.equal d.Fd_resilience.Diag.d_file "flight-recorder")
@@ -501,12 +501,13 @@ let with_fallback ~(config : Config.t) (run : label:string -> Config.t -> result
                 at_time = Sys.time () -. t0;
               }
             in
+            (* the [Crashed] message carries the solve's post-mortem
+               when the crash escaped a solve *)
             let stash =
               stash
               @ [
                   Fd_resilience.Diag.make ~file:"flight-recorder"
-                    (Printf.sprintf "%s crashed: %s" label
-                       (Fd_obs.Ring.Flight.dump_line ~limit:12 ()));
+                    (Outcome.to_string outcome);
                 ]
             in
             go (at :: attempts) best stash rest)

@@ -22,13 +22,10 @@ type view = {
 }
 
 type t = {
-  start : entries:int -> unit;
   edge :
     fw:bool -> kind:Fd_obs.Provenance.kind -> node:int -> fact:int -> unit;
   pop_begin : fw:bool -> node:int -> fact:int -> unit;
   pop_end : unit -> unit;
-  call : site:Icfg.node -> callee:Mkey.t -> unit;
-  summary : exit:Icfg.node -> fact:Taint.fact -> unit;
   report :
     ctx:int ->
     fresh:bool ->
@@ -43,12 +40,9 @@ type t = {
 
 let none =
   {
-    start = (fun ~entries:_ -> ());
     edge = (fun ~fw:_ ~kind:_ ~node:_ ~fact:_ -> ());
     pop_begin = (fun ~fw:_ ~node:_ ~fact:_ -> ());
     pop_end = (fun () -> ());
-    call = (fun ~site:_ ~callee:_ -> ());
-    summary = (fun ~exit:_ ~fact:_ -> ());
     report = (fun ~ctx:_ ~fresh:_ ~source:_ ~sink:_ ~tag:_ ~cat:_ -> []);
     lookup = (fun ~ctx:_ ~callee:_ ~entry:_ -> None);
     finish = (fun ~complete:_ -> ());
@@ -63,10 +57,6 @@ let combine a b =
   else if b == none then a
   else
     {
-      start =
-        pick none.start a.start b.start (fun ~entries ->
-            a.start ~entries;
-            b.start ~entries);
       edge =
         pick none.edge a.edge b.edge (fun ~fw ~kind ~node ~fact ->
             a.edge ~fw ~kind ~node ~fact;
@@ -79,14 +69,6 @@ let combine a b =
         pick none.pop_end a.pop_end b.pop_end (fun () ->
             a.pop_end ();
             b.pop_end ());
-      call =
-        pick none.call a.call b.call (fun ~site ~callee ->
-            a.call ~site ~callee;
-            b.call ~site ~callee);
-      summary =
-        pick none.summary a.summary b.summary (fun ~exit ~fact ->
-            a.summary ~exit ~fact;
-            b.summary ~exit ~fact);
       report =
         pick none.report a.report b.report
           (fun ~ctx ~fresh ~source ~sink ~tag ~cat ->

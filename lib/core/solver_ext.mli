@@ -2,8 +2,8 @@
     reports to its optional features.
 
     Each feature is one value of {!t}: provenance ({!Ext_provenance}),
-    the per-method profiler ({!Ext_profile}), the flight recorder
-    ({!Ext_flight}) and the persistent summary store ({!Ext_store}).
+    the per-method profiler ({!Ext_profile}) and the persistent summary
+    store ({!Ext_store}).
     {!Bidi.create} combines the enabled ones with {!combine}.  A feature
     leaves the events it ignores at {!none}'s no-ops, and {!combine}
     drops no-ops, so the solver pays one indirect call per event and
@@ -42,7 +42,6 @@ type view = {
 }
 
 type t = {
-  start : entries:int -> unit;  (** a solve begins *)
   edge :
     fw:bool -> kind:Fd_obs.Provenance.kind -> node:int -> fact:int -> unit;
       (** a new path edge reached [(node, fact)]; [fw] is false on the
@@ -50,11 +49,6 @@ type t = {
   pop_begin : fw:bool -> node:int -> fact:int -> unit;
       (** a worklist item is about to be processed *)
   pop_end : unit -> unit;  (** ... and has been *)
-  call : site:Icfg.node -> callee:Mkey.t -> unit;
-      (** a new incoming edge from a call site into a context of
-          [callee] *)
-  summary : exit:Icfg.node -> fact:Taint.fact -> unit;
-      (** a new end summary (either solver) *)
   report :
     ctx:int ->
     fresh:bool ->

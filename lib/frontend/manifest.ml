@@ -280,6 +280,61 @@ let parse_uri s =
       in
       (Some scheme, host)
 
+(** [intent_descs ~classes ~actions ~categories ~uris ~mimes] reads an
+    intent whose setters may have assigned any of the given values
+    (the dynamic side passes at most one of each): one explicit
+    description per class, plus the implicit readings.  Android's data
+    test passes no filter for a data URI without a scheme, so such a
+    URI yields no implicit reading. *)
+let intent_descs ~classes ~actions ~categories ~uris ~mimes =
+  let explicit =
+    List.map (fun c -> { blank_intent with it_class = Some c }) classes
+  in
+  let data =
+    List.fold_left
+      (fun acc u ->
+        match parse_uri u with
+        | (Some _, _) as sh when not (List.mem sh acc) -> sh :: acc
+        | _ -> acc)
+      [] uris
+  in
+  let implicit =
+    if uris <> [] && data = [] then []
+    else
+      let data_combos =
+        match (data, mimes) with
+        | [], [] -> [ (None, None, None) ]
+        | ds, [] -> List.map (fun (s, h) -> (s, h, None)) ds
+        | [], ms -> List.map (fun m -> (None, None, Some m)) ms
+        | ds, ms ->
+            List.concat_map
+              (fun (s, h) -> List.map (fun m -> (s, h, Some m)) ms)
+              ds
+      in
+      let with_data base =
+        List.map
+          (fun (s, h, m) ->
+            { base with it_scheme = s; it_host = h; it_mime = m })
+          data_combos
+      in
+      match actions with
+      | [] ->
+          if data <> [] || mimes <> [] then
+            with_data { blank_intent with it_categories = categories }
+          else []
+      | acts ->
+          List.concat_map
+            (fun a ->
+              with_data
+                {
+                  blank_intent with
+                  it_action = Some a;
+                  it_categories = categories;
+                })
+            acts
+  in
+  explicit @ implicit
+
 (** [receivers ~apps ~sender_app descs] — the components, with their
     app, that an intent matching one of [descs] sent from [sender_app]
     can reach: within the sender's own app any matching component,

@@ -76,9 +76,22 @@ val send_methods : string list
     delivery ([startActivity], [startService], [sendBroadcast],
     [startActivityForResult]) *)
 
-val parse_uri : string -> string option * string option
-(** [parse_uri s] reads ["scheme://host/path"] or ["scheme:rest"] as
-    [(scheme, host)]; a string with no [':'] has neither. *)
+val intent_descs :
+  classes:string list ->
+  actions:string list ->
+  categories:string list ->
+  uris:string list ->
+  mimes:string list ->
+  intent_desc list
+(** [intent_descs ~classes ~actions ~categories ~uris ~mimes] describes
+    an intent whose setters may have assigned any of the given values
+    (the static constant analysis passes every value it proved
+    possible, a concrete run at most one of each): one explicit
+    description per class, plus the implicit readings — each action
+    (or none, when there is data) with each data URI and MIME type.  A
+    URI is read as ["scheme://host/path"] or ["scheme:rest"]; one
+    without a scheme passes no filter's data test, so it yields no
+    implicit reading. *)
 
 val receivers :
   apps:(string * t) list ->

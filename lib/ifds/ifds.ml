@@ -101,8 +101,6 @@ let g_intern_hits = M.gauge "intern.ifds.facts.hits"
 let g_intern_misses = M.gauge "intern.ifds.facts.misses"
 let g_bytes_tables = M.gauge "mem.ifds_tables.bytes"
 
-module Flight = Fd_obs.Ring.Flight
-
 module Make (P : PROBLEM) = struct
   module Node_pool = Fd_util.Intern.Make (struct
     type t = P.node
@@ -188,6 +186,9 @@ module Make (P : PROBLEM) = struct
     worklist : item Queue.t;
     mutable edge_count : int;
     budget : Fd_resilience.Budget.t;
+    flight : Fd_obs.Ring.t;
+        (** the last seeds and pops: (seed, index, 0) and
+            (pop, node id, fact id) *)
   }
 
   let create ?(budget = Fd_resilience.Budget.unlimited ()) () =
@@ -207,6 +208,7 @@ module Make (P : PROBLEM) = struct
       worklist = Queue.create ();
       edge_count = 0;
       budget;
+      flight = Fd_obs.Ring.create ();
     }
 
   let int_cell tbl key =
@@ -398,37 +400,50 @@ module Make (P : PROBLEM) = struct
     + lists t.end_summaries + lists t.incoming + lists t.incoming_ctx)
     * (Sys.word_size / 8)
 
+  (* flight-recorder event kinds *)
+  let ev_seed = 0
+  let ev_pop = 1
+
+  (** [post_mortem t] renders the solve's last events and, when the
+      budget stopped it, the stop *)
+  let post_mortem t =
+    Fd_resilience.Budget.post_mortem t.budget t.flight (fun kind n d ->
+        if kind = ev_pop then Printf.sprintf "ifds.pop n%d d%d" n d
+        else Printf.sprintf "ifds.seed #%d" n)
+
   (** [solve ?budget ~seeds ()] runs the tabulation to a fixed point
       (or until [budget] trips — check {!outcome} afterwards).  Each
       seed [(n, d)] asserts that [d] holds just before [n] (typically
       [(entry, zero)]). *)
   let solve ?budget ~seeds () =
     let t = create ?budget () in
-    Flight.clear ();
-    Flight.mark (Printf.sprintf "ifds.solve.start seeds=%d" (List.length seeds));
-    List.iter
-      (fun (n, d) ->
-        let sp = P.start_of (P.proc_of n) in
-        let sp_id = Node_pool.id t.nodes sp in
-        let sp = Node_pool.value t.nodes sp_id in
-        let z_id = Fact_pool.id t.facts P.zero in
-        let z = Fact_pool.value t.facts z_id in
-        (* context: the zero fact at the procedure start; seeds are
-           unconditional *)
-        propagate t ~sp ~sp_id ~d1:z ~d1_id:z_id n d;
-        if not (P.fact_equal d P.zero) then
-          propagate t ~sp ~sp_id ~d1:z ~d1_id:z_id n P.zero)
-      seeds;
-    while
-      (not (Queue.is_empty t.worklist))
-      && not (Fd_resilience.Budget.stopped t.budget)
-    do
-      let it = Queue.pop t.worklist in
-      M.incr m_worklist_pops;
-      Flight.record (fun () ->
-          Printf.sprintf "ifds.pop n%d d%d" it.it_n_id it.it_d2_id);
-      process t it
-    done;
+    (try
+       List.iteri
+         (fun i (n, d) ->
+           Fd_obs.Ring.push t.flight ev_seed i 0;
+           let sp = P.start_of (P.proc_of n) in
+           let sp_id = Node_pool.id t.nodes sp in
+           let sp = Node_pool.value t.nodes sp_id in
+           let z_id = Fact_pool.id t.facts P.zero in
+           let z = Fact_pool.value t.facts z_id in
+           (* context: the zero fact at the procedure start; seeds are
+              unconditional *)
+           propagate t ~sp ~sp_id ~d1:z ~d1_id:z_id n d;
+           if not (P.fact_equal d P.zero) then
+             propagate t ~sp ~sp_id ~d1:z ~d1_id:z_id n P.zero)
+         seeds;
+       while
+         (not (Queue.is_empty t.worklist))
+         && not (Fd_resilience.Budget.stopped t.budget)
+       do
+         let it = Queue.pop t.worklist in
+         M.incr m_worklist_pops;
+         Fd_obs.Ring.push t.flight ev_pop it.it_n_id it.it_d2_id;
+         process t it
+       done
+     with e ->
+       let bt = Printexc.get_raw_backtrace () in
+       Fd_resilience.Barrier.reraise ~post_mortem:(post_mortem t) e bt);
     M.set_int g_intern_nodes (Node_pool.size t.nodes);
     M.set_int g_intern_procs (Proc_pool.size t.procs);
     M.set_int g_intern_facts (Fact_pool.size t.facts);

@@ -273,8 +273,8 @@ let run_component st scene ~coverage ?intent
 (* ------------------------------------------------------------------ *)
 
 (* read a sent intent's reserved "__" keys back into intent
-   descriptions — the explicit-class reading plus the implicit one,
-   the same duality the static abstraction uses *)
+   descriptions: the static abstraction's reading, with at most one
+   value per setter *)
 let descs_of_sent st (tv : tvalue) : M.intent_desc list =
   match tv.v with
   | Vobj id -> (
@@ -282,52 +282,14 @@ let descs_of_sent st (tv : tvalue) : M.intent_desc list =
       | Pmap m ->
           let find k =
             match List.assoc_opt k !m with
-            | Some { v = Vstr s; _ } -> Some s
-            | _ -> None
+            | Some { v = Vstr s; _ } -> [ s ]
+            | _ -> []
           in
-          let cats =
-            match find "__categories" with
-            | Some s -> String.split_on_char '\n' s
-            | None -> []
-          in
-          let scheme, host =
-            match find "__data" with
-            | Some u -> M.parse_uri u
-            | None -> (None, None)
-          in
-          let mime = find "__mime" in
-          let explicit =
-            match find "__class" with
-            | Some c -> [ { M.blank_intent with M.it_class = Some c } ]
-            | None -> []
-          in
-          let implicit =
-            match find "__action" with
-            | Some a ->
-                [
-                  {
-                    M.blank_intent with
-                    M.it_action = Some a;
-                    M.it_categories = cats;
-                    M.it_scheme = scheme;
-                    M.it_host = host;
-                    M.it_mime = mime;
-                  };
-                ]
-            | None ->
-                if scheme <> None || mime <> None then
-                  [
-                    {
-                      M.blank_intent with
-                      M.it_categories = cats;
-                      M.it_scheme = scheme;
-                      M.it_host = host;
-                      M.it_mime = mime;
-                    };
-                  ]
-                else []
-          in
-          explicit @ implicit
+          M.intent_descs ~classes:(find "__class") ~actions:(find "__action")
+            ~categories:
+              (List.concat_map (String.split_on_char '\n')
+                 (find "__categories"))
+            ~uris:(find "__data") ~mimes:(find "__mime")
       | _ -> [])
   | _ -> []
 

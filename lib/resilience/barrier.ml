@@ -3,18 +3,29 @@
 let m_crashes = Fd_obs.Metrics.counter "resilience.crashes_caught"
 let m_retries = Fd_obs.Metrics.counter "resilience.retries"
 
+(* the post-mortem a solve handed over with the exception it
+   re-raised; only that same exception, compared physically, takes it,
+   and taking it empties the slot, so each post-mortem is reported
+   once and never attached to a later, unrelated crash *)
+let handed : (exn * string) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let reraise ~post_mortem exn bt =
+  Domain.DLS.set handed (Some (exn, post_mortem));
+  Printexc.raise_with_backtrace exn bt
+
 let message label exn =
   let base =
     match exn with
     | Chaos.Fault site -> Printf.sprintf "injected fault at %s" site
     | e -> Printexc.to_string e
   in
-  (* append the flight recorder's last-events context so a crash
-     report carries what the solver was doing when it died *)
   let flight =
-    if Fd_obs.Ring.Flight.recorded () = 0 then ""
-    else
-      Printf.sprintf " [flight: %s]" (Fd_obs.Ring.Flight.dump_line ~limit:6 ())
+    match Domain.DLS.get handed with
+    | Some (e, post_mortem) when e == exn ->
+        Domain.DLS.set handed None;
+        Printf.sprintf " [flight: %s]" post_mortem
+    | _ -> ""
   in
   Printf.sprintf "%s: %s%s" label base flight
 

@@ -44,9 +44,6 @@ let unlimited () = create ()
 let stop t reason counter =
   if t.b_stop = None then begin
     t.b_stop <- Some reason;
-    Fd_obs.Ring.Flight.mark
-      (Printf.sprintf "budget.stop %s props=%d" (Outcome.to_string reason)
-         t.b_props);
     Fd_obs.Metrics.incr counter
   end
 
@@ -75,9 +72,6 @@ let tick t =
         t.b_countdown <- t.b_countdown - 1;
         if t.b_countdown <= 0 then begin
           t.b_countdown <- clock_period;
-          (let p = t.b_props in
-           Fd_obs.Ring.Flight.record (fun () ->
-               Printf.sprintf "budget.tick props=%d" p));
           Chaos.fail_point t.b_chaos "solver.step";
           if deadline_passed t then
             stop t Outcome.Deadline_exceeded m_deadline_hits
@@ -98,3 +92,14 @@ let outcome t =
   match t.b_stop with Some o -> o | None -> Outcome.Complete
 
 let propagations t = t.b_props
+
+let post_mortem t ring render =
+  let events = Fd_obs.Ring.render ring render in
+  match t.b_stop with
+  | None -> events
+  | Some reason ->
+      let stop =
+        Printf.sprintf "budget.stop %s props=%d" (Outcome.to_string reason)
+          t.b_props
+      in
+      if events = "" then stop else events ^ " | " ^ stop

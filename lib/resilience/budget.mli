@@ -61,3 +61,9 @@ val outcome : t -> Outcome.t
 
 val propagations : t -> int
 (** ticks consumed so far *)
+
+val post_mortem : t -> Fd_obs.Ring.t -> (int -> int -> int -> string) -> string
+(** [post_mortem t ring render] is a solve's post-mortem: its flight
+    recorder's events rendered by [render] (see {!Fd_obs.Ring.render}),
+    followed, once [t] has stopped, by
+    ["budget.stop <reason> props=<n>"] *)

@@ -109,6 +109,53 @@ let test_filter_matching () =
   Alcotest.(check bool) "explicit target bypasses filters" true
     (receives "p.Plain" (desc ~cls:"p.Plain" ()))
 
+(* Android's intent resolution over {!Manifest.intent_descs}, the one
+   reading both the static resolver and the concrete runner use (each
+   row passes singleton lists, as a concrete send does): a data URI
+   without a scheme passes no filter's data test, so it reaches
+   nothing implicitly. *)
+let test_intent_table () =
+  let m =
+    Manifest.parse
+      {|<manifest package="p">
+  <application>
+    <activity android:name="p.Plain">
+      <intent-filter><action android:name="p.ACT"/></intent-filter>
+    </activity>
+    <activity android:name="p.Text">
+      <intent-filter>
+        <action android:name="p.ACT"/>
+        <data android:mimeType="text/plain"/>
+      </intent-filter>
+    </activity>
+    <activity android:name="p.Uri">
+      <intent-filter>
+        <action android:name="p.ACT"/>
+        <data android:scheme="app" android:host="h"/>
+      </intent-filter>
+    </activity>
+    <activity android:name="p.Private"/>
+  </application>
+</manifest>|}
+  in
+  let opt = Option.to_list in
+  let row ?cls ?action ?uri ?mime name expected =
+    let descs =
+      Manifest.intent_descs ~classes:(opt cls) ~actions:(opt action)
+        ~categories:[] ~uris:(opt uri) ~mimes:(opt mime)
+    in
+    Alcotest.(check (list string))
+      name expected
+      (List.map
+         (fun (_, c) -> c.Manifest.comp_class)
+         (Manifest.receivers ~apps:[ ("p", m) ] ~sender_app:(Some "p") descs))
+  in
+  row "action + scheme-less URI" ~action:"p.ACT" ~uri:"noscheme" [];
+  row "no action + scheme-less URI + MIME type" ~uri:"noscheme"
+    ~mime:"text/plain" [];
+  row "action + app://h URI" ~action:"p.ACT" ~uri:"app://h/x" [ "p.Uri" ];
+  row "explicit class" ~cls:"p.Private" [ "p.Private" ]
+
 let test_exported_semantics () =
   let m =
     Manifest.parse
@@ -553,6 +600,8 @@ let () =
           Alcotest.test_case "filter matching" `Quick test_filter_matching;
           Alcotest.test_case "exported semantics" `Quick
             test_exported_semantics;
+          Alcotest.test_case "intent resolution table" `Quick
+            test_intent_table;
         ] );
       ( "stitching",
         [

@@ -234,6 +234,21 @@ let test_unreached_proc () =
   Alcotest.(check (list string)) "no facts in unreached code" []
     (S.results_at t ("dead", 0))
 
+(* a crash inside the solve reaches the barrier with the solve's
+   post-mortem; a fault at the first tick finds the seed *)
+let test_crash_post_mortem () =
+  setup ();
+  let chaos = Fd_resilience.Chaos.create ~seed:1 ~rate:1.0 in
+  let budget = Fd_resilience.Budget.create ~chaos () in
+  match
+    Fd_resilience.Barrier.protect ~label:"ifds" (fun () ->
+        S.solve ~budget ~seeds:[ (("main", 0), P.zero) ] ())
+  with
+  | Error (Fd_resilience.Outcome.Crashed msg) ->
+      Alcotest.(check string) "post-mortem"
+        "ifds: injected fault at solver.step [flight: ifds.seed #0]" msg
+  | _ -> Alcotest.fail "expected a crash"
+
 let () =
   Alcotest.run "fd_ifds"
     [
@@ -246,5 +261,6 @@ let () =
           Alcotest.test_case "zero fact reachability" `Quick
             test_zero_reaches_everywhere;
           Alcotest.test_case "unreached procedures" `Quick test_unreached_proc;
+          Alcotest.test_case "crash post-mortem" `Quick test_crash_post_mortem;
         ] );
     ]

@@ -119,62 +119,52 @@ let test_quantiles_empty () =
   Alcotest.(check (float 0.0)) "empty p50" 0.0 hs.M.hs_p50;
   Alcotest.(check (float 0.0)) "empty p99" 0.0 hs.M.hs_p99
 
-(* ---------------- ring buffer and flight recorder ---------------- *)
+(* ---------------- ring buffer ---------------- *)
 
 let test_ring_basics () =
-  let r = R.create ~capacity:4 in
-  Alcotest.(check (list int)) "empty" [] (R.to_list r);
-  R.push r 1;
-  R.push r 2;
-  Alcotest.(check (list int)) "fifo before wrap" [ 1; 2 ] (R.to_list r);
-  List.iter (R.push r) [ 3; 4; 5; 6 ];
-  Alcotest.(check (list int)) "newest cap items, oldest first" [ 3; 4; 5; 6 ]
-    (R.to_list r);
-  Alcotest.(check int) "length" 4 (R.length r);
-  Alcotest.(check int) "pushed is monotonic" 6 (R.pushed r);
-  R.clear r;
-  Alcotest.(check (list int)) "cleared" [] (R.to_list r);
-  Alcotest.check_raises "zero capacity rejected"
-    (Invalid_argument "Ring.create: capacity must be positive") (fun () ->
-      ignore (R.create ~capacity:0))
+  let r = R.create () in
+  Alcotest.(check (list (triple int int int))) "empty" [] (R.to_list r);
+  R.push r 0 1 2;
+  R.push r 1 3 4;
+  Alcotest.(check (list (triple int int int)))
+    "fifo before wrap" [ (0, 1, 2); (1, 3, 4) ] (R.to_list r);
+  for i = 1 to R.capacity do
+    R.push r i (-i) (2 * i)
+  done;
+  Alcotest.(check (list (triple int int int)))
+    "newest capacity events, oldest first"
+    (List.init R.capacity (fun i -> (i + 1, -(i + 1), 2 * (i + 1))))
+    (R.to_list r)
 
-(* wrap-around property: for any push sequence and capacity, the ring
-   holds exactly the last [min cap n] values, in push order *)
+(* wrap-around property: for any push sequence, the ring holds exactly
+   the last [min capacity n] events, in push order *)
 let test_ring_wraparound_property =
   QCheck.Test.make ~name:"ring keeps the suffix" ~count:500
-    QCheck.(pair (int_range 1 20) (small_list small_int))
-    (fun (cap, xs) ->
-      let r = R.create ~capacity:cap in
-      List.iter (R.push r) xs;
-      let n = List.length xs in
-      let expect =
-        List.filteri (fun i _ -> i >= n - min cap n) xs
-      in
-      R.to_list r = expect && R.pushed r = n && R.length r = min cap n)
+    QCheck.(list_of_size Gen.(0 -- 60) (triple small_int int int))
+    (fun evs ->
+      let r = R.create () in
+      List.iter (fun (a, b, c) -> R.push r a b c) evs;
+      let n = List.length evs in
+      let expect = List.filteri (fun i _ -> i >= n - min R.capacity n) evs in
+      R.to_list r = expect)
 
 let test_flight_recorder () =
-  let module F = R.Flight in
-  F.clear ();
-  Alcotest.(check int) "starts empty" 0 (F.recorded ());
-  Alcotest.(check string) "empty dump line" "" (F.dump_line ());
-  F.mark "start";
-  let evaluated = ref 0 in
-  F.record (fun () ->
-      incr evaluated;
-      "lazy event");
-  Alcotest.(check int) "lazy until dumped" 0 !evaluated;
-  Alcotest.(check (list string)) "dump renders" [ "start"; "lazy event" ]
-    (F.dump ());
-  Alcotest.(check int) "recorded" 2 (F.recorded ());
-  (* elision marker: more events than the dump-line limit *)
-  F.clear ();
-  for i = 1 to 5 do
-    F.mark (string_of_int i)
+  let r = R.create () in
+  let show k a b = Printf.sprintf "e%d:%d:%d" k a b in
+  Alcotest.(check string) "empty render" "" (R.render r show);
+  R.push r 1 2 3;
+  R.push r 4 5 6;
+  Alcotest.(check string) "render joins, oldest first" "e1:2:3 | e4:5:6"
+    (R.render r show);
+  (* elision marker: more events than the ring holds *)
+  for i = 1 to R.capacity + 3 do
+    R.push r 0 i 0
   done;
-  Alcotest.(check string) "limited dump elides" "4 | 5 (+3 earlier)"
-    (F.dump_line ~limit:2 ());
-  F.clear ();
-  Alcotest.(check int) "cleared" 0 (F.recorded ())
+  let line = R.render r show in
+  Alcotest.(check bool) ("oldest held first: " ^ line) true
+    (String.starts_with ~prefix:"e0:4:0 | " line);
+  Alcotest.(check bool) ("elision suffix: " ^ line) true
+    (String.ends_with ~suffix:"e0:19:0 (+5 earlier)" line)
 
 (* ---------------- profiler ---------------- *)
 
@@ -583,6 +573,81 @@ let test_flight_recorder_diag () =
       Alcotest.failf "expected one flight-recorder diagnostic, got %d"
         (List.length ds)
 
+(* ---------------- the post-mortem contract ---------------- *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* the event names a solver's post-mortem renders *)
+let has_solver_event msg =
+  List.exists (contains msg)
+    [ "seed "; "fw.pop "; "bw.pop "; "call-edge "; "return-edge " ]
+
+let crash_message = function
+  | Error (Fd_resilience.Outcome.Crashed msg) -> msg
+  | Error o -> Alcotest.failf "expected a crash, got %s"
+                 (Fd_resilience.Outcome.to_string o)
+  | Ok _ -> Alcotest.fail "expected a crash"
+
+(* a finished solve leaves nothing behind for a later crash: the
+   post-mortem travels only with an exception that escaped a solve *)
+let test_no_stale_post_mortem () =
+  ignore (Fd_core.Infoflow.analyze_apk (suite_app "DirectLeak1"));
+  let msg =
+    crash_message
+      (Fd_resilience.Barrier.protect ~label:"outside" (fun () ->
+           failwith "unrelated"))
+  in
+  Alcotest.(check string) "no flight suffix" "outside: Failure(\"unrelated\")"
+    msg
+
+(* nothing global keeps a finished engine reachable *)
+let test_engine_collectable () =
+  let w : Fd_core.Bidi.t Weak.t = Weak.create 1 in
+  let run () =
+    let r = Fd_core.Infoflow.analyze_apk (suite_app "DirectLeak1") in
+    Weak.set w 0 (Some r.Fd_core.Infoflow.r_engine)
+  in
+  (Sys.opaque_identity run) ();
+  Gc.full_major ();
+  Alcotest.(check bool) "engine collected" false (Weak.check w 0)
+
+(* a fault injected at [solver.step] crashes the solve, and the
+   barrier's message carries the solve's post-mortem: a fault at the
+   very first tick (rate 1) finds the seed, later ones find pops *)
+let test_chaos_post_mortem () =
+  let crash ~seed ~rate =
+    let chaos = Fd_resilience.Chaos.create ~seed ~rate in
+    let budget = Fd_core.Config.budget ~chaos Fd_core.Config.default in
+    crash_message
+      (Fd_resilience.Barrier.protect ~label:"chaos" (fun () ->
+           Fd_core.Infoflow.analyze_apk ~budget (suite_app "Button2")))
+  in
+  let first = crash ~seed:1 ~rate:1.0 in
+  Alcotest.(check bool) ("fault site in: " ^ first) true
+    (contains first "injected fault at solver.step");
+  Alcotest.(check bool) ("seed event in: " ^ first) true
+    (contains first "[flight: seed ");
+  let later =
+    List.filter_map
+      (fun seed ->
+        match crash ~seed ~rate:0.5 with
+        | msg -> Some msg
+        | exception _ -> None)
+      (List.init 8 Fun.id)
+  in
+  List.iter
+    (fun msg ->
+      Alcotest.(check bool) ("post-mortem in: " ^ msg) true
+        (contains msg "[flight: " && has_solver_event msg))
+    later;
+  Alcotest.(check bool) "a later fault finds pops" true
+    (List.exists (fun msg -> contains msg "fw.pop ") later)
+
 let () =
   Alcotest.run "fd_obs"
     [
@@ -642,5 +707,14 @@ let () =
           Alcotest.test_case "profiler totals" `Quick test_profile_engine;
           Alcotest.test_case "flight-recorder diagnostic" `Quick
             test_flight_recorder_diag;
+        ] );
+      ( "post-mortem",
+        [
+          Alcotest.test_case "no stale post-mortem" `Quick
+            test_no_stale_post_mortem;
+          Alcotest.test_case "finished engine is collectable" `Quick
+            test_engine_collectable;
+          Alcotest.test_case "chaos crash carries solver events" `Quick
+            test_chaos_post_mortem;
         ] );
     ]

@@ -77,10 +77,59 @@ let check_flip ~fn dir config () =
       (List.mem key on)
   end
 
+let keys_of config apk = fst (Dc.static_findings ~config [ apk ])
+
+(* --- a strong update keeps the alias its own write stores --- *)
+
+(* [q.f = p] writes through [q], which must-aliases [b]: the backward
+   search injects the alias [b.f], whose activation statement is that
+   write.  The strong update at the write must not kill it, or the
+   read [t = b.f] misses the leak under the must-alias pass. *)
+let own_write_app =
+  Apk.make_text "OwnWrite"
+    ~manifest:
+      {|<?xml version="1.0" encoding="utf-8"?>
+<manifest package="t.ma">
+  <application>
+    <activity android:name="t.ma.MainActivity">
+      <intent-filter>
+        <action android:name="android.intent.action.MAIN"/>
+        <category android:name="android.intent.category.LAUNCHER"/>
+      </intent-filter>
+    </activity>
+  </application>
+</manifest>|}
+    [
+      {|class t.ma.MainActivity extends android.app.Activity {
+  method void onCreate(android.os.Bundle) {
+    local b : t.ma.Box;
+    local q : t.ma.Box;
+    local p : java.lang.String;
+    local t : java.lang.String;
+    local tm : android.telephony.TelephonyManager;
+    b = new t.ma.Box;
+    q = b;
+    p = virtualinvoke tm.android.telephony.TelephonyManager#getDeviceId() @"src";
+    q.t.ma.Box#f = p;
+    t = b.t.ma.Box#f;
+    staticinvoke android.util.Log#i("x", t) @"snk";
+    return;
+  }
+}|};
+    ]
+
+let test_own_write_alias () =
+  List.iter
+    (fun (name, config) ->
+      Alcotest.(check (list (pair (option string) (option string))))
+        (name ^ ": the leak through the alias is found")
+        [ (Some "src", Some "snk") ]
+        (keys_of config own_write_app))
+    [ ("none", Config.default); ("must-alias", pass_must_alias);
+      ("all", all_on) ]
+
 (* --- soundness: passes only remove spurious flows or surface real
    ones --- *)
-
-let keys_of config apk = fst (Dc.static_findings ~config [ apk ])
 
 let test_soundness =
   QCheck.Test.make ~name:"flags-on findings are dynamically corroborated"
@@ -173,6 +222,11 @@ let () =
             (check_flip ~fn:true "fn-reflection" pass_reflection);
           Alcotest.test_case "fn-clinit-placement / clinit" `Quick
             (check_flip ~fn:true "fn-clinit-placement" pass_clinit);
+        ] );
+      ( "must-alias",
+        [
+          Alcotest.test_case "a write keeps the alias it stores" `Quick
+            test_own_write_alias;
         ] );
       ( "soundness",
         [ QCheck_alcotest.to_alcotest ~long:true test_soundness ] );

@@ -427,10 +427,8 @@ let prop_pruning_exact ?(leaks = false) name apk_of =
               { Fd_core.Config.default with
                 Fd_core.Config.provenance = true; precision }
             apk)
-        (* the must-alias pass kills the copy-staged alias at its own
-           write, so only the default precision must find the leak *)
         [ (leaks, Fd_core.Config.no_precision);
-          (false, Fd_core.Config.all_precision) ])
+          (leaks, Fd_core.Config.all_precision) ])
 
 let generated profile seed = (Gen.generate ~profile ~seed 4).Gen.ga_apk
 
