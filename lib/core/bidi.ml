@@ -943,8 +943,8 @@ let normal_flow t cx (ni : ninfo) (fact : Taint.fact) : Taint.fact list =
   let stmt = ni.ni_stmt in
   match fact with
   | Taint.Zero -> List.map (fun g -> Taint.T g) (zero_gen t ni)
-  | Taint.T taint -> (
-      let taint = maybe_activate t n taint in
+  | Taint.T incoming -> (
+      let taint = maybe_activate t n incoming in
       match stmt.Stmt.s_kind with
       | Stmt.Assign (lv, e) ->
           let killed =
@@ -954,7 +954,9 @@ let normal_flow t cx (ni : ninfo) (fact : Taint.fact) : Taint.fact list =
                when b provably holds the same reference as x on every
                path reaching the write.  An alias whose activation
                statement is this write is what the write itself
-               stores, so it survives. *)
+               stores, so it survives; the test reads the incoming
+               taint, since the activated copy no longer names its
+               activation statement. *)
             match lv with
             | Stmt.Llocal x -> (
                 match taint.Taint.ap.AP.base with
@@ -968,7 +970,7 @@ let normal_flow t cx (ni : ninfo) (fact : Taint.fact) : Taint.fact list =
                     Types.equal_field_sig f0 f
                     && not
                          (Option.fold ~none:false ~some:(Icfg.equal_node n)
-                            taint.Taint.activation)
+                            incoming.Taint.activation)
                     && must_alias_at ni b x
                 | _ -> false)
             | _ -> false
@@ -1013,13 +1015,14 @@ let call_flow t (ni : ninfo) (inv : Stmt.invoke) (callee : minfo)
           (* a static-rooted taint enters unchanged, and only a callee
              whose call tree touches its field: no other callee can
              read it, and static writes are never strong updates, so
-             the call-to-return pass-through alone is exact.  One
-             carrying an activation always enters, so [return_flow]
-             sees every call that may complete it. *)
+             the call-to-return pass-through alone is exact.  An
+             inactive one always enters, so [return_flow] sees every
+             call that may complete its activation; an active one
+             carries no activation and needs no such escape. *)
           (match taint.Taint.ap.AP.base with
           | AP.Bstatic f ->
               if
-                Option.is_some taint.Taint.activation
+                (not taint.Taint.active)
                 || Call_tree.touches_static t.trees callee.mi_key f
               then mapped := Taint.T taint :: !mapped
               else M.incr m_flow_call_static_skipped
@@ -1065,11 +1068,14 @@ let return_flow t ~call:(cni : ninfo) ~(callee : minfo) ~exit_ni:(eni : ninfo)
       | None -> []
       | Some _ ->
           let c = cni.ni_node in
-          (* activation association: if this taint's activation lies in
-             the callee (transitively), completing this call implies the
-             activation executed (Section 4.2) *)
-          (match taint.Taint.activation with
-          | Some a when act_method_implies t ~activation:a callee.mi_key ->
+          (* activation association: if this inactive taint's
+             activation lies in the callee (transitively), completing
+             this call implies the activation executed (Section 4.2).
+             Only inactive taints register sites, as in FlowDroid: an
+             active one carries no activation. *)
+          (match taint with
+          | { Taint.active = false; activation = Some a; _ }
+            when act_method_implies t ~activation:a callee.mi_key ->
               node_set_add t.act_sites a c;
               mkey_set_add t.act_methods a c.Icfg.n_method
           | _ -> ());

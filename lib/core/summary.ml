@@ -154,14 +154,19 @@ let enc_fact ~entry_source = function
           | Some a -> [ ("an", enc_node a) ]
           | None -> [])
 
+(* an active fact decodes without its activation statement, as
+   {!Taint.activate} builds it: entries written before active taints
+   dropped theirs still decode to the facts the solver now derives *)
 let dec_fact ~entry_source = function
   | Json.String "0" -> Taint.Zero
   | j ->
+      let active = jbool (jfield "act" j) in
       Taint.T
         {
           Taint.ap = dec_ap (jfield "ap" j);
-          active = jbool (jfield "act" j);
-          activation = Option.map dec_node (Json.member "an" j);
+          active;
+          activation =
+            (if active then None else Option.map dec_node (Json.member "an" j));
           source = dec_source ~entry_source (jfield "src" j);
           pred = None;
           at = None;
@@ -211,13 +216,14 @@ let dec_report ~entry_source j =
 (* ------------------------------------------------------------------ *)
 
 (** [eligible_entry f]: only contexts whose entry fact is the zero
-    fact or a plain active taint (no pending activation statement) are
-    stored — an inactive entry's activation node lies in the {e
-    caller}, outside the summarised subtree, so its summaries are not
-    position-independent.  Such contexts simply run cold. *)
+    fact or an active taint are stored — an inactive entry's
+    activation node lies in the {e caller}, outside the summarised
+    subtree, so its summaries are not position-independent.  Such
+    contexts simply run cold.  An active taint carries no activation
+    statement ({!Taint.activate}), so its key is position-independent. *)
 let eligible_entry = function
   | Taint.Zero -> true
-  | Taint.T t -> t.Taint.active && t.Taint.activation = None
+  | Taint.T t -> t.Taint.active
 
 (** [entry_key f] is the canonical context key of an eligible entry
     fact: its structural encoding with the source abstracted to the

@@ -35,7 +35,9 @@ val enc_fact : entry_source:Taint.source_info option -> Taint.fact -> Json.t
 
 val dec_fact : entry_source:Taint.source_info option -> Json.t -> Taint.fact
 (** inverse of {!enc_fact}; the ["entry"] placeholder resolves to
-    [entry_source].  Decoded facts carry no derivation links. *)
+    [entry_source].  Decoded facts carry no derivation links, and an
+    active fact carries no activation statement even when its encoding
+    names one. *)
 
 (** {1 Sink reports} *)
 
@@ -55,8 +57,9 @@ val report_key : sink_report -> string
 (** {1 Context keys} *)
 
 val eligible_entry : Taint.fact -> bool
-(** zero or plain active (no pending activation statement) — the only
-    entry shapes whose summaries are position-independent *)
+(** zero or active — the only entry shapes whose summaries are
+    position-independent (an inactive entry's activation statement lies
+    in the caller) *)
 
 (** {1 Digests} *)
 

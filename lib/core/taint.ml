@@ -29,8 +29,8 @@ type t = {
   ap : Access_path.t;
   active : bool;
   activation : Icfg.node option;
-      (** the heap-write statement that activates this alias; [None]
-          for taints created directly at sources *)
+      (** the heap-write statement that activates this alias; [Some]
+          exactly on inactive aliases, [None] on every active taint *)
   source : source_info;
   (* --- path reconstruction only; excluded from equality --- *)
   pred : t option;
@@ -104,10 +104,16 @@ let active_alias t ~ap ~at =
     t_memo = 0 }
 
 (** [activate t ~at] turns an inactive alias into a reportable taint
-    (it crossed its activation statement). *)
+    (it crossed its activation statement).  The active copy drops the
+    activation statement, as FlowDroid's does: from here on it is an
+    ordinary taint, equal to every other activation of the same path
+    and source, so the facts derived from it do not multiply with the
+    number of heap writes that activated it. *)
 let activate t ~at =
   if t.active then t
-  else { t with active = true; pred = Some t; at = Some at; t_memo = 0 }
+  else
+    { t with active = true; activation = None; pred = Some t; at = Some at;
+      t_memo = 0 }
 
 let to_string t =
   Printf.sprintf "%s%s%s" (Access_path.to_string t.ap)

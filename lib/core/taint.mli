@@ -26,8 +26,8 @@ type t = {
   ap : Access_path.t;
   active : bool;
   activation : Icfg.node option;
-      (** the heap-write statement that activates this alias; [None]
-          for taints created directly at sources *)
+      (** the heap-write statement that activates this alias; [Some]
+          exactly on inactive aliases, [None] on every active taint *)
   source : source_info;
   pred : t option;  (** derivation link (excluded from equality) *)
   at : Icfg.node option;  (** statement where this abstraction arose *)
@@ -61,7 +61,10 @@ val active_alias : t -> ap:Access_path.t -> at:Icfg.node -> t
 
 val activate : t -> at:Icfg.node -> t
 (** [activate t ~at] turns an inactive alias into a reportable taint
-    (it crossed its activation statement). *)
+    (it crossed its activation statement).  The result carries no
+    activation statement: an active taint is an ordinary taint, so
+    activations of one path and source at different heap writes meet
+    in one fact. *)
 
 val to_string : t -> string
 val fact_to_string : fact -> string

@@ -532,6 +532,10 @@ let observe_truncated ~prune_dead apk budget =
         Digest.to_hex (Digest.string (String.concat "\n" taints)) );
   }
 
+(* leakage's one finding *)
+let leak = "de.ecspride.LeakageApp.onRestart/0@2 -> \
+            de.ecspride.LeakageApp.sendMessage/1@13"
+
 (* reference values: the solver's probe -> tick -> insert order and
    its FIFO worklist order decide exactly what a stopped solve has
    seen, so a change to the solver's tables must reproduce them.
@@ -544,26 +548,23 @@ let expected_truncated_unpruned =
         tr_findings = [];
         tr_sink_taints = (0, "d41d8cd98f00b204e9800998ecf8427e") } );
     ( "leakage", 1000,
-      { tr_outcome = "budget-exhausted"; tr_props = 1001; tr_dedup = 175;
-        tr_findings =
-          [ "de.ecspride.LeakageApp.onRestart/0@2 -> \
-             de.ecspride.LeakageApp.sendMessage/1@13" ];
-        tr_sink_taints = (28, "919e5a55ca10f47b391e14c21274e7c9") } );
-    ( "leakage", 5000,
-      { tr_outcome = "budget-exhausted"; tr_props = 5001; tr_dedup = 1026;
-        tr_findings =
-          [ "de.ecspride.LeakageApp.onRestart/0@2 -> \
-             de.ecspride.LeakageApp.sendMessage/1@13" ];
-        tr_sink_taints = (119, "4c571e2d4e30dfdfdde7c1992716ed94") } );
-    (* the one budget of 240 probed (20, 73, ..., 6327 on both apps)
-       where a propagation re-derives an edge after the budget stopped:
-       an insert before the tick would count it as a dedup hit (920) *)
-    ( "leakage", 4419,
-      { tr_outcome = "budget-exhausted"; tr_props = 4420; tr_dedup = 919;
-        tr_findings =
-          [ "de.ecspride.LeakageApp.onRestart/0@2 -> \
-             de.ecspride.LeakageApp.sendMessage/1@13" ];
-        tr_sink_taints = (112, "defac9ba8d1ac019ba72c9d9733ee207") } );
+      { tr_outcome = "budget-exhausted"; tr_props = 1001; tr_dedup = 170;
+        tr_findings = [ leak ];
+        tr_sink_taints = (30, "dc43fedc08a353201b35ee75ebaf2082") } );
+    (* every budget from 1 to 4399 was probed on leakage (it completes
+       after 4388 propagations here, 4081 with the rule): an insert
+       before the tick, which counts a propagation that re-derives an
+       edge after the budget stopped as a dedup hit, reads differently
+       at 59 budgets here and 46 with the rule, none shared.  3662
+       catches it with the rule (902), 3921 without it (968) *)
+    ( "leakage", 3662,
+      { tr_outcome = "budget-exhausted"; tr_props = 3663; tr_dedup = 879;
+        tr_findings = [ leak ];
+        tr_sink_taints = (57, "ae9eb8319e930acc84f3cb1d877a42d0") } );
+    ( "leakage", 3921,
+      { tr_outcome = "budget-exhausted"; tr_props = 3922; tr_dedup = 967;
+        tr_findings = [ leak ];
+        tr_sink_taints = (57, "ae9eb8319e930acc84f3cb1d877a42d0") } );
     ( "chain-100", 50,
       { tr_outcome = "budget-exhausted"; tr_props = 51; tr_dedup = 0;
         tr_findings = [];
@@ -572,16 +573,16 @@ let expected_truncated_unpruned =
       { tr_outcome = "budget-exhausted"; tr_props = 1001; tr_dedup = 0;
         tr_findings = [];
         tr_sink_taints = (1, "6fbbfd045ce44f13874ecb499d218455") } );
+    (* the whole chain: one context per step method *)
     ( "chain-100", 5000,
-      { tr_outcome = "budget-exhausted"; tr_props = 5001; tr_dedup = 0;
+      { tr_outcome = "complete"; tr_props = 2008; tr_dedup = 100;
         tr_findings = [ "chain.App.onCreate/1@3 -> chain.App.onCreate/1@6" ];
-        tr_sink_taints = (4, "e68016d5eccb6f8820725a077811caf7") } );
+        tr_sink_taints = (2, "4d80997023324ce70ede749ec8c45230") } );
   ]
 
 (* with the dead-local rule: the same findings at the same budgets
-   except chain-100 at 1000, which gets further; leakage's dedup hits
-   grow because the budget buys more live edges, whose re-derivations
-   are counted *)
+   except chain-100 at 1000, which gets further; the rule drops
+   taints at the sink, and chain-100 completes in fewer propagations *)
 let expected_truncated =
   [
     ( "leakage", 50,
@@ -589,23 +590,17 @@ let expected_truncated =
         tr_findings = [];
         tr_sink_taints = (0, "d41d8cd98f00b204e9800998ecf8427e") } );
     ( "leakage", 1000,
-      { tr_outcome = "budget-exhausted"; tr_props = 1001; tr_dedup = 187;
-        tr_findings =
-          [ "de.ecspride.LeakageApp.onRestart/0@2 -> \
-             de.ecspride.LeakageApp.sendMessage/1@13" ];
-        tr_sink_taints = (21, "c1c75068a87ce0c3162ef79525d0cd91") } );
-    ( "leakage", 5000,
-      { tr_outcome = "budget-exhausted"; tr_props = 5001; tr_dedup = 1088;
-        tr_findings =
-          [ "de.ecspride.LeakageApp.onRestart/0@2 -> \
-             de.ecspride.LeakageApp.sendMessage/1@13" ];
-        tr_sink_taints = (74, "9af61fb04c708bcb879bb7c6ea409de0") } );
-    ( "leakage", 4419,
-      { tr_outcome = "budget-exhausted"; tr_props = 4420; tr_dedup = 967;
-        tr_findings =
-          [ "de.ecspride.LeakageApp.onRestart/0@2 -> \
-             de.ecspride.LeakageApp.sendMessage/1@13" ];
-        tr_sink_taints = (61, "963b84f80fe35a27109b9b4c5c5ac651") } );
+      { tr_outcome = "budget-exhausted"; tr_props = 1001; tr_dedup = 176;
+        tr_findings = [ leak ];
+        tr_sink_taints = (26, "e44536a461359fa7e441026212141bd4") } );
+    ( "leakage", 3662,
+      { tr_outcome = "budget-exhausted"; tr_props = 3663; tr_dedup = 901;
+        tr_findings = [ leak ];
+        tr_sink_taints = (50, "3e444a410c6711409a40a8da0dc996b0") } );
+    ( "leakage", 3921,
+      { tr_outcome = "budget-exhausted"; tr_props = 3922; tr_dedup = 985;
+        tr_findings = [ leak ];
+        tr_sink_taints = (50, "3e444a410c6711409a40a8da0dc996b0") } );
     ( "chain-100", 50,
       { tr_outcome = "budget-exhausted"; tr_props = 51; tr_dedup = 0;
         tr_findings = [];
@@ -615,9 +610,9 @@ let expected_truncated =
         tr_findings = [ "chain.App.onCreate/1@3 -> chain.App.onCreate/1@6" ];
         tr_sink_taints = (1, "c68271a63ddbc431c307beb7d2918275") } );
     ( "chain-100", 5000,
-      { tr_outcome = "budget-exhausted"; tr_props = 5001; tr_dedup = 0;
+      { tr_outcome = "complete"; tr_props = 1506; tr_dedup = 100;
         tr_findings = [ "chain.App.onCreate/1@3 -> chain.App.onCreate/1@6" ];
-        tr_sink_taints = (5, "250892f95e2621a616c2dcc586d8711d") } );
+        tr_sink_taints = (1, "c68271a63ddbc431c307beb7d2918275") } );
   ]
 
 let test_truncated_solves ~prune_dead expected () =
@@ -680,8 +675,8 @@ let results_listing ?(keep = fun _ -> true) (r : Infoflow.result) engine =
    dead-local rule; [expected_results_order] below are with it *)
 let expected_results_order_unpruned =
   [
-    ("leakage", (3155, "5857d92dfb8d7323f2bc62531aeb0e34"));
-    ("chain-10", (790, "4bbe79d615c3948b57d71c91feb502c5"));
+    ("leakage", (1374, "bd099f5484b469c576cd3fc82416fa9c"));
+    ("chain-10", (154, "e4d4c503c098229b48544bf193121513"));
     ("icc-pair", (12, "f063a44b5379fff405ba08d3d0989008"));
   ]
 
@@ -697,8 +692,8 @@ let expected_app_results_order_unpruned =
    the taints on dead locals (the property in test_properties) *)
 let expected_results_order =
   [
-    ("leakage", (2503, "a6c23f1ca2365d6ac140ab0d7d86a237"));
-    ("chain-10", (502, "8058641138d19be6d9d782979404ac5b"));
+    ("leakage", (1303, "4a64534fdb09fe5fe4d7a351411d7f6e"));
+    ("chain-10", (102, "ea1fc8db3ac2918219e8e97238892317"));
     ("icc-pair", (7, "a4b1d9794062bfb5dc300549c631c240"));
   ]
 

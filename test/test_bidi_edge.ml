@@ -735,6 +735,122 @@ let test_dead_inactive_alias () =
     "pruned: only the inactive q.f" [ ("q", 1, false) ]
     (on_q r.Infoflow.r_engine)
 
+(* ---------------- context growth on a heap-staged chain ---------------- *)
+
+(* a depth-[depth] static chain of the layer benchmark's shape: each
+   step stores its argument in a heap cell and reads it back, calls the
+   next step, then stages the result through a second field.  Every
+   store spawns an alias search whose inactive aliases activate at the
+   store; an activated taint that kept its activation statement would
+   differ per store, so each step would be entered once per upstream
+   write and the solve would grow quadratically with depth *)
+let heap_chain_apk ~depth =
+  let step i =
+    let next =
+      if i = depth - 1 then ""
+      else
+        Printf.sprintf
+          "    t = staticinvoke h.Chain#step%d(t);\n\
+          \    b.h.Box#aux = t;\n\
+          \    t = b.h.Box#aux;\n"
+          (i + 1)
+    in
+    Printf.sprintf
+      "  static method java.lang.String step%d(java.lang.String) {\n\
+      \    local p : java.lang.Object;\n\
+      \    local b : h.Box;\n\
+      \    local t : java.lang.Object;\n\
+      \    p := @parameter0;\n\
+      \    b = new h.Box;\n\
+      \    specialinvoke b.h.Box#<init>();\n\
+      \    b.h.Box#val = p;\n\
+      \    t = b.h.Box#val;\n\
+       %s\
+      \    return t;\n\
+      \  }\n"
+      i next
+  in
+  let box =
+    "class h.Box {\n\
+    \  field val : java.lang.String;\n\
+    \  field aux : java.lang.String;\n\
+    \  method void <init>() {\n\
+    \    this := @this: h.Box;\n\
+    \    return;\n\
+    \  }\n\
+     }\n"
+  in
+  let activity =
+    "class h.App extends android.app.Activity {\n\
+    \  method void onCreate(android.os.Bundle) {\n\
+    \    local saved : java.lang.Object;\n\
+    \    local tm : android.telephony.TelephonyManager;\n\
+    \    local imei : java.lang.Object;\n\
+    \    local out : java.lang.Object;\n\
+    \    local sms : android.telephony.SmsManager;\n\
+    \    this := @this: h.App;\n\
+    \    saved := @parameter0;\n\
+    \    tm = new android.telephony.TelephonyManager;\n\
+    \    imei = virtualinvoke \
+     tm.android.telephony.TelephonyManager#getDeviceId() @\"src-imei\";\n\
+    \    out = staticinvoke h.Chain#step0(imei);\n\
+    \    sms = staticinvoke android.telephony.SmsManager#getDefault();\n\
+    \    virtualinvoke \
+     sms.android.telephony.SmsManager#sendTextMessage(\"+1\", null, out, \
+     null, null) @\"sink-sms\";\n\
+    \    return;\n\
+    \  }\n\
+     }\n"
+  in
+  Fd_frontend.Apk.make_text "HeapChain"
+    ~manifest:
+      (Fd_frontend.Apk.simple_manifest ~package:"h"
+         [ (Fd_frontend.Framework.Activity, "h.App", []) ])
+    ~layouts:[]
+    [ box;
+      "class h.Chain {\n" ^ String.concat "" (List.init depth step) ^ "}\n";
+      activity ]
+
+(* a chain's path edges and, per step method, the forward taints at
+   its first statement: one per entry context besides the zero fact *)
+let chain_solve ~depth =
+  let r = Infoflow.analyze_apk (heap_chain_apk ~depth) in
+  Alcotest.(check int)
+    (Printf.sprintf "depth %d: the leak is found" depth)
+    1 (List.length r.Infoflow.r_findings);
+  let entry_taints i =
+    List.length
+      (Bidi.results_at r.Infoflow.r_engine
+         Fd_callgraph.(
+           Icfg.
+             {
+               n_method =
+                 Mkey.
+                   {
+                     mk_class = "h.Chain";
+                     mk_name = Printf.sprintf "step%d" i;
+                     mk_arity = 1;
+                   };
+               n_idx = 0;
+             }))
+  in
+  (Bidi.propagation_count r.Infoflow.r_engine, List.init depth entry_taints)
+
+(* doubling the depth at most doubles the work, plus a margin for the
+   fixed cost of the activity and the dummy main, and no step is
+   entered in more than a handful of contexts *)
+let test_chain_contexts_linear () =
+  let e20, _ = chain_solve ~depth:20 in
+  let e40, entries = chain_solve ~depth:40 in
+  if float_of_int e40 > 2.2 *. float_of_int e20 then
+    Alcotest.failf "path edges grow faster than depth: %d at 20, %d at 40"
+      e20 e40;
+  List.iteri
+    (fun i n ->
+      if n > 2 then
+        Alcotest.failf "step%d is entered with %d taints (at most 2)" i n)
+    entries
+
 let () =
   Alcotest.run "fd_bidi_edge"
     [
@@ -788,5 +904,10 @@ let () =
             test_dead_bare_param;
           Alcotest.test_case "inactive alias on a dead local kept" `Quick
             test_dead_inactive_alias;
+        ] );
+      ( "activation",
+        [
+          Alcotest.test_case "chain contexts grow linearly" `Quick
+            test_chain_contexts_linear;
         ] );
     ]

@@ -430,6 +430,42 @@ let prop_pruning_exact ?(leaks = false) name apk_of =
         [ (leaks, Fd_core.Config.no_precision);
           (leaks, Fd_core.Config.all_precision) ])
 
+(* An active taint is an ordinary taint: {!Taint.activate} drops the
+   activation statement, so every active taint the forward solver
+   holds at any node carries none, and every inactive one carries
+   its own *)
+let activation_plain ~config apk =
+  let r = Fd_core.Infoflow.analyze_apk ~config apk in
+  let engine = r.Fd_core.Infoflow.r_engine in
+  let cg = r.Fd_core.Infoflow.r_icfg.Icfg.cg in
+  List.for_all
+    (fun m ->
+      match Fd_callgraph.Callgraph.body_of cg m with
+      | exception Not_found -> true
+      | body ->
+          List.for_all
+            (fun i ->
+              List.for_all
+                (fun (t : Taint.t) ->
+                  t.Taint.active = Option.is_none t.Taint.activation)
+                (Bidi.results_at engine Icfg.{ n_method = m; n_idx = i }))
+            (List.init (Body.length body) Fun.id))
+    (Fd_callgraph.Callgraph.reachable_methods cg)
+
+let prop_activation_plain name apk_of =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "active taints carry no activation (%s)" name)
+    ~count:8
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let apk = apk_of seed in
+      List.for_all
+        (fun precision ->
+          activation_plain
+            ~config:{ Fd_core.Config.default with Fd_core.Config.precision }
+            apk)
+        [ Fd_core.Config.no_precision; Fd_core.Config.all_precision ])
+
 let generated profile seed = (Gen.generate ~profile ~seed 4).Gen.ga_apk
 
 let () =
@@ -451,6 +487,10 @@ let () =
             prop_pruning_exact "play" (generated Gen.Play);
             prop_pruning_exact "icc" (generated Gen.Icc);
             prop_pruning_exact ~leaks:true "chain" (fun seed -> chain_apk ~seed);
+            prop_activation_plain "malware" (generated Gen.Malware);
+            prop_activation_plain "play" (generated Gen.Play);
+            prop_activation_plain "icc" (generated Gen.Icc);
+            prop_activation_plain "chain" (fun seed -> chain_apk ~seed);
           ] );
       ( "config-codec",
         [

@@ -268,6 +268,56 @@ let test_unpruned_entries_readable () =
     (bytes old_dir > bytes new_dir)
 
 (* ------------------------------------------------------------------ *)
+(* active facts written with their activation statement                *)
+(* ------------------------------------------------------------------ *)
+
+(* entries written while an activated taint still named the heap write
+   that activated it hold active facts with an ["an"] node.  They
+   decode to the plain active fact the solver now derives, and encode
+   back without it; an inactive fact keeps its activation *)
+let test_active_activation_dropped () =
+  let node i =
+    Fd_callgraph.Icfg.
+      {
+        n_method =
+          Fd_callgraph.Mkey.{ mk_class = "t.C"; mk_name = "m"; mk_arity = 1 };
+        n_idx = i;
+      }
+  in
+  let source =
+    Taint.
+      {
+        si_category = Fd_frontend.Sourcesink.Imei;
+        si_node = node 0;
+        si_tag = Some "src";
+        si_desc = "getDeviceId";
+      }
+  in
+  let ap =
+    Fd_core.Access_path.of_static
+      (Fd_ir.Types.mk_field
+         ~ty:(Fd_ir.Types.typ_of_string "java.lang.String")
+         "t.C" "f")
+  in
+  let plain = Taint.make ~ap ~source ~at:(node 0) () in
+  let with_an = { plain with Taint.activation = Some (node 3); t_memo = 0 } in
+  let enc f = Summary.enc_fact ~entry_source:None f in
+  let stale = enc (Taint.T with_an) in
+  Alcotest.(check bool) "the stale encoding names the write" true
+    (Json.member "an" stale <> None);
+  let decoded = Summary.dec_fact ~entry_source:None stale in
+  Alcotest.(check bool) "decodes to the plain active fact" true
+    (Taint.equal decoded (Taint.T plain));
+  Alcotest.(check string) "encodes back without the write"
+    (Json.to_string (enc (Taint.T plain)))
+    (Json.to_string (enc decoded));
+  let inactive = Taint.inactive_alias plain ~ap ~activation:(node 3) ~at:(node 3) in
+  Alcotest.(check bool) "an inactive fact keeps its activation" true
+    (Taint.equal
+       (Summary.dec_fact ~entry_source:None (enc (Taint.T inactive)))
+       (Taint.T inactive))
+
+(* ------------------------------------------------------------------ *)
 (* corruption handling                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -563,6 +613,8 @@ let () =
             test_hot_cold_corpus;
           Alcotest.test_case "entries written unpruned stay readable" `Quick
             test_unpruned_entries_readable;
+          Alcotest.test_case "active facts decode without activation" `Quick
+            test_active_activation_dropped;
           Alcotest.test_case "corruption degrades to misses" `Quick
             test_corruption;
           Alcotest.test_case "unwritable dir degrades to read-only" `Quick

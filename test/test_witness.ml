@@ -95,7 +95,7 @@ let pinned_witnesses =
           ("ext.DA1Helper.taint/2@3", "inner.ext.DA1Node#v = s", "inner.v*inactive*@act:ext.DA1Helper.taint/2@3", "alias");
           ("ext.DA1Helper.taint/2@2", "inner = n.ext.DA1Node#next", "n.next.v*inactive*@act:ext.DA1Helper.taint/2@3", "inject");
           ("ext.DA1Helper.taint/2@3", "inner.ext.DA1Node#v = s", "n.next.v*inactive*@act:ext.DA1Helper.taint/2@3", "normal");
-          ("ext.DA1Helper.taint/2@4", "return", "n.next.v@act:ext.DA1Helper.taint/2@3", "normal");
+          ("ext.DA1Helper.taint/2@4", "return", "n.next.v", "normal");
           ("ext.DeepAlias1.onCreate/1@8", "staticinvoke ext.DA1Helper#taint(a, x)", "a.next.v*inactive*@act:ext.DeepAlias1.onCreate/1@8", "alias");
           ("ext.DeepAlias1.onCreate/1@7", "x = virtualinvoke tm.android.telephony.TelephonyManager#getDeviceId() @\"src-imei\"", "a.next.v*inactive*@act:ext.DeepAlias1.onCreate/1@8", "backward");
           ("ext.DeepAlias1.onCreate/1@6", "tm = new android.telephony.TelephonyManager", "a.next.v*inactive*@act:ext.DeepAlias1.onCreate/1@8", "backward");
@@ -104,9 +104,9 @@ let pinned_witnesses =
           ("ext.DeepAlias1.onCreate/1@6", "tm = new android.telephony.TelephonyManager", "b.v*inactive*@act:ext.DeepAlias1.onCreate/1@8", "return");
           ("ext.DeepAlias1.onCreate/1@7", "x = virtualinvoke tm.android.telephony.TelephonyManager#getDeviceId() @\"src-imei\"", "b.v*inactive*@act:ext.DeepAlias1.onCreate/1@8", "normal");
           ("ext.DeepAlias1.onCreate/1@8", "staticinvoke ext.DA1Helper#taint(a, x)", "b.v*inactive*@act:ext.DeepAlias1.onCreate/1@8", "call-to-return");
-          ("ext.DeepAlias1.onCreate/1@9", "out = b.ext.DA1Node#v", "b.v@act:ext.DeepAlias1.onCreate/1@8", "call-to-return");
-          ("ext.DeepAlias1.onCreate/1@10", "sms = staticinvoke android.telephony.SmsManager#getDefault()", "out@act:ext.DeepAlias1.onCreate/1@8", "normal");
-          ("ext.DeepAlias1.onCreate/1@11", "virtualinvoke sms.android.telephony.SmsManager#sendTextMessage(\"+49 1234\", null, out, null, null) @\"sink-sms\"", "out@act:ext.DeepAlias1.onCreate/1@8", "call-to-return");
+          ("ext.DeepAlias1.onCreate/1@9", "out = b.ext.DA1Node#v", "b.v", "call-to-return");
+          ("ext.DeepAlias1.onCreate/1@10", "sms = staticinvoke android.telephony.SmsManager#getDefault()", "out", "normal");
+          ("ext.DeepAlias1.onCreate/1@11", "virtualinvoke sms.android.telephony.SmsManager#sendTextMessage(\"+49 1234\", null, out, null, null) @\"sink-sms\"", "out", "call-to-return");
         ];
       ] );
     ( "DirectLeak1",
