@@ -26,7 +26,9 @@
       only once the forward analysis carries it across that statement
       (or across a call that transitively contains it, tracked by the
       global activation-site association) does it activate and become
-      able to trigger leak reports (Listing 3).
+      able to trigger leak reports (Listing 3).  The active copy drops
+      the activation statement ({!Taint.activate}), so activations of
+      one alias at different writes meet in one fact.
 
     Both mechanisms can be disabled through {!Config.t} to reproduce
     the naive handover and the Andromeda-style flow-insensitive
@@ -955,8 +957,8 @@ let normal_flow t cx (ni : ninfo) (fact : Taint.fact) : Taint.fact list =
                path reaching the write.  An alias whose activation
                statement is this write is what the write itself
                stores, so it survives; the test reads the incoming
-               taint, since the activated copy no longer names its
-               activation statement. *)
+               taint, as the activated copy carries no activation
+               statement. *)
             match lv with
             | Stmt.Llocal x -> (
                 match taint.Taint.ap.AP.base with
@@ -1068,14 +1070,12 @@ let return_flow t ~call:(cni : ninfo) ~(callee : minfo) ~exit_ni:(eni : ninfo)
       | None -> []
       | Some _ ->
           let c = cni.ni_node in
-          (* activation association: if this inactive taint's
-             activation lies in the callee (transitively), completing
-             this call implies the activation executed (Section 4.2).
-             Only inactive taints register sites, as in FlowDroid: an
-             active one carries no activation. *)
-          (match taint with
-          | { Taint.active = false; activation = Some a; _ }
-            when act_method_implies t ~activation:a callee.mi_key ->
+          (* activation association: if this taint's activation lies in
+             the callee (transitively), completing this call implies the
+             activation executed (Section 4.2).  Only inactive taints
+             carry one, so only they register sites, as in FlowDroid. *)
+          (match taint.Taint.activation with
+          | Some a when act_method_implies t ~activation:a callee.mi_key ->
               node_set_add t.act_sites a c;
               mkey_set_add t.act_methods a c.Icfg.n_method
           | _ -> ());
