@@ -311,7 +311,9 @@ let test_active_activation_dropped () =
   Alcotest.(check string) "encodes back without the write"
     (Json.to_string (enc (Taint.T plain)))
     (Json.to_string (enc decoded));
-  let inactive = Taint.inactive_alias plain ~ap ~activation:(node 3) ~at:(node 3) in
+  let inactive =
+    Taint.inactive_alias plain ~ap ~activation:(node 3) ~at:(node 3)
+  in
   Alcotest.(check bool) "an inactive fact keeps its activation" true
     (Taint.equal
        (Summary.dec_fact ~entry_source:None (enc (Taint.T inactive)))
