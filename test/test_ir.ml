@@ -971,6 +971,87 @@ let test_lexer_identifiers () =
   ignore (Lexer.next lx);
   Alcotest.(check int) "line" 2 lx.Lexer.line
 
+(* The front end's outputs over a fixed corpus, pinned by MD5: every
+   DroidBench class and a seeded generator corpus rendered by [Pretty],
+   and a seeded chaos corruption of each of those sources.  For each
+   source the token stream with line numbers and the re-rendered
+   parsed classes are hashed; for each corrupted source, what the
+   lexer and the parser make of it (token or class count, or the
+   error's line and message). *)
+let pin_sources () =
+  let render classes = List.map Pretty.class_to_string classes in
+  let droidbench =
+    List.concat_map
+      (fun a -> render a.Fd_droidbench.Bench_app.app_apk.Fd_frontend.Apk.apk_classes)
+      Fd_droidbench.Suite.all
+  in
+  let generated =
+    let module G = Fd_appgen.Generator in
+    List.concat_map
+      (fun profile ->
+        List.concat_map
+          (fun g -> render g.G.ga_apk.Fd_frontend.Apk.apk_classes)
+          (G.corpus ~profile ~seed:23 12))
+      [ G.Malware; G.Play; G.Icc ]
+  in
+  droidbench @ generated
+
+let lex_outcome buf src =
+  let lx = Lexer.create src in
+  let rec go n =
+    match Lexer.next lx with
+    | Lexer.EOF -> Printf.bprintf buf "tokens %d\n" n
+    | _ -> go (n + 1)
+    | exception Lexer.Lex_error (line, msg) ->
+        Printf.bprintf buf "lex %d: %s\n" line msg
+  in
+  go 0
+
+let parse_outcome buf src =
+  match Parser.parse_string src with
+  | cs -> Printf.bprintf buf "classes %d\n" (List.length cs)
+  | exception Parser.Parse_error (line, msg) ->
+      Printf.bprintf buf "parse %d: %s\n" line msg
+
+let test_frontend_pinned () =
+  let sources = pin_sources () in
+  let tokens = Buffer.create (1 lsl 20)
+  and classes = Buffer.create (1 lsl 20)
+  and chaos = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun src ->
+      let lx = Lexer.create src in
+      let rec go () =
+        match Lexer.next lx with
+        | Lexer.EOF -> Buffer.add_string tokens "EOF\n"
+        | tok ->
+            Printf.bprintf tokens "%s %d\n" (Lexer.string_of_token tok)
+              lx.Lexer.line;
+            go ()
+      in
+      go ();
+      List.iter
+        (fun c -> Buffer.add_string classes (Pretty.class_to_string c))
+        (Parser.parse_string src))
+    sources;
+  let c = Fd_resilience.Chaos.create ~seed:23 ~rate:1.0 in
+  List.iter
+    (fun src ->
+      for _ = 1 to 2 do
+        let bad = Fd_resilience.Chaos.corrupt_string c src in
+        lex_outcome chaos bad;
+        parse_outcome chaos bad
+      done)
+    sources;
+  let md5 b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  Alcotest.(check int) "sources" 527 (List.length sources);
+  Alcotest.(check string) "token stream" "7131ed56aad2d9ebf77579691cb9d0dc"
+    (md5 tokens);
+  Alcotest.(check string) "parsed classes" "27cd23c9f597b05a042f2aa581dcbc30"
+    (md5 classes);
+  Alcotest.(check string) "chaos outcomes" "a5bb52a851d9fae3c360752b85b372b8"
+    (md5 chaos)
+
 (* property: every DSL-built random straight-line body round-trips *)
 
 let gen_prog : Jclass.t QCheck.Gen.t =
@@ -1101,6 +1182,8 @@ let () =
             test_parse_comments_and_ops;
           Alcotest.test_case "lexer identifier boundaries" `Quick
             test_lexer_identifiers;
+          Alcotest.test_case "lexer and parser outputs are pinned" `Quick
+            test_frontend_pinned;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
