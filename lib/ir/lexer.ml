@@ -30,99 +30,116 @@ exception Lex_error of int * string
 type t = { src : string; mutable pos : int; mutable line : int }
 
 let create src = { src; pos = 0; line = 1 }
+let line t = t.line
 let fail t msg = raise (Lex_error (t.line, msg))
-let eof t = t.pos >= String.length t.src
-let peek t = if eof t then '\000' else t.src.[t.pos]
 
-let peek2 t =
-  if t.pos + 1 >= String.length t.src then '\000' else t.src.[t.pos + 1]
+(* Every loop below reads [t.src] with [String.unsafe_get] behind an
+   explicit [pos < len] test.  Newlines are consumed only by [skip_ws]
+   and [read_string], so only those two count lines. *)
 
-let advance t =
-  if peek t = '\n' then t.line <- t.line + 1;
-  t.pos <- t.pos + 1
+(* the byte at [i], or NUL past the end *)
+let char_at src i =
+  if i < String.length src then String.unsafe_get src i else '\000'
 
-let is_ident_start = function
+let[@inline] is_ident_start = function
   | 'a' .. 'z' | 'A' .. 'Z' | '_' | '$' -> true
   | _ -> false
 
-let is_ident_char = function
+let[@inline] is_ident_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '$' -> true
   | _ -> false
 
-let rec skip_ws t =
-  if eof t then ()
-  else
-    match peek t with
-    | ' ' | '\t' | '\r' | '\n' ->
-        advance t;
-        skip_ws t
-    | '/' when peek2 t = '/' ->
-        while (not (eof t)) && peek t <> '\n' do
-          advance t
+(* blanks, [//] line comments and [/* */] block comments *)
+let skip_ws t =
+  let src = t.src in
+  let len = String.length src in
+  let pos = ref t.pos and line = ref t.line and blank = ref true in
+  while !blank && !pos < len do
+    match String.unsafe_get src !pos with
+    | ' ' | '\t' | '\r' -> incr pos
+    | '\n' ->
+        incr pos;
+        incr line
+    | '/' when !pos + 1 < len && String.unsafe_get src (!pos + 1) = '/' ->
+        pos := !pos + 2;
+        while !pos < len && String.unsafe_get src !pos <> '\n' do
+          incr pos
+        done
+    | '/' when !pos + 1 < len && String.unsafe_get src (!pos + 1) = '*' ->
+        pos := !pos + 2;
+        while
+          !pos + 1 >= len
+          || String.unsafe_get src !pos <> '*'
+          || String.unsafe_get src (!pos + 1) <> '/'
+        do
+          if !pos >= len then begin
+            t.line <- !line;
+            fail t "unterminated comment"
+          end;
+          if String.unsafe_get src !pos = '\n' then incr line;
+          incr pos
         done;
-        skip_ws t
-    | '/' when peek2 t = '*' ->
-        advance t;
-        advance t;
-        let rec go () =
-          if eof t then fail t "unterminated comment"
-          else if peek t = '*' && peek2 t = '/' then begin
-            advance t;
-            advance t
-          end
-          else begin
-            advance t;
-            go ()
-          end
-        in
-        go ();
-        skip_ws t
-    | _ -> ()
+        pos := !pos + 2
+    | _ -> blank := false
+  done;
+  t.pos <- !pos;
+  t.line <- !line
 
+(* The loop is a local closure over [t] and [buf], allocated once per
+   literal: the front end's allocation is kept word for word, because
+   the benchmark's heap peak moves with any shift in when the minor
+   heap fills (DESIGN.md §8, "Front end"). *)
 let read_string t =
   (* opening quote consumed by caller *)
   let buf = Buffer.create 16 in
   let rec go () =
-    if eof t then fail t "unterminated string literal"
-    else
-      match peek t with
-      | '"' -> advance t
-      | '\\' ->
-          advance t;
-          (match peek t with
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '"' -> Buffer.add_char buf '"'
-          | '0' .. '9' ->
-              (* decimal escape \ddd as produced by OCaml's %S *)
-              let d = Buffer.create 3 in
-              let rec digits n =
-                if n > 0 && (match peek t with '0' .. '9' -> true | _ -> false)
-                then begin
-                  Buffer.add_char d (peek t);
-                  advance t;
-                  digits (n - 1)
-                end
-              in
-              Buffer.add_char d (peek t);
-              advance t;
-              digits 2;
-              t.pos <- t.pos - 1;
-              (* compensate the unconditional advance below *)
-              let code = int_of_string (Buffer.contents d) in
-              if code > 255 then
-                fail t
-                  (Printf.sprintf "escape \\%s out of range" (Buffer.contents d));
-              Buffer.add_char buf (Char.chr code)
-          | c -> fail t (Printf.sprintf "unknown escape \\%c" c));
-          advance t;
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance t;
-          go ()
+    let src = t.src and pos = t.pos in
+    let len = String.length src in
+    if pos >= len then fail t "unterminated string literal";
+    let c = String.unsafe_get src pos in
+    t.pos <- pos + 1;
+    match c with
+    | '"' -> ()
+    | '\\' ->
+        if pos + 1 >= len then fail t "unterminated string literal";
+        let e = String.unsafe_get src (pos + 1) in
+        t.pos <- pos + 2;
+        (match e with
+        | 'n' -> Buffer.add_char buf '\n'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'r' -> Buffer.add_char buf '\r'
+        | '\\' -> Buffer.add_char buf '\\'
+        | '"' -> Buffer.add_char buf '"'
+        | '0' .. '9' ->
+            (* decimal escape \ddd as produced by OCaml's %S: up to
+               three digits *)
+            let stop = min len (pos + 4) in
+            let code = ref (Char.code e - Char.code '0') in
+            while
+              t.pos < stop
+              && match String.unsafe_get src t.pos with
+                 | '0' .. '9' -> true
+                 | _ -> false
+            do
+              code :=
+                (!code * 10) + Char.code (String.unsafe_get src t.pos)
+                - Char.code '0';
+              t.pos <- t.pos + 1
+            done;
+            if !code > 255 then
+              fail t
+                (Printf.sprintf "escape \\%s out of range"
+                   (String.sub src (pos + 1) (t.pos - pos - 1)));
+            Buffer.add_char buf (Char.chr !code)
+        | e -> fail t (Printf.sprintf "unknown escape \\%c" e));
+        go ()
+    | '\n' ->
+        t.line <- t.line + 1;
+        Buffer.add_char buf c;
+        go ()
+    | c ->
+        Buffer.add_char buf c;
+        go ()
   in
   go ();
   Buffer.contents buf
@@ -175,77 +192,92 @@ let read_digits t =
   t.pos <- !pos;
   !n
 
+(* the one-byte token at [pos], or the two-byte one when '=' follows *)
+let with_eq t pos one two =
+  if char_at t.src (pos + 1) = '=' then begin
+    t.pos <- pos + 2;
+    two
+  end
+  else begin
+    t.pos <- pos + 1;
+    one
+  end
+
+(* after a '<' or '>' at [pos]: the operator followed by '=', doubled,
+   or alone *)
+let angle_op t pos le shift one =
+  let c = char_at t.src (pos + 1) in
+  if c = '=' then begin
+    t.pos <- pos + 2;
+    le
+  end
+  else if c = String.unsafe_get t.src pos then begin
+    t.pos <- pos + 2;
+    shift
+  end
+  else begin
+    t.pos <- pos + 1;
+    one
+  end
+
 let next t =
   skip_ws t;
-  if eof t then EOF
+  let src = t.src and pos = t.pos in
+  if pos >= String.length src then EOF
   else
-    let c = peek t in
-    match c with
-    | '{' -> advance t; LBRACE
-    | '}' -> advance t; RBRACE
-    | '(' -> advance t; LPAREN
-    | ')' -> advance t; RPAREN
-    | '[' -> advance t; LBRACKET
-    | ']' -> advance t; RBRACKET
-    | ';' -> advance t; SEMI
-    | ',' -> advance t; COMMA
-    | '#' -> advance t; HASH
-    | '@' -> advance t; AT
-    | '.' -> advance t; DOT
-    | '"' -> advance t; STRING (read_string t)
-    | ':' ->
-        advance t;
-        if peek t = '=' then begin advance t; IDENTITY end else COLON
-    | '=' ->
-        advance t;
-        if peek t = '=' then begin advance t; OP "==" end else ASSIGN
+    match String.unsafe_get src pos with
+    | '{' -> t.pos <- pos + 1; LBRACE
+    | '}' -> t.pos <- pos + 1; RBRACE
+    | '(' -> t.pos <- pos + 1; LPAREN
+    | ')' -> t.pos <- pos + 1; RPAREN
+    | '[' -> t.pos <- pos + 1; LBRACKET
+    | ']' -> t.pos <- pos + 1; RBRACKET
+    | ';' -> t.pos <- pos + 1; SEMI
+    | ',' -> t.pos <- pos + 1; COMMA
+    | '#' -> t.pos <- pos + 1; HASH
+    | '@' -> t.pos <- pos + 1; AT
+    | '.' -> t.pos <- pos + 1; DOT
+    | '"' ->
+        t.pos <- pos + 1;
+        STRING (read_string t)
+    | ':' -> with_eq t pos COLON IDENTITY
+    | '=' -> with_eq t pos ASSIGN (OP "==")
     | '!' ->
-        advance t;
-        if peek t = '=' then begin advance t; OP "!=" end
+        if char_at src (pos + 1) = '=' then begin
+          t.pos <- pos + 2;
+          OP "!="
+        end
         else fail t "unexpected '!'"
-    | '<' ->
+    | '<' -> (
         (* either the operator <, <=, << or the <init>/<clinit> names;
-           try the bracketed-name reading first and backtrack to the
+           try the bracketed-name reading first and fall back to the
            operator reading if no closing '>' follows *)
-        let saved_pos = t.pos and saved_line = t.line in
         let bracketed =
-          if is_ident_start (peek2 t) then begin
-            advance t;
+          if is_ident_start (char_at src (pos + 1)) then begin
+            t.pos <- pos + 1;
             let name = read_ident t in
-            if peek t = '>' then begin
-              advance t;
+            if char_at src t.pos = '>' then begin
+              t.pos <- t.pos + 1;
               Some (IDENT ("<" ^ name ^ ">"))
             end
-            else begin
-              t.pos <- saved_pos;
-              t.line <- saved_line;
-              None
-            end
+            else None
           end
           else None
         in
-        (match bracketed with
+        match bracketed with
         | Some tok -> tok
-        | None ->
-            advance t;
-            if peek t = '=' then begin advance t; OP "<=" end
-            else if peek t = '<' then begin advance t; OP "<<" end
-            else OP "<")
-    | '>' ->
-        advance t;
-        if peek t = '=' then begin advance t; OP ">=" end
-        else if peek t = '>' then begin advance t; OP ">>" end
-        else OP ">"
-    | '+' | '*' | '/' | '%' | '&' | '|' | '^' | '~' ->
-        advance t;
+        | None -> angle_op t pos (OP "<=") (OP "<<") (OP "<"))
+    | '>' -> angle_op t pos (OP ">=") (OP ">>") (OP ">")
+    | ('+' | '*' | '/' | '%' | '&' | '|' | '^' | '~') as c ->
+        t.pos <- pos + 1;
         OP (String.make 1 c)
-    | '-' ->
-        advance t;
-        (match peek t with
+    | '-' -> (
+        t.pos <- pos + 1;
+        match char_at src (pos + 1) with
         | '0' .. '9' -> INT (-read_digits t)
         | _ -> OP "-")
     | '0' .. '9' -> INT (read_digits t)
-    | c when is_ident_start c -> IDENT (read_ident t)
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' | '$' -> IDENT (read_ident t)
     | c -> fail t (Printf.sprintf "unexpected character %C" c)
 
 let string_of_token = function

@@ -51,7 +51,7 @@ let lint_source ?file src =
         t
     | None -> (
         match Lexer.next lx with
-        | tok -> Some (tok, lx.Lexer.line)
+        | tok -> Some (tok, Lexer.line lx)
         | exception Lexer.Lex_error _ -> None)
   in
   let peek () =

@@ -42,12 +42,16 @@ type st = {
   mutable order : local list;
 }
 
-let fail st msg = raise (Parse_error (st.lx.Lexer.line, msg))
+let fail st msg = raise (Parse_error (Lexer.line st.lx, msg))
 
 let advance st = st.tok <- Lexer.next st.lx
 
+(* Constant tokens are immediates, so they are tested with [==] or a
+   constructor match: [=] on a token would call the C polymorphic
+   compare once per test.  [expect] is only ever given a constant
+   token. *)
 let expect st tok =
-  if st.tok = tok then advance st
+  if st.tok == tok then advance st
   else
     fail st
       (Printf.sprintf "expected %s but found %s"
@@ -77,7 +81,7 @@ let parse_type st =
   let base = ident st in
   let ty = ref (typ_of_string base) in
   let rec arrays () =
-    if st.tok = LBRACKET then begin
+    if st.tok == LBRACKET then begin
       advance st;
       expect st RBRACKET;
       ty := Array !ty;
@@ -115,11 +119,11 @@ let known_local st name = Hashtbl.mem st.locals name
 let split_ref st dotted =
   match String.index_opt dotted '.' with
   | None -> None
-  | Some i ->
-      let base = String.sub dotted 0 i in
-      if known_local st base then
-        Some (Hashtbl.find st.locals base, String.sub dotted (i + 1) (String.length dotted - i - 1))
-      else None
+  | Some i -> (
+      match Hashtbl.find st.locals (String.sub dotted 0 i) with
+      | base ->
+          Some (base, String.sub dotted (i + 1) (String.length dotted - i - 1))
+      | exception Not_found -> None)
 
 (* ---------------- immediates ---------------- *)
 
@@ -143,14 +147,14 @@ let parse_imm st =
 
 let parse_args st =
   expect st LPAREN;
-  if st.tok = RPAREN then begin
+  if st.tok == RPAREN then begin
     advance st;
     []
   end
   else begin
     let rec go acc =
       let a = parse_imm st in
-      if st.tok = COMMA then begin
+      if st.tok == COMMA then begin
         advance st;
         go (a :: acc)
       end
@@ -200,11 +204,11 @@ let parse_invoke st kind =
       { i_kind = kind; i_sig = mk_sig cls name args;
         i_recv = Some recv; i_args = args }
 
-let invoke_kw = function
-  | "virtualinvoke" -> Some Virtual
-  | "specialinvoke" -> Some Special
-  | "staticinvoke" -> Some Static
-  | _ -> None
+(* the kind an invoke keyword names; only given the three keywords *)
+let invoke_kind = function
+  | "virtualinvoke" -> Virtual
+  | "specialinvoke" -> Special
+  | _ -> Static
 
 (* ---------------- rhs of assignments ---------------- *)
 
@@ -228,7 +232,7 @@ let parse_rhs st : expr =
          final "[n]" length *)
       let rec go () =
         expect st LBRACKET;
-        if st.tok = RBRACKET then begin
+        if st.tok == RBRACKET then begin
           advance st;
           ty := Array !ty;
           go ()
@@ -255,16 +259,16 @@ let parse_rhs st : expr =
       advance st;
       let a = parse_imm st in
       Eunop ("neg", a)
-  | IDENT k when invoke_kw k <> None ->
+  | IDENT ("virtualinvoke" | "specialinvoke" | "staticinvoke" as k) ->
       advance st;
-      Einvoke (parse_invoke st (Option.get (invoke_kw k)))
+      Einvoke (parse_invoke st (invoke_kind k))
   | _ -> (
       (* immediate, field load, array load, binop, instanceof *)
       match st.tok with
       | IDENT dotted when String.contains dotted '.' -> (
           advance st;
           match split_ref st dotted with
-          | Some (base, cls) when st.tok = HASH ->
+          | Some (base, cls) when st.tok == HASH ->
               advance st;
               let fname = ident st in
               Efield (base, mk_field cls fname)
@@ -307,7 +311,7 @@ let cmp_of_op st = function
   | op -> fail st (Printf.sprintf "not a comparison operator: %S" op)
 
 let parse_tag st =
-  if st.tok = AT then begin
+  if st.tok == AT then begin
     advance st;
     match st.tok with
     | STRING s ->
@@ -361,7 +365,7 @@ let parse_body st =
         go ()
     | IDENT "return" ->
         advance st;
-        if st.tok = SEMI then finish_stmt (Ps (Return None))
+        if st.tok == SEMI then finish_stmt (Ps (Return None))
         else begin
           let a = parse_imm st in
           finish_stmt (Ps (Return (Some a)))
@@ -376,9 +380,9 @@ let parse_body st =
         advance st;
         finish_stmt (Ps Nop);
         go ()
-    | IDENT k when invoke_kw k <> None ->
+    | IDENT ("virtualinvoke" | "specialinvoke" | "staticinvoke" as k) ->
         advance st;
-        let inv = parse_invoke st (Option.get (invoke_kw k)) in
+        let inv = parse_invoke st (invoke_kind k) in
         finish_stmt (Ps (InvokeStmt inv));
         go ()
     | IDENT "static" ->
@@ -462,8 +466,8 @@ let parse_body st =
   let items = List.rev !rev in
   let items =
     (* guarantee a final return (labels at the very end attach to it) *)
-    match List.rev items with
-    | (Ps (Return _ | Throw _), _, _) :: _ when !pending_labels = [] -> items
+    match (List.rev items, !pending_labels) with
+    | (Ps (Return _ | Throw _), _, _) :: _, [] -> items
     | _ -> items @ [ (Ps (Return None), None, !pending_labels) ]
   in
   let labels = Hashtbl.create 7 in
@@ -502,11 +506,11 @@ let parse_method st ~static ~abstract ~native =
   let name = ident st in
   expect st LPAREN;
   let params =
-    if st.tok = RPAREN then []
+    if st.tok == RPAREN then []
     else begin
       let rec go acc =
         let t = parse_type st in
-        if st.tok = COMMA then begin
+        if st.tok == COMMA then begin
           advance st;
           go (t :: acc)
         end
@@ -517,7 +521,7 @@ let parse_method st ~static ~abstract ~native =
   in
   expect st RPAREN;
   let msig = { m_class = st.cls_name; m_name = name; m_params = params; m_ret = ret } in
-  if st.tok = SEMI then begin
+  if st.tok == SEMI then begin
     advance st;
     Jclass.mk_method ~static ~abstract ~native msig
   end
@@ -558,7 +562,7 @@ let parse_class st =
       advance st;
       let rec go () =
         interfaces := ident st :: !interfaces;
-        if st.tok = COMMA then begin
+        if st.tok == COMMA then begin
           advance st;
           go ()
         end

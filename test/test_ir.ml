@@ -893,7 +893,20 @@ let test_parse_errors () =
       | exception Parser.Parse_error _ -> ()
       | exception Lexer.Lex_error _ -> ()
       | _ -> Alcotest.fail (Printf.sprintf "expected parse error on %S" src))
-    bad
+    bad;
+  (* a backslash ending the input inside a string literal: the literal
+     is unterminated, not an escape of NUL *)
+  List.iter
+    (fun (src, line) ->
+      match Parser.parse_string src with
+      | exception Parser.Parse_error (l, msg) ->
+          Alcotest.(check (pair int string))
+            src (line, "unterminated string literal") (l, msg)
+      | _ -> Alcotest.fail (Printf.sprintf "expected parse error on %S" src))
+    [
+      ({|class A { method void m() { x = "abc\|}, 1);
+      ("class A {\n  method void m() {\n    x = \"a\nb\\", 4);
+    ]
 
 let test_parse_comments_and_ops () =
   let src =
@@ -969,7 +982,7 @@ let test_lexer_identifiers () =
   let lx = Lexer.create "a.b\nc" in
   ignore (Lexer.next lx);
   ignore (Lexer.next lx);
-  Alcotest.(check int) "line" 2 lx.Lexer.line
+  Alcotest.(check int) "line" 2 (Lexer.line lx)
 
 (* The front end's outputs over a fixed corpus, pinned by MD5: every
    DroidBench class and a seeded generator corpus rendered by [Pretty],
@@ -1026,7 +1039,7 @@ let test_frontend_pinned () =
         | Lexer.EOF -> Buffer.add_string tokens "EOF\n"
         | tok ->
             Printf.bprintf tokens "%s %d\n" (Lexer.string_of_token tok)
-              lx.Lexer.line;
+              (Lexer.line lx);
             go ()
       in
       go ();
@@ -1120,6 +1133,64 @@ let prop_parser_mutation =
       | exception Lexer.Lex_error _ -> true
       | exception _ -> false)
 
+(* The lexer reads its input with unchecked byte loads behind explicit
+   bounds.  Whatever the input, [Parser.parse_string] returns or raises
+   one of its declared errors: random bytes of any value, every
+   truncation of a real class, inputs that end inside each kind of
+   token, and corrupted real sources. *)
+let parses_or_fails src =
+  match Parser.parse_string src with
+  | _ -> true
+  | exception Parser.Parse_error _ -> true
+  | exception Lexer.Lex_error _ -> true
+  | exception _ -> false
+
+let bounds_class () =
+  match Fd_droidbench.Suite.find "Button1" with
+  | Some a ->
+      Pretty.class_to_string
+        (List.hd a.Fd_droidbench.Bench_app.app_apk.Fd_frontend.Apk.apk_classes)
+  | None -> Alcotest.fail "Button1 is missing"
+
+let test_truncations_in_bounds () =
+  let src = bounds_class () in
+  for n = 0 to String.length src do
+    let cut = String.sub src 0 n in
+    if not (parses_or_fails cut) then
+      Alcotest.failf "undeclared exception on a truncation at %d" n
+  done;
+  (* inputs ending inside a comment, a string, an escape, a bracketed
+     name and a number all fail with a declared error *)
+  let head = "class A { method void m() { " in
+  List.iter
+    (fun tail ->
+      match Parser.parse_string (head ^ tail) with
+      | exception Parser.Parse_error _ -> ()
+      | _ -> Alcotest.failf "expected a parse error on %S" tail)
+    [ "/* open"; "/*"; "/"; "// open"; {|x = "open|}; {|x = "\|}; {|x = "|};
+      {|x = "|}; "specialinvoke b.C#<init"; "specialinvoke b.C#<"; "x = 12";
+      "x = -"; "x = -7"; "if x <"; "if x >"; "x :"; "x !"; "x =" ]
+
+let prop_parser_in_bounds =
+  let src = lazy (bounds_class ()) in
+  let gen =
+    let open QCheck.Gen in
+    oneof
+      [
+        string_size ~gen:char (int_bound 64);
+        (let* n = int_bound 4096 and* edits = list_size (int_bound 3) (pair nat char) in
+         let src = Lazy.force src in
+         let cut = Bytes.of_string (String.sub src 0 (n mod (String.length src + 1))) in
+         List.iter
+           (fun (i, c) ->
+             if Bytes.length cut > 0 then Bytes.set cut (i mod Bytes.length cut) c)
+           edits;
+         return (Bytes.to_string cut));
+      ]
+  in
+  QCheck.Test.make ~name:"parser stays in bounds on bytes and cut sources"
+    ~count:1000 (QCheck.make ~print:(Printf.sprintf "%S") gen) parses_or_fails
+
 let prop_body_succs_in_range =
   QCheck.Test.make ~name:"all successors are valid indices" ~count:100
     (QCheck.make ~print:Pretty.class_to_string gen_prog) (fun c ->
@@ -1184,10 +1255,12 @@ let () =
             test_lexer_identifiers;
           Alcotest.test_case "lexer and parser outputs are pinned" `Quick
             test_frontend_pinned;
+          Alcotest.test_case "every truncation fails with a declared error"
+            `Quick test_truncations_in_bounds;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_print_parse_roundtrip; prop_body_succs_in_range;
-            prop_parser_total; prop_parser_mutation;
+            prop_parser_total; prop_parser_mutation; prop_parser_in_bounds;
             prop_scene_insert_keeps_caches_exact; prop_cones_match_model ] );
     ]
