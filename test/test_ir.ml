@@ -1099,18 +1099,21 @@ let prop_print_parse_roundtrip =
       | [ c2 ] -> Pretty.class_to_string c2 = p
       | _ -> false)
 
+(* [Parser.parse_string] returns or raises one of its declared errors *)
+let parses_or_fails src =
+  match Parser.parse_string src with
+  | _ -> true
+  | exception Parser.Parse_error _ -> true
+  | exception Lexer.Lex_error _ -> true
+  | exception _ -> false
+
 (* fuzz: arbitrary input never crashes the textual frontend with
    anything other than its declared exceptions *)
 let prop_parser_total =
   QCheck.Test.make ~name:"parser is total (errors are Parse/Lex_error)"
     ~count:500
     QCheck.(string_gen_of_size (QCheck.Gen.int_bound 200) QCheck.Gen.printable)
-    (fun src ->
-      match Parser.parse_string src with
-      | _ -> true
-      | exception Parser.Parse_error _ -> true
-      | exception Lexer.Lex_error _ -> true
-      | exception _ -> false)
+    parses_or_fails
 
 (* fuzz around valid programs: mutate a printed class by deleting a
    random slice; must never crash with an unexpected exception *)
@@ -1127,24 +1130,13 @@ let prop_parser_mutation =
       let mutated =
         String.sub valid 0 ofs ^ String.sub valid (ofs + len) (n - ofs - len)
       in
-      match Parser.parse_string mutated with
-      | _ -> true
-      | exception Parser.Parse_error _ -> true
-      | exception Lexer.Lex_error _ -> true
-      | exception _ -> false)
+      parses_or_fails mutated)
 
 (* The lexer reads its input with unchecked byte loads behind explicit
-   bounds.  Whatever the input, [Parser.parse_string] returns or raises
-   one of its declared errors: random bytes of any value, every
-   truncation of a real class, inputs that end inside each kind of
-   token, and corrupted real sources. *)
-let parses_or_fails src =
-  match Parser.parse_string src with
-  | _ -> true
-  | exception Parser.Parse_error _ -> true
-  | exception Lexer.Lex_error _ -> true
-  | exception _ -> false
-
+   bounds.  Whatever the input, the parser returns or raises one of its
+   declared errors: random bytes of any value, every truncation of a
+   real class, inputs that end inside each kind of token, and corrupted
+   real sources. *)
 let bounds_class () =
   match Fd_droidbench.Suite.find "Button1" with
   | Some a ->
@@ -1167,8 +1159,8 @@ let test_truncations_in_bounds () =
       match Parser.parse_string (head ^ tail) with
       | exception Parser.Parse_error _ -> ()
       | _ -> Alcotest.failf "expected a parse error on %S" tail)
-    [ "/* open"; "/*"; "/"; "// open"; {|x = "open|}; {|x = "\|}; {|x = "|};
-      {|x = "|}; "specialinvoke b.C#<init"; "specialinvoke b.C#<"; "x = 12";
+    [ "/* open"; "/*"; "/"; "// open"; {|x = "open|}; {|x = "\|}; {|x = "\1|};
+      {|x = "\25|}; "specialinvoke b.C#<init"; "specialinvoke b.C#<"; "x = 12";
       "x = -"; "x = -7"; "if x <"; "if x >"; "x :"; "x !"; "x =" ]
 
 let prop_parser_in_bounds =
