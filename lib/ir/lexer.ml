@@ -251,7 +251,8 @@ let next t =
     | '<' -> (
         (* either the operator <, <=, << or the <init>/<clinit> names;
            try the bracketed-name reading first and fall back to the
-           operator reading if no closing '>' follows *)
+           operator reading if no closing '>' follows (the option keeps
+           the allocation as it was, like [read_string]'s closure) *)
         let bracketed =
           if is_ident_start (char_at src (pos + 1)) then begin
             t.pos <- pos + 1;
