@@ -18,12 +18,16 @@ count for neither) and `gain` when the change won at least nine tenths
 of the pairs and the medians differ by more than the parent's
 interquartile range, and `worse` when the change's median is worse
 than the parent's by more than the metric's BENCHMARK.json bound (a
-relative margin; per-layer metrics have none).  It reports
+relative margin; per-layer metrics have none).  A row reads
+`unresolved` when the parent's own interquartile range is wider than
+the bound times the parent's median: its runs spread too widely for
+the bound to tell a change from drift.  It reports
 BENCHMARK.json's end-to-end metrics and, with `--trace 1`, its
 per-layer metrics, wherever the runs give them (a traced run gives only
 the per-layer ones).  It also prints each side's failed units and
 failed runs and its set of pass digests, and ends with one line that
-lists every `worse` row of every workload.
+lists every `worse` row of every workload, then every `unresolved`
+one.
 
 Exit status: 0 when every run produced a result and both sides gave
 the same digests on every workload, 1 otherwise, 2 on a usage or git
@@ -119,7 +123,11 @@ def worse_than_bound(mp, mc, better, bound):
     return mc < mp * (1 - bound)
 
 
-def report(workload, runs, specs, worse):
+def unresolved_by_spread(mp, p1, p3, bound):
+    return bound is not None and p3 - p1 > bound * abs(mp)
+
+
+def report(workload, runs, specs, worse, unresolved):
     print(f"\n== {workload}: {len(runs['parent'])} pairs")
     print(f"  {'metric':<26} {'parent median [q1, q3]':<40} "
           f"{'change median [q1, q3]':<40} {'ratio':>6} {'won':>6}")
@@ -142,11 +150,16 @@ def report(workload, runs, specs, worse):
         bad = worse_than_bound(mp, mc, better, bound)
         if bad:
             worse.append(f"{workload} {name} {ratio} (bound {bound})")
+        spread = unresolved_by_spread(mp, p1, p3, bound)
+        if spread:
+            rel = f"{(p3 - p1) / abs(mp):.3f}" if mp else "-"
+            unresolved.append(f"{workload} {name} (parent IQR {rel} of "
+                              f"median, bound {bound})")
         cell = {s: f"{m:.6g} [{q1:.6g}, {q3:.6g}]"
                 for s, m, q1, q3 in (("parent", mp, p1, p3), ("change", mc, c1, c3))}
         print(f"  {name:<26} {cell['parent']:<40} {cell['change']:<40} "
               f"{ratio:>6} {won:>3}/{len(pairs)}{'  gain' if gain else ''}"
-              f"{'  worse' if bad else ''}")
+              f"{'  worse' if bad else ''}{'  unresolved' if spread else ''}")
     same = True
     digests = {}
     for s in ("parent", "change"):
@@ -194,7 +207,7 @@ def main():
             return 2
         copy_worktree(trees["change"])
         ok = True
-        worse = []
+        worse, unresolved = [], []
         for w in names:
             runs = {"parent": [], "change": []}
             for i in range(args.pairs):
@@ -202,8 +215,9 @@ def main():
                 for s in order:
                     sys.stderr.write(f"ab_pairs: {w} pair {i + 1}/{args.pairs} {s}\n")
                     runs[s].append(run_once(trees[s], w, args))
-            ok = report(w, runs, specs, worse) and ok
-        print(f"\nworse beyond bound: {'; '.join(worse) or 'none'}")
+            ok = report(w, runs, specs, worse, unresolved) and ok
+        print(f"\nworse beyond bound: {'; '.join(worse) or 'none'}"
+              f" | unresolved: {'; '.join(unresolved) or 'none'}")
         return 0 if ok else 1
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -103,11 +103,15 @@ type finding = {
    triples mapped back through id-indexed arrays, and the per-node /
    per-method views the flow functions consume — statement,
    successors, predecessors, callees, parameter locals, source/sink
-   classifications — are resolved once and cached against the id.
+   classifications — are resolved once and cached against the id.  A
+   method's node views sit in an array on its view, indexed by
+   statement, and exist only for the statements the solver touches.
    The forward results live on the node view too: one fact id per
    forward path edge, deduplicated only when {!results_at} reads
-   them.  All of it lives inside the engine value, so engines on
-   different domains never share mutable state. *)
+   them.  Every table starts small and doubles as it fills: a fleet
+   runs thousands of solves of a few dozen path edges each.  All of it
+   lives inside the engine value, so engines on different domains
+   never share mutable state. *)
 
 let m_dedup_hits = M.counter "ifds.worklist_dedup_hits"
 let g_intern_facts = M.gauge "intern.facts.size"
@@ -144,6 +148,23 @@ end)
 
 module Node_tbl = Icfg.Node_tbl
 
+(* a finding's identity: source node, source tag, sink node (see
+   {!compare_finding}) *)
+module Finding_tbl = Hashtbl.Make (struct
+  type t = Icfg.node * string option * Icfg.node
+
+  let equal (s, g, k) (s', g', k') =
+    Icfg.equal_node s s'
+    && Option.equal String.equal g g'
+    && Icfg.equal_node k k'
+
+  let hash (s, g, k) =
+    Fd_util.Intern.combine
+      (Fd_util.Intern.combine (Icfg.hash_node s)
+         (match g with Some g -> Hashtbl.hash g | None -> 0))
+      (Icfg.hash_node k)
+end)
+
 (* per-method view: body, parameter binding and exit points, resolved
    once per method instead of per call edge *)
 type minfo = {
@@ -153,7 +174,9 @@ type minfo = {
   mi_this : Stmt.local option;
   mi_params : (int * Stmt.local) list;
   mi_exits : int list;
-  mutable mi_start_ni : ninfo option;
+  mutable mi_nodes : ninfo option array;
+      (** statement index -> its node view, made on first use; [[||]]
+          until the first *)
   mutable mi_exit_nis : ninfo list option;
   mutable mi_must_alias : Fd_precision.Must_alias.t option;
       (** the strong-update pass's must-alias partitions, computed on
@@ -222,9 +245,9 @@ type solver = {
 let mk_solver () =
   {
     s_edges = Pair_set.create ();
-    s_summaries = Int_tbl.create 256;
+    s_summaries = Int_tbl.create 16;
     s_sum_seen = Pair_set.create ();
-    s_incoming = Int_tbl.create 256;
+    s_incoming = Int_tbl.create 16;
     s_inc_seen = Pair_set.create ();
     s_work = Int_fifo.create ();
   }
@@ -240,7 +263,6 @@ type t = {
   facts : Fact_pool.pool;
   minfos : minfo Mkey.Tbl.t;
   mutable n_minfos : int;
-  ninfos : ninfo Node_tbl.t;
   mutable ninfo_by_id : ninfo array;  (** ni_id -> node view, dense *)
   mutable n_ninfos : int;
   cctxs : cctx I2_tbl.t;  (** (method id, fact id) -> context *)
@@ -249,7 +271,7 @@ type t = {
   fw : solver;
   bw : solver;
   mutable findings : finding list;
-  finding_keys : (string, unit) Hashtbl.t;
+  finding_keys : unit Finding_tbl.t;
   (* activation statement -> call sites whose completion implies the
      activation has executed, and the methods those call sites live in *)
   act_sites : unit Node_tbl.t Node_tbl.t;
@@ -304,7 +326,7 @@ let minfo_of t mk =
           mi_this = this_l;
           mi_params = params;
           mi_exits = exits;
-          mi_start_ni = None;
+          mi_nodes = [||];
           mi_exit_nis = None;
           mi_must_alias = None;
           mi_zero_work = None;
@@ -315,17 +337,19 @@ let minfo_of t mk =
       Mkey.Tbl.replace t.minfos mk mi;
       mi
 
-let ninfo_of t (n : Icfg.node) =
-  match Node_tbl.find_opt t.ninfos n with
+(* the view of statement [idx] of [mi], made on first use *)
+let ni_at t (mi : minfo) idx =
+  let body = match mi.mi_body with Some b -> b | None -> raise Not_found in
+  if Array.length mi.mi_nodes = 0 then
+    mi.mi_nodes <- Array.make (Body.length body) None;
+  match mi.mi_nodes.(idx) with
   | Some ni -> ni
   | None ->
-      let mi = minfo_of t n.Icfg.n_method in
-      let body = match mi.mi_body with Some b -> b | None -> raise Not_found in
-      let stmt = Body.stmt body n.Icfg.n_idx in
+      let stmt = Body.stmt body idx in
       let ni =
         {
           ni_id = t.n_ninfos;
-          ni_node = n;
+          ni_node = Icfg.{ n_method = mi.mi_key; n_idx = idx };
           ni_minfo = mi;
           ni_stmt = stmt;
           ni_invoke = Stmt.invoke_of stmt;
@@ -344,20 +368,19 @@ let ninfo_of t (n : Icfg.node) =
       in
       t.ninfo_by_id <- append t.ninfo_by_id t.n_ninfos ni;
       t.n_ninfos <- t.n_ninfos + 1;
-      Node_tbl.replace t.ninfos n ni;
+      mi.mi_nodes.(idx) <- Some ni;
       ni
 
-let node_at mi idx = Icfg.{ n_method = mi.mi_key; n_idx = idx }
+let ninfo_of t (n : Icfg.node) = ni_at t (minfo_of t n.Icfg.n_method) n.Icfg.n_idx
 
 let succs t (ni : ninfo) =
   match ni.ni_succs with
   | Some s -> s
   | None ->
-      let body = Option.get ni.ni_minfo.mi_body in
+      let mi = ni.ni_minfo in
       let s =
-        List.map
-          (fun i -> ninfo_of t (node_at ni.ni_minfo i))
-          (Body.succs body ni.ni_node.Icfg.n_idx)
+        List.map (ni_at t mi)
+          (Body.succs (Option.get mi.mi_body) ni.ni_node.Icfg.n_idx)
       in
       ni.ni_succs <- Some s;
       s
@@ -366,11 +389,10 @@ let preds t (ni : ninfo) =
   match ni.ni_preds with
   | Some s -> s
   | None ->
-      let body = Option.get ni.ni_minfo.mi_body in
+      let mi = ni.ni_minfo in
       let s =
-        List.map
-          (fun i -> ninfo_of t (node_at ni.ni_minfo i))
-          (Body.preds body ni.ni_node.Icfg.n_idx)
+        List.map (ni_at t mi)
+          (Body.preds (Option.get mi.mi_body) ni.ni_node.Icfg.n_idx)
       in
       ni.ni_preds <- Some s;
       s
@@ -387,19 +409,13 @@ let callees t (ni : ninfo) =
       ni.ni_callees <- Some cs;
       cs
 
-let start_ni t (mi : minfo) =
-  match mi.mi_start_ni with
-  | Some ni -> ni
-  | None ->
-      let ni = ninfo_of t (node_at mi 0) in
-      mi.mi_start_ni <- Some ni;
-      ni
+let start_ni t (mi : minfo) = ni_at t mi 0
 
 let exit_nis t (mi : minfo) =
   match mi.mi_exit_nis with
   | Some nis -> nis
   | None ->
-      let nis = List.map (fun i -> ninfo_of t (node_at mi i)) mi.mi_exits in
+      let nis = List.map (ni_at t mi) mi.mi_exits in
       mi.mi_exit_nis <- Some nis;
       nis
 
@@ -565,7 +581,10 @@ let view t : Solver_ext.view =
     intern = intern_fact t;
     iter_contexts =
       (fun f ->
-        I2_tbl.iter (fun _ c -> f c.cc_id c.cc_proc.mi_key c.cc_fact) t.cctxs);
+        for id = 0 to t.n_cctxs - 1 do
+          let c = t.cctx_by_id.(id) in
+          f c.cc_id c.cc_proc.mi_key c.cc_fact
+        done);
     callers =
       (fun id ->
         List.map (fun (_, c) -> c.cc_id) (listed t.fw.s_incoming (cx id)));
@@ -589,19 +608,18 @@ let create ?budget ?store ?(prune_dead = true) ~config ~icfg ~scene ~mgr
       mgr;
       wrappers;
       natives;
-      facts = Fact_pool.create ~size:512 ();
-      minfos = Mkey.Tbl.create 256;
+      facts = Fact_pool.create ~size:16 ();
+      minfos = Mkey.Tbl.create 16;
       n_minfos = 0;
-      ninfos = Node_tbl.create 512;
       ninfo_by_id = [||];
       n_ninfos = 0;
-      cctxs = I2_tbl.create 256;
+      cctxs = I2_tbl.create 16;
       cctx_by_id = [||];
       n_cctxs = 0;
       fw = mk_solver ();
       bw = mk_solver ();
       findings = [];
-      finding_keys = Hashtbl.create 64;
+      finding_keys = Finding_tbl.create 8;
       act_sites = Node_tbl.create 16;
       act_methods = Node_tbl.create 16;
       trees = Call_tree.create ~cg:icfg.Icfg.cg ~mgr ~config;
@@ -647,19 +665,14 @@ let compare_finding a b =
    this process *)
 let report t ~cx ?taint ~(source : Taint.source_info) ~sink_node ~sink_tag
     ~sink_cat () =
-  let key =
-    Printf.sprintf "%s|%s|%s"
-      (Icfg.string_of_node source.Taint.si_node)
-      (Option.value source.Taint.si_tag ~default:"")
-      (Icfg.string_of_node sink_node)
-  in
-  let fresh = not (Hashtbl.mem t.finding_keys key) in
+  let key = (source.Taint.si_node, source.Taint.si_tag, sink_node) in
+  let fresh = not (Finding_tbl.mem t.finding_keys key) in
   let witness =
     t.ext.report ~ctx:cx.cc_id ~fresh ~source ~sink:sink_node ~tag:sink_tag
       ~cat:sink_cat
   in
   if fresh then begin
-    Hashtbl.replace t.finding_keys key ();
+    Finding_tbl.replace t.finding_keys key ();
     M.incr m_findings;
     t.findings <-
       {
@@ -1494,34 +1507,60 @@ let does_zero_work t (ni : ninfo) =
       clinit || ci.ci_sources <> [] || direct || refl
 
 (* [zero_work t mi] is the nodes of [mi] where the zero fact does work,
-   in breadth-first order over [succs] from the start node, found once
-   per method.  Each comes with the kind of the edge that first
-   reaches it in that order, the provenance kind the zero fact had
-   there when it walked every node, so witnesses read as before. *)
+   in breadth-first order over the body's successors from statement 0,
+   found once per method.  Each comes with the kind of the edge that
+   first reaches it in that order, the provenance kind the zero fact
+   had there when it walked every node, so witnesses read as before.
+   The walk runs on statement indices; a node view is made only where
+   {!does_zero_work} can hold: a parameter identity, an invoke, or a
+   first-use [<clinit>] site. *)
 let zero_work t (mi : minfo) =
   match mi.mi_zero_work with
   | Some w -> w
   | None ->
-      let seen = Array.make (Body.length (Option.get mi.mi_body)) false in
-      let queue = Queue.create () in
-      seen.(0) <- true;
-      (* the start node's kind is never used: nothing jumps to it *)
-      Queue.add (start_ni t mi, Prov.Normal) queue;
-      let work = ref [] in
-      while not (Queue.is_empty queue) do
-        let ((ni, _) as item) = Queue.pop queue in
-        if does_zero_work t ni then work := item :: !work;
-        let kind =
-          if ni.ni_invoke = None then Prov.Normal else Prov.Call_to_return
-        in
-        List.iter
-          (fun (s : ninfo) ->
-            let i = s.ni_node.Icfg.n_idx in
-            if not seen.(i) then begin
-              seen.(i) <- true;
-              Queue.add (s, kind) queue
-            end)
-          (succs t ni)
+      let body = Option.get mi.mi_body in
+      let n = Body.length body in
+      let clinit = (prec t).Config.clinit in
+      (* [order] is the breadth-first queue, each index queued once;
+         [via_call.[i]] marks an [i] first reached from an invoke *)
+      let order = Array.make n 0 and via_call = Bytes.make n '\000' in
+      let seen = Bytes.make n '\000' in
+      Bytes.set seen 0 '\001';
+      let head = ref 0 and tail = ref 1 and work = ref [] in
+      let rec enqueue invoke = function
+        | [] -> ()
+        | j :: rest ->
+            if Bytes.get seen j = '\000' then begin
+              Bytes.set seen j '\001';
+              if invoke then Bytes.set via_call j '\001';
+              order.(!tail) <- j;
+              incr tail
+            end;
+            enqueue invoke rest
+      in
+      while !head < !tail do
+        let i = order.(!head) in
+        incr head;
+        let stmt = Body.stmt body i in
+        let invoke = Stmt.invoke_of stmt <> None in
+        (if
+           invoke
+           || (match stmt.Stmt.s_kind with
+              | Stmt.Identity (_, Stmt.Iparam _) -> true
+              | _ -> false)
+           || clinit
+              && Callgraph.clinit_callees t.icfg.Icfg.cg mi.mi_key i <> []
+         then
+           let ni = ni_at t mi i in
+           if does_zero_work t ni then
+             (* the start node's kind is never used: nothing jumps to
+                it *)
+             let kind =
+               if Bytes.get via_call i = '\001' then Prov.Call_to_return
+               else Prov.Normal
+             in
+             work := (ni, kind) :: !work);
+        enqueue invoke (Body.succs body i)
       done;
       let w = List.rev !work in
       mi.mi_zero_work <- Some w;
@@ -1777,7 +1816,7 @@ let run t ~entries =
   (try
      List.iter
        (fun m ->
-         let start = ninfo_of t (Icfg.start_node t.icfg m) in
+         let start = start_ni t (minfo_of t m) in
          Fd_obs.Ring.push t.flight ev_seed start.ni_id 0;
          let cx = cctx t start.ni_minfo Taint.Zero in
          propagate_fw ~kind:Prov.Seed t cx start Taint.Zero)
@@ -1803,8 +1842,15 @@ let findings t = t.findings
 
 (* the node's fact ids, walked oldest first keeping each id's first
    occurrence, give its taints newest first by first propagation *)
-let results_at t n =
-  match Node_tbl.find_opt t.ninfos n with
+let results_at t (n : Icfg.node) =
+  let view =
+    match Mkey.Tbl.find_opt t.minfos n.Icfg.n_method with
+    | Some mi when n.Icfg.n_idx >= 0 && n.Icfg.n_idx < Array.length mi.mi_nodes
+      ->
+        mi.mi_nodes.(n.Icfg.n_idx)
+    | _ -> None
+  in
+  match view with
   | None -> []
   | Some ni ->
       let seen = Int_tbl.create 16 in

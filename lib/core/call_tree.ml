@@ -44,6 +44,13 @@ let create ~cg ~mgr ~(config : Config.t) =
     memo = Mkey.Tbl.create 16;
   }
 
+let has_call_source mgr body (s : Stmt.t) =
+  match s.Stmt.s_kind with
+  | Stmt.Assign (Stmt.Llocal _, Stmt.Einvoke inv) ->
+      Srcsink_mgr.return_source mgr inv <> None
+      || Srcsink_mgr.ui_source mgr ~body ~at:s.Stmt.s_idx inv <> None
+  | _ -> false
+
 let call_source mgr body (s : Stmt.t) =
   match s.Stmt.s_kind with
   | Stmt.Assign (Stmt.Llocal x, Stmt.Einvoke inv) -> (
@@ -114,7 +121,7 @@ let tree t mk =
                     (match e with Stmt.Estatic f -> field f | _ -> ())
                 | _ -> ());
                 if Stmt.invoke_of s <> None then begin
-                  if call_source t.mgr body s <> None then gen := true;
+                  if has_call_source t.mgr body s then gen := true;
                   succs :=
                     List.rev_append (Callgraph.callees t.cg m idx) !succs
                 end;

@@ -19,6 +19,10 @@ val create : cg:Callgraph.t -> mgr:Srcsink_mgr.t -> config:Config.t -> t
     config's clinit and reflection passes decide which edges a tree
     follows, and its [context_injection] decides {!zero_enters}. *)
 
+val has_call_source : Srcsink_mgr.t -> Body.t -> Stmt.t -> bool
+(** [has_call_source mgr body s] holds when {!call_source} is [Some _],
+    without building its description. *)
+
 val call_source :
   Srcsink_mgr.t ->
   Body.t ->

@@ -108,8 +108,8 @@ let to_xml ?completeness (result : Infoflow.result) =
 
 (** [to_xml_string ?completeness result] renders the XML document. *)
 let to_xml_string ?completeness result =
-  "<?xml version=\"1.0\" encoding=\"utf-8\"?>\n"
-  ^ X.to_string (to_xml ?completeness result)
+  X.to_string ~prolog:"<?xml version=\"1.0\" encoding=\"utf-8\"?>\n"
+    (to_xml ?completeness result)
 
 (** [fallback_to_xml_string fb] renders a ladder run: the winning
     result stamped with its completeness marker. *)

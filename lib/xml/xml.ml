@@ -292,45 +292,55 @@ let text = function
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | '\'' -> Buffer.add_string buf "&apos;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* [s] with the five predefined entities escaped, written to [buf] *)
+let add_escaped buf s =
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '&' -> Buffer.add_string buf "&amp;"
+    | '<' -> Buffer.add_string buf "&lt;"
+    | '>' -> Buffer.add_string buf "&gt;"
+    | '"' -> Buffer.add_string buf "&quot;"
+    | '\'' -> Buffer.add_string buf "&apos;"
+    | c -> Buffer.add_char buf c
+  done
 
-(** [to_string ?indent e] serialises [e]; [indent] (default 2) controls
-    per-level indentation.  [parse_string (to_string e)] returns a tree
-    equal to [e] up to insignificant whitespace. *)
-let to_string ?(indent = 2) e =
+(** [to_string ?indent ?prolog e] serialises [e] after [prolog]
+    (default empty); [indent] (default 2) controls per-level
+    indentation.  [parse_string (to_string e)] returns a tree equal to
+    [e] up to insignificant whitespace. *)
+let to_string ?(indent = 2) ?(prolog = "") e =
   let buf = Buffer.create 1024 in
-  let pad level = Buffer.add_string buf (String.make (level * indent) ' ') in
+  Buffer.add_string buf prolog;
+  let pad level =
+    for _ = 1 to level * indent do
+      Buffer.add_char buf ' '
+    done
+  in
+  let attr (k, v) =
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf k;
+    Buffer.add_string buf "=\"";
+    add_escaped buf v;
+    Buffer.add_char buf '"'
+  in
   let rec go level = function
     | Text t ->
         pad level;
-        Buffer.add_string buf (escape t);
+        add_escaped buf t;
         Buffer.add_char buf '\n'
     | Element (tag, attrs, kids) ->
         pad level;
         Buffer.add_char buf '<';
         Buffer.add_string buf tag;
-        List.iter
-          (fun (k, v) ->
-            Buffer.add_string buf (Printf.sprintf " %s=\"%s\"" k (escape v)))
-          attrs;
+        List.iter attr attrs;
         if kids = [] then Buffer.add_string buf "/>\n"
         else begin
           Buffer.add_string buf ">\n";
           List.iter (go (level + 1)) kids;
           pad level;
-          Buffer.add_string buf ("</" ^ tag ^ ">\n")
+          Buffer.add_string buf "</";
+          Buffer.add_string buf tag;
+          Buffer.add_string buf ">\n"
         end
   in
   go 0 e;

@@ -32,6 +32,7 @@ val descendants_named : t -> string -> t list
 val text : t -> string
 (** concatenated direct text children *)
 
-val to_string : ?indent:int -> t -> string
-(** serialisation; [parse_string (to_string e)] equals [e] up to
-    insignificant whitespace *)
+val to_string : ?indent:int -> ?prolog:string -> t -> string
+(** serialisation, after [prolog] (default empty) verbatim;
+    [parse_string (to_string e)] equals [e] up to insignificant
+    whitespace *)

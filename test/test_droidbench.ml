@@ -197,6 +197,241 @@ let test_render_contains_rows () =
     (fun row -> Alcotest.(check bool) (row ^ " in render") true (contains row))
     [ "ArrayAccess1"; "== Lifecycle"; "Precision"; "F-measure"; "93%" ]
 
+(* ---------------- pins: the search itself, and the report ----------------
+
+   The verdict tests above pin what the solver finds; these pin how it
+   gets there.  Each app's path-edge count ({!Fd_core.Bidi.propagation_count})
+   and an MD5 prefix over its findings (source and sink points, tags,
+   description, category and propagation path, in report order) are
+   fixed for the 51 DroidBench apps and a generated sample of ten Play
+   and ten malware apps, under the default config and with every
+   precision pass on.  A refactor of the engine's set-up that changes
+   what the worklist explores fails here, not only in a benchmark. *)
+
+let pin_sample =
+  lazy
+    (List.map
+       (fun (a : Bench_app.t) -> (a.Bench_app.app_name, a.Bench_app.app_apk))
+       Suite.all
+    @ List.concat_map
+        (fun profile ->
+          List.init 10 (fun i ->
+              let g = Fd_appgen.Generator.generate ~profile ~seed:5 i in
+              (g.Fd_appgen.Generator.ga_name, g.Fd_appgen.Generator.ga_apk)))
+        [ Fd_appgen.Generator.Play; Fd_appgen.Generator.Malware ])
+
+let finding_line (f : Fd_core.Bidi.finding) =
+  let s = f.Fd_core.Bidi.f_source in
+  let node = Fd_callgraph.Icfg.string_of_node in
+  let tag = Option.value ~default:"-" in
+  String.concat "\t"
+    [
+      node s.Fd_core.Taint.si_node;
+      tag s.Fd_core.Taint.si_tag;
+      s.Fd_core.Taint.si_desc;
+      node f.Fd_core.Bidi.f_sink_node;
+      tag f.Fd_core.Bidi.f_sink_tag;
+      Fd_frontend.Sourcesink.string_of_category f.Fd_core.Bidi.f_sink_cat;
+      String.concat " " (List.map node f.Fd_core.Bidi.f_path);
+    ]
+
+let search_pin (r : Fd_core.Infoflow.result) =
+  ( Fd_core.Bidi.propagation_count r.Fd_core.Infoflow.r_engine,
+    String.sub
+      (Digest.to_hex
+         (Digest.string
+            (String.concat "\n"
+               (List.map finding_line r.Fd_core.Infoflow.r_findings))))
+      0 8 )
+
+let check_search_pins ?config expected =
+  let sample = Lazy.force pin_sample in
+  Alcotest.(check int) "one pin per app" (List.length sample)
+    (List.length expected);
+  List.iter
+    (fun (name, edges, digest) ->
+      let apk = List.assoc name sample in
+      Alcotest.(check (pair int string))
+        name (edges, digest)
+        (search_pin (Fd_core.Infoflow.analyze_apk ?config apk)))
+    expected
+
+let test_search_pinned () =
+  check_search_pins
+    [
+    ("ArrayAccess1", 11, "83e50ff5");
+    ("ArrayAccess2", 14, "aab0c349");
+    ("ListAccess1", 13, "73c12d4f");
+    ("AnonymousClass1", 7, "e256fb81");
+    ("Button1", 96, "5184f389");
+    ("Button2", 984, "53227894");
+    ("LocationLeak1", 405, "18c96a62");
+    ("LocationLeak2", 866, "8d2568ee");
+    ("MethodOverride1", 6, "53088da6");
+    ("FieldSensitivity1", 20, "d41d8cd9");
+    ("FieldSensitivity2", 84, "d41d8cd9");
+    ("FieldSensitivity3", 22, "fd2e122c");
+    ("FieldSensitivity4", 95, "5f30dc7e");
+    ("InheritedObjects1", 9, "e64d4c1e");
+    ("ObjectSensitivity1", 23, "d41d8cd9");
+    ("ObjectSensitivity2", 42, "d41d8cd9");
+    ("IntentSink1", 10, "d41d8cd9");
+    ("IntentSink2", 10, "2113d4c4");
+    ("ActivityCommunication1", 16, "bddb1c46");
+    ("BroadcastReceiverLifecycle1", 27, "502c08c8");
+    ("ActivityLifecycle1", 29, "4e5d67e4");
+    ("ActivityLifecycle2", 28, "3a02ee18");
+    ("ActivityLifecycle3", 28, "052cf2da");
+    ("ActivityLifecycle4", 131, "1aed65d6");
+    ("ServiceLifecycle1", 160, "17617727");
+    ("Loop1", 15, "9aa1e208");
+    ("Loop2", 74, "efff3236");
+    ("SourceCodeSpecific1", 11, "f009b2a9");
+    ("StaticInitialization1", 23, "d41d8cd9");
+    ("UnreachableCode", 1, "d41d8cd9");
+    ("PrivateDataLeak1", 208, "a03567da");
+    ("PrivateDataLeak2", 8, "56bcbbe6");
+    ("DirectLeak1", 6, "fe2e9816");
+    ("InactiveActivity", 1, "d41d8cd9");
+    ("LogNoLeak", 1, "d41d8cd9");
+    ("ImplicitFlow1", 6, "d41d8cd9");
+    ("ImplicitFlow2", 15, "d41d8cd9");
+    ("ImplicitFlow3", 5, "d41d8cd9");
+    ("ImplicitFlow4", 5, "d41d8cd9");
+    ("FieldSensitivity5", 33, "707be28c");
+    ("ObjectSensitivity3", 10, "d41d8cd9");
+    ("Exceptions1", 4, "d41d8cd9");
+    ("LocationLeak3", 171, "02be57a2");
+    ("Reflection1", 6, "d41d8cd9");
+    ("ServiceCommunication1", 45, "0d370069");
+    ("Parcel1", 13, "2bfb910e");
+    ("Threading1", 305, "876434ff");
+    ("UnregisteredCallback1", 1, "d41d8cd9");
+    ("DeepAlias1", 117, "ef827979");
+    ("AsyncTask1", 9, "60436371");
+    ("FragmentLifecycle1", 261, "ad17d11b");
+    ("play-0000", 29, "0ea015ec");
+    ("play-0001", 27, "cd1d661c");
+    ("play-0002", 7, "d41d8cd9");
+    ("play-0003", 24, "09eab5cc");
+    ("play-0004", 112, "3fada2ac");
+    ("play-0005", 7, "d41d8cd9");
+    ("play-0006", 93, "4bed7df2");
+    ("play-0007", 198, "49d57d1e");
+    ("play-0008", 11, "dbacdcdc");
+    ("play-0009", 13, "6bc1b531");
+    ("malware-0000", 13, "30f9427d");
+    ("malware-0001", 23, "99c41e1c");
+    ("malware-0002", 15, "385505d9");
+    ("malware-0003", 21, "0cf6cf9d");
+    ("malware-0004", 87, "60f5eaab");
+    ("malware-0005", 12, "57ab1e4d");
+    ("malware-0006", 5, "fe2518e4");
+    ("malware-0007", 32, "d41d8cd9");
+    ("malware-0008", 14, "51f456fd");
+    ("malware-0009", 49, "7e2f91bc");
+    ]
+
+let test_search_pinned_precision () =
+  check_search_pins
+    ~config:
+      { Fd_core.Config.default with
+        Fd_core.Config.precision = Fd_core.Config.all_precision }
+    [
+    ("play-0000", 26, "5814adf1");
+    ("play-0001", 28, "31d62c6e");
+    ("play-0002", 7, "d41d8cd9");
+    ("play-0003", 25, "691a1cc9");
+    ("play-0004", 108, "e127d917");
+    ("play-0005", 7, "d41d8cd9");
+    ("play-0006", 96, "7915f719");
+    ("play-0007", 203, "00f7c1c0");
+    ("play-0008", 9, "d41d8cd9");
+    ("play-0009", 12, "d41d8cd9");
+    ("malware-0000", 13, "30f9427d");
+    ("malware-0001", 23, "99c41e1c");
+    ("malware-0002", 15, "385505d9");
+    ("malware-0003", 22, "2f979403");
+    ("malware-0004", 93, "ece50fdf");
+    ("malware-0005", 12, "57ab1e4d");
+    ("malware-0006", 5, "fe2518e4");
+    ("malware-0007", 38, "f4705342");
+    ("malware-0008", 14, "51f456fd");
+    ("malware-0009", 50, "992b541e");
+    ("ArrayAccess1", 10, "d41d8cd9");
+    ("ArrayAccess2", 14, "aab0c349");
+    ("ListAccess1", 13, "73c12d4f");
+    ("AnonymousClass1", 7, "e256fb81");
+    ("Button1", 96, "5184f389");
+    ("Button2", 462, "009171c7");
+    ("LocationLeak1", 402, "18c96a62");
+    ("LocationLeak2", 859, "8d2568ee");
+    ("MethodOverride1", 6, "53088da6");
+    ("FieldSensitivity1", 20, "d41d8cd9");
+    ("FieldSensitivity2", 76, "d41d8cd9");
+    ("FieldSensitivity3", 22, "fd2e122c");
+    ("FieldSensitivity4", 83, "5f30dc7e");
+    ("InheritedObjects1", 9, "e64d4c1e");
+    ("ObjectSensitivity1", 23, "d41d8cd9");
+    ("ObjectSensitivity2", 36, "d41d8cd9");
+    ("IntentSink1", 10, "d41d8cd9");
+    ("IntentSink2", 10, "2113d4c4");
+    ("ActivityCommunication1", 16, "bddb1c46");
+    ("BroadcastReceiverLifecycle1", 27, "502c08c8");
+    ("ActivityLifecycle1", 29, "4e5d67e4");
+    ("ActivityLifecycle2", 28, "3a02ee18");
+    ("ActivityLifecycle3", 28, "052cf2da");
+    ("ActivityLifecycle4", 130, "1aed65d6");
+    ("ServiceLifecycle1", 158, "17617727");
+    ("Loop1", 15, "9aa1e208");
+    ("Loop2", 74, "efff3236");
+    ("SourceCodeSpecific1", 11, "f009b2a9");
+    ("StaticInitialization1", 31, "6e642e53");
+    ("UnreachableCode", 1, "d41d8cd9");
+    ("PrivateDataLeak1", 208, "a03567da");
+    ("PrivateDataLeak2", 8, "56bcbbe6");
+    ("DirectLeak1", 6, "fe2e9816");
+    ("InactiveActivity", 1, "d41d8cd9");
+    ("LogNoLeak", 1, "d41d8cd9");
+    ("ImplicitFlow1", 6, "d41d8cd9");
+    ("ImplicitFlow2", 15, "d41d8cd9");
+    ("ImplicitFlow3", 5, "d41d8cd9");
+    ("ImplicitFlow4", 5, "d41d8cd9");
+    ("FieldSensitivity5", 33, "707be28c");
+    ("ObjectSensitivity3", 10, "d41d8cd9");
+    ("Exceptions1", 4, "d41d8cd9");
+    ("LocationLeak3", 170, "02be57a2");
+    ("Reflection1", 10, "7985779c");
+    ("ServiceCommunication1", 45, "0d370069");
+    ("Parcel1", 13, "2bfb910e");
+    ("Threading1", 202, "876434ff");
+    ("UnregisteredCallback1", 1, "d41d8cd9");
+    ("DeepAlias1", 115, "ef827979");
+    ("AsyncTask1", 9, "60436371");
+    ("FragmentLifecycle1", 258, "ad17d11b");
+    ]
+
+(* the XML report of every DroidBench app, with and without a
+   completeness marker, byte for byte: the runtime entry is zeroed,
+   the only field that is not a function of the app *)
+let test_report_digest () =
+  let buf = Buffer.create 131072 in
+  List.iter
+    (fun (a : Bench_app.t) ->
+      let r = Fd_core.Infoflow.analyze_apk a.Bench_app.app_apk in
+      let r =
+        { r with
+          Fd_core.Infoflow.r_stats =
+            { r.Fd_core.Infoflow.r_stats with Fd_core.Infoflow.st_time = 0.0 } }
+      in
+      Buffer.add_string buf (Fd_core.Report.to_xml_string r);
+      Buffer.add_string buf
+        (Fd_core.Report.to_xml_string ~completeness:"partial" r))
+    Suite.all;
+  Alcotest.(check (pair int string))
+    "length and MD5 of the 102 reports" (99825, "b8d410bf4aafc52d61205df2c3525263")
+    (Buffer.length buf, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "fd_droidbench"
     [
@@ -227,5 +462,12 @@ let () =
           Alcotest.test_case "implicit flows silent" `Slow
             test_implicit_flows_silent;
           Alcotest.test_case "extension cases" `Slow test_extensions;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "search pinned" `Quick test_search_pinned;
+          Alcotest.test_case "search pinned, precision passes" `Quick
+            test_search_pinned_precision;
+          Alcotest.test_case "report digest" `Quick test_report_digest;
         ] );
     ]

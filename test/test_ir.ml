@@ -288,6 +288,114 @@ let test_liveness () =
     (List.init 71 (fun i -> i = 0))
     (List.init 71 (fun i -> Liveness.live_in lv i (l "v00")))
 
+(* [Liveness] against a plain set-based fixpoint on random bodies with
+   branches, loops, identity statements and, in half of them, more
+   than 63 read locals (two set words) *)
+module Names = Set.Make (String)
+
+let reference_live b =
+  let n = Body.length b in
+  let live = Array.make n Names.empty in
+  let uses s =
+    let acc = ref Names.empty in
+    Body.iter_uses (fun x -> acc := Names.add x.S.l_name !acc) s;
+    !acc
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to n - 1 do
+      let s = Body.stmt b i in
+      let out =
+        List.fold_left
+          (fun acc j -> Names.union acc live.(j))
+          Names.empty (Body.succs b i)
+      in
+      let out =
+        match s.S.s_kind with
+        | S.Assign (S.Llocal x, _) -> Names.remove x.S.l_name out
+        | _ -> out
+      in
+      let v = Names.union (uses s) out in
+      if not (Names.equal v live.(i)) then begin
+        live.(i) <- v;
+        changed := true
+      end
+    done
+  done;
+  live
+
+let gen_live_body =
+  let open QCheck.Gen in
+  let pool = Array.init 80 (Printf.sprintf "v%02d") in
+  let l i = S.mk_local pool.(i) in
+  let loc = map l (int_bound 79) in
+  let imm = frequency [ (4, map (fun x -> S.Iloc x) loc);
+                        (1, return (S.Iconst (S.CInt 3))) ] in
+  let next = Types.{ f_class = "t.N"; f_name = "next"; f_type = Ref "t.N" } in
+  let* wide = bool in
+  let* len = int_range 2 40 in
+  let prefix =
+    if wide then
+      List.init 70 (fun i ->
+          S.Assign (S.Llocal (l 79), S.Eimm (S.Iloc (l i))))
+    else []
+  in
+  let n = List.length prefix + len in
+  let kind i =
+    let target = int_bound (n - 1) in
+    let plain =
+      [ (3, map2 (fun x e -> S.Assign (S.Llocal x, S.Eimm e)) loc imm);
+        (2, map3 (fun x a c -> S.Assign (S.Llocal x, S.Ebinop ("+", a, c)))
+              loc imm imm);
+        (2, map2 (fun x y -> S.Assign (S.Llocal x, S.Efield (y, next))) loc loc);
+        (1, map2 (fun y e -> S.Assign (S.Lfield (y, next), S.Eimm e)) loc imm);
+        (1, map2 (fun x k -> S.Identity (x, S.Iparam k)) loc (int_bound 2));
+        (1, map (fun x -> S.Identity (x, S.Ithis "t.C")) loc);
+        (1, map2
+              (fun r args ->
+                S.InvokeStmt
+                  { S.i_kind = S.Virtual;
+                    i_sig = Types.mk_method "t.C" "use";
+                    i_recv = Some r; i_args = args })
+              loc (list_size (int_bound 2) imm));
+        (1, map (fun t -> S.Goto t) target) ]
+    in
+    if i = n - 1 then
+      oneof [ return (S.Return None); map (fun x -> S.Return (Some (S.Iloc x))) loc ]
+    else
+      frequency
+        ((2, map2
+               (fun x t ->
+                 S.If ({ S.c_op = S.Clt; c_left = S.Iloc x;
+                         c_right = S.Iconst (S.CInt 9) }, t))
+               loc target)
+        :: (1, map (fun x -> S.Return (Some (S.Iloc x))) loc)
+        :: plain)
+  in
+  let* tail =
+    flatten_l (List.init len (fun k -> kind (List.length prefix + k)))
+  in
+  return (body_of_kinds (Array.to_list pool) (prefix @ tail))
+
+let prop_liveness_matches_reference =
+  QCheck.Test.make ~name:"liveness equals a set-based fixpoint" ~count:200
+    (QCheck.make
+       ~print:(fun b ->
+         String.concat "\n"
+           (List.init (Body.length b) (fun i -> S.to_string (Body.stmt b i))))
+       gen_live_body)
+    (fun b ->
+      let lv = Liveness.analyze b and want = reference_live b in
+      let names = "absent" :: List.init 80 (Printf.sprintf "v%02d") in
+      List.for_all
+        (fun i ->
+          List.for_all
+            (fun x ->
+              Liveness.live_in lv i (S.mk_local x) = Names.mem x want.(i))
+            names)
+        (List.init (Body.length b) Fun.id))
+
 (* ---------------- scene & hierarchy ---------------- *)
 
 let hierarchy_scene () =
@@ -1254,5 +1362,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_print_parse_roundtrip; prop_body_succs_in_range;
             prop_parser_total; prop_parser_mutation; prop_parser_in_bounds;
-            prop_scene_insert_keeps_caches_exact; prop_cones_match_model ] );
+            prop_scene_insert_keeps_caches_exact; prop_cones_match_model;
+            prop_liveness_matches_reference ] );
     ]

@@ -151,6 +151,28 @@ let prop_roundtrip =
   QCheck.Test.make ~name:"to_string/parse_string round-trip" ~count:300 arb_xml
     (fun e -> parse (X.to_string e) = e)
 
+(* the serialiser's exact bytes: indentation, self-closing empty
+   elements, escapes in attributes and text, and the [?indent] and
+   [?prolog] arguments *)
+let test_to_string_bytes () =
+  let e =
+    X.Element
+      ( "r",
+        [ ("a", "x&y"); ("b", "<'\">") ],
+        [
+          X.Element ("e", [], []);
+          X.Element ("k", [ ("n", "1") ], [ X.Text "t < u & v" ]);
+        ] )
+  in
+  Alcotest.(check string)
+    "default indent"
+    "<r a=\"x&amp;y\" b=\"&lt;&apos;&quot;&gt;\">\n  <e/>\n  <k n=\"1\">\n    t &lt; u &amp; v\n  </k>\n</r>\n"
+    (X.to_string e);
+  Alcotest.(check string)
+    "indent 0 with a prolog"
+    "<?p?>\n<r a=\"x&amp;y\" b=\"&lt;&apos;&quot;&gt;\">\n<e/>\n<k n=\"1\">\nt &lt; u &amp; v\n</k>\n</r>\n"
+    (X.to_string ~indent:0 ~prolog:"<?p?>\n" e)
+
 let () =
   Alcotest.run "fd_xml"
     [
@@ -170,5 +192,6 @@ let () =
           Alcotest.test_case "android manifest shape" `Quick
             test_android_manifest_shape;
         ] );
+      ("print", [ Alcotest.test_case "exact bytes" `Quick test_to_string_bytes ]);
       ("properties", [ QCheck_alcotest.to_alcotest prop_roundtrip ]);
     ]
